@@ -18,17 +18,14 @@ Each scenario reports two things:
   is for order-of-magnitude regressions like an accidental O(n) scan in
   the hot loop, not for noise).
 
-The scenarios stress the hybrid scheduler's distinct regimes: a serial
-hand-off chain (wheel fast path), a fan-out mixing near deltas with
-beyond-window deltas (wheel + heap interplay and migration), a cancel
-storm (tombstone compaction on both sides), one real kernel run (the
-end-to-end number the engine work was for), plus the epoch-execution
-regimes: independent per-core chains (batched drain), a 64-core Neat
-spin-heavy kernel (spin fast-forward), and its epoch-off control —
-whose deterministic count must match the epoch-on twin exactly, checked
-on every run.  ``--compare --strict-counts`` additionally fails when any
-scenario lacks a baseline entry, so count gating covers new and existing
-scenarios alike.
+The scenarios stress the event queue's distinct regimes: a serial
+hand-off chain (one event in flight), a fan-out mixing near deltas with
+multi-thousand-cycle ones (a deep heap), a cancel storm (tombstone
+compaction), one real kernel run, independent per-core chains (many
+events per cycle), and a 64-core Neat spin-heavy kernel (the spin
+fast-forward's lease ticks).  ``--compare --strict-counts`` additionally
+fails when any scenario lacks a baseline entry, so count gating covers
+new and existing scenarios alike.
 """
 
 from __future__ import annotations
@@ -40,8 +37,8 @@ from time import perf_counter
 
 from repro.sim.engine import Simulator
 
-#: Mix of in-window (< Simulator.WHEEL_SIZE) and far deltas, shaped like
-#: the real workloads: mostly short steps, occasional long backoffs.
+#: Mix of near and far deltas, shaped like the real workloads: mostly
+#: short steps, occasional long backoffs.
 _DELTAS = (1, 2, 3, 5, 8, 100, 421, 500, 1023, 1024, 2048, 4095)
 
 
@@ -62,7 +59,7 @@ def _pingpong(n: int = 200_000):
 
 
 def _fanout_mix(n: int = 120_000):
-    """Fan-out over mixed deltas: wheel and heap both stay populated."""
+    """Fan-out over mixed deltas: the heap stays deep."""
     sim = Simulator()
     budget = [n]
 
@@ -114,9 +111,8 @@ def _kernel_ops():
 
 
 def _uncontended_stretch(cores: int = 32, steps: int = 4_000):
-    """Independent per-core local chains, all one cycle apart: the pure
-    batched-drain regime of the epoch loop (every cycle's bucket holds
-    one event per core, no heap traffic)."""
+    """Independent per-core local chains, all one cycle apart: every
+    cycle fires one event per core."""
     sim = Simulator()
     remaining = [steps] * cores
 
@@ -133,11 +129,10 @@ def _uncontended_stretch(cores: int = 32, steps: int = 4_000):
     return fired, perf_counter() - start
 
 
-def _spin_heavy(epoch_mode: bool):
+def _spin_heavy():
     """Neat's 64-core unbounded central barrier: 90%+ of its events are
     failed spin polls of LLC-resident flags, the spin fast-forward's
-    target regime.  The epoch-off twin is the control: its cycle count
-    must match exactly (main() enforces this every run)."""
+    target regime."""
     from repro.config import config_for_cores
     from repro.harness.runner import run_workload
     from repro.workloads.base import KernelSpec
@@ -145,9 +140,7 @@ def _spin_heavy(epoch_mode: bool):
 
     workload = make_kernel("barrier", "central (UB)", spec=KernelSpec(scale=0.02))
     start = perf_counter()
-    result = run_workload(
-        workload, "Neat", config_for_cores(64, epoch_mode=epoch_mode), seed=1
-    )
+    result = run_workload(workload, "Neat", config_for_cores(64), seed=1)
     return result.cycles, perf_counter() - start
 
 
@@ -157,13 +150,8 @@ SCENARIOS = {
     "cancel_churn": (_cancel_churn, "events"),
     "kernel_tatas_16c": (_kernel_ops, "cycles"),
     "uncontended_stretch": (_uncontended_stretch, "events"),
-    "spin_heavy_64c": (lambda: _spin_heavy(True), "cycles"),
-    "spin_heavy_64c_noepoch": (lambda: _spin_heavy(False), "cycles"),
+    "spin_heavy_64c": (_spin_heavy, "cycles"),
 }
-
-#: Scenario pairs that simulate the same cell in both engine modes:
-#: their deterministic counts must agree exactly, every run.
-MODE_TWINS = [("spin_heavy_64c", "spin_heavy_64c_noepoch")]
 
 
 def run_all() -> dict:
@@ -260,17 +248,6 @@ def main(argv=None) -> int:
             f"{name:22s} {row['count']:>10d} {row['unit']:6s} "
             f"in {row['seconds']:8.3f}s = {row['rate']:>10d}/s"
         )
-    twin_failures = [
-        f"{a} vs {b}: {results[a]['count']} != {results[b]['count']} — "
-        "epoch and reference modes diverged on the same cell"
-        for a, b in MODE_TWINS
-        if results[a]["count"] != results[b]["count"]
-    ]
-    if twin_failures:
-        print("\nepoch/reference mode twin check FAILED:")
-        for failure in twin_failures:
-            print(f"  - {failure}")
-        return 1
     if args.json:
         with open(args.json, "w") as fh:
             json.dump({"scenarios": results}, fh, indent=1, sort_keys=True)

@@ -127,11 +127,6 @@ class SystemConfig:
     (:mod:`repro.protocols.invariants`): ``off`` disables it, ``sampled``
     audits the full protocol state every ``invariant_sample_period``
     operations, ``full`` audits before every operation.
-
-    ``epoch_mode`` selects the engine's batched epoch run loop plus the
-    spin fast-forward leases (see :mod:`repro.sim.engine`); results are
-    byte-identical either way — the flag exists as an escape hatch
-    (CLI ``--no-epoch``) and for perf A/B runs.
     """
 
     num_cores: int = 16
@@ -153,7 +148,6 @@ class SystemConfig:
     tuning: ProtocolTuning = field(default_factory=ProtocolTuning)
     invariant_level: str = "off"
     invariant_sample_period: int = 64
-    epoch_mode: bool = True
 
     def __post_init__(self) -> None:
         side = math.isqrt(self.num_cores)

@@ -98,19 +98,18 @@ class Core:
         self._rmw_state: tuple | None = None
         self._spin_op: isa.WaitLoad | None = None
         self._spin_retry_at = 0
-        # Spin fast-forward (epoch mode): a granted lease, flattened for
-        # the tick hot path as (expected value, re-poll period, counter
-        # keys, traffic row, flits/poll, messages/poll, ((time-component
-        # idx, cycles), ...)).  Armed in _spin_probe_issue, consumed by
-        # _lease_tick.  Eligibility is static per run: the reference
-        # engine path, any protocol wrapper (tracing, fault injection,
-        # which override set_time and so clear _fast_time), runtime
-        # invariant sampling, and backoff-capable protocols all disable
-        # leasing; a schedule controller is re-checked at arm time.
+        # Spin fast-forward: a granted lease, flattened for the tick hot
+        # path as (expected value, re-poll period, counter keys, traffic
+        # row, flits/poll, messages/poll, ((time-component idx, cycles),
+        # ...)).  Armed in _spin_probe_issue, consumed by _lease_tick.
+        # Eligibility is static per run: any protocol wrapper (tracing,
+        # fault injection, which override set_time and so clear
+        # _fast_time), runtime invariant sampling, and backoff-capable
+        # protocols all disable leasing; a schedule controller is
+        # re-checked at arm time.
         self._lease: tuple | None = None
         self._lease_ok = (
-            sim.epoch_mode
-            and self._fast_time
+            self._fast_time
             and not self._has_backoff
             and getattr(type(protocol), "spin_poll_lease", None)
             is not CoherenceProtocol.spin_poll_lease
@@ -482,7 +481,7 @@ class Core:
         for cidx, cycles in lease[6]:
             tc[cidx] += cycles
         sim = self.sim
-        sim._epoch_spin_elided += 1
+        sim._spin_polls_elided += 1
         sim.call_after(lease[1], self._cb_lease_tick, op)
 
     def _retry_spin_probe(self, op: isa.WaitLoad) -> None:

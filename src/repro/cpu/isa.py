@@ -96,9 +96,9 @@ class WaitLoad:
 
     ``pred`` must be a *pure function of the loaded value* (capture loop
     state through default arguments, as the synclib kernels do) — the
-    epoch engine's spin fast-forward re-evaluates it only when the polled
-    value changes, so a predicate reading ambient mutable state would
-    diverge from the reference per-event loop."""
+    spin fast-forward re-evaluates it only when the polled value changes,
+    so a predicate reading ambient mutable state would diverge from a
+    fully simulated poll loop."""
 
     addr: int
     pred: Callable[[int], bool]

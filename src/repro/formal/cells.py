@@ -27,9 +27,6 @@ class FormalCell:
     divergence_bound: int = 1
     divergence_schedules: int = 300
     litmus: tuple = ()  # () = the whole corpus
-    #: Engine run loop of the divergence oracle's replayed executions
-    #: (False: CLI ``--no-epoch``); verdicts are identical either way.
-    epoch_mode: bool = True
 
 
 @dataclass
@@ -106,7 +103,6 @@ def run_cell(cell: FormalCell) -> FormalOutcome:
         tests,
         bound=cell.divergence_bound,
         max_schedules=cell.divergence_schedules,
-        epoch_mode=cell.epoch_mode,
     )
     outcome.oracle_stats = oracle_stats.to_dict()
     outcome.findings.extend(oracle_findings)

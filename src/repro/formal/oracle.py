@@ -347,7 +347,6 @@ def replay_corpus(
     *,
     bound: int = 1,
     max_schedules: int = 300,
-    epoch_mode: bool = True,
 ) -> tuple[list, OracleStats]:
     """Replay every corpus test's executions against ``model``.
 
@@ -363,8 +362,7 @@ def replay_corpus(
         stats.tests += 1
         findings.extend(
             _replay_test(name, tests[name], protocol_name, model, stats,
-                         bound=bound, max_schedules=max_schedules,
-                         epoch_mode=epoch_mode)
+                         bound=bound, max_schedules=max_schedules)
         )
     return findings, stats
 
@@ -378,7 +376,6 @@ def _replay_test(
     *,
     bound: int,
     max_schedules: int,
-    epoch_mode: bool = True,
 ) -> list:
     cell_findings: list = []
 
@@ -395,7 +392,7 @@ def _replay_test(
         test,
         protocol_name,
         bound=bound,
-        options=McOptions(max_schedules=max_schedules, epoch_mode=epoch_mode),
+        options=McOptions(max_schedules=max_schedules),
         on_execution=observe,
     )
     if result.violation is not None:

@@ -157,17 +157,9 @@ def run_chaos_sweep(
     scale: float = 0.05,
     invariant_level: str = "full",
     plan_for_seed: Callable[[int], FaultPlan] = default_fault_plan,
-    epoch_mode: bool = True,
 ) -> list[ChaosCell]:
-    """The full differential matrix, with runtime invariants armed.
-
-    ``epoch_mode=False`` runs every cell on the reference per-event
-    engine loop (CLI ``--no-epoch``) — a differential control: the
-    sweep's verdicts must be identical in both modes.
-    """
-    config = config_for_cores(
-        num_cores, invariant_level=invariant_level, epoch_mode=epoch_mode
-    )
+    """The full differential matrix, with runtime invariants armed."""
+    config = config_for_cores(num_cores, invariant_level=invariant_level)
     cells = []
     for label, factory in chaos_workloads(scale):
         for protocol_name in protocols:

@@ -80,7 +80,6 @@ def _run_one(target: str, args) -> None:
                 core_counts=tuple(args.cores),
                 scale=args.scale,
                 seed=args.seed,
-                epoch_mode=not args.no_epoch,
                 **sweep,
             )
             _emit(result, out, args)
@@ -156,7 +155,6 @@ def _run_chaos(args) -> int:
         num_cores=args.cores[0],
         scale=args.scale,
         invariant_level=args.invariant_level or "full",
-        epoch_mode=not args.no_epoch,
     )
     failures = 0
     for cell in cells:
@@ -207,7 +205,6 @@ def _run_mc(args) -> int:
             bound=args.bound,
             max_schedules=args.max_schedules,
             out_dir=args.mc_out,
-            epoch_mode=not args.no_epoch,
         )
         for name in names
         for protocol in protocols
@@ -338,7 +335,6 @@ def _run_formal(args) -> int:
             divergence_bound=args.divergence_bound,
             divergence_schedules=args.divergence_schedules,
             litmus=tuple(args.litmus) if args.litmus else (),
-            epoch_mode=not args.no_epoch,
         )
         for protocol in protocols
     ]
@@ -571,7 +567,7 @@ def _run_profile(args) -> int:
     from repro.harness.runner import run_workload
 
     workload, cores = _build_workload(args)
-    overrides = {"epoch_mode": not args.no_epoch}
+    overrides = {}
     if args.invariant_level is not None:
         overrides["invariant_level"] = args.invariant_level
     config = config_for_cores(cores, **overrides)
@@ -585,7 +581,7 @@ def _run_profile(args) -> int:
         f"{result.workload} under {result.protocol} on {cores} cores: "
         f"{result.cycles} cycles"
     )
-    _print_epoch_block(result)
+    _print_engine_block(result)
     stats = pstats.Stats(profiler, stream=sys.stdout)
     stats.strip_dirs().sort_stats("cumulative").print_stats(args.top)
     if args.profile_out:
@@ -594,8 +590,8 @@ def _run_profile(args) -> int:
     return 0
 
 
-def _print_epoch_block(result) -> None:
-    """Print the epoch-execution counters of one run (profile/run targets).
+def _print_engine_block(result) -> None:
+    """Print the engine counters of one run (profile/run targets).
 
     Perf-only observability: these live in ``result.meta`` so they never
     reach summaries or stat JSON (the byte-identity surfaces).
@@ -603,18 +599,10 @@ def _print_epoch_block(result) -> None:
     epoch = result.meta.get("epoch")
     if not epoch:
         return
-    mode = "on" if epoch["mode"] else "off"
-    print(f"  epoch execution ({mode}):")
-    print(f"    epochs entered     {epoch['epochs']:12d}")
-    print(f"    events batched     {epoch['events_batched']:12d}")
+    print("  engine:")
+    print(f"    cycles advanced    {epoch['epochs']:12d}")
+    print(f"    events fired       {epoch['events_batched']:12d}")
     print(f"    spin polls elided  {epoch['spin_polls_elided']:12d}")
-    fallbacks = epoch["fallbacks"] or {}
-    rendered = (
-        ", ".join(f"{k}={v}" for k, v in fallbacks.items())
-        if fallbacks
-        else "none"
-    )
-    print(f"    fallbacks          {rendered:>12s}")
 
 
 def _run_single(args) -> int:
@@ -625,7 +613,7 @@ def _run_single(args) -> int:
 
     workload, cores = _build_workload(args)
 
-    overrides = {"epoch_mode": not args.no_epoch}
+    overrides = {}
     if args.invariant_level is not None:
         overrides["invariant_level"] = args.invariant_level
     config = config_for_cores(cores, **overrides)
@@ -668,7 +656,7 @@ def _run_single(args) -> int:
     print("  counters:")
     for key, value in notable.items():
         print(f"    {key:32s} {value:10d}")
-    _print_epoch_block(result)
+    _print_engine_block(result)
     if args.trace is not None:
         from repro.trace.events import write_trace
 
@@ -787,12 +775,6 @@ def main(argv: list[str] | None = None) -> int:
         "--max-cycles", type=int, default=None,
         help="for 'run': abort with a watchdog dump once the simulated "
         "clock passes this cycle (guards against runaway runs)",
-    )
-    parser.add_argument(
-        "--no-epoch", action="store_true",
-        help="disable epoch execution (batched advancement of uncontended "
-        "stretches + spin fast-forward) and run the reference per-event "
-        "engine loop; results are byte-identical either way",
     )
     parser.add_argument(
         "--invariant-level", choices=["off", "sampled", "full"], default=None,

@@ -85,7 +85,6 @@ def run_kernel_figure(
     names: list[str] | None = None,
     jobs: int = 1,
     cache: ResultCache | None = None,
-    epoch_mode: bool = True,
     **kernel_kwargs,
 ) -> FigureResult:
     """Reproduce one kernel figure (3, 4, 5 or 6).
@@ -93,15 +92,13 @@ def run_kernel_figure(
     ``jobs`` fans independent (workload, protocol, cores) cells out to
     worker processes; the row/result ordering is identical for any value
     (see :mod:`repro.harness.parallel`).  ``cache`` skips cells already
-    simulated with identical inputs and code.  ``epoch_mode=False``
-    forces the reference per-event engine loop (CLI ``--no-epoch``);
-    results are byte-identical either way.
+    simulated with identical inputs and code.
     """
     rows: list[FigureRow] = []
     specs: list[RunSpec] = []
     slots: list[tuple[FigureRow, str]] = []
     for cores in core_counts:
-        config = config_for_cores(cores, epoch_mode=epoch_mode)
+        config = config_for_cores(cores)
         for name in names or kernel_names(family):
             row = FigureRow(workload=name, num_cores=cores)
             rows.append(row)

@@ -77,7 +77,6 @@ def run_workload(
         protocol.memory.write(addr, value)
 
     sim = Simulator()
-    sim.epoch_mode = config.epoch_mode
     cores = [Core(core_id, sim, protocol) for core_id in range(config.num_cores)]
     watchdog = Watchdog(
         sim, cores, protocol, window=progress_window, max_cycles=max_cycles
@@ -99,8 +98,8 @@ def run_workload(
     cycles = max(core.finish_time for core in cores)
     meta = dict(instance.meta)
     # Perf-only observability: summaries/stat JSON exclude meta, so the
-    # epoch counters never perturb the byte-identity contract.
-    meta["epoch"] = {"mode": sim.epoch_mode, **sim.epoch_stats}
+    # engine counters never perturb the byte-identity contract.
+    meta["epoch"] = sim.epoch_stats
     if keep_protocol:
         meta["protocol"] = protocol
     if trace:

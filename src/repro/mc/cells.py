@@ -23,8 +23,6 @@ class McCell:
     max_schedules: int = 20_000
     #: Directory for counterexample artifacts (None: do not export).
     out_dir: str | None = None
-    #: Engine run loop for every execution (False: CLI ``--no-epoch``).
-    epoch_mode: bool = True
 
 
 @dataclass
@@ -86,9 +84,7 @@ def run_cell(cell: McCell) -> CellOutcome:
     from repro.mc.runner import McOptions
 
     test = CORPUS[cell.test_name]
-    options = McOptions(
-        max_schedules=cell.max_schedules, epoch_mode=cell.epoch_mode
-    )
+    options = McOptions(max_schedules=cell.max_schedules)
     result = explore(test, cell.protocol, bound=cell.bound, options=options)
     outcome = CellOutcome(
         test_name=cell.test_name,

@@ -121,10 +121,6 @@ class McOptions:
     max_drain_events: int = 200_000
     max_schedules: int = 20_000
     check_data_loads: bool = True
-    #: Engine run loop: epoch execution (default) or the reference
-    #: per-event loop (CLI ``--no-epoch``).  Explorations are identical
-    #: either way — the controller sees the same (cycle, seq) order.
-    epoch_mode: bool = True
 
 
 @dataclass
@@ -242,7 +238,6 @@ def run_schedule(
         protocol.memory.write(addr, value)
 
     sim = Simulator()
-    sim.epoch_mode = options.epoch_mode
     controller = ScheduleController()
     sim.controller = controller
     cores = [Core(core_id, sim, protocol) for core_id in range(config.num_cores)]

@@ -13,7 +13,7 @@ Two flavours, matching the two protocol families:
 
 Both caches are set-associative with LRU replacement within each set.
 
-Epoch-execution contract: every L1 mutation happens inside a protocol
+Spin-lease contract: every L1 mutation happens inside a protocol
 access method (a declared wake hook — see
 :meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease` and the
 ``undeclared-wake-mutation`` sanitize rule).  A fast-forwarded spin poll

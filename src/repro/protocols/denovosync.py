@@ -53,7 +53,7 @@ class DeNovoSyncProtocol(DeNovoSync0Protocol):
         contention.  Initial reads (Invalid) and hits (Registered) issue
         immediately.
 
-        Quiescence declaration (epoch mode): this per-poll backoff state
+        Quiescence declaration (spin leases): this per-poll backoff state
         advance is itself a mutation, so on top of DeNovoSync0's
         registration steals it makes DeNovoSync polls doubly
         un-leasable; cores also disable leasing outright for any

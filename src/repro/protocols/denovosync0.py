@@ -51,7 +51,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
     # -- sync loads -----------------------------------------------------------
 
     def sync_load(self, core_id: int, addr: int) -> Access:
-        # Quiescence declaration (epoch mode): DeNovoSync polls are
+        # Quiescence declaration (spin leases): DeNovoSync polls are
         # never leasable — a failed poll either hits a Registered copy
         # (touches L1 LRU) or re-registers the word at the directory,
         # stealing from the previous registrant (PAPER.md section 4).

@@ -373,7 +373,7 @@ class MesiProtocol(CoherenceProtocol):
     def subscribe_line_change(
         self, core_id: int, addr: int, callback: Callable[[int], None]
     ) -> bool:
-        # Quiescence declaration (epoch mode): a MESI spinner with a
+        # Quiescence declaration (spin leases): a MESI spinner with a
         # cached copy sleeps here until the writer's invalidation wakes
         # it — it never re-polls, so there is no poll stream to lease
         # (spin_poll_lease stays the base None).  A spinner without a

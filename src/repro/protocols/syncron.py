@@ -227,8 +227,8 @@ class SynCronProtocol(DeNovoBaseProtocol):
         # A data-Registered copy still wakes on steal (inherited); any
         # other spinner parks at the word's sync unit and is woken when
         # the value changes — SynCron holds waiting requests at the
-        # engine instead of letting cores poll.  That is also its epoch
-        # quiescence declaration: with no poll stream there is nothing
+        # engine instead of letting cores poll.  That is also its spin
+        # lease quiescence declaration: with no poll stream there is nothing
         # to lease (spin_poll_lease stays the base None), and parked
         # cores are woken only by the _notify_su_waiters wake hook.
         if super().subscribe_line_change(core_id, addr, callback):

@@ -36,7 +36,7 @@ sources and enforces:
 ``undeclared-wake-mutation`` (error, simulator sources only)
     A protocol class mutates the cross-core-visible polled value store
     (``_mem_values`` / ``memory._values``) outside a declared wake hook.
-    Epoch execution's spin fast-forward assumes the polled value can
+    The spin fast-forward (spin leases) assumes the polled value can
     only change inside the access methods a spinning core is woken
     through (``load``/``store``/``rmw``/``sync_load``/``sync_store``, or
     names listed in a class-level ``wake_hooks`` tuple) — a mutation
@@ -404,7 +404,7 @@ class _WakeMutationLinter:
     protocol (its own name, or a base class name, ends in ``Protocol``),
     each method may mutate ``_mem_values`` / ``memory._values`` only if
     it is a default wake hook or named in the class's ``wake_hooks``
-    tuple.  This is the one invariant the epoch engine's spin
+    tuple.  This is the one invariant the engine's spin
     fast-forward depends on: a lease tick re-checks the polled value at
     every would-be poll, which is sound only if the value cannot change
     between a wake hook's execution and the next tick.
@@ -467,7 +467,7 @@ class _WakeMutationLinter:
                         message=(
                             f"{cls.name}.{method.name} mutates the polled "
                             "value store outside a declared wake hook: the "
-                            "epoch engine's spin fast-forward only observes "
+                            "engine's spin fast-forward only observes "
                             "value changes made inside "
                             "load/store/rmw/sync_load/sync_store (or a "
                             "method named in the class's wake_hooks tuple) "

@@ -126,9 +126,6 @@ class SweepExecutor:
                     self._on_counter(
                         "epoch_spin_polls_elided", epoch["spin_polls_elided"]
                     )
-                    self._on_counter(
-                        "epoch_fallbacks", sum(epoch["fallbacks"].values())
-                    )
 
     # -- introspection -------------------------------------------------------
 

@@ -26,10 +26,9 @@ COUNTERS = {
     "workers_recycled": "Worker-pool rebuilds (crash recovery or deadline enforcement)",
     "cells_crashed": "Cells settled as worker_crash after repeated mid-execution worker deaths",
     "cells_deadline_exceeded": "Cells settled as failed after exceeding their execution deadline",
-    "epoch_epochs": "Epoch-execution epochs entered across simulated cells",
-    "epoch_events_batched": "Events fired inside batched epoch drains",
+    "epoch_epochs": "Simulated cycles the engine clock advanced to, across cells",
+    "epoch_events_batched": "Events fired by the engine across simulated cells",
     "epoch_spin_polls_elided": "Spin polls replaced by fast-forward lease ticks",
-    "epoch_fallbacks": "Per-event fallbacks taken by the epoch loop (all causes)",
 }
 
 

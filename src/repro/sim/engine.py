@@ -1,68 +1,39 @@
 """Discrete-event simulation engine.
 
-All simulated activity is ordered through a single logical event queue
-keyed by (cycle, sequence-number).  The sequence number makes the
-simulation fully deterministic: two events scheduled for the same cycle
-fire in the order they were scheduled.
-
-Internally the queue is a hybrid of two structures (the determinism
-contract above is independent of which structure an event lands in):
-
-* a **bucket wheel** of ``WHEEL_SIZE`` per-cycle buckets for events within
-  the near-future window ``[now, now + WHEEL_SIZE)``, where almost every
-  event lands (operation latencies are small bounded integers).  Insert
-  is an O(1) list append; finding the next occupied cycle is a couple of
-  big-int bit operations on an occupancy bitmap instead of a bucket scan.
-* a **binary heap** for the rare far-out events (multi-thousand-cycle
-  hardware backoffs, watchdog horizons).  Heap entries are plain lists
-  ``[time, seq, ...]`` so ``heapq`` compares them at C speed; (time, seq)
-  is unique, so a comparison never reaches the non-ordered fields.
-
-Hot-path scheduling goes through :meth:`Simulator.call_at` /
-:meth:`Simulator.call_after`, which take a prebound ``(callback, arg)``
-pair, return no handle, and recycle entry storage through a free list —
-zero allocations per event in steady state.  The classic
-:meth:`schedule_at` / :meth:`schedule_after` API returns a cancellable
-:class:`Event` handle and is unchanged.
-
-Free-list lifetime rules: only entries created by ``call_at`` /
-``call_after`` are recyclable.  They are never handed out (no handle →
-no cancel → no external alias), so an entry can be recycled as soon as
-the engine drops its last internal reference: immediately after firing
-for heap entries, and at bucket-clear time for wheel entries.  Entries
-backing a public :class:`Event` are never recycled — the handle may
-outlive the firing.
+All simulated activity is ordered through one binary heap (:mod:`heapq`)
+of plain-list entries ``[time, seq, callback, arg, scheduled_at]``.  The
+sequence number makes runs deterministic: events due in the same cycle
+fire in the order they were scheduled.  (time, seq) is unique, so the
+heap's C-speed list comparison never reaches the other fields and yields
+(cycle, seq) order by construction.  ``callback`` is None once an entry
+fired or was cancelled; a cancelled entry stays queued as a tombstone.
 """
 
 from __future__ import annotations
 
-from heapq import heapify, heappop, heappush
 from collections.abc import Callable
+from heapq import heapify, heappop, heappush
 
 #: Sentinel ``arg`` meaning "invoke the callback with no argument".
 _NO_ARG = object()
 
-# Entry layout (a plain list; index constants below):
-#   [0] time          absolute firing cycle
-#   [1] seq           global schedule order (ties within a cycle)
-#   [2] callback      None once fired or cancelled (the liveness test)
-#   [3] arg           _NO_ARG, or the single positional argument
-#   [4] scheduled_at  cycle the entry was created (for error notes)
-#   [5] flags         _F_RECYCLABLE and/or _F_IN_HEAP
-_F_RECYCLABLE = 1  # internal call_at/call_after entry: may enter the free list
-_F_IN_HEAP = 2  # lives in the heap, not the wheel (cancel bookkeeping)
+#: "No limit" in the run loop's integer comparisons.
+_NEVER = 1 << 62
+
+
+def _note(entry: list) -> str:
+    return (
+        f"[sim] while firing event seq={entry[1]} at cycle "
+        f"{entry[0]} (scheduled at cycle {entry[4]})"
+    )
 
 
 class Event:
-    """A handle for a scheduled callback (cancellation + introspection).
-
-    ``cancel()`` is idempotent; cancelling an event that already fired is
-    a no-op.  The handle stays valid after the event fires.
-    """
+    """Cancellable handle of a scheduled callback (a no-op once fired)."""
 
     __slots__ = ("_entry", "_sim", "_cancelled")
 
-    def __init__(self, entry: list, sim: "Simulator"):
+    def __init__(self, entry: list, sim: Simulator):
         self._entry = entry
         self._sim = sim
         self._cancelled = False
@@ -72,120 +43,51 @@ class Event:
         return self._entry[0]
 
     @property
-    def seq(self) -> int:
-        return self._entry[1]
-
-    @property
-    def scheduled_at(self) -> int:
-        return self._entry[4]
-
-    @property
     def cancelled(self) -> bool:
         return self._cancelled
 
     def cancel(self) -> None:
-        if self._cancelled:
-            return
-        entry = self._entry
-        if entry[2] is None:  # already fired
+        if self._entry[2] is None:  # already fired or cancelled
             return
         self._cancelled = True
-        entry[2] = None
-        self._sim._event_cancelled(entry)
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else (
-            "fired" if self._entry[2] is None else "pending"
-        )
-        return f"Event(time={self._entry[0]}, seq={self._entry[1]}, {state})"
+        self._entry[2] = None
+        self._sim._event_cancelled()
 
 
 class Simulator:
-    """A minimal deterministic discrete-event simulator.
+    """A minimal deterministic discrete-event simulator: ``call_*`` schedule
+    hot-path ``(callback, arg)`` pairs, ``schedule_*`` return an :class:`Event`."""
 
-    >>> sim = Simulator()
-    >>> fired = []
-    >>> _ = sim.schedule_at(10, lambda: fired.append(sim.now))
-    >>> sim.run()
-    1
-    >>> fired
-    [10]
-    """
-
-    #: Cycles covered by the bucket wheel; events further out go to the
-    #: heap.  Must be a power of two (bucket index is ``time & mask``).
-    WHEEL_SIZE = 1024
-
-    #: Compact a queue side once it holds at least this many entries and
-    #: cancelled entries outnumber live ones (see :meth:`_event_cancelled`).
+    #: Compact a heap this large once cancelled entries outnumber live ones.
     COMPACT_MIN_SIZE = 64
 
-    #: Epoch execution (see :meth:`_run_epoch`): batched advancement of
-    #: uncontended stretches.  On by default; the harness overrides it
-    #: from ``SystemConfig.epoch_mode`` (CLI ``--no-epoch``).  The firing
-    #: order is byte-identical either way — the flag only selects which
-    #: run loop walks the queue.
-    epoch_mode = True
-
     def __init__(self) -> None:
-        size = self.WHEEL_SIZE
-        # Instance copy of the class constant: the scheduling hot path
-        # reads it every call, and an instance attribute resolves without
-        # the failed-instance-then-type lookup.
-        self._wsize = size
-        self._wheel: list[list] = [[] for _ in range(size)]
-        self._wheel_mask = size - 1
-        self._occ = 0  # bitmap: bit i set when bucket i is non-empty
-        self._occ_full = (1 << size) - 1
-        self._wheel_live = 0  # live (non-cancelled, unfired) wheel entries
-        self._wheel_dead = 0  # cancelled wheel entries not yet reclaimed
         self._heap: list[list] = []
-        self._heap_live = 0
+        self._dead = 0  # cancelled tombstones still in the heap
         self._seq = 0
-        self._free: list[list] = []  # recycled internal entries
-        # The bucket currently being drained: entries at index <
-        # _drain_pos of bucket (_drain_time & mask) are dead (fired or
-        # cancelled) and are skipped without re-inspection.
-        self._drain_time = -1
-        self._drain_pos = 0
-        # Cached by _peek for the immediately following _take.
-        self._found: tuple | None = None
         self.now = 0
-        #: Cycle of the most recent *architectural* progress.  Cores stamp
-        #: this every time an operation retires; the liveness watchdog
-        #: (:mod:`repro.sim.watchdog`) compares it against ``now`` to
-        #: detect livelock (events firing, clock advancing, nothing
-        #: retiring).
+        #: Cycle of the latest retired operation (cores stamp it), for the
+        #: liveness :class:`~repro.sim.watchdog.Watchdog` that :meth:`run`
+        #: polls every ``watchdog.check_interval`` events when set.
         self.progress_cycle = 0
-        #: Optional :class:`~repro.sim.watchdog.Watchdog`; when set,
-        #: :meth:`run` polls it every ``watchdog.check_interval`` events.
         self.watchdog = None
-        #: Optional :class:`~repro.mc.controller.ScheduleController`.  When
-        #: set, every :class:`~repro.cpu.core.Core` *gates* at each visible
-        #: memory-operation boundary: instead of issuing the operation it
-        #: parks a continuation with the controller and waits to be
-        #: released.  The model checker uses this to serialize and choose
-        #: the interleaving of visible operations; normal runs leave it
-        #: None and pay one attribute test per operation.
+        #: Optional :class:`~repro.mc.controller.ScheduleController`: when
+        #: set, cores park at each visible memory operation until released.
         self.controller = None
-        # Epoch-execution counters (see _run_epoch / epoch_stats).
-        # _epoch_spin_elided is bumped by cores when a spin fast-forward
-        # lease replaces a full spin probe with a closed-form tick.
-        self._epoch_epochs = 0
-        self._epoch_batched = 0
-        self._epoch_spin_elided = 0
-        self._epoch_fallbacks: dict[str, int] = {}
-
-    # -- scheduling ---------------------------------------------------------
+        # Counters for epoch_stats; cores bump _spin_polls_elided.
+        self._epochs = 0
+        self._fired = 0
+        self._spin_polls_elided = 0
 
     def schedule_at(self, time: int, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute cycle ``time``; returns a handle."""
-        if time < self.now:
-            raise ValueError(f"cannot schedule in the past ({time} < {self.now})")
+        now = self.now
+        if time < now:
+            raise ValueError(f"cannot schedule in the past ({time} < {now})")
         seq = self._seq
         self._seq = seq + 1
-        entry = [time, seq, callback, _NO_ARG, self.now, 0]
-        self._insert(entry, time)
+        entry = [time, seq, callback, _NO_ARG, now]
+        heappush(self._heap, entry)
         return Event(entry, self)
 
     def schedule_after(self, delay: int, callback: Callable[[], None]) -> Event:
@@ -195,790 +97,153 @@ class Simulator:
         return self.schedule_at(self.now + delay, callback)
 
     def call_at(self, time: int, callback: Callable, arg=_NO_ARG) -> None:
-        """Hot-path schedule: no handle, no allocation in steady state.
-
-        ``callback`` fires as ``callback(arg)`` (or ``callback()`` when
-        ``arg`` is omitted).  The entry storage is recycled through a
-        free list; there is no way to cancel.
-        """
+        """Hot-path schedule of ``callback(arg)`` (``callback()`` when
+        ``arg`` is omitted) at ``time``; no handle, so no cancel."""
         now = self.now
         if time < now:
             raise ValueError(f"cannot schedule in the past ({time} < {now})")
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = time
-            entry[1] = seq
-            entry[2] = callback
-            entry[3] = arg
-            entry[4] = now
-            entry[5] = _F_RECYCLABLE
-        else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE]
-        if time - now < self._wsize:
-            idx = time & self._wheel_mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                # A non-empty bucket already has its bit set (bits clear
-                # only when a bucket is emptied), so the WHEEL_SIZE-bit
-                # bitmap OR is paid once per bucket activation, not once
-                # per insert.
-                self._occ |= 1 << idx
-            bucket.append(entry)
-            self._wheel_live += 1
-        else:
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
-            heappush(self._heap, entry)
-            self._heap_live += 1
+        heappush(self._heap, [time, seq, callback, arg, now])
 
     def call_after(self, delay: int, callback: Callable, arg=_NO_ARG) -> None:
-        """Hot-path relative schedule; see :meth:`call_at`.
-
-        The :meth:`call_at` body is inlined (minus the cannot-schedule-
-        in-the-past check, subsumed by the delay sign check): cores
-        schedule nearly every event through here, and the extra frame
-        was measurable.
-        """
+        """:meth:`call_at` relative to now, inlined: cores schedule nearly
+        every event through here."""
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
         now = self.now
-        time = now + delay
         seq = self._seq
         self._seq = seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = time
-            entry[1] = seq
-            entry[2] = callback
-            entry[3] = arg
-            entry[4] = now
-            entry[5] = _F_RECYCLABLE
-        else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE]
-        if delay < self._wsize:
-            idx = time & self._wheel_mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append(entry)
-            self._wheel_live += 1
-        else:
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
-            heappush(self._heap, entry)
-            self._heap_live += 1
+        heappush(self._heap, [now + delay, seq, callback, arg, now])
 
-    def _insert(self, entry: list, time: int) -> None:
-        """Place a fresh entry in the wheel or the overflow heap."""
-        if time - self.now < self._wsize:
-            idx = time & self._wheel_mask
-            bucket = self._wheel[idx]
-            if not bucket:
-                self._occ |= 1 << idx
-            bucket.append(entry)
-            self._wheel_live += 1
-        else:
-            entry[5] |= _F_IN_HEAP
-            heappush(self._heap, entry)
-            self._heap_live += 1
+    def _event_cancelled(self) -> None:
+        """Count a tombstone; once they outnumber live entries, rebuild the
+        heap from the survivors (amortized O(1) per cancel), in place
+        because :meth:`run` holds the list."""
+        self._dead += 1
+        heap = self._heap
+        if len(heap) >= self.COMPACT_MIN_SIZE and self._dead * 2 > len(heap):
+            heap[:] = [e for e in heap if e[2] is not None]
+            heapify(heap)
+            self._dead = 0
 
-    # -- cancellation -------------------------------------------------------
-
-    def _event_cancelled(self, entry: list) -> None:
-        """Maintain live counters on cancel; compact mostly-dead storage.
-
-        The exploration driver cancels heavily, so each side is rebuilt
-        from the survivors once cancelled entries outnumber live ones
-        (amortized O(1) per cancel).
-        """
-        if entry[5] & _F_IN_HEAP:
-            self._heap_live -= 1
-            heap = self._heap
-            if len(heap) >= self.COMPACT_MIN_SIZE and self._heap_live * 2 < len(heap):
-                self._heap = [e for e in heap if e[2] is not None]
-                heapify(self._heap)
-        else:
-            self._wheel_live -= 1
-            self._wheel_dead += 1
-            if (
-                self._wheel_live + self._wheel_dead >= self.COMPACT_MIN_SIZE
-                and self._wheel_live < self._wheel_dead
-            ):
-                self._compact_wheel()
-
-    def _compact_wheel(self) -> None:
-        """Drop every dead entry from every bucket; rebuild the bitmap."""
-        occ = 0
-        free = self._free
-        for idx, bucket in enumerate(self._wheel):
-            if not bucket:
-                continue
-            live = [e for e in bucket if e[2] is not None]
-            for e in bucket:
-                if e[2] is None and e[5] & _F_RECYCLABLE:
-                    free.append(e)
-            if live:
-                bucket[:] = live
-                occ |= 1 << idx
-            else:
-                bucket.clear()
-        self._occ = occ
-        self._wheel_dead = 0
-        # Dead prefixes are gone; restart the drain bucket (only live
-        # entries of the drained cycle, if any, remain, now at index 0).
-        self._drain_pos = 0
-        self._found = None
-
-    # -- queue inspection ---------------------------------------------------
-
-    def _peek(self) -> list | None:
-        """Earliest live entry without consuming it (or None).
-
-        Caches the entry's location for the :meth:`_take` that follows.
-        """
+    def _head(self) -> list | None:
+        """The earliest live entry, left queued (tombstones above it go)."""
         heap = self._heap
         while heap and heap[0][2] is None:
-            e = heappop(heap)
-            if e[5] & _F_RECYCLABLE:  # pragma: no cover - internal entries
-                self._free.append(e)  # cannot be cancelled; defensive only
-        wheel_entry = None
-        if self._wheel_live:
-            now = self.now
-            mask = self._wheel_mask
-            size = self.WHEEL_SIZE
-            while True:
-                occ = self._occ
-                if occ == 0:
-                    break
-                base = now & mask
-                # Any *live* wheel entry lies in [now, now + size), so
-                # the next candidate bucket is the lowest occupied index
-                # >= base, else (wrapping) the lowest occupied index
-                # overall.  Splitting high/low avoids materializing a
-                # rotated copy of the (WHEEL_SIZE-bit) bitmap.
-                high = occ >> base
-                if high:
-                    t = now + ((high & -high).bit_length() - 1)
-                else:
-                    t = now + size - base + ((occ & -occ).bit_length() - 1)
-                idx = t & mask
-                bucket = self._wheel[idx]
-                pos = self._drain_pos if t == self._drain_time else 0
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        break
-                    pos += 1
-                else:
-                    # Nothing live in this bucket: reclaim it (dead
-                    # tombstones, possibly from cycles long past) and
-                    # drop its occupancy bit, then look again.
-                    self._reclaim_bucket(idx, bucket)
-                    continue
-                wheel_entry = e
-                if t == self._drain_time:
-                    self._drain_pos = pos  # skip the dead prefix for good
-                break
-        if wheel_entry is None:
-            if heap:
-                head = heap[0]
-                self._found = (head, None, 0, True)
-                return head
-            self._found = None
-            return None
-        if heap:
-            head = heap[0]
-            ht = head[0]
-            t = wheel_entry[0]
-            if ht < t or (ht == t and head[1] < wheel_entry[1]):
-                self._found = (head, None, 0, True)
-                return head
-        self._found = (wheel_entry, bucket, pos, False)
-        return wheel_entry
-
-    def _reclaim_bucket(self, idx: int, bucket: list) -> None:
-        """Clear a bucket containing only dead entries."""
-        free = self._free
-        dead = 0
-        for e in bucket:
-            if e[5] & _F_RECYCLABLE:
-                free.append(e)
-            else:
-                dead += 1
-        # Cancelled (public) tombstones leave with the bucket; keep the
-        # compaction trigger roughly honest.
-        if dead and self._wheel_dead:
-            self._wheel_dead = max(0, self._wheel_dead - dead)
-        bucket.clear()
-        self._occ &= ~(1 << idx)
-        if idx == (self._drain_time & self._wheel_mask):
-            self._drain_time = -1
-            self._drain_pos = 0
-
-    def _take(self) -> list:
-        """Consume the entry returned by the immediately preceding _peek."""
-        entry, bucket, pos, from_heap = self._found
-        self._found = None
-        if from_heap:
-            heappop(self._heap)
-            self._heap_live -= 1
-            return entry
-        # Consumed wheel entries stay in their bucket as tombstones; the
-        # bucket is reclaimed lazily by `_peek` once the scan next lands
-        # on it and finds nothing live.  Eager clearing would be wrong:
-        # a bucket can hold a *live* entry for a later wheel rotation
-        # (time = drained-cycle + k * WHEEL_SIZE, scheduled after a
-        # ``run(until=...)`` clock jump) alongside the dead ones.
-        self._drain_time = entry[0]
-        self._drain_pos = pos + 1
-        self._wheel_live -= 1
-        return entry
-
-    def _pop_next(self, limit: int | None = None) -> list | None:
-        """Consume and return the earliest live entry, or None.
-
-        The one-call hot path behind :meth:`run` and :meth:`step`: same
-        selection rule as :meth:`_peek` + :meth:`_take` (keep the scans
-        in lockstep!) but with no peek cache and the all-dead-bucket
-        reclaim inlined.  With ``limit``, an entry due after ``limit``
-        is left unconsumed and None is returned.
-        """
-        heap = self._heap
-        while heap and heap[0][2] is None:
-            e = heappop(heap)
-            if e[5] & _F_RECYCLABLE:  # pragma: no cover - defensive only
-                self._free.append(e)
-        wheel_entry = None
-        if self._wheel_live:
-            now = self.now
-            mask = self._wheel_mask
-            wheel = self._wheel
-            # Fast path: many events fire per cycle (one per active core),
-            # so the bucket being drained is very often the current
-            # cycle's.  Inserts never land before ``now``, so with an
-            # empty heap the next live entry at/after ``_drain_pos`` IS
-            # the global minimum — no bitmap scan, no heap tie-break.
-            if not heap and self._drain_time == now:
-                bucket = wheel[now & mask]
-                pos = self._drain_pos
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        if limit is not None and now > limit:
-                            return None
-                        self._drain_pos = pos + 1
-                        self._wheel_live -= 1
-                        return e
-                    pos += 1
-            while True:
-                occ = self._occ
-                if occ == 0:
-                    break
-                base = now & mask
-                high = occ >> base
-                if high:
-                    t = now + ((high & -high).bit_length() - 1)
-                else:
-                    t = now + self._wsize - base + ((occ & -occ).bit_length() - 1)
-                idx = t & mask
-                bucket = wheel[idx]
-                drain_time = self._drain_time
-                pos = self._drain_pos if t == drain_time else 0
-                n = len(bucket)
-                while pos < n:
-                    e = bucket[pos]
-                    if e[2] is not None:
-                        break
-                    pos += 1
-                else:
-                    # Nothing live: reclaim the bucket (see
-                    # _reclaim_bucket) and look again.
-                    dead = 0
-                    free = self._free
-                    for e in bucket:
-                        if e[5] & _F_RECYCLABLE:
-                            free.append(e)
-                        else:
-                            dead += 1
-                    if dead and self._wheel_dead:
-                        self._wheel_dead = max(0, self._wheel_dead - dead)
-                    bucket.clear()
-                    self._occ = occ & ~(1 << idx)
-                    if idx == (drain_time & mask):
-                        self._drain_time = -1
-                        self._drain_pos = 0
-                    continue
-                wheel_entry = e
-                break
-        if wheel_entry is None:
-            if heap:
-                head = heap[0]
-                if limit is not None and head[0] > limit:
-                    return None
-                heappop(heap)
-                self._heap_live -= 1
-                return head
-            return None
-        if heap:
-            head = heap[0]
-            ht = head[0]
-            if ht < t or (ht == t and head[1] < wheel_entry[1]):
-                if limit is not None and ht > limit:
-                    return None
-                heappop(heap)
-                self._heap_live -= 1
-                return head
-        if limit is not None and t > limit:
-            return None
-        self._drain_time = t
-        self._drain_pos = pos + 1
-        self._wheel_live -= 1
-        return wheel_entry
-
-    # -- execution ----------------------------------------------------------
+            heappop(heap)
+            self._dead -= 1
+        return heap[0] if heap else None
 
     def step(self) -> bool:
-        """Fire the next pending event; return False when the queue is empty.
-
-        An exception escaping the callback propagates unchanged (same
-        type, same traceback) but is annotated — PEP 678 ``add_note`` —
-        with the event's firing cycle, sequence number, and the cycle at
-        which it was scheduled, so a protocol bug deep in a callback can
-        be attributed to its scheduling site.
-        """
-        entry = self._pop_next()
+        """Fire the next pending event; return False when the queue is empty."""
+        entry = self._head()
         if entry is None:
             return False
-        self.now = entry[0]
-        callback = entry[2]
-        arg = entry[3]
-        entry[2] = None
-        entry[3] = None
+        heappop(self._heap)
+        if entry[0] != self.now:
+            self.now = entry[0]
+            self._epochs += 1
+        callback, arg, entry[2] = entry[2], entry[3], None
         try:
             if arg is _NO_ARG:
                 callback()
             else:
                 callback(arg)
         except Exception as exc:
-            exc.add_note(
-                f"[sim] while firing event seq={entry[1]} at cycle "
-                f"{entry[0]} (scheduled at cycle {entry[4]})"
-            )
+            exc.add_note(_note(entry))
             raise
-        if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-            self._free.append(entry)
+        self._fired += 1
         return True
 
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains (or limits hit); return event count.
 
-        ``until`` stops the simulation once the next event lies beyond that
-        cycle — events scheduled exactly *at* ``until`` still fire — and then
-        advances ``now`` to ``until`` (i.e. to ``min(until, next-event
-        time)``), so callers interleaving ``run(until=t)`` with
-        ``schedule_at`` cannot accidentally schedule before ``t``; a
-        ``schedule_at(t - k)`` afterwards raises like any other
-        in-the-past schedule.  A stale ``until`` (``until < now``) fires
-        nothing and leaves the clock alone.  ``max_events`` bounds the
-        number of fired events (a safety net against livelocked workloads)
-        and raises without touching the clock.
-
-        With :attr:`epoch_mode` on (the default) the walk is delegated to
-        :meth:`_run_epoch`, which batches whole uncontended cycles;
-        firing order, limit semantics and the returned count are
-        identical either way.
+        ``until`` stops before the first event due after it, then advances
+        ``now`` to ``until`` unless that is in the past.  Past ``max_events``
+        fired, a fireable event raises without touching the clock.  A
+        callback exception propagates with a PEP 678 note naming the event.
+        Either way, the queued events stay pending.
         """
-        if self.epoch_mode:
-            return self._run_epoch(until, max_events)
-        fired = 0
         watchdog = self.watchdog
+        poll_at = interval = _NEVER
         if watchdog is not None:
-            check_interval = watchdog.check_interval
-            if check_interval < 1:
-                raise ValueError(
-                    f"watchdog check_interval must be >= 1, got {check_interval!r}"
-                )
-            countdown = check_interval
-        free = self._free
-        pop_next = self._pop_next
-        if max_events is None and watchdog is None:
-            # Specialized loop for the common no-budget, no-watchdog run:
-            # drops the two per-event limit tests and inlines _pop_next's
-            # same-cycle fast path (see there for why it is safe), saving
-            # a Python call for the majority of events.
-            wheel = self._wheel
-            mask = self._wheel_mask
+            poll_at = interval = watchdog.check_interval
+            if interval < 1:
+                raise ValueError(f"watchdog check_interval must be >= 1, got {interval!r}")
+        budget = _NEVER if max_events is None else max_events
+        limit = _NEVER if until is None else until
+        heap = self._heap
+        no_arg = _NO_ARG
+        now = self.now
+        advanced = 0
+        # One countdown to the next stop (watchdog poll or spent budget);
+        # the events fired so far number stop_at - countdown.
+        stop_at = countdown = min(poll_at, budget)
+        try:
             while True:
-                entry = None
-                now = self.now
-                if (
-                    self._drain_time == now
-                    and not self._heap
-                    and (until is None or now <= until)
-                ):
-                    bucket = wheel[now & mask]
-                    pos = self._drain_pos
-                    n = len(bucket)
-                    while pos < n:
-                        e = bucket[pos]
-                        if e[2] is not None:
-                            entry = e
-                            self._drain_pos = pos + 1
-                            self._wheel_live -= 1
-                            break
-                        pos += 1
-                if entry is None:
-                    entry = pop_next(until)
-                    if entry is None:
+                if not countdown:
+                    if stop_at == poll_at:
+                        watchdog.check()
+                        poll_at += interval
+                    if stop_at == budget:
+                        head = self._head()
+                        if head is not None and head[0] <= limit:
+                            raise RuntimeError(
+                                f"simulation exceeded max_events={max_events} at cycle {now}"
+                            )
                         break
-                    self.now = entry[0]
+                    countdown = min(poll_at, budget) - stop_at
+                    stop_at += countdown
+                if not heap:
+                    break
+                entry = heappop(heap)
                 callback = entry[2]
-                arg = entry[3]
+                if callback is None:  # cancelled: drop it, the clock stays put
+                    self._dead -= 1
+                    continue
+                time = entry[0]
+                if time > limit:
+                    heappush(heap, entry)
+                    break
+                if time != now:
+                    self.now = now = time
+                    advanced += 1
                 entry[2] = None
-                entry[3] = None
+                arg = entry[3]
                 try:
-                    if arg is _NO_ARG:
+                    if arg is no_arg:
                         callback()
                     else:
                         callback(arg)
                 except Exception as exc:
-                    exc.add_note(
-                        f"[sim] while firing event seq={entry[1]} at cycle "
-                        f"{entry[0]} (scheduled at cycle {entry[4]})"
-                    )
+                    exc.add_note(_note(entry))
                     raise
-                if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                    free.append(entry)
-                fired += 1
-            if until is not None and until > self.now:
-                self.now = until
-            return fired
-        while True:
-            if max_events is not None and fired >= max_events:
-                # Only a *fireable* next event trips the budget (an empty
-                # queue, or one whose head lies beyond ``until``, ends the
-                # run normally) — and it stays unconsumed, so peek here.
-                head = self._peek()
-                self._found = None
-                if head is None or (until is not None and head[0] > until):
-                    break
-                raise RuntimeError(
-                    f"simulation exceeded max_events={max_events} at cycle {self.now}"
-                )
-            entry = pop_next(until)
-            if entry is None:
-                break
-            self.now = entry[0]
-            callback = entry[2]
-            arg = entry[3]
-            entry[2] = None
-            entry[3] = None
-            try:
-                if arg is _NO_ARG:
-                    callback()
-                else:
-                    callback(arg)
-            except Exception as exc:
-                exc.add_note(
-                    f"[sim] while firing event seq={entry[1]} at cycle "
-                    f"{entry[0]} (scheduled at cycle {entry[4]})"
-                )
-                raise
-            if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                free.append(entry)
-            fired += 1
-            if watchdog is not None:
                 countdown -= 1
-                if countdown == 0:
-                    watchdog.check()
-                    countdown = check_interval
-        if until is not None and until > self.now:
-            self.now = until
-        return fired
-
-    def _run_epoch(self, until: int | None, max_events: int | None) -> int:
-        """Epoch run loop: batch-advance uncontended stretches of the queue.
-
-        One *epoch* is the drain of a single occupied wheel cycle whose
-        events are provably the global frontier — no overflow-heap event
-        can interleave.  The proof rests on two structural invariants:
-
-        * every live wheel entry lies in ``[now, now + WHEEL_SIZE)``, so
-          a bucket holds live entries of exactly one cycle and the next
-          occupied bucket pins the next event time ``t``;
-        * heap entries at a time ``t`` were necessarily scheduled while
-          ``t - now >= WHEEL_SIZE`` — i.e. strictly before any wheel
-          entry at ``t`` was scheduled — so their seqs are all smaller,
-          and anything pushed *during* the drain lands at
-          ``>= t + WHEEL_SIZE``.  Once the heap head is past ``t`` the
-          whole cycle belongs to the wheel.
-
-        Events therefore fire in exactly the canonical (cycle, seq)
-        order, but without re-entering :meth:`_pop_next` (bitmap scan,
-        heap tie-break, clock store) per event: the cycle is drained
-        inline.  ``self._drain_pos`` and the bucket length are re-read
-        after every callback — a cancel inside a callback can trigger
-        :meth:`_compact_wheel`, which rewrites the bucket in place and
-        resets the drain cursor.
-
-        When the frontier is *not* an uncontended wheel cycle the loop
-        falls back to a single :meth:`_pop_next` step and records the
-        cause: ``heap-due`` (an overflow event — backoff expiry,
-        watchdog horizon — interleaves the frontier) or ``heap-only``
-        (nothing live in the wheel at all; also the steady state of
-        :class:`ReferenceHeapSimulator`, which routes everything to the
-        heap and thereby keeps exercising the reference path even with
-        epoch mode on).
-
-        Semantics (``until`` clamp, ``max_events`` raise-only-when-a-
-        fireable-event-remains, watchdog polling every
-        ``check_interval`` fired events) match :meth:`run`'s general
-        loop exactly.
-        """
-        fired = 0
-        batched = 0
-        epochs = 0
-        watchdog = self.watchdog
-        check_interval = countdown = 0
-        if watchdog is not None:
-            check_interval = watchdog.check_interval
-            if check_interval < 1:
-                raise ValueError(
-                    f"watchdog check_interval must be >= 1, got {check_interval!r}"
-                )
-            countdown = check_interval
-        free = self._free
-        heap = self._heap
-        wheel = self._wheel
-        mask = self._wheel_mask
-        pop_next = self._pop_next
-        fallbacks = self._epoch_fallbacks
-        try:
-            while True:
-                while heap and heap[0][2] is None:
-                    e = heappop(heap)
-                    if e[5] & _F_RECYCLABLE:  # pragma: no cover - defensive
-                        free.append(e)
-                # Locate the next occupied wheel cycle t and the position
-                # of its first live entry (same scan as _peek).
-                t = -1
-                bucket = None
-                pos = 0
-                if self._wheel_live:
-                    now = self.now
-                    while True:
-                        occ = self._occ
-                        if occ == 0:
-                            break
-                        base = now & mask
-                        high = occ >> base
-                        if high:
-                            cand = now + ((high & -high).bit_length() - 1)
-                        else:
-                            cand = (
-                                now + self._wsize - base
-                                + ((occ & -occ).bit_length() - 1)
-                            )
-                        idx = cand & mask
-                        bucket = wheel[idx]
-                        pos = self._drain_pos if cand == self._drain_time else 0
-                        n = len(bucket)
-                        while pos < n:
-                            if bucket[pos][2] is not None:
-                                break
-                            pos += 1
-                        else:
-                            self._reclaim_bucket(idx, bucket)
-                            continue
-                        t = cand
-                        break
-                use_heap = False
-                if t < 0:
-                    if not heap:
-                        break
-                    use_heap = True
-                elif heap:
-                    head = heap[0]
-                    ht = head[0]
-                    if ht < t or (ht == t and head[1] < bucket[pos][1]):
-                        use_heap = True
-                if use_heap:
-                    # Cross-epoch event: fall back to one reference step.
-                    if until is not None and heap[0][0] > until:
-                        break
-                    if max_events is not None and fired >= max_events:
-                        raise RuntimeError(
-                            f"simulation exceeded max_events={max_events}"
-                            f" at cycle {self.now}"
-                        )
-                    cause = "heap-only" if t < 0 else "heap-due"
-                    fallbacks[cause] = fallbacks.get(cause, 0) + 1
-                    entry = pop_next(until)
-                    if entry is None:  # pragma: no cover - guarded above
-                        break
-                    self.now = entry[0]
-                    callback = entry[2]
-                    arg = entry[3]
-                    entry[2] = None
-                    entry[3] = None
-                    try:
-                        if arg is _NO_ARG:
-                            callback()
-                        else:
-                            callback(arg)
-                    except Exception as exc:
-                        exc.add_note(
-                            f"[sim] while firing event seq={entry[1]} at cycle "
-                            f"{entry[0]} (scheduled at cycle {entry[4]})"
-                        )
-                        raise
-                    if entry[5] == (_F_RECYCLABLE | _F_IN_HEAP):
-                        free.append(entry)
-                    fired += 1
-                    if watchdog is not None:
-                        countdown -= 1
-                        if countdown == 0:
-                            watchdog.check()
-                            countdown = check_interval
-                    continue
-                if until is not None and t > until:
-                    break
-                if max_events is not None and fired >= max_events:
-                    # A fireable entry at t remains; raise before the
-                    # clock moves (max_events never touches the clock).
-                    raise RuntimeError(
-                        f"simulation exceeded max_events={max_events}"
-                        f" at cycle {self.now}"
-                    )
-                # Batched drain of cycle t.  No heap event can interleave
-                # (see the docstring), so per-event work is just the
-                # dead-entry skip and the callback itself.
-                epochs += 1
-                self.now = t
-                self._drain_time = t
-                self._drain_pos = pos
-                while True:
-                    pos = self._drain_pos
-                    n = len(bucket)
-                    while pos < n:
-                        e = bucket[pos]
-                        if e[2] is not None:
-                            break
-                        pos += 1
-                    else:
-                        self._drain_pos = pos
-                        break
-                    if max_events is not None and fired >= max_events:
-                        self._drain_pos = pos
-                        raise RuntimeError(
-                            f"simulation exceeded max_events={max_events}"
-                            f" at cycle {self.now}"
-                        )
-                    self._drain_pos = pos + 1
-                    self._wheel_live -= 1
-                    callback = e[2]
-                    arg = e[3]
-                    e[2] = None
-                    e[3] = None
-                    try:
-                        if arg is _NO_ARG:
-                            callback()
-                        else:
-                            callback(arg)
-                    except Exception as exc:
-                        exc.add_note(
-                            f"[sim] while firing event seq={e[1]} at cycle "
-                            f"{e[0]} (scheduled at cycle {e[4]})"
-                        )
-                        raise
-                    fired += 1
-                    batched += 1
-                    if watchdog is not None:
-                        countdown -= 1
-                        if countdown == 0:
-                            watchdog.check()
-                            countdown = check_interval
         finally:
-            self._epoch_epochs += epochs
-            self._epoch_batched += batched
-        if until is not None and until > self.now:
+            self._epochs += advanced
+            self._fired += stop_at - countdown
+        if until is not None and until > now:
             self.now = until
-        return fired
+        return stop_at - countdown
 
     @property
     def epoch_stats(self) -> dict:
-        """Epoch-execution counters, accumulated across :meth:`run` calls.
-
-        ``epochs`` — batched cycle drains entered; ``events_batched`` —
-        events fired inside them (the remainder of the fired total went
-        through the per-event fallback); ``spin_polls_elided`` — spin
-        probes replaced by closed-form lease ticks (see
-        :meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease`);
-        ``fallbacks`` — cause → count of per-event fallback steps.
-        """
+        """Counters over every run: ``epochs``, cycles the clock advanced to;
+        ``events_batched``, events fired; ``spin_polls_elided``, spin probes
+        replaced by lease ticks; ``fallbacks``, always empty (legacy key)."""
         return {
-            "epochs": self._epoch_epochs,
-            "events_batched": self._epoch_batched,
-            "spin_polls_elided": self._epoch_spin_elided,
-            "fallbacks": dict(sorted(self._epoch_fallbacks.items())),
+            "epochs": self._epochs,
+            "events_batched": self._fired,
+            "spin_polls_elided": self._spin_polls_elided,
+            "fallbacks": {},
         }
 
     @property
     def pending_events(self) -> int:
         """Number of live (not fired, not cancelled) events — O(1)."""
-        return self._wheel_live + self._heap_live
+        return len(self._heap) - self._dead
 
     def _retained_entries(self) -> int:
-        """Entries physically held by the queue, dead tombstones included.
-
-        Test/debug introspection: compaction keeps this from growing
-        unboundedly under cancel storms.
-        """
-        return len(self._heap) + sum(len(b) for b in self._wheel)
-
-
-class ReferenceHeapSimulator(Simulator):
-    """Pure-heap scheduler with the pre-overhaul implementation shape.
-
-    Routes every event to the overflow heap, bypassing the bucket wheel.
-    The (time, seq) determinism contract makes it produce *exactly* the
-    same firing order as the hybrid :class:`Simulator`; the golden-run
-    and property tests exploit that to cross-check the wheel against a
-    trivially correct reference.
-    """
-
-    def _insert(self, entry: list, time: int) -> None:
-        entry[5] |= _F_IN_HEAP
-        heappush(self._heap, entry)
-        self._heap_live += 1
-
-    def call_at(self, time: int, callback: Callable, arg=_NO_ARG) -> None:
-        now = self.now
-        if time < now:
-            raise ValueError(f"cannot schedule in the past ({time} < {now})")
-        seq = self._seq
-        self._seq = seq + 1
-        free = self._free
-        if free:
-            entry = free.pop()
-            entry[0] = time
-            entry[1] = seq
-            entry[2] = callback
-            entry[3] = arg
-            entry[4] = now
-            entry[5] = _F_RECYCLABLE | _F_IN_HEAP
-        else:
-            entry = [time, seq, callback, arg, now, _F_RECYCLABLE | _F_IN_HEAP]
-        heappush(self._heap, entry)
-        self._heap_live += 1
-
-    def call_after(self, delay: int, callback: Callable, arg=_NO_ARG) -> None:
-        # The base class inlines its wheel insert here; route back through
-        # the heap-only call_at.
-        if delay < 0:
-            raise ValueError(f"negative delay {delay}")
-        self.call_at(self.now + delay, callback, arg)
+        """Entries held by the queue, tombstones included (test hook)."""
+        return len(self._heap)

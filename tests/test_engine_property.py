@@ -1,25 +1,62 @@
-"""Property-style differential test of the hybrid scheduler.
+"""Property-style differential test of the event queue, plus its contracts.
 
 Drives random interleavings of ``schedule_at`` / ``schedule_after`` /
 ``call_after`` / ``cancel`` / ``run(until=...)`` through the production
-bucket-wheel+heap :class:`~repro.sim.engine.Simulator` and through the
-pure-heap :class:`~repro.sim.engine.ReferenceHeapSimulator`, asserting
-identical firing order, ``now`` evolution and ``pending_events`` counts —
-including cancel storms big enough to trip both compaction paths.
+:class:`~repro.sim.engine.Simulator` and through :class:`SortedListQueue`,
+a reference scheduler that keeps one list sorted with :func:`bisect.insort`
+— a different algorithm from the engine's heap — asserting identical
+firing order, ``now`` evolution and ``pending_events`` counts, including
+cancel storms big enough to trip heap compaction.
 
 The op script is generated once per seed and replayed against both
-engines, so any divergence is a scheduler bug, not test nondeterminism.
+queues, so any divergence is a scheduler bug, not test nondeterminism.
 """
 
+import bisect
 import random
+from types import SimpleNamespace
 
 import pytest
 
-from repro.sim.engine import ReferenceHeapSimulator, Simulator
+from repro.sim.engine import Simulator
 
-#: Spread of schedule deltas: mostly small (wheel), some same-cycle,
-#: some far beyond the wheel window (overflow heap).
+#: Spread of schedule deltas: mostly small, some same-cycle, some far out
+#: (multi-thousand-cycle backoffs, watchdog horizons).
 _DELTAS = (0, 0, 1, 1, 2, 3, 7, 28, 140, 421, 900, 1023, 1024, 1500, 4095, 9000)
+
+
+class SortedListQueue:
+    """Reference scheduler: one list of [time, seq, fn] kept sorted."""
+
+    def __init__(self):
+        self.now, self._seq, self._queue = 0, 0, []
+
+    def schedule_at(self, time, fn):
+        entry = [time, self._seq, fn]  # fn is None once cancelled
+        self._seq += 1
+        bisect.insort(self._queue, entry)
+        return SimpleNamespace(cancel=lambda: entry.__setitem__(2, None))
+
+    def schedule_after(self, delay, fn):
+        return self.schedule_at(self.now + delay, fn)
+
+    def call_after(self, delay, fn, arg):
+        self.schedule_at(self.now + delay, lambda: fn(arg))
+
+    @property
+    def pending_events(self):
+        return sum(entry[2] is not None for entry in self._queue)
+
+    def run(self, until=None):
+        fired = 0
+        while self._queue and (until is None or self._queue[0][0] <= until):
+            time, _, fn = self._queue.pop(0)
+            if fn is not None:
+                self.now, fired = time, fired + 1
+                fn()
+        if until is not None and until > self.now:
+            self.now = until
+        return fired
 
 
 def _make_script(seed, length):
@@ -93,48 +130,19 @@ def _apply(sim, script):
     return log, checkpoints
 
 
-def _sim(cls, epoch_mode):
-    sim = cls()
-    sim.epoch_mode = epoch_mode
-    return sim
-
-
-@pytest.mark.parametrize("seed", range(12))
-@pytest.mark.parametrize("epoch_mode", [True, False])
-def test_hybrid_matches_reference_heap(seed, epoch_mode):
-    # With epoch_mode on, the reference subclass keeps everything in the
-    # heap, so its epoch loop takes the heap-only fallback per event —
-    # deliberately exercising both the batched drain (hybrid) and the
-    # fallback path (reference) against each other.
+@pytest.mark.parametrize("seed", range(120))
+def test_engine_matches_sorted_list_reference(seed):
     script = _make_script(seed, 120)
-    log_h, checks_h = _apply(_sim(Simulator, epoch_mode), script)
-    log_r, checks_r = _apply(_sim(ReferenceHeapSimulator, epoch_mode), script)
-    assert checks_h == checks_r
-    assert log_h == log_r
+    log, checks = _apply(Simulator(), script)
+    ref_log, ref_checks = _apply(SortedListQueue(), script)
+    assert checks == ref_checks
+    assert log == ref_log
 
 
-@pytest.mark.parametrize("seed", range(12))
-def test_epoch_loop_matches_reference_loop(seed):
-    """Same hybrid queue, both run loops: identical logs and checkpoints."""
-    script = _make_script(seed, 120)
-    log_on, checks_on = _apply(_sim(Simulator, True), script)
-    log_off, checks_off = _apply(_sim(Simulator, False), script)
-    assert checks_on == checks_off
-    assert log_on == log_off
-
-
-def test_mid_epoch_cross_core_message_forces_fallback_in_order():
-    """Re-breaking test for the epoch loop's heap check.
-
-    A self-rescheduling local chain keeps the wheel busy; early on it
-    sends a "cross-core message" 2000 cycles out, which lands in the
-    overflow heap with a *smaller* sequence number than the wheel entry
-    later scheduled for the same cycle.  When the frontier reaches that
-    cycle the engine must abandon the batched drain (a "heap-due"
-    fallback) and fire the message first — removing the per-cycle heap
-    check, or firing whole buckets without it, reorders the log and
-    fails this test.
-    """
+def test_far_ahead_event_outranks_later_scheduled_same_cycle_event():
+    """A cross-core message sent 2000 cycles ahead is sequenced before the
+    local chain's entry for its cycle, which is scheduled 2000 cycles
+    later: same cycle, smaller seq, so the message fires first."""
     sim = Simulator()
     log = []
 
@@ -143,84 +151,77 @@ def test_mid_epoch_cross_core_message_forces_fallback_in_order():
         if step < 2500:
             sim.call_after(1, local, step + 1)
         if step == 5:
-            # In-flight cross-core message: due exactly when the local
-            # chain's own entry for cycle 2005 exists, but scheduled
-            # (and therefore sequenced) 2000 cycles earlier.
             sim.call_after(2000, message, None)
 
     def message(_):
         log.append(("message", sim.now))
 
     sim.call_after(0, local, 0)
-    sim.run()
-
-    due = 5 + 2000
-    assert ("message", due) in log
-    position = log.index(("message", due))
-    # The message outranks that cycle's local event (smaller seq).
-    assert log[position + 1] == ("local", due)
-    assert sim.epoch_stats["fallbacks"].get("heap-due", 0) >= 1
-    assert sim.epoch_stats["epochs"] > 0
-
-    # And the reference loop produces the identical interleaving.
-    ref = _sim(Simulator, False)
-    ref_log = []
-
-    def ref_local(step):
-        ref_log.append(("local", ref.now))
-        if step < 2500:
-            ref.call_after(1, ref_local, step + 1)
-        if step == 5:
-            ref.call_after(2000, ref_message, None)
-
-    def ref_message(_):
-        ref_log.append(("message", ref.now))
-
-    ref.call_after(0, ref_local, 0)
-    ref.run()
-    assert ref_log == log
+    assert sim.run() == 2502
+    position = log.index(("message", 2005))
+    assert log[position - 1] == ("local", 2004)
+    assert log[position + 1] == ("local", 2005)
 
 
-def test_reference_heap_never_uses_wheel():
-    sim = ReferenceHeapSimulator()
-    sim.schedule_at(5, lambda: None)
-    sim.call_after(2, lambda: None)
-    assert sim._wheel_live == 0
-    assert sim._heap_live == 2
-    assert sim.run() == 2
-
-
-def test_cancel_storm_compacts_both_sides():
+def test_cancel_storm_keeps_pending_exact_and_compacts_in_place():
+    """A storm inside a running callback: ``pending_events`` stays exact
+    after every cancel, and compaction rebuilds the very list ``run`` is
+    draining (a replaced list would strand the events scheduled after it
+    and leave tombstones counted against a stale total)."""
     sim = Simulator()
-    near = [sim.schedule_at(100 + i, lambda: None) for i in range(200)]
-    far = [
-        sim.schedule_at(sim.WHEEL_SIZE * 3 + i, lambda: None) for i in range(200)
-    ]
-    keep_near = sim.schedule_at(50, lambda: None)
-    keep_far = sim.schedule_at(sim.WHEEL_SIZE * 5, lambda: None)
-    for event in near + far:
-        event.cancel()
-    assert sim.pending_events == 2
-    # Tombstones must not be retained wholesale once cancels dominate
-    # (each side may keep up to just-under-one-trigger's worth).
-    assert sim._retained_entries() <= 2 * sim.COMPACT_MIN_SIZE
-    assert sim.run() == 2
-    assert not keep_near.cancelled and not keep_far.cancelled
+    fired = []
+
+    def storm():
+        keep = [sim.schedule_after(5000 + i, lambda i=i: fired.append(i)) for i in range(3)]
+        doomed = [sim.schedule_after((i * 37) % 9000, lambda: fired.append("doomed"))
+                  for i in range(400)]
+        for n, event in enumerate(doomed, 1):
+            event.cancel()
+            assert sim.pending_events == len(keep) + len(doomed) - n
+        assert sim._retained_entries() < 2 * sim.COMPACT_MIN_SIZE
+        sim.schedule_after(1, lambda: fired.append("after"))
+
+    sim.schedule_at(1, storm)
+    assert sim.run() == 5
+    assert fired == ["after", 0, 1, 2]
+    assert sim.pending_events == 0
+    assert sim._retained_entries() == 0
 
 
-def test_free_list_recycles_internal_entries_only():
+def test_cancel_after_fire_does_nothing():
     sim = Simulator()
     fired = []
     public = sim.schedule_at(3, lambda: fired.append("public"))
-    for i in range(16):
+    for i in range(5):
         sim.call_after(i, fired.append, i)
     sim.run()
-    assert fired == [0, 1, 2, "public", 3] + list(range(4, 16))
-    # Internal entries were recycled; the public entry's storage was not
-    # (its handle keeps reporting post-fire state).
-    assert len(sim._free) >= 1
-    assert all(entry[5] & 1 for entry in sim._free)
+    assert fired == [0, 1, 2, "public", 3, 4]
+    public.cancel()
     assert not public.cancelled
-    public.cancel()  # post-fire cancel is a no-op
-    assert not public.cancelled
+    later = sim.schedule_after(1, lambda: fired.append("later"))
+    assert sim.pending_events == 1
+    assert sim.run() == 1
+    assert fired[-1] == "later"
+    assert sim.pending_events == 0 and not later.cancelled
+
+
+@pytest.mark.parametrize("trip", ["exception", "max_events"])
+def test_interrupted_run_leaves_rest_pending_and_resumes_in_order(trip):
+    sim = Simulator()
+    fired = []
+
+    def fire(t):
+        fired.append(t)
+        if trip == "exception" and t == 2:
+            raise KeyError("boom")
+
+    for t in range(6):
+        sim.call_at(t, fire, t)
+    with pytest.raises(KeyError if trip == "exception" else RuntimeError):
+        sim.run(max_events=3 if trip == "max_events" else None)
+    assert fired == [0, 1, 2]
+    assert sim.now == 2
+    assert sim.pending_events == 3
+    assert sim.run() == 3
+    assert fired == [0, 1, 2, 3, 4, 5]
     assert sim.pending_events == 0

@@ -1,20 +1,15 @@
-"""Golden-run determinism under the hybrid scheduler and epoch execution.
+"""Golden-run determinism of the event queue and the spin-lease path.
 
-The engine overhaul (bucket-wheel + heap hybrid, free-list, allocation-free
-dispatch) and the epoch execution mode layered on top must be invisible to
-results: every consumer of the simulator — figures, chaos differential
-runs, model checking, trace capture — relies on the deterministic
-(cycle, seq) firing order.  These tests pin that down:
+Every consumer of the simulator — figures, chaos differential runs, model
+checking, trace capture — relies on the deterministic (cycle, seq) firing
+order.  These tests pin that down:
 
 * the same workload run twice produces byte-identical stats JSON and
-  byte-identical trace files, with epoch mode on and off;
-* the hybrid scheduler produces byte-identical results to
-  :class:`~repro.sim.engine.ReferenceHeapSimulator`, a pure binary-heap
-  subclass that bypasses the bucket wheel entirely — proving neither the
-  wheel nor the epoch loop changes the schedule *order* of anything;
-* epoch mode on vs off is itself byte-identical, across every registry
-  protocol, including the spin fast-forward path (Neat grants leases;
-  the untraced check asserts ticks actually replaced polls).
+  byte-identical trace files, for every registry protocol;
+* spin leases change host work, never results: with leases Neat (the one
+  registry protocol whose failed polls are stateless) elides polls, with
+  its lease hook disabled it elides none, and both runs give
+  byte-identical summaries.
 """
 
 import hashlib
@@ -22,11 +17,10 @@ import json
 
 import pytest
 
-import repro.harness.runner as runner_mod
 from repro.config import config_for_cores
 from repro.harness.runner import run_workload
+from repro.protocols.neat import NeatProtocol
 from repro.protocols.registry import protocol_names
-from repro.sim.engine import ReferenceHeapSimulator
 from repro.trace.events import write_trace
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
@@ -37,21 +31,15 @@ CELLS = [
     ("nonblocking", "M-S queue"),  # non-blocking kernel
 ]
 # Every protocol the plugin registry knows about, not just the figure set:
-# the epoch loop and the quiescence/lease contract must hold for all of
-# them (the matrix the ISSUE-10 acceptance criteria name).
+# the determinism and lease contracts must hold for all of them.
 PROTOCOLS = list(protocol_names())
-EPOCH_MODES = [True, False]
 
 
-def _golden(family, name, protocol, tmp_path, tag, epoch_mode=True):
+def _golden(family, name, protocol, tmp_path, tag):
     """(stats JSON bytes, trace SHA-256) for one traced run."""
     workload = make_kernel(family, name, spec=KernelSpec(scale=0.02))
     result = run_workload(
-        workload,
-        protocol,
-        config_for_cores(4, epoch_mode=epoch_mode),
-        seed=1,
-        trace=True,
+        workload, protocol, config_for_cores(4), seed=1, trace=True
     )
     path = tmp_path / f"{tag}.jsonl"
     write_trace(result.meta["trace"], path)
@@ -61,58 +49,29 @@ def _golden(family, name, protocol, tmp_path, tag, epoch_mode=True):
 
 @pytest.mark.parametrize("family,name", CELLS)
 @pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("epoch_mode", EPOCH_MODES)
-def test_repeat_runs_are_byte_identical(
-    family, name, protocol, epoch_mode, tmp_path
-):
-    first = _golden(family, name, protocol, tmp_path, "first", epoch_mode)
-    second = _golden(family, name, protocol, tmp_path, "second", epoch_mode)
+def test_repeat_runs_are_byte_identical(family, name, protocol, tmp_path):
+    first = _golden(family, name, protocol, tmp_path, "first")
+    second = _golden(family, name, protocol, tmp_path, "second")
     assert first == second
-
-
-@pytest.mark.parametrize("family,name", CELLS)
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-@pytest.mark.parametrize("epoch_mode", EPOCH_MODES)
-def test_hybrid_matches_reference_heap_schedule(
-    family, name, protocol, epoch_mode, tmp_path, monkeypatch
-):
-    hybrid = _golden(family, name, protocol, tmp_path, "hybrid", epoch_mode)
-    monkeypatch.setattr(runner_mod, "Simulator", ReferenceHeapSimulator)
-    reference = _golden(
-        family, name, protocol, tmp_path, "reference", epoch_mode
-    )
-    assert hybrid == reference
-
-
-@pytest.mark.parametrize("family,name", CELLS)
-@pytest.mark.parametrize("protocol", PROTOCOLS)
-def test_epoch_mode_matches_reference_loop(family, name, protocol, tmp_path):
-    """Epoch on vs off, same hybrid queue: byte-identical everything."""
-    on = _golden(family, name, protocol, tmp_path, "on", True)
-    off = _golden(family, name, protocol, tmp_path, "off", False)
-    assert on == off
 
 
 @pytest.mark.parametrize("family,name", [("tatas", "counter"),
                                          ("barrier", "central")])
-def test_spin_lease_path_is_byte_identical(family, name):
+def test_spin_leases_leave_results_byte_identical(family, name, monkeypatch):
     """The spin fast-forward must actually engage and still match.
 
     Tracing wraps the protocol (which disables leasing), so this check
-    runs untraced: under Neat — the one registry protocol whose failed
-    polls are stateless — the epoch run must elide polls via lease ticks
-    and still produce byte-identical summaries to the reference loop.
+    runs untraced.
     """
-    def run(epoch_mode):
+    def run():
         workload = make_kernel(family, name, spec=KernelSpec(scale=0.02))
-        return run_workload(
-            workload, "Neat", config_for_cores(16, epoch_mode=epoch_mode),
-            seed=1,
-        )
+        return run_workload(workload, "Neat", config_for_cores(16), seed=1)
 
-    on, off = run(True), run(False)
-    assert on.meta["epoch"]["spin_polls_elided"] > 0
-    assert off.meta["epoch"]["spin_polls_elided"] == 0
-    assert json.dumps(on.summary(), sort_keys=True) == json.dumps(
-        off.summary(), sort_keys=True
+    leased = run()
+    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", lambda self, core, addr: None)
+    polled = run()
+    assert leased.meta["epoch"]["spin_polls_elided"] > 0
+    assert polled.meta["epoch"]["spin_polls_elided"] == 0
+    assert json.dumps(leased.summary(), sort_keys=True) == json.dumps(
+        polled.summary(), sort_keys=True
     )

@@ -118,26 +118,6 @@ class TestPendingEventsCounter:
         sim.run()
         assert fired == [1]
 
-    def test_compaction_shrinks_far_future_heap(self):
-        # Same storm, but beyond the wheel window so it lands in the
-        # overflow heap.
-        sim = Simulator()
-        far = sim.WHEEL_SIZE * 4
-        keep = sim.schedule_at(far + 5000, lambda: None)
-        doomed = [
-            sim.schedule_at(far + t, lambda: None)
-            for t in range(sim.COMPACT_MIN_SIZE * 2)
-        ]
-        for event in doomed:
-            event.cancel()
-        assert sim.pending_events == 1
-        assert sim._retained_entries() < sim.COMPACT_MIN_SIZE
-        assert not keep.cancelled
-        fired = []
-        sim.schedule_at(far + 5001, lambda: fired.append(1))
-        sim.run()
-        assert fired == [1]
-
     def test_small_queues_are_not_compacted(self):
         sim = Simulator()
         events = [sim.schedule_at(10 + t, lambda: None) for t in range(4)]
