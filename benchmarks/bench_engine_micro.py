@@ -9,9 +9,11 @@ Standalone — no pytest needed::
 
 Each scenario reports two things:
 
-* a **fired-event count** — fully deterministic, compared *exactly* in
-  ``--compare`` mode.  A count drift means the scheduler changed
-  *behavior* (events created, lost, or double-fired), which is a
+* an **exact count** — fired events for the engine scenarios, simulated
+  cycles for the kernel and application runs — fully deterministic,
+  compared *exactly* in ``--compare`` mode.  A count drift means the
+  simulator changed *behavior* (events created, lost, or double-fired;
+  a protocol or cache that times accesses differently), which is a
   correctness regression no matter how fast it got.
 * a **throughput** (events or cycles per second) — compared against the
   baseline with a generous tolerance (CI machines vary widely; the gate
@@ -23,9 +25,12 @@ hand-off chain (one event in flight), a fan-out mixing near deltas with
 multi-thousand-cycle ones (a deep heap), a cancel storm (tombstone
 compaction), one real kernel run, independent per-core chains (many
 events per cycle), and a 64-core Neat spin-heavy kernel (the spin
-fast-forward's lease ticks).  ``--compare --strict-counts`` additionally
-fails when any scenario lacks a baseline entry, so count gating covers
-new and existing scenarios alike.
+fast-forward's lease ticks).  One more scenario covers the data path
+rather than the engine: the LU application model at 64 cores under Neat
+(DeNovo L1 line fills and region self-invalidation), counted in
+simulated cycles.  ``--compare --strict-counts`` additionally fails when
+any scenario lacks a baseline entry, so count gating covers new and
+existing scenarios alike.
 """
 
 from __future__ import annotations
@@ -144,6 +149,20 @@ def _spin_heavy():
     return result.cycles, perf_counter() - start
 
 
+def _data_path():
+    """LU at 64 cores under Neat: line fills, region self-invalidation at
+    phase ends and LU's false sharing, with no lock spinning (the DeNovo
+    L1's data path)."""
+    from repro.config import config_for_cores
+    from repro.harness.runner import run_workload
+    from repro.workloads.apps import make_app
+
+    workload = make_app("LU", scale=0.1)
+    start = perf_counter()
+    result = run_workload(workload, "Neat", config_for_cores(64), seed=1)
+    return result.cycles, perf_counter() - start
+
+
 SCENARIOS = {
     "pingpong": (_pingpong, "events"),
     "fanout_mix": (_fanout_mix, "events"),
@@ -151,6 +170,7 @@ SCENARIOS = {
     "kernel_tatas_16c": (_kernel_ops, "cycles"),
     "uncontended_stretch": (_uncontended_stretch, "events"),
     "spin_heavy_64c": (_spin_heavy, "cycles"),
+    "app_lu_64c": (_data_path, "cycles"),
 }
 
 
@@ -197,8 +217,8 @@ def compare(
             continue
         if got["count"] != ref["count"]:
             failures.append(
-                f"{name}: fired-count drift {ref['count']} -> {got['count']} "
-                f"(scheduler behavior changed)"
+                f"{name}: count drift {ref['count']} -> {got['count']} "
+                f"(simulated behavior changed)"
             )
             status = "COUNT DRIFT"
         elif got["rate"] < ref["rate"] * tolerance:

@@ -427,9 +427,11 @@ def _denovosync0_model() -> FormalModel:
             "registered_value": ("R",),
             "try_write_registered": ("R",),
             "present_value": ("V", "R"),
+            "fill_line_valid": ("I",),
             "state_of": (),
         },
         mutator_aliases={
+            "fill_line_valid": "V",
             "invalidate": "I",
             "evict_line": "I",
             "self_invalidate_all": "I",

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from enum import Enum
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 from repro.config import SystemConfig
 from repro.mem.address import AddressMap
@@ -165,6 +165,13 @@ class DeNovoFrame:
 class DeNovoL1:
     """Word-granularity DeNovo L1 for one core.
 
+    State and values are per word; frames and LRU order are per line.  A
+    frame is allocated, and its line touched, only when a word actually
+    fills: :meth:`fill_line_valid` installs every still-Invalid word of a
+    line's candidates with one frame lookup and changes nothing when no
+    candidate is Invalid.  Valid words are also indexed by region id, so
+    :meth:`self_invalidate_region` visits only the words it may drop.
+
     ``on_evict_registered(addr, value)`` is called for every Registered word
     lost to replacement so the protocol can write the value back to the
     registry (a DeNovo writeback is a word-granularity registration return).
@@ -273,9 +280,9 @@ class DeNovoL1:
     def try_write_registered(self, addr: int, value: int) -> bool:
         """Write ``addr`` if Registered here; True on success.
 
-        One directory lookup for the ``state_of`` + ``write_word`` pair
-        of the store hit path (both of which touch the line, so a single
-        touch is equivalent).
+        The store hit path in one directory lookup.  A resident line is
+        touched even when the word is not Registered, as ``state_of``
+        would touch it.
         """
         shift = self._line_shift
         if shift is not None:
@@ -305,14 +312,55 @@ class DeNovoL1:
 
     # -- fills and upgrades -----------------------------------------------
 
-    def _frame_for(self, line: int) -> DeNovoFrame:
-        frame = self._dir.get(line)
+    def fill_line_valid(
+        self, line: int, addrs: Sequence[int], values: dict[int, int]
+    ) -> int:
+        """Install the Invalid words of ``addrs`` as Valid; return the count.
+
+        ``addrs`` are the words of ``line`` the responder can supply; words
+        already Valid or Registered here are left alone.  The frame is
+        looked up once.  Only when at least one word fills is it allocated
+        (a victim is evicted before any word is written) and touched in
+        LRU order, so a fill that brings nothing changes nothing.  Each
+        value is ``values.get(addr, 0)`` at fill time (the backing store).
+        """
+        shift = self._line_shift
+        base = line << shift if shift is not None else self.amap.line_base(line)
+        group = self._dsets[line % self._dnsets]
+        frame = group.get(line)
+        if frame is None:
+            fill = addrs
+        else:
+            held = frame.states
+            fill = [addr for addr in addrs if addr - base not in held]
+        if not fill:
+            return 0
         if frame is None:
             frame = DeNovoFrame()
             victim = self._dir.put(line, frame)
             if victim is not None:
                 self._evict_frame(*victim)
-        return frame
+        else:
+            group.move_to_end(line)
+        states, stored = frame.states, frame.values
+        valid = DeNovoState.VALID
+        get = values.get
+        rmap = self._region_map
+        by_region = self._valid_by_region
+        for addr in fill:
+            off = addr - base
+            states[off] = valid
+            stored[off] = get(addr, 0)
+            if rmap is not None:
+                region = rmap.get(addr)
+                region_id = region.region_id if region is not None else None
+            else:
+                region_id = self._region_of_addr(addr)
+            bucket = by_region.get(region_id)
+            if bucket is None:
+                bucket = by_region[region_id] = set()
+            bucket.add(addr)
+        return len(fill)
 
     def fill_word(self, addr: int, value: int, state: DeNovoState) -> None:
         """Install ``addr`` with ``value`` in ``state`` (Valid or Registered)."""
@@ -335,9 +383,9 @@ class DeNovoL1:
         old = frame.states.get(off)
         frame.states[off] = state
         frame.values[off] = value
-        # _track_valid/_untrack_valid inlined: the common sync-path fill
-        # (Registered over Registered/absent) takes neither branch and
-        # pays no region lookup at all.
+        # Region tracking inlined: the common sync-path fill (Registered
+        # over Registered/absent) takes neither branch and pays no region
+        # lookup at all.
         if old is DeNovoState.VALID:
             rmap = self._region_map
             if rmap is not None:
@@ -357,21 +405,6 @@ class DeNovoL1:
                 region_id = self._region_of_addr(addr)
             self._valid_by_region.setdefault(region_id, set()).add(addr)
 
-    def write_word(self, addr: int, value: int) -> None:
-        """Update the value of a word already Registered here."""
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
-        group = self._dsets[line % self._dnsets]
-        frame = group.get(line)
-        if frame is not None:
-            group.move_to_end(line)
-        if frame is None or frame.states.get(off) is not DeNovoState.REGISTERED:
-            raise KeyError(f"word {addr} not Registered in L1 {self.core_id}")
-        frame.values[off] = value
-
     def downgrade(self, addr: int, to: DeNovoState) -> None:
         """Registered -> Valid/Invalid (remote registration took ownership)."""
         shift = self._line_shift
@@ -388,9 +421,15 @@ class DeNovoL1:
         if to is DeNovoState.INVALID:
             frame.states.pop(off, None)
             frame.values.pop(off, None)
+            return
+        frame.states[off] = to
+        rmap = self._region_map
+        if rmap is not None:
+            region = rmap.get(addr)
+            region_id = region.region_id if region is not None else None
         else:
-            frame.states[off] = to
-            self._track_valid(addr)
+            region_id = self._region_of_addr(addr)
+        self._valid_by_region.setdefault(region_id, set()).add(addr)
 
     def invalidate_word(self, addr: int) -> None:
         """Drop one word regardless of state (no writeback)."""
@@ -417,16 +456,25 @@ class DeNovoL1:
         addrs = self._valid_by_region.pop(region_id, None)
         if not addrs:
             return 0
+        shift = self._line_shift
+        mask = self._off_mask
+        amap = self.amap
+        sets = self._dsets
+        nsets = self._dnsets
+        valid = DeNovoState.VALID
         dropped = 0
         for addr in addrs:
-            line = self.amap.line_of(addr)
-            frame = self._dir.get(line, touch=False)
+            if shift is not None:
+                line, off = addr >> shift, addr & mask
+            else:
+                line, off = amap.line_of(addr), amap.word_in_line(addr)
+            frame = sets[line % nsets].get(line)
             if frame is None:
                 continue
-            off = self.amap.word_in_line(addr)
-            if frame.states.get(off) is DeNovoState.VALID:
-                frame.states.pop(off, None)
-                frame.values.pop(off, None)
+            states = frame.states
+            if states.get(off) is valid:
+                del states[off]
+                del frame.values[off]
                 dropped += 1
         return dropped
 
@@ -439,15 +487,6 @@ class DeNovoL1:
         return dropped
 
     # -- internals ----------------------------------------------------------
-
-    def _track_valid(self, addr: int) -> None:
-        rmap = self._region_map
-        if rmap is not None:
-            region = rmap.get(addr)
-            region_id = region.region_id if region is not None else None
-        else:
-            region_id = self._region_of_addr(addr)
-        self._valid_by_region.setdefault(region_id, set()).add(addr)
 
     def _untrack_valid(self, addr: int, old_state: DeNovoState | None) -> None:
         if old_state is not DeNovoState.VALID:

@@ -192,21 +192,14 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         word of the line *it* has registered.  Words already present
         locally are left alone (only Invalid words fill, as Valid).
         """
-        l1 = self.l1s[core_id]
-        filled = 0
-        for word_addr in self.amap.words_of_line(line):
-            registrant = self.registry.get(word_addr)
-            if from_owner is None:
-                available = registrant is None or registrant == core_id
-            else:
-                available = registrant == from_owner
-            if not available:
-                continue
-            if l1.state_of(word_addr, touch=False) is not DeNovoState.INVALID:
-                continue
-            l1.fill_word(word_addr, self._mem_get(word_addr, 0), DeNovoState.VALID)
-            filled += 1
-        return filled
+        registry = self.registry
+        words = self.amap.words_of_line(line)
+        if from_owner is None:
+            # At the LLC: unregistered, or registered to the requester.
+            available = [w for w in words if registry.get(w, core_id) == core_id]
+        else:
+            available = [w for w in words if registry.get(w) == from_owner]
+        return self.l1s[core_id].fill_line_valid(line, available, self._mem_values)
 
     # -- data stores --------------------------------------------------------
 
@@ -223,9 +216,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             return self.sync_store(core_id, addr, value, release=release)
         l1 = self.l1s[core_id]
         old = self._mem_get(addr, 0)
-        if l1.state_of(addr) is DeNovoState.REGISTERED:
+        if l1.try_write_registered(addr, value):
             self._counts["l1_hits"] += 1
-            l1.write_word(addr, value)
             self._mem_values[addr] = value
             return Access(old, self._l1_hit, hit=True)
 
@@ -315,10 +307,11 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         # is pipelined: a queued request is serviced the moment its
         # predecessor's ack lands, so each link costs only the predecessor-
         # to-requester forward, while an unqueued request pays the normal
-        # transfer latency.
+        # transfer latency.  A link costs the same on every leg: the network
+        # legs of consecutive forwards overlap, so only the L1's servicing
+        # of its stored request (the MSHR processing) serializes.
         chain_end = self._reg_chain.get(addr, 0)
-
-        link = self._chain_link  # == _chain_link_cost(<any leg>)
+        link = self._chain_link
         if prev is not None and prev != core_id:
             a = hf[core_id * n + bank]
             b = hf[bank * n + prev]
@@ -358,14 +351,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self.registry[addr] = core_id
         self._reg_chain[addr] = completion
         return latency, cold
-
-    def _chain_link_cost(self, src: int, dst: int) -> int:
-        """Serialization cost of one link in a pipelined registration chain:
-        the MSHR processing at each hand-off.  The network legs of
-        consecutive forwards overlap (the LLC dispatches them as they
-        arrive), so only the L1's servicing of its stored request
-        serializes."""
-        return self.config.tuning.chain_link_cost
 
     # -- synchronization accesses: defined by subclasses ----------------------
 

@@ -134,14 +134,9 @@ class NeatProtocol(CoherenceProtocol):
         if cold:
             self.record_memory_fill(MessageClass.LOAD, line)
         self.record_control(MessageClass.LOAD, core_id, bank)
-        filled = 0
-        for word_addr in self.amap.words_of_line(line):
-            if l1.state_of(word_addr, touch=False) is not DeNovoState.INVALID:
-                continue
-            l1.fill_word(
-                word_addr, self._mem_get(word_addr, 0), DeNovoState.VALID
-            )
-            filled += 1
+        filled = l1.fill_line_valid(
+            line, self.amap.words_of_line(line), self._mem_values
+        )
         self.record_data(
             MessageClass.LOAD, bank, core_id, self._word_bytes * filled
         )

@@ -111,13 +111,13 @@ class TestDeNovoL1:
         with pytest.raises(ValueError):
             l1.fill_word(100, 7, DeNovoState.INVALID)
 
-    def test_write_word_requires_registered(self, config, amap):
+    def test_try_write_registered_requires_registered(self, config, amap):
         l1 = self.make(config, amap)
         l1.fill_word(100, 7, DeNovoState.VALID)
-        with pytest.raises(KeyError):
-            l1.write_word(100, 8)
+        assert l1.try_write_registered(100, 8) is False
+        assert l1.value_of(100) == 7
         l1.fill_word(100, 7, DeNovoState.REGISTERED)
-        l1.write_word(100, 8)
+        assert l1.try_write_registered(100, 8) is True
         assert l1.value_of(100) == 8
 
     def test_downgrade_to_valid(self, config, amap):

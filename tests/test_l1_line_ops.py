@@ -1,0 +1,357 @@
+"""Line-granular DeNovo L1 operations against the per-word reference.
+
+``DeNovoL1.fill_line_valid`` fills a line with one frame lookup, and
+``DeNovoL1.self_invalidate_region`` drops a region's Valid words with
+inlined address math.  Both must leave the cache exactly as the per-word
+code they replaced: a ``state_of(touch=False)`` + ``fill_word(VALID)``
+pair per candidate word, and a ``line_of``/``get(touch=False)``/
+``word_in_line`` round per tracked word.  That per-word code is kept
+here as the reference (:class:`PerWordL1` and
+:func:`per_word_fill_line_valid_words`).
+
+Every case runs the same operations on two identically seeded protocols,
+one with the line operations and one with the reference, and after every
+step compares what either could observe: word states and values, per-set
+LRU order, the region-indexed Valid tracking, the eviction callbacks
+(arguments and order), the returned counts, and the protocol's registry,
+backing store, counters and traffic.
+"""
+
+from __future__ import annotations
+
+import random
+from types import MethodType
+
+import pytest
+
+from repro.config import config_for_cores
+from repro.mem.address import AddressMap
+from repro.mem.l1 import DeNovoL1, DeNovoState
+from repro.mem.regions import RegionAllocator
+from repro.protocols import make_protocol
+from repro.protocols.denovo_base import DeNovoBaseProtocol
+from repro.protocols.registry import protocol_names
+
+CORES = 4
+_BUILT = {name: make_protocol(name, config_for_cores(CORES)) for name in protocol_names()}
+#: Every registry protocol whose L1s are DeNovoL1s ...
+DENOVO_L1_PROTOCOLS = [n for n, p in _BUILT.items() if isinstance(p.l1s[0], DeNovoL1)]
+#: ... and those of them that keep a DeNovo registry.
+REGISTRY_PROTOCOLS = [n for n, p in _BUILT.items() if isinstance(p, DeNovoBaseProtocol)]
+
+
+class PerWordL1(DeNovoL1):
+    """DeNovoL1 with the per-word fill and self-invalidation loops."""
+
+    def fill_line_valid(self, line, addrs, values):
+        filled = 0
+        for addr in addrs:
+            if self.state_of(addr, touch=False) is not DeNovoState.INVALID:
+                continue
+            self.fill_word(addr, values.get(addr, 0), DeNovoState.VALID)
+            filled += 1
+        return filled
+
+    def self_invalidate_region(self, region_id):
+        addrs = self._valid_by_region.pop(region_id, None)
+        if not addrs:
+            return 0
+        dropped = 0
+        for addr in addrs:
+            frame = self._dir.get(self.amap.line_of(addr), touch=False)
+            if frame is None:
+                continue
+            off = self.amap.word_in_line(addr)
+            if frame.states.get(off) is DeNovoState.VALID:
+                frame.states.pop(off, None)
+                frame.values.pop(off, None)
+                dropped += 1
+        return dropped
+
+
+def per_word_fill_line_valid_words(self, core_id, line, from_owner):
+    """``DeNovoBaseProtocol._fill_line_valid_words`` as a per-word loop."""
+    l1 = self.l1s[core_id]
+    filled = 0
+    for word_addr in self.amap.words_of_line(line):
+        registrant = self.registry.get(word_addr)
+        if from_owner is None:
+            available = registrant is None or registrant == core_id
+        else:
+            available = registrant == from_owner
+        if not available:
+            continue
+        if l1.state_of(word_addr, touch=False) is not DeNovoState.INVALID:
+            continue
+        l1.fill_word(word_addr, self._mem_get(word_addr, 0), DeNovoState.VALID)
+        filled += 1
+    return filled
+
+
+class Machine:
+    """One protocol over a small address pool whose lines crowd two sets."""
+
+    def __init__(self, protocol: str, reference: bool) -> None:
+        config = config_for_cores(CORES)
+        amap = AddressMap(config)
+        allocator = RegionAllocator(amap)
+        self.words = config.words_per_line
+        sets, assoc = config.l1_sets, config.l1_assoc
+        #: assoc + 3 lines in each of two sets, so fills evict.
+        self.lines = [s + k * sets for s in (1, 2) for k in range(1, assoc + 4)]
+        # Three regions cover the lower lines; the top ones have none
+        # (their Valid words are tracked under region id None).
+        top = max(self.lines) * self.words
+        for name in ("a", "b", "c"):
+            allocator.alloc(name, top // 4)
+        self.regions = [allocator.region(name) for name in ("a", "b", "c")]
+        self.protocol = make_protocol(protocol, config, allocator)
+        self.evictions: list[tuple[int, int, int]] = []
+        for core, l1 in enumerate(self.protocol.l1s):
+            if reference:
+                l1.__class__ = PerWordL1
+            l1._on_evict_registered = self._logged(core, l1._on_evict_registered)
+        if reference and isinstance(self.protocol, DeNovoBaseProtocol):
+            self.protocol._fill_line_valid_words = MethodType(
+                per_word_fill_line_valid_words, self.protocol
+            )
+
+    def _logged(self, core, handler):
+        def on_evict(addr, value):
+            self.evictions.append((core, addr, value))
+            handler(addr, value)
+
+        return on_evict
+
+    def fill(self, core: int, line: int, from_owner: int | None) -> int:
+        """One line fill the way the protocol's load miss makes it."""
+        proto = self.protocol
+        if isinstance(proto, DeNovoBaseProtocol):
+            return proto._fill_line_valid_words(core, line, from_owner)
+        # Neat: the LLC supplies every word of the line.
+        return proto.l1s[core].fill_line_valid(
+            line, proto.amap.words_of_line(line), proto._mem_values
+        )
+
+    def snapshot(self):
+        proto = self.protocol
+        caches = []
+        for l1 in proto.l1s:
+            caches.append((
+                l1.words_and_states(),
+                [list(frame.values.items()) for _, frame in l1._dir],
+                {i: list(group) for i, group in enumerate(l1._dir._sets) if group},
+                sorted(l1.tracked_valid_words()),
+                [(rid, sorted(b)) for rid, b in l1._valid_by_region.items()],
+            ))
+        return (
+            caches,
+            list(self.evictions),
+            sorted(getattr(proto, "registry", {}).items()),
+            [sorted(d) for d in getattr(proto, "_dirty", [])],
+            sorted(proto._mem_values.items()),
+            sorted(proto.counters.as_dict().items()),
+            proto.traffic.breakdown(),
+        )
+
+
+def twins(protocol: str) -> tuple[Machine, Machine]:
+    return Machine(protocol, reference=False), Machine(protocol, reference=True)
+
+
+def _random_op(rng: random.Random, machine: Machine):
+    """An operation as data, so both twins replay the same one."""
+    kind = rng.choices(
+        ("load", "store", "sync", "fill", "selfinv", "selfinv_all"),
+        weights=(6, 4, 1, 3, 2, 1),
+    )[0]
+    core = rng.randrange(CORES)
+    line = rng.choice(machine.lines)
+    addr = line * machine.words + rng.randrange(machine.words)
+    if kind == "fill":
+        # Owners include cores that registered nothing in the line.
+        return kind, core, line, rng.choice((None, None, *range(CORES)))
+    if kind == "selfinv":
+        return kind, core, rng.randrange(len(machine.regions)), None
+    return kind, core, addr, rng.randrange(1, 1000)
+
+
+def _apply(machine: Machine, op, now: int):
+    proto = machine.protocol
+    proto.now = now
+    kind, core, target, arg = op
+    if kind == "load":
+        access = proto.load(core, target)
+        return access.value, access.latency, access.hit
+    if kind == "store":
+        access = proto.store(core, target, arg)
+        return access.value, access.latency, access.hit
+    if kind == "sync":
+        access = proto.load(core, target, sync=True)
+        return access.value, access.latency, access.hit
+    if kind == "fill":
+        return machine.fill(core, target, arg)
+    if kind == "selfinv":
+        return proto.self_invalidate(core, [machine.regions[target]])
+    return proto.self_invalidate(core, [], flush_all=True)
+
+
+@pytest.fixture(params=["pow2", "generic"])
+def geometry(request, monkeypatch):
+    """Power-of-two shift/mask paths, or the generic AddressMap fallback."""
+    if request.param == "generic":
+        monkeypatch.setattr("repro.mem.address._shift_for", lambda value: None)
+    return request.param
+
+
+@pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
+@pytest.mark.parametrize("seed", range(3))
+def test_random_streams_match_per_word_reference(protocol, seed, geometry):
+    """Seeded loads, stores, sync reads, direct LLC and remote-owner fills
+    and self-invalidations over lines that overflow their sets."""
+    new, ref = twins(protocol)
+    assert (new.protocol._line_shift is None) == (geometry == "generic")
+    assert new.snapshot() == ref.snapshot()
+    rng = random.Random(seed)
+    now = 0
+    for step in range(200):
+        op = _random_op(rng, new)
+        now += rng.randrange(0, 40)
+        got, want = _apply(new, op, now), _apply(ref, op, now)
+        assert got == want, (step, op)
+        assert new.snapshot() == ref.snapshot(), (step, op)
+    # The stream exercised what it is meant to.
+    assert new.evictions, "no replacement happened"
+    assert any(state is DeNovoState.VALID
+               for l1 in new.protocol.l1s for _, state in l1.words_and_states())
+
+
+@pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
+def test_full_set_evicts_a_line_holding_registered_words(protocol, geometry):
+    new, ref = twins(protocol)
+    words = new.words
+    lines = new.lines[: new.protocol.config.l1_assoc + 1]
+    for machine in (new, ref):
+        proto = machine.protocol
+        for i, line in enumerate(lines[:-1]):
+            base = line * words
+            proto.store(0, base, 100 + i)  # Registered (Neat: dirty)
+            proto.store(0, base + 3, 200 + i)
+            proto.store(1, base + 5, 300 + i)  # registered elsewhere
+            proto._mem_values[base + 7] = 400 + i
+        assert machine.fill(0, lines[0], None) > 0  # the LRU line's Valid words
+        for line in lines[1:-1]:  # ... then make it the LRU line again
+            proto.l1s[0].state_of(line * words)
+    assert new.snapshot() == ref.snapshot()
+    got = new.fill(0, lines[-1], None)
+    want = ref.fill(0, lines[-1], None)
+    assert got == want == words  # every word of a fresh line fills
+    assert new.snapshot() == ref.snapshot()
+    victim = lines[0] * words
+    assert [e[:2] for e in new.evictions] == [(0, victim), (0, victim + 3)]
+
+
+@pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
+def test_a_line_where_nothing_fills_changes_nothing(protocol, geometry):
+    new, ref = twins(protocol)
+    words = new.words
+    assoc = new.protocol.config.l1_assoc
+    full, fresh = new.lines[:assoc], new.lines[assoc]
+    for machine in (new, ref):
+        proto = machine.protocol
+        for i, line in enumerate(full):
+            proto.store(0, line * words, i)  # set full, one Registered word each
+            machine.fill(0, line, None)  # ... and the rest Valid
+        if isinstance(proto, DeNovoBaseProtocol):
+            for addr in range(fresh * words, (fresh + 1) * words):
+                proto.registry[addr] = 2  # the LLC can supply none of them
+    before = new.snapshot()
+    assert before == ref.snapshot()
+    l1 = new.protocol.l1s[0]
+    lru = list(l1._dir._sets[full[0] % l1._dir.num_sets])
+    assert lru[0] == full[0]
+
+    # A resident line whose words are all present: no LRU touch.
+    assert new.fill(0, full[0], None) == ref.fill(0, full[0], None) == 0
+    assert new.snapshot() == ref.snapshot() == before
+    assert list(l1._dir._sets[full[0] % l1._dir.num_sets]) == lru
+    # A remote owner with nothing registered in a resident line.
+    assert new.fill(0, full[1], 3) == ref.fill(0, full[1], 3) == 0
+    assert new.snapshot() == ref.snapshot() == before
+    # No candidate word for an absent line in a full set: nothing is
+    # allocated and nothing is evicted.
+    fresh_words = new.protocol.amap.words_of_line(fresh)
+    assert l1.fill_line_valid(fresh, [], new.protocol._mem_values) == 0
+    assert ref.protocol.l1s[0].fill_line_valid(
+        fresh, [], ref.protocol._mem_values
+    ) == 0
+    if isinstance(new.protocol, DeNovoBaseProtocol):
+        assert new.fill(0, fresh, None) == ref.fill(0, fresh, None) == 0
+        assert new.fill(0, fresh, 3) == ref.fill(0, fresh, 3) == 0
+    assert new.snapshot() == ref.snapshot() == before
+    assert fresh not in l1.resident_lines()
+    assert l1.state_of(fresh_words[0], touch=False) is DeNovoState.INVALID
+
+
+@pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
+def test_self_invalidation_matches_per_word_reference(protocol, geometry):
+    """Valid, Registered and downgraded words across three regions and
+    the no-region bucket, plus stale tracking entries; every region, then
+    the whole cache."""
+    new, ref = twins(protocol)
+    for machine in (new, ref):
+        rng = random.Random(7)
+        proto = machine.protocol
+        l1 = proto.l1s[0]
+        for line in new.lines[:6] + new.lines[-4:]:
+            base = line * new.words
+            proto.store(0, base + rng.randrange(new.words), rng.randrange(99))
+            machine.fill(0, line, None)
+        first = l1.words_and_states()[0][0]
+        l1.fill_word(first, 5, DeNovoState.REGISTERED)
+        l1.downgrade(first, DeNovoState.VALID)
+        # The tracking may hold a superset of the Valid words: stale
+        # entries for every Registered word and for a word never cached.
+        registered = [a for a, st in l1.words_and_states()
+                      if st is DeNovoState.REGISTERED]
+        for addr in [*registered, 3 * new.words]:
+            rid = proto.region_id_of(addr)
+            l1._valid_by_region.setdefault(rid, set()).add(addr)
+    assert registered
+    assert new.snapshot() == ref.snapshot()
+    for region in new.regions:
+        got = new.protocol.l1s[0].self_invalidate_region(region.region_id)
+        want = ref.protocol.l1s[0].self_invalidate_region(region.region_id)
+        assert got == want > 0
+        assert new.snapshot() == ref.snapshot()
+    # Words outside every region, then an empty region.
+    assert new.protocol.l1s[0].self_invalidate_all() == (
+        ref.protocol.l1s[0].self_invalidate_all()
+    ) > 0
+    assert new.protocol.l1s[0].self_invalidate_region(0) == 0
+    assert new.snapshot() == ref.snapshot()
+    states = [state for _, state in new.protocol.l1s[0].words_and_states()]
+    assert DeNovoState.VALID not in states
+    assert states.count(DeNovoState.REGISTERED) == len(registered)
+
+
+@pytest.mark.parametrize("protocol", REGISTRY_PROTOCOLS)
+def test_llc_fill_supplies_words_registered_to_the_requester(protocol, geometry):
+    """The LLC holds every word not registered at *another* core: a word
+    the registry credits to the requester fills like an unregistered one
+    when the requester's L1 does not hold it."""
+    new, ref = twins(protocol)
+    line = new.lines[0]
+    base = line * new.words
+    for machine in (new, ref):
+        registry = machine.protocol.registry
+        registry[base] = 0
+        registry[base + 1] = 1
+        registry[base + 2] = 0
+        machine.protocol._mem_values[base + 2] = 9
+    assert new.fill(0, line, None) == ref.fill(0, line, None) == new.words - 1
+    assert new.snapshot() == ref.snapshot()
+    l1 = new.protocol.l1s[0]
+    assert l1.state_of(base, touch=False) is DeNovoState.VALID
+    assert l1.state_of(base + 1, touch=False) is DeNovoState.INVALID
+    assert l1.value_of(base + 2) == 9
