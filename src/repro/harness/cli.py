@@ -3,13 +3,20 @@
 Usage (installed as ``denovosync-bench``)::
 
     denovosync-bench fig3 --cores 16 64 --scale 0.1
-    denovosync-bench fig7 --scale 0.5
+    denovosync-bench fig7 --app-scale 0.5
     denovosync-bench ablation-padding
     denovosync-bench all --scale 0.05 --out results/
+    denovosync-bench fig3 --help     # the flags one target reads
 
 ``--scale 1.0`` runs the paper's full iteration counts (slow in pure
 Python); the default keeps a laptop run in minutes while preserving the
 figure shapes.
+
+Every target is an argparse subcommand built from one table,
+:data:`TARGETS`: an entry names the target's handler, the flags it reads
+(shared groups from :data:`GROUPS` plus its own, each defined once in
+:data:`FLAGS`) and its own defaults.  A target rejects a flag it would
+ignore.
 """
 
 from __future__ import annotations
@@ -17,6 +24,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 from repro.harness.experiments import (
     run_apps_figure,
@@ -33,15 +43,64 @@ from repro.harness.report import print_figure
 from repro.protocols.registry import (
     chaos_comparison_set,
     default_comparison_set,
+    formal_model_set,
     protocol_names,
     sanitize_comparison_set,
 )
 
-FIGURE_FAMILIES = {
-    "fig3": "tatas",
-    "fig4": "array",
-    "fig5": "nonblocking",
-    "fig6": "barrier",
+# -- figure targets -----------------------------------------------------------
+
+
+def _kernel_figure(family: str) -> Callable:
+    def run(args, **sweep):
+        return run_kernel_figure(
+            family,
+            core_counts=tuple(args.cores),
+            scale=args.scale,
+            seed=args.seed,
+            **sweep,
+        )
+
+    return run
+
+
+#: Figure targets, in ``all`` order: name -> (help, runner, flags beyond
+#: the sweep and output groups).  A runner takes ``(args, jobs=, cache=)``
+#: and returns one figure or a ``{label: figure}`` dict of variants.
+FIGURES: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
+    "fig3": ("Figure 3: TATAS-lock kernels", _kernel_figure("tatas"), ("machine",)),
+    "fig4": ("Figure 4: array-lock kernels", _kernel_figure("array"), ("machine",)),
+    "fig5": (
+        "Figure 5: non-blocking kernels", _kernel_figure("nonblocking"), ("machine",)
+    ),
+    "fig6": ("Figure 6: barrier kernels", _kernel_figure("barrier"), ("machine",)),
+    "fig7": (
+        "Figure 7: applications",
+        lambda args, **sweep: run_apps_figure(
+            scale=args.app_scale, seed=args.seed, **sweep
+        ),
+        ("--app-scale", "--seed"),
+    ),
+    "ablation-padding": (
+        "section 7.1.1 lock-padding study",
+        lambda args, **sweep: run_padding_ablation(scale=args.scale, **sweep),
+        ("--scale",),
+    ),
+    "ablation-swbackoff": (
+        "section 7.1.1 software-backoff study",
+        lambda args, **sweep: run_sw_backoff_ablation(scale=args.scale, **sweep),
+        ("--scale",),
+    ),
+    "ablation-eqchecks": (
+        "section 7.1.3 equality-check study",
+        lambda args, **sweep: run_eqcheck_ablation(scale=args.scale, **sweep),
+        ("--scale",),
+    ),
+    "ablation-selfinv": (
+        "section 3 self-invalidation fallback",
+        lambda args, **sweep: run_selfinv_ablation(scale=args.app_scale, **sweep),
+        ("--app-scale",),
+    ),
 }
 
 
@@ -52,78 +111,58 @@ def _open_out(out_dir: str | None, name: str):
     return open(os.path.join(out_dir, f"{name}.txt"), "w")
 
 
-def _emit(result, out, args) -> None:
-    if args.format == "csv":
+def _emit(result, out, fmt: str) -> None:
+    if fmt == "csv":
         write_figure_csv(result, out)
-    elif args.format == "json":
+    elif fmt == "json":
         write_figure_json(result, out)
-    elif args.format == "plot":
+    elif fmt == "plot":
         render_figure(result, out)
         print(file=out)
     else:
         print_figure(result, out)
 
 
-def _sweep_options(args) -> dict:
-    """Parallelism/caching options shared by every figure sweep."""
+def _run_figures(names: tuple[str, ...], args) -> int:
+    """The figure targets and ``all``: run each named figure sweep and
+    print it to stdout, or to ``<--out>/<name>.txt``."""
     cache = None if args.no_cache else default_cache(args.cache_dir)
-    return {"jobs": args.jobs, "cache": cache}
+    for name in names:
+        out = _open_out(args.out, name)
+        try:
+            result = FIGURES[name][1](args, jobs=args.jobs, cache=cache)
+            if isinstance(result, dict):
+                for label, figure in result.items():
+                    print(f"-- {label} --", file=out)
+                    _emit(figure, out, args.format)
+            else:
+                _emit(result, out, args.format)
+        finally:
+            if out is not sys.stdout:
+                out.close()
+    return 0
 
 
-def _run_one(target: str, args) -> None:
-    out = _open_out(args.out, target)
-    sweep = _sweep_options(args)
-    try:
-        if target in FIGURE_FAMILIES:
-            result = run_kernel_figure(
-                FIGURE_FAMILIES[target],
-                core_counts=tuple(args.cores),
-                scale=args.scale,
-                seed=args.seed,
-                **sweep,
-            )
-            _emit(result, out, args)
-        elif target == "fig7":
-            result = run_apps_figure(scale=args.app_scale, seed=args.seed, **sweep)
-            _emit(result, out, args)
-        elif target == "ablation-padding":
-            for label, result in run_padding_ablation(scale=args.scale, **sweep).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-swbackoff":
-            for label, result in run_sw_backoff_ablation(
-                scale=args.scale, **sweep
-            ).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-eqchecks":
-            for label, result in run_eqcheck_ablation(scale=args.scale, **sweep).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        elif target == "ablation-selfinv":
-            for label, result in run_selfinv_ablation(
-                scale=args.app_scale, **sweep
-            ).items():
-                print(f"-- {label} --", file=out)
-                _emit(result, out, args)
-        else:
-            raise SystemExit(f"unknown target {target!r}")
-    finally:
-        if out is not sys.stdout:
-            out.close()
+# -- the other targets --------------------------------------------------------
 
 
-ALL_TARGETS = [
-    "fig3",
-    "fig4",
-    "fig5",
-    "fig6",
-    "fig7",
-    "ablation-padding",
-    "ablation-swbackoff",
-    "ablation-eqchecks",
-    "ablation-selfinv",
-]
+def _check_litmus(names) -> None:
+    from repro.mc.litmus import CORPUS
+
+    unknown = [name for name in names if name not in CORPUS]
+    if unknown:
+        raise SystemExit(
+            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
+        )
+
+
+def _write_report(report, path: str) -> None:
+    """Write a findings report as JSON (an empty path disables it)."""
+    if path:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(report.to_json() + "\n")
+        print(f"report: {path}")
 
 
 def _fault_plan_from_args(args):
@@ -144,17 +183,13 @@ def _fault_plan_from_args(args):
 def _run_chaos(args) -> int:
     """The ``chaos`` target: seeded fault-injection differential sweep."""
     from repro.harness.chaos import run_chaos_sweep
-    from repro.protocols.registry import chaos_comparison_set
 
-    protocols = (
-        tuple(args.protocols) if args.protocols else chaos_comparison_set()
-    )
     cells = run_chaos_sweep(
-        protocols=protocols,
+        protocols=tuple(args.protocols),
         seeds=tuple(args.seeds),
-        num_cores=args.cores[0],
+        num_cores=args.cores,
         scale=args.scale,
-        invariant_level=args.invariant_level or "full",
+        invariant_level=args.invariant_level,
     )
     failures = 0
     for cell in cells:
@@ -162,7 +197,7 @@ def _run_chaos(args) -> int:
         failures += not cell.ok
     print(
         f"chaos sweep: {len(cells) - failures}/{len(cells)} cells converged "
-        f"(seeds {list(args.seeds)}, {args.cores[0]} cores)"
+        f"(seeds {list(args.seeds)}, {args.cores} cores)"
     )
     return 1 if failures else 0
 
@@ -187,17 +222,9 @@ def _run_mc(args) -> int:
         print(f"  {report.describe()}")
         return 0 if (report.reproduced and report.trace_identical) else 1
 
-    names = args.litmus or sorted(CORPUS)
-    unknown = [name for name in names if name not in CORPUS]
-    if unknown:
-        raise SystemExit(
-            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
-        )
-    from repro.protocols.registry import default_comparison_set
-
-    protocols = (
-        tuple(args.protocols) if args.protocols else default_comparison_set()
-    )
+    _check_litmus(args.litmus)
+    names = args.litmus if args.litmus else sorted(CORPUS)
+    protocols = tuple(args.protocols)
     cells = [
         McCell(
             test_name=name,
@@ -229,7 +256,6 @@ def _run_sanitize(args) -> int:
     from repro.harness.parallel import run_tasks
     from repro.sanitize.cells import SanitizeCell, run_cell
     from repro.sanitize.findings import Report
-    from repro.protocols.registry import sanitize_comparison_set
     from repro.sanitize.lint import (
         SIMULATOR_RULES,
         default_lint_targets,
@@ -238,9 +264,7 @@ def _run_sanitize(args) -> int:
     )
     from repro.workloads.registry import all_kernel_ids
 
-    protocols = (
-        tuple(args.protocols) if args.protocols else sanitize_comparison_set()
-    )
+    protocols = tuple(args.protocols)
     report = Report()
 
     lint_findings, linted = lint_paths(default_lint_targets())
@@ -257,7 +281,7 @@ def _run_sanitize(args) -> int:
             family=family,
             kernel=kernel,
             protocol=protocol,
-            cores=args.cores[0],
+            cores=args.cores,
             scale=args.scale,
             seed=args.seed,
         )
@@ -289,16 +313,11 @@ def _run_sanitize(args) -> int:
     print(
         f"sanitize: {len(outcomes) - dirty}/{len(outcomes)} dynamic cells clean "
         f"({len(all_kernel_ids())} kernels x {len(protocols)} protocols, "
-        f"{args.cores[0]} cores, scale {args.scale}); lint: {lint_errors} "
+        f"{args.cores} cores, scale {args.scale}); lint: {lint_errors} "
         f"error(s), {sum(1 for f in lint_findings if f.severity == 'warning')} "
         f"warning(s) over {len(linted)} files"
     )
-    if args.sanitize_out:
-        os.makedirs(os.path.dirname(args.sanitize_out) or ".", exist_ok=True)
-        with open(args.sanitize_out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"report: {args.sanitize_out}")
+    _write_report(report, args.sanitize_out)
     return 0 if report.clean else 1
 
 
@@ -309,18 +328,10 @@ def _run_formal(args) -> int:
     litmus divergence oracle, and TLA+ module export."""
     from repro.formal.cells import FormalCell, run_cell
     from repro.harness.parallel import run_tasks
-    from repro.mc.litmus import CORPUS
-    from repro.protocols.registry import formal_model_set
     from repro.sanitize.findings import Report
 
-    unknown = [name for name in (args.litmus or []) if name not in CORPUS]
-    if unknown:
-        raise SystemExit(
-            f"unknown litmus test(s) {unknown}; available: {sorted(CORPUS)}"
-        )
-    protocols = (
-        tuple(args.protocols) if args.protocols else formal_model_set()
-    )
+    _check_litmus(args.litmus)
+    protocols = tuple(args.protocols)
     unmodelled = [
         name for name in protocols if name not in formal_model_set()
     ]
@@ -334,7 +345,7 @@ def _run_formal(args) -> int:
             protocol=protocol,
             divergence_bound=args.divergence_bound,
             divergence_schedules=args.divergence_schedules,
-            litmus=tuple(args.litmus) if args.litmus else (),
+            litmus=tuple(args.litmus),
         )
         for protocol in protocols
     ]
@@ -373,12 +384,7 @@ def _run_formal(args) -> int:
         f"{len(report.warnings)} warning(s); divergence bound "
         f"{args.divergence_bound}, {args.divergence_schedules} schedules/test)"
     )
-    if args.formal_out:
-        os.makedirs(os.path.dirname(args.formal_out) or ".", exist_ok=True)
-        with open(args.formal_out, "w") as fh:
-            fh.write(report.to_json())
-            fh.write("\n")
-        print(f"report: {args.formal_out}")
+    _write_report(report, args.formal_out)
     return 1 if dirty else 0
 
 
@@ -406,13 +412,13 @@ def _run_chaos_service(args) -> int:
     from repro.service.chaos import ChaosConfig, run_service_chaos
 
     config = ChaosConfig(
-        workers=args.workers or 2,
+        workers=args.workers,
         kills=args.kills,
         kill_interval=args.kill_interval,
-        cores=args.cores[0],
-        scale=args.scale if args.scale_given else 0.3,
+        cores=args.cores,
+        scale=args.scale,
         seed=args.seed,
-        cell_deadline=args.cell_deadline or 5.0,
+        cell_deadline=args.cell_deadline,
         max_retries=args.max_retries,
         wait_timeout=args.wait_timeout,
         cache_dir=args.cache_dir,
@@ -430,28 +436,14 @@ def _submit_cells(args) -> list:
     from repro.workloads.base import KernelSpec
     from repro.workloads.registry import kernel_names
 
-    from repro.protocols.registry import default_comparison_set
-
-    names = args.names or kernel_names(args.sweep_family)
-    protocols = (
-        tuple(args.protocols) if args.protocols else default_comparison_set()
-    )
-    specs = []
-    for cores in args.cores:
-        config = config_for_cores(cores)
-        for name in names:
-            for protocol in protocols:
-                specs.append(
-                    RunSpec(
-                        kernel_cell(
-                            args.sweep_family, name, spec=KernelSpec(scale=args.scale)
-                        ),
-                        protocol,
-                        config,
-                        seed=args.seed,
-                    )
-                )
-    return specs
+    names = args.names if args.names else kernel_names(args.sweep_family)
+    spec = KernelSpec(scale=args.scale)
+    return [
+        RunSpec(kernel_cell(args.sweep_family, name, spec=spec), protocol, config, seed=args.seed)
+        for config in map(config_for_cores, args.cores)
+        for name in names
+        for protocol in args.protocols
+    ]
 
 
 def _print_job_detail(status: dict) -> None:
@@ -523,33 +515,37 @@ def _run_status(args) -> int:
 
 
 def _build_workload(args):
-    """Resolve ``--workload family/name`` into (workload, core count)."""
+    """Resolve ``--workload family/name`` into (workload, SystemConfig).
+
+    Without ``--cores`` an application runs on its paper core count and
+    a kernel or microbenchmark on 16 cores.
+    """
+    from repro.config import config_for_cores
     from repro.workloads.base import KernelSpec
 
-    spec = args.workload
-    if "/" in spec:
-        family, name = spec.split("/", 1)
-        if family == "app":
-            from repro.workloads.apps import app_core_count, make_app
-
-            workload = make_app(name, scale=args.app_scale)
-            cores = args.cores[0] if args.cores_given else app_core_count(name)
-        elif family == "micro":
-            from repro.workloads.micro import MICROBENCHES
-
-            workload = MICROBENCHES[f"micro.{name}"]()
-            cores = args.cores[0]
-        else:
-            from repro.workloads.registry import make_kernel
-
-            workload = make_kernel(family, name, spec=KernelSpec(scale=args.scale))
-            cores = args.cores[0]
-    else:
+    family, slash, name = args.workload.partition("/")
+    if not slash:
         raise SystemExit(
             f"--workload must be family/name (e.g. tatas/counter, app/LU, "
-            f"micro/pingpong), got {spec!r}"
+            f"micro/pingpong), got {args.workload!r}"
         )
-    return workload, cores
+    cores = 16
+    if family == "app":
+        from repro.workloads.apps import app_core_count, make_app
+
+        workload = make_app(name, scale=args.app_scale)
+        cores = app_core_count(name)
+    elif family == "micro":
+        from repro.workloads.micro import MICROBENCHES
+
+        workload = MICROBENCHES[f"micro.{name}"]()
+    else:
+        from repro.workloads.registry import make_kernel
+
+        workload = make_kernel(family, name, spec=KernelSpec(scale=args.scale))
+    if args.cores is not None:
+        cores = args.cores
+    return workload, config_for_cores(cores, invariant_level=args.invariant_level)
 
 
 def _run_profile(args) -> int:
@@ -563,22 +559,16 @@ def _run_profile(args) -> int:
     import cProfile
     import pstats
 
-    from repro.config import config_for_cores
     from repro.harness.runner import run_workload
 
-    workload, cores = _build_workload(args)
-    overrides = {}
-    if args.invariant_level is not None:
-        overrides["invariant_level"] = args.invariant_level
-    config = config_for_cores(cores, **overrides)
-
+    workload, config = _build_workload(args)
     profiler = cProfile.Profile()
     profiler.enable()
     result = run_workload(workload, args.protocol, config, seed=args.seed)
     profiler.disable()
 
     print(
-        f"{result.workload} under {result.protocol} on {cores} cores: "
+        f"{result.workload} under {result.protocol} on {config.num_cores} cores: "
         f"{result.cycles} cycles"
     )
     _print_engine_block(result)
@@ -607,18 +597,11 @@ def _print_engine_block(result) -> None:
 
 def _run_single(args) -> int:
     """The ``run`` target: one workload, one protocol, full detail."""
-    from repro.config import config_for_cores
     from repro.harness.runner import run_workload
+    from repro.sim.watchdog import HangError
     from repro.stats.energy import EnergyModel
 
-    workload, cores = _build_workload(args)
-
-    overrides = {}
-    if args.invariant_level is not None:
-        overrides["invariant_level"] = args.invariant_level
-    config = config_for_cores(cores, **overrides)
-    from repro.sim.watchdog import HangError
-
+    workload, config = _build_workload(args)
     try:
         result = run_workload(
             workload,
@@ -633,7 +616,7 @@ def _run_single(args) -> int:
         # The message already carries the watchdog's rendered dump.
         print(f"simulation aborted: {exc}", file=sys.stderr)
         return 2
-    print(f"{result.workload} under {result.protocol} on {cores} cores:")
+    print(f"{result.workload} under {result.protocol} on {config.num_cores} cores:")
     print(f"  cycles        {result.cycles}")
     print(f"  total traffic {result.total_traffic} flit-crossings")
     print("  time breakdown:")
@@ -704,7 +687,7 @@ def _run_protocols(args) -> int:
 
     failures = 0
     expected = registry_markdown_table()
-    for path in args.check_doc or []:
+    for path in args.check_doc:
         try:
             with open(path) as fh:
                 text = fh.read()
@@ -724,289 +707,272 @@ def _run_protocols(args) -> int:
     return 1 if failures else 0
 
 
-def main(argv: list[str] | None = None) -> int:
+# -- the flag table -----------------------------------------------------------
+
+
+def _preemption_bound(text: str) -> int | None:
+    """``--bound`` values: a preemption bound, or any negative for none."""
+    bound = int(text)
+    return None if bound < 0 else bound
+
+
+PROTOCOL_NAMES = list(protocol_names())
+
+#: Every flag, defined once as ``add_argument`` keyword arguments.  A
+#: target's ``options`` override them (its own defaults); a sequence
+#: default is rendered space-separated where help says ``%(default)s``.
+FLAGS: dict[str, dict] = {
+    # sweep
+    "--jobs": dict(type=int, default=1, help=(
+        "worker processes: 1 = serial, in-process (default), N = fan cells out to N "
+        "supervised processes, 0 = all host cores; results are identical for any value")),
+    "--no-cache": dict(action="store_true", help=(
+        "disable the on-disk result cache (every cell re-simulates)")),
+    "--cache-dir": dict(help=(
+        "result-cache directory (default: $REPRO_CACHE_DIR or results/.runcache; "
+        "entries auto-invalidate when any source file under src/repro changes)")),
+    # output
+    "--out": dict(help="directory for per-figure .txt reports (default: stdout)"),
+    "--format": dict(choices=["table", "csv", "json", "plot"], default="table", help=(
+        "output format: aligned tables (default), CSV, JSON, or ASCII stacked bars")),
+    # machine
+    "--cores": dict(type=int, default=16, metavar="N", help="core count (default: %(default)s)"),
+    "--scale": dict(type=float, default=0.1, help=(
+        "fraction of the paper's kernel iteration counts (default: %(default)s)")),
+    "--seed": dict(type=int, default=1, help="workload seed (default: 1)"),
+    "--app-scale": dict(type=float, default=0.5, help=(
+        "input scale of the application models (default: 0.5)")),
+    # protocols
+    "--protocols": dict(nargs="+", choices=PROTOCOL_NAMES, metavar="NAME", help=(
+        f"protocols to sweep, out of {', '.join(PROTOCOL_NAMES)} (default: %(default)s)")),
+    # service
+    "--host": dict(default="127.0.0.1", help="service address (default: 127.0.0.1)"),
+    "--port": dict(type=int, default=8642, help=(
+        "service port (default: 8642; serve accepts 0 for an ephemeral port)")),
+    # run / profile
+    "--workload": dict(required=True, help=(
+        "family/name, e.g. tatas/counter, nonblocking/'M-S queue', app/LU, micro/pingpong")),
+    "--protocol": dict(default="DeNovoSync", choices=PROTOCOL_NAMES, metavar="NAME", help=(
+        f"{', '.join(PROTOCOL_NAMES)} (default: DeNovoSync)")),
+    "--invariant-level": dict(choices=["off", "sampled", "full"], default="off", help=(
+        "arm the runtime coherence invariant checker (default: %(default)s)")),
+    "--trace": dict(help="write a JSONL access trace to this path"),
+    "--max-cycles": dict(type=int, help=(
+        "abort with a watchdog dump once the simulated clock passes this cycle")),
+    "--fault-seed": dict(type=int, default=0, help="seed of the fault-injection RNG"),
+    "--fault-jitter": dict(type=int, default=0, help=(
+        "max extra cycles of per-access delay jitter")),
+    "--fault-reorder": dict(type=float, default=0.0, help=(
+        "probability of deferring (reordering) an access")),
+    "--fault-evict-period": dict(type=int, default=0, help=(
+        "cycles between forced L1 eviction storms (0: off)")),
+    "--fault-evict-lines": dict(type=int, default=1, help=(
+        "random evictions attempted per storm")),
+    "--top": dict(type=int, default=25, help="number of functions to print (default 25)"),
+    "--profile-out": dict(help="also dump the raw cProfile stats to this path"),
+    # chaos
+    "--seeds": dict(type=int, nargs="+", default=[1, 2, 3], help=(
+        "fault seeds to sweep (default: %(default)s)")),
+    # mc / formal
+    "--litmus": dict(nargs="+", default=(), help=(
+        "litmus tests to explore (default: the whole corpus)")),
+    "--bound": dict(type=_preemption_bound, default=2, help=(
+        "preemption bound (CHESS-style; -1 = unbounded; default: 2)")),
+    "--max-schedules": dict(type=int, default=20_000, help=(
+        "truncate exploration of a cell after this many schedules (reported as "
+        "[truncated])")),
+    "--replay": dict(help=(
+        "replay a counterexample artifact (.json) and verify it reproduces "
+        "deterministically")),
+    "--mc-out": dict(default=os.path.join("results", "mc"), help=(
+        "directory for counterexample artifacts (default: results/mc)")),
+    "--formal-out": dict(default=os.path.join("results", "formal.json"), help=(
+        "path of the JSON findings report (default: results/formal.json; empty string "
+        "disables)")),
+    "--tla-out": dict(default=os.path.join("results", "formal"), help=(
+        "directory for exported TLA+ modules (default: results/formal; empty string "
+        "disables)")),
+    "--divergence-bound": dict(type=int, default=1, help=(
+        "preemption bound of the litmus divergence oracle's exploration (default: 1)")),
+    "--divergence-schedules": dict(type=int, default=300, help=(
+        "schedules replayed per litmus test by the divergence oracle (default: 300)")),
+    # sanitize
+    "--sanitize-out": dict(default=os.path.join("results", "sanitize.json"), help=(
+        "path of the JSON findings report (default: results/sanitize.json; empty "
+        "string disables)")),
+    # serve / chaos-service
+    "--workers": dict(type=int, default=0, help=(
+        "persistent worker processes (default: %(default)s; 0 = all host cores)")),
+    "--max-queued": dict(type=int, default=4096, help=(
+        "admission bound: reject job submissions with HTTP 503 + Retry-After once "
+        "this many cells are queued or running (default: 4096)")),
+    "--cell-deadline": dict(type=float, help=(
+        "per-cell wall-clock execution budget in seconds; an overrunning cell fails "
+        "with deadline_exceeded and its worker is recycled (default: %(default)s)")),
+    "--max-retries": dict(type=int, default=3, help=(
+        "execution attempts per cell before it settles as failed (default: 3)")),
+    "--drain-timeout": dict(type=float, default=30.0, help=(
+        "on SIGTERM/SIGINT, wait up to this many seconds for in-flight cells to "
+        "settle before exiting (default: 30)")),
+    "--kills": dict(type=int, default=2, help=(
+        "worker processes to SIGKILL mid-cell (default: 2)")),
+    "--kill-interval": dict(type=float, default=0.3, help=(
+        "seconds between observing a running cell and killing a worker (default: 0.3)")),
+    # submit / status
+    "--sweep-family": dict(
+        choices=["tatas", "array", "nonblocking", "barrier"], default="tatas",
+        help="kernel family of the submitted sweep (default: tatas)"),
+    "--names": dict(nargs="+", default=(), help=(
+        "kernel bar names to sweep (default: every kernel in the family)")),
+    "--wait": dict(action="store_true", help=(
+        "poll the job until it settles and print per-cell outcomes (exit 1 if any "
+        "cell failed)")),
+    "--wait-timeout": dict(type=float, default=600.0, help=(
+        "give up waiting after this many seconds (default: 600)")),
+    "--job": dict(help="show one job's per-cell detail instead of the job list"),
+    # protocols
+    "--check-doc": dict(nargs="+", default=(), metavar="PATH", help=(
+        "verify each file embeds the registry's generated markdown table verbatim "
+        "(exit 1 on drift)")),
+}
+
+#: Flags several targets share, by group name.
+GROUPS: dict[str, tuple[str, ...]] = {
+    "sweep": ("--jobs", "--no-cache", "--cache-dir"),
+    "output": ("--out", "--format"),
+    "machine": ("--cores", "--scale", "--seed"),
+    "protocols": ("--protocols",),
+    "service": ("--host", "--port"),
+}
+
+FAULT_FLAGS = (
+    "--fault-seed", "--fault-jitter", "--fault-reorder", "--fault-evict-period",
+    "--fault-evict-lines",
+)
+#: ``--cores`` of the sweeps that cross several core counts.
+CORE_COUNTS = {"--cores": dict(nargs="+", default=[16, 64], help="core counts (default: 16 64)")}
+#: ``--cores`` of ``run``/``profile``: the workload picks the default.
+WORKLOAD_CORES = {"--cores": dict(
+    default=None, help="core count (default: an app's paper core count, else 16)")}
+
+
+@dataclass(frozen=True)
+class Target:
+    """One CLI target: its handler, the flags it reads, its defaults."""
+
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    #: GROUPS names and single FLAGS names, in help order.
+    flags: tuple[str, ...]
+    #: per-flag ``add_argument`` overrides: this target's own defaults.
+    options: dict[str, dict] = field(default_factory=dict)
+
+    def flag_names(self) -> list[str]:
+        names: list[str] = []
+        for item in self.flags:
+            names.extend(flag for flag in GROUPS.get(item, (item,)) if flag not in names)
+        return names
+
+
+def _figure_target(names: tuple[str, ...], help: str, flags) -> Target:
+    flags = ("sweep", "output", *flags)
+    options = CORE_COUNTS if "machine" in flags else {}
+    return Target(partial(_run_figures, names), help, flags, options)
+
+
+def _protocols(default: tuple[str, ...]) -> dict[str, dict]:
+    return {"--protocols": dict(default=default)}
+
+
+TARGETS: dict[str, Target] = {
+    **{name: _figure_target((name,), help, flags) for name, (help, _, flags) in FIGURES.items()},
+    "all": _figure_target(
+        tuple(FIGURES), "every figure and ablation, in order",
+        [flag for _, _, flags in FIGURES.values() for flag in flags],
+    ),
+    "run": Target(
+        _run_single, "one workload under one protocol, in full detail",
+        ("--workload", "--protocol", "machine", "--app-scale", "--invariant-level",
+         "--trace", "--max-cycles", *FAULT_FLAGS),
+        WORKLOAD_CORES,
+    ),
+    "profile": Target(
+        _run_profile, "cProfile one run and print its hot functions",
+        ("--workload", "--protocol", "machine", "--app-scale", "--invariant-level",
+         "--top", "--profile-out"),
+        WORKLOAD_CORES,
+    ),
+    "chaos": Target(
+        _run_chaos, "seeded fault-injection differential sweep",
+        ("protocols", "--seeds", "--cores", "--scale", "--invariant-level"),
+        {**_protocols(chaos_comparison_set()), "--invariant-level": dict(default="full")},
+    ),
+    "mc": Target(
+        _run_mc, "exhaustive interleaving exploration of the litmus corpus",
+        ("protocols", "--litmus", "--bound", "--max-schedules", "--replay", "--mc-out",
+         "--jobs"),
+        _protocols(default_comparison_set()),
+    ),
+    "sanitize": Target(
+        _run_sanitize, "DRF-contract lint plus dynamic race and stale-read sweep",
+        ("protocols", "machine", "--sanitize-out", "--jobs"),
+        _protocols(sanitize_comparison_set()),
+    ),
+    "formal": Target(
+        _run_formal, "verify every protocol that has a formal model",
+        ("protocols", "--litmus", "--divergence-bound", "--divergence-schedules",
+         "--formal-out", "--tla-out", "--jobs"),
+        _protocols(formal_model_set()),
+    ),
+    "serve": Target(
+        _run_serve, "run the sweep job server until interrupted",
+        ("service", "--workers", "--no-cache", "--cache-dir", "--max-queued",
+         "--cell-deadline", "--max-retries", "--drain-timeout"),
+    ),
+    "submit": Target(
+        _run_submit, "submit a kernel sweep to a running server",
+        ("service", "--sweep-family", "--names", "protocols", "machine", "--wait",
+         "--wait-timeout"),
+        {**_protocols(default_comparison_set()), **CORE_COUNTS},
+    ),
+    "status": Target(
+        _run_status, "server health and job list, or one job's detail", ("service", "--job")
+    ),
+    "chaos-service": Target(
+        _run_chaos_service, "kill workers under a live sweep server; verify it self-heals",
+        ("--workers", "--kills", "--kill-interval", "machine", "--cell-deadline",
+         "--max-retries", "--wait-timeout", "--cache-dir"),
+        {"--workers": dict(default=2), "--scale": dict(default=0.3),
+         "--cell-deadline": dict(default=5.0)},
+    ),
+    "protocols": Target(
+        _run_protocols, "print the protocol plugin registry", ("--format", "--check-doc")
+    ),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser: one subcommand per :data:`TARGETS` entry."""
     parser = argparse.ArgumentParser(
         prog="denovosync-bench",
         description="Regenerate the DeNovoSync (ASPLOS'15) evaluation figures.",
     )
-    parser.add_argument(
-        "target",
-        choices=ALL_TARGETS
-        + ["all", "run", "profile", "chaos", "mc", "sanitize", "formal",
-           "serve", "submit", "status", "chaos-service", "protocols"],
-    )
-    parser.add_argument(
-        "--workload", default=None,
-        help="for 'run': family/name, e.g. tatas/counter, nonblocking/"
-        "'M-S queue', app/LU, micro/pingpong",
-    )
-    parser.add_argument(
-        "--protocol", default="DeNovoSync",
-        choices=list(protocol_names()), metavar="NAME",
-        help="for 'run': " + ", ".join(protocol_names())
-        + " (default: DeNovoSync)",
-    )
-    parser.add_argument(
-        "--trace", default=None,
-        help="for 'run': write a JSONL access trace to this path",
-    )
-    parser.add_argument(
-        "--top", type=int, default=25,
-        help="for 'profile': number of functions to print (default 25)",
-    )
-    parser.add_argument(
-        "--profile-out", default=None,
-        help="for 'profile': also dump the raw cProfile stats to this path",
-    )
-    parser.add_argument(
-        "--cores", type=int, nargs="+", default=[16, 64],
-        help="core counts for the kernel figures (default: 16 64)",
-    )
-    parser.add_argument(
-        "--scale", type=float, default=0.1,
-        help="fraction of the paper's kernel iteration counts (default 0.1)",
-    )
-    parser.add_argument(
-        "--app-scale", type=float, default=0.5,
-        help="input scale for the Figure 7 application models (default 0.5)",
-    )
-    parser.add_argument("--seed", type=int, default=1)
-    parser.add_argument(
-        "--max-cycles", type=int, default=None,
-        help="for 'run': abort with a watchdog dump once the simulated "
-        "clock passes this cycle (guards against runaway runs)",
-    )
-    parser.add_argument(
-        "--invariant-level", choices=["off", "sampled", "full"], default=None,
-        help="arm the runtime coherence invariant checker (default: off "
-        "for 'run', full for 'chaos')",
-    )
-    parser.add_argument(
-        "--seeds", type=int, nargs="+", default=[1, 2, 3],
-        help="for 'chaos': fault seeds to sweep (default: 1 2 3)",
-    )
-    parser.add_argument(
-        "--fault-seed", type=int, default=0,
-        help="for 'run': seed of the fault-injection RNG",
-    )
-    parser.add_argument(
-        "--fault-jitter", type=int, default=0,
-        help="for 'run': max extra cycles of per-access delay jitter",
-    )
-    parser.add_argument(
-        "--fault-reorder", type=float, default=0.0,
-        help="for 'run': probability of deferring (reordering) an access",
-    )
-    parser.add_argument(
-        "--fault-evict-period", type=int, default=0,
-        help="for 'run': cycles between forced L1 eviction storms (0: off)",
-    )
-    parser.add_argument(
-        "--fault-evict-lines", type=int, default=1,
-        help="for 'run': random evictions attempted per storm",
-    )
-    parser.add_argument(
-        "--bound", type=int, default=2,
-        help="for 'mc': preemption bound (CHESS-style; -1 = unbounded)",
-    )
-    parser.add_argument(
-        "--litmus", nargs="+", default=None,
-        help="for 'mc'/'formal': litmus tests to explore (default: the "
-        "whole corpus)",
-    )
-    parser.add_argument(
-        "--protocols", nargs="+", default=None,
-        choices=list(protocol_names()), metavar="NAME",
-        help="for 'mc'/'sanitize'/'formal'/'chaos'/'submit': protocols to "
-        "sweep, "
-        "out of " + ", ".join(protocol_names())
-        + " (default: the registry's capability-filtered set per "
-        "target: mc/submit "
-        + " ".join(default_comparison_set())
-        + "; sanitize " + " ".join(sanitize_comparison_set())
-        + "; chaos " + " ".join(chaos_comparison_set()) + ")",
-    )
-    parser.add_argument(
-        "--check-doc", nargs="+", default=None, metavar="PATH",
-        help="for 'protocols': verify each file embeds the registry's "
-        "generated markdown table verbatim (exit 1 on drift)",
-    )
-    parser.add_argument(
-        "--max-schedules", type=int, default=20_000,
-        help="for 'mc': truncate exploration of a cell after this many "
-        "schedules (reported as [truncated])",
-    )
-    parser.add_argument(
-        "--replay", default=None,
-        help="for 'mc': replay a counterexample artifact (.json) and "
-        "verify it reproduces deterministically",
-    )
-    parser.add_argument(
-        "--mc-out", default=os.path.join("results", "mc"),
-        help="for 'mc': directory for counterexample artifacts "
-        "(default: results/mc)",
-    )
-    parser.add_argument(
-        "--formal-out", default=os.path.join("results", "formal.json"),
-        help="for 'formal': path of the JSON findings report "
-        "(default: results/formal.json; empty string disables)",
-    )
-    parser.add_argument(
-        "--tla-out", default=os.path.join("results", "formal"),
-        help="for 'formal': directory for exported TLA+ modules "
-        "(default: results/formal; empty string disables)",
-    )
-    parser.add_argument(
-        "--divergence-bound", type=int, default=1,
-        help="for 'formal': preemption bound of the litmus divergence "
-        "oracle's exploration (default: 1)",
-    )
-    parser.add_argument(
-        "--divergence-schedules", type=int, default=300,
-        help="for 'formal': schedules replayed per litmus test by the "
-        "divergence oracle (default: 300)",
-    )
-    parser.add_argument(
-        "--sanitize-out", default=os.path.join("results", "sanitize.json"),
-        help="for 'sanitize': path of the JSON findings report "
-        "(default: results/sanitize.json; empty string disables)",
-    )
-    parser.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes for figure sweeps: 1 = serial (default), "
-        "N = fan cells out to N processes, 0 = all host cores; results "
-        "are identical for any value",
-    )
-    parser.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the on-disk result cache (every cell re-simulates)",
-    )
-    parser.add_argument(
-        "--cache-dir", default=None,
-        help="result-cache directory (default: $REPRO_CACHE_DIR or "
-        "results/.runcache; entries auto-invalidate when any source "
-        "file under src/repro changes)",
-    )
-    parser.add_argument(
-        "--host", default="127.0.0.1",
-        help="for 'serve'/'submit'/'status': service address "
-        "(default: 127.0.0.1)",
-    )
-    parser.add_argument(
-        "--port", type=int, default=8642,
-        help="for 'serve'/'submit'/'status': service port (default: 8642; "
-        "serve accepts 0 for an ephemeral port)",
-    )
-    parser.add_argument(
-        "--workers", type=int, default=0,
-        help="for 'serve': persistent worker processes "
-        "(default: 0 = all host cores)",
-    )
-    parser.add_argument(
-        "--max-queued", type=int, default=4096,
-        help="for 'serve': admission bound — reject job submissions with "
-        "HTTP 503 + Retry-After once this many cells are queued or "
-        "running (default: 4096)",
-    )
-    parser.add_argument(
-        "--cell-deadline", type=float, default=None,
-        help="for 'serve'/'chaos-service': per-cell wall-clock execution "
-        "budget in seconds; an overrunning cell fails with "
-        "deadline_exceeded and its worker is recycled (default: none)",
-    )
-    parser.add_argument(
-        "--max-retries", type=int, default=3,
-        help="for 'serve'/'chaos-service': execution attempts per cell "
-        "before it settles as failed (default: 3)",
-    )
-    parser.add_argument(
-        "--drain-timeout", type=float, default=30.0,
-        help="for 'serve': on SIGTERM/SIGINT, wait up to this many "
-        "seconds for in-flight cells to settle before exiting "
-        "(default: 30)",
-    )
-    parser.add_argument(
-        "--kills", type=int, default=2,
-        help="for 'chaos-service': worker processes to SIGKILL mid-cell "
-        "(default: 2)",
-    )
-    parser.add_argument(
-        "--kill-interval", type=float, default=0.3,
-        help="for 'chaos-service': seconds between observing a running "
-        "cell and killing a worker (default: 0.3)",
-    )
-    parser.add_argument(
-        "--sweep-family", choices=["tatas", "array", "nonblocking", "barrier"],
-        default="tatas",
-        help="for 'submit': kernel family of the submitted sweep "
-        "(default: tatas)",
-    )
-    parser.add_argument(
-        "--names", nargs="+", default=None,
-        help="for 'submit': kernel bar names to sweep "
-        "(default: every kernel in the family)",
-    )
-    parser.add_argument(
-        "--wait", action="store_true",
-        help="for 'submit': poll the job until it settles and print "
-        "per-cell outcomes (exit 1 if any cell failed)",
-    )
-    parser.add_argument(
-        "--wait-timeout", type=float, default=600.0,
-        help="for 'submit --wait': give up after this many seconds "
-        "(default: 600)",
-    )
-    parser.add_argument(
-        "--job", default=None,
-        help="for 'status': show one job's per-cell detail instead of "
-        "the job list",
-    )
-    parser.add_argument(
-        "--out", default=None,
-        help="directory for per-figure .txt reports (default: stdout)",
-    )
-    parser.add_argument(
-        "--format", choices=["table", "csv", "json", "plot"], default="table",
-        help="output format: aligned tables (default), CSV, JSON, or "
-        "ASCII stacked bars",
-    )
-    args = parser.parse_args(argv)
-    args.cores_given = "--cores" in (argv or [])
-    args.scale_given = "--scale" in (argv or [])
+    subcommands = parser.add_subparsers(dest="target", required=True, metavar="TARGET")
+    for name, target in TARGETS.items():
+        sub = subcommands.add_parser(name, help=target.help, description=target.help)
+        for flag in target.flag_names():
+            kwargs = {**FLAGS[flag], **target.options.get(flag, {})}
+            if isinstance(kwargs.get("default"), (list, tuple)):
+                shown = " ".join(map(str, kwargs["default"]))
+                kwargs["help"] = kwargs["help"].replace("%(default)s", shown)
+            sub.add_argument(flag, **kwargs)
+        sub.set_defaults(handler=target.handler)
+    return parser
 
-    if args.target == "run":
-        if args.workload is None:
-            parser.error("'run' requires --workload family/name")
-        return _run_single(args)
-    if args.target == "profile":
-        if args.workload is None:
-            parser.error("'profile' requires --workload family/name")
-        return _run_profile(args)
-    if args.target == "chaos":
-        return _run_chaos(args)
-    if args.target == "mc":
-        if args.bound is not None and args.bound < 0:
-            args.bound = None  # -1: unbounded exploration
-        return _run_mc(args)
-    if args.target == "sanitize":
-        return _run_sanitize(args)
-    if args.target == "formal":
-        return _run_formal(args)
-    if args.target == "serve":
-        return _run_serve(args)
-    if args.target == "submit":
-        return _run_submit(args)
-    if args.target == "status":
-        return _run_status(args)
-    if args.target == "chaos-service":
-        return _run_chaos_service(args)
-    if args.target == "protocols":
-        return _run_protocols(args)
 
-    targets = ALL_TARGETS if args.target == "all" else [args.target]
-    for target in targets:
-        _run_one(target, args)
-    return 0
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    return args.handler(args)
 
 
 if __name__ == "__main__":

@@ -28,7 +28,6 @@ from repro.harness.parallel import (
     app_selfinv_cell,
     kernel_cell,
     run_specs,
-    unpadded,
 )
 from repro.protocols.registry import app_comparison_set, default_comparison_set
 from repro.stats.collector import RunResult
@@ -225,11 +224,6 @@ def run_padding_ablation(
         label: FigureResult(f"TATAS locks ({label})", rows, scale)
         for label, rows in figures.items()
     }
-
-
-def _unpadded(workload):
-    """Back-compat alias for :func:`repro.harness.parallel.unpadded`."""
-    return unpadded(workload)
 
 
 def run_sw_backoff_ablation(

@@ -4,8 +4,9 @@ Every cell of a figure sweep — one ``(workload, protocol, config, seed)``
 simulation — is hermetic: :func:`repro.harness.runner.run_workload` builds
 its own :class:`~repro.sim.engine.Simulator`, protocol and memory state, so
 independent cells can run in separate worker processes with no shared
-state.  This module fans a sweep's cells out to a
-:class:`concurrent.futures.ProcessPoolExecutor` and collects results **in
+state.  :func:`run_tasks` fans a sweep's cells out to worker processes
+under a :class:`~repro.harness.supervisor.PoolSupervisor` (a killed
+worker costs one re-submission, not the sweep) and collects results **in
 submission order**, which makes the parallel sweep's output byte-identical
 to the serial path (``jobs=1`` runs the very same code in-process).
 
@@ -31,8 +32,8 @@ import json
 import os
 import pickle
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
+from functools import partial
 from pathlib import Path
 from collections.abc import Iterable
 
@@ -407,35 +408,16 @@ def run_specs_outcomes(
         else:
             pending.append(index)
 
-    jobs = resolve_jobs(jobs)
-    if jobs > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(pending))) as pool:
-            futures = [(i, pool.submit(execute_spec, specs[i])) for i in pending]
-            for index, future in futures:
-                try:
-                    result = future.result()
-                except Exception as exc:
-                    outcomes[index] = CellOutcome(
-                        specs[index], error=CellError.from_exception(exc)
-                    )
-                else:
-                    outcomes[index] = CellOutcome(specs[index], result=result)
-    else:
-        for index in pending:
-            try:
-                result = execute_spec(specs[index])
-            except Exception as exc:
-                outcomes[index] = CellOutcome(
-                    specs[index], error=CellError.from_exception(exc)
-                )
-            else:
-                outcomes[index] = CellOutcome(specs[index], result=result)
-
-    if cache is not None:
-        for index in pending:
-            outcome = outcomes[index]
-            if outcome is not None and outcome.result is not None:
-                cache.store(specs[index], outcome.result)
+    slots = run_tasks(
+        execute_spec, [specs[i] for i in pending], jobs=jobs, return_exceptions=True
+    )
+    for index, slot in zip(pending, slots):
+        if isinstance(slot, Exception):
+            outcomes[index] = CellOutcome(specs[index], error=CellError.from_exception(slot))
+            continue
+        outcomes[index] = CellOutcome(specs[index], result=slot)
+        if cache is not None:
+            cache.store(specs[index], slot)
     return outcomes  # type: ignore[return-value]
 
 
@@ -448,9 +430,10 @@ def run_specs(
     """Run every spec; return results in spec order.
 
     ``jobs=1`` executes in-process (the serial reference path); ``jobs>1``
-    fans uncached cells out to a process pool.  Results are collected in
-    submission order regardless of completion order, and each cell is
-    hermetic, so the returned list is identical for any ``jobs`` value.
+    fans uncached cells out to the supervised worker pool.  Results are
+    collected in submission order regardless of completion order, and each
+    cell is hermetic, so the returned list is identical for any ``jobs``
+    value.
     Freshly simulated results are written back to ``cache`` when given.
 
     A raising cell still fails the sweep (the first cell error is
@@ -484,10 +467,16 @@ def run_tasks(
 ) -> list:
     """Generic fan-out: ``[fn(call) for call in calls]`` with the same
     execution contract as :func:`run_specs` — ``jobs=1`` runs in-process,
-    ``jobs>1`` uses a process pool (``fn`` and every call must pickle),
-    and results always come back in submission order.  Used by sweeps
-    whose cells are not :class:`RunSpec`-shaped (e.g. the model checker's
-    litmus × protocol cells).
+    ``jobs>1`` runs on a supervised worker pool (``fn`` and every call
+    must pickle), and results always come back in submission order.
+    Used directly by sweeps whose cells are not :class:`RunSpec`-shaped
+    (e.g. the model checker's litmus × protocol cells).
+
+    A worker that dies mid-call (SIGKILL, OOM) costs one re-submission:
+    the :class:`~repro.harness.supervisor.PoolSupervisor` rebuilds the
+    pool and re-runs the lost calls; only a call that kills its worker
+    ``RetryPolicy.max_crashes`` times fails, as ``BrokenProcessPool``.  A
+    raising call is not retried — deterministic cells raise again.
 
     Every call runs to completion even when a sibling raises.  With
     ``return_exceptions`` the failed slots hold the exception objects
@@ -496,21 +485,36 @@ def run_tasks(
     """
     calls = list(calls)
     jobs = resolve_jobs(jobs)
-    slots: list = [None] * len(calls)
+    slots: list = []
     if jobs > 1 and len(calls) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
-            futures = [pool.submit(fn, call) for call in calls]
-            for index, future in enumerate(futures):
-                try:
-                    slots[index] = future.result()
-                except Exception as exc:
-                    slots[index] = exc
+        # Imported here: the supervisor imports this module, and serial
+        # sweeps (and the benchmark's import set) never load the pool.
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.harness.supervisor import PoolSupervisor, RetryPolicy, call_with_marker
+
+        supervisor = PoolSupervisor(
+            workers=min(jobs, len(calls)),
+            policy=RetryPolicy(max_attempts=1),
+            worker_fn=partial(call_with_marker, fn),
+        )
+        try:
+            tasks = [supervisor.submit(call, str(i)) for i, call in enumerate(calls)]
+            for task, resolution in zip(tasks, supervisor.wait(tasks)):
+                if resolution.ok:
+                    slots.append(resolution.result)
+                elif task.last_error is not None:  # the call raised
+                    slots.append(task.last_error.exception)
+                else:  # the call kept killing its worker
+                    slots.append(BrokenProcessPool(resolution.error["message"]))
+        finally:
+            supervisor.shutdown()
     else:
-        for index, call in enumerate(calls):
+        for call in calls:
             try:
-                slots[index] = fn(call)
+                slots.append(fn(call))
             except Exception as exc:
-                slots[index] = exc
+                slots.append(exc)
     if not return_exceptions:
         for slot in slots:
             if isinstance(slot, Exception):

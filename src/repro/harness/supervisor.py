@@ -1,11 +1,12 @@
 """Worker-pool supervision: retries, crash attribution, deadlines, recycle.
 
-The service treats failure as the common case.  A bare
+The one worker pool of the project.  A bare
 :class:`~concurrent.futures.ProcessPoolExecutor` is *not* self-healing:
 one worker death (OOM kill, segfault, SIGKILL) breaks the pool
 permanently and fails every in-flight and future submission, and a hung
 cell occupies a worker forever.  :class:`PoolSupervisor` wraps the pool
-with a supervision loop that makes every cell **settle eventually**:
+with a supervision state machine that makes every cell **settle
+eventually**:
 
 * **Crash recovery.**  When the pool breaks, the supervisor rebuilds it
   and re-submits the in-flight cells that were lost.  Attribution is by
@@ -27,30 +28,42 @@ with a supervision loop that makes every cell **settle eventually**:
   (workers killed and respawned) to free the hung worker — pool futures
   cannot be cancelled once running.
 * **One outcome future.**  Each cell exposes a single
-  :class:`asyncio.Future` (:attr:`CellTask.outcome`) that resolves only
-  on the *terminal* outcome, after all retries — so any number of jobs
-  can attach to the same in-flight cell and all of them observe the
-  retried result, never an intermediate failure.
+  :class:`concurrent.futures.Future` (:attr:`CellTask.outcome`) that
+  resolves only on the *terminal* outcome, after all retries — so any
+  number of jobs can attach to the same in-flight cell and all of them
+  observe the retried result, never an intermediate failure.
 
-The supervisor is deliberately single-threaded: one asyncio task calls
-:meth:`PoolSupervisor.step` every ``tick`` seconds, and *all* state
-transitions happen inside ``step`` (or in ``submit``/``shutdown``, also
-on the event loop).  Nothing here locks, and every transition is
-observable and unit-testable by calling ``step()`` by hand.
+The supervisor is synchronous and single-threaded: *all* state
+transitions happen inside :meth:`PoolSupervisor.step` (or in
+``submit``/``shutdown``), called from one thread.  Nothing here locks,
+and every transition is observable and unit-testable by calling
+``step()`` by hand.  Two drivers call it:
+
+* :func:`repro.harness.parallel.run_tasks` (CLI sweeps, ``jobs > 1``)
+  calls :meth:`PoolSupervisor.wait`, which blocks on pool completions
+  between passes;
+* the sweep server runs a tick task on its event loop that calls
+  ``step()`` every ``tick`` seconds and awaits outcomes through
+  :func:`asyncio.wrap_future`.
 """
 
 from __future__ import annotations
 
-import asyncio
 import itertools
 import random
 import shutil
 import tempfile
 import time
-from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
+from concurrent.futures import (
+    FIRST_COMPLETED,
+    BrokenExecutor,
+    Future,
+    ProcessPoolExecutor,
+)
+from concurrent.futures import wait as wait_for_any
 from dataclasses import dataclass
 from pathlib import Path
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 
 from repro.harness.parallel import CellError, RunSpec, execute_spec
 from repro.stats.collector import RunResult
@@ -59,18 +72,24 @@ from repro.stats.collector import RunResult
 _USE_DEFAULT = object()
 
 
-def execute_cell(spec: RunSpec, marker_path: str) -> RunResult:
-    """Worker-process entry point: stamp the start marker, then simulate.
+def call_with_marker(fn: Callable, arg, marker_path: str):
+    """Worker-process entry point: stamp the start marker, then run
+    ``fn(arg)``.
 
     The marker is the supervisor's crash-attribution evidence — it is
-    touched *before* any simulation work, so a worker that dies with the
-    marker present provably died mid-execution of this cell.
+    touched *before* any work, so a worker that dies with the marker
+    present provably died mid-execution of this cell.
     """
     try:
         Path(marker_path).touch()
     except OSError:
         pass  # spool dir gone (shutdown race); attribution degrades gracefully
-    return execute_spec(spec)
+    return fn(arg)
+
+
+def execute_cell(spec: RunSpec, marker_path: str) -> RunResult:
+    """The server's worker entry point: simulate one :class:`RunSpec`."""
+    return call_with_marker(execute_spec, spec, marker_path)
 
 
 @dataclass(frozen=True)
@@ -143,7 +162,7 @@ class CellTask:
     #: from the moment the start marker is first observed.
     deadline: float | None
     #: resolves to a :class:`CellResolution` on the terminal outcome only.
-    outcome: asyncio.Future
+    outcome: Future
     attempts: int = 0
     #: execution attempts that raised (drives the retry budget).
     failures: int = 0
@@ -178,6 +197,8 @@ class PoolSupervisor:
     submission processed after a cell settles always finds the cache
     entry, never a gap (the at-most-once-successful-simulation
     invariant).  ``on_counter(name, by)`` feeds the service metrics.
+    ``tick`` is the server's supervision period and the longest
+    :meth:`wait` blocks between passes.
     """
 
     def __init__(
@@ -187,7 +208,7 @@ class PoolSupervisor:
         policy: RetryPolicy | None = None,
         tick: float = 0.05,
         default_deadline: float | None = None,
-        worker_fn: Callable[[RunSpec, str], RunResult] = execute_cell,
+        worker_fn: Callable[[object, str], object] = execute_cell,
         on_settle: Callable[[CellResolution], None] | None = None,
         on_counter: Callable[..., None] | None = None,
         clock: Callable[[], float] = time.monotonic,
@@ -208,7 +229,6 @@ class PoolSupervisor:
         self._marker_ids = itertools.count(1)
         self._tasks: dict[str, CellTask] = {}
         self._pool: ProcessPoolExecutor | None = self._new_pool()
-        self._runner: asyncio.Task | None = None
         self._closed = False
         #: lifetime counters, mirrored into /metrics via ``on_counter``.
         self.recycles = 0
@@ -217,23 +237,6 @@ class PoolSupervisor:
         self.deadline_settles = 0
 
     # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the supervision loop on the running event loop."""
-        if self._runner is None and not self._closed:
-            self._runner = asyncio.get_running_loop().create_task(self._run())
-
-    async def _run(self) -> None:
-        while not self._closed:
-            await asyncio.sleep(self.tick)
-            try:
-                self.step()
-            except Exception as exc:  # pragma: no cover - supervision must survive
-                import sys
-                import traceback
-
-                print(f"supervisor step failed: {exc!r}", file=sys.stderr)
-                traceback.print_exc()
 
     def shutdown(self) -> None:
         """Harvest already-completed work, settle the rest, kill the pool.
@@ -246,16 +249,13 @@ class PoolSupervisor:
         if self._closed:
             return
         self._closed = True
-        if self._runner is not None:
-            self._runner.cancel()
-            self._runner = None
         self.harvest()
         for task in list(self._tasks.values()):
             self._settle(
                 task,
                 error=self._structured_error(
                     "shutdown",
-                    "server shut down before the cell could finish",
+                    "supervisor shut down before the cell could finish",
                     task,
                 ),
             )
@@ -290,19 +290,18 @@ class PoolSupervisor:
     def get(self, key: str) -> CellTask | None:
         return self._tasks.get(key)
 
-    def submit(self, spec: RunSpec, key: str, *, deadline=_USE_DEFAULT) -> CellTask:
+    def submit(self, spec, key: str, *, deadline=_USE_DEFAULT) -> CellTask:
         """Register one cell and dispatch its first attempt.  Must run on
-        the event loop (all supervision state is loop-confined)."""
+        the thread that drives ``step()``."""
         if self._closed:
             raise RuntimeError("supervisor is shut down")
         if deadline is _USE_DEFAULT:
             deadline = self.default_deadline
-        task = CellTask(
-            spec=spec,
-            key=key,
-            deadline=deadline,
-            outcome=asyncio.get_running_loop().create_future(),
-        )
+        outcome: Future = Future()
+        # Running from birth: an awaiter that gives up (a cancelled
+        # asyncio.wrap_future) must not cancel an outcome other jobs share.
+        outcome.set_running_or_notify_cancel()
+        task = CellTask(spec=spec, key=key, deadline=deadline, outcome=outcome)
         self._tasks[key] = task
         self._dispatch(task)
         return task
@@ -326,6 +325,21 @@ class PoolSupervisor:
             )
 
     # -- the supervision pass ------------------------------------------------
+
+    def wait(self, tasks: Iterable[CellTask]) -> list[CellResolution]:
+        """Synchronous driver: step until every task settles, blocking on
+        pool completions (at most one ``tick``, so markers, deadlines and
+        backoffs are still observed) between passes.  Returns the
+        resolutions in ``tasks`` order."""
+        tasks = list(tasks)
+        while not all(task.outcome.done() for task in tasks):
+            wait_for_any(
+                [task.pool_future for task in tasks if task.pool_future is not None],
+                timeout=self.tick,
+                return_when=FIRST_COMPLETED,
+            )
+            self.step()
+        return [task.outcome.result() for task in tasks]
 
     def step(self) -> None:
         """One supervision pass: crash recovery, completions, deadlines,

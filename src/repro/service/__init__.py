@@ -1,8 +1,8 @@
 """Simulation-as-a-service: a long-running asyncio sweep job server.
 
-The service wraps the existing :mod:`repro.harness.parallel` substrate —
-:class:`~repro.harness.parallel.RunSpec` cells, the persistent
-process-pool fan-out, and the content-addressed
+The service wraps the existing harness substrate —
+:class:`~repro.harness.parallel.RunSpec` cells, the supervised worker
+pool (kept alive for the server's lifetime), and the content-addressed
 :class:`~repro.harness.parallel.ResultCache` — behind a minimal
 stdlib-only HTTP/1.1 API:
 
@@ -21,9 +21,9 @@ job entry; sibling cells complete and are cached (the failure-isolation
 contract of :func:`repro.harness.parallel.run_specs_outcomes`).
 
 The service is **self-healing**: the worker pool runs under a
-:class:`~repro.service.supervisor.PoolSupervisor` that rebuilds the pool
+:class:`~repro.harness.supervisor.PoolSupervisor` that rebuilds the pool
 after worker crashes, retries transient cell failures with exponential
-backoff (:class:`~repro.service.supervisor.RetryPolicy`), enforces
+backoff (:class:`~repro.harness.supervisor.RetryPolicy`), enforces
 per-cell execution deadlines, and re-dispatches innocent-bystander cells
 lost to a crash.  The server bounds admission (HTTP 503 + ``Retry-After``
 past ``max_queued``) and drains gracefully on SIGTERM/SIGINT.  The
@@ -32,6 +32,12 @@ proves the contract against a live server under worker murder, poisoned
 cells, and deadline overruns.
 """
 
+from repro.harness.supervisor import (
+    CellResolution,
+    CellTask,
+    PoolSupervisor,
+    RetryPolicy,
+)
 from repro.service.chaos import ChaosConfig, ChaosReport, run_service_chaos
 from repro.service.client import DEFAULT_HOST, DEFAULT_PORT, ServiceClient, ServiceError
 from repro.service.executor import SweepExecutor
@@ -39,12 +45,6 @@ from repro.service.jobs import Job, JobCell, JobRegistry
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import SweepService, run_server
 from repro.service.specs import config_from_dict, spec_from_dict, spec_to_dict
-from repro.service.supervisor import (
-    CellResolution,
-    CellTask,
-    PoolSupervisor,
-    RetryPolicy,
-)
 
 __all__ = [
     "CellResolution",

@@ -7,7 +7,7 @@ real worker pool — while a sweep is in flight:
 
 * **worker murder**: SIGKILLs live worker processes mid-cell (the
   production shape of an OOM kill or segfault), which breaks the
-  ``ProcessPoolExecutor`` outright;
+  process pool outright;
 * **poisoned cells**: cells whose materialization raises in the worker,
   exercising the retry/backoff path to a structured terminal failure;
 * **slow cells**: cells whose simulation overruns the per-cell deadline,
@@ -45,10 +45,10 @@ from dataclasses import dataclass, field
 
 from repro.config import config_for_cores
 from repro.harness.parallel import ResultCache, RunSpec, kernel_cell
+from repro.harness.supervisor import RetryPolicy
 from repro.protocols.registry import chaos_comparison_set
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
-from repro.service.supervisor import RetryPolicy
 from repro.workloads.base import KernelSpec
 
 #: Kernel that does not exist: materialization raises ``KeyError`` inside

@@ -1,16 +1,16 @@
 """Self-healing worker pool with global in-flight dedupe for the service.
 
-Unlike :func:`repro.harness.parallel.run_specs`, which spins a pool up
-and down per sweep, the service keeps one supervised worker pool alive
-for its whole lifetime (warm workers, no per-job fork cost) and
-maintains an *in-flight index* from cache key to the cell's supervised
-task.  Submissions check, in order:
+CLI sweeps (:func:`repro.harness.parallel.run_tasks`) start a
+supervised pool per sweep; the service keeps one alive for its whole
+lifetime (warm workers, no per-job fork cost) and maintains an
+*in-flight index* from cache key to the cell's supervised task.
+Submissions check, in order:
 
 1. the on-disk :class:`~repro.harness.parallel.ResultCache` (a completed
    identical cell, from any past job or process) — ``cache``;
 2. the in-flight index (an identical cell currently supervised for some
    other job) — ``dedupe``: the new job attaches to the same
-   :class:`~repro.service.supervisor.CellTask`, whose outcome future
+   :class:`~repro.harness.supervisor.CellTask`, whose outcome future
    resolves only on the *terminal* outcome, after all retries;
 3. otherwise the cell is submitted to the supervised pool — ``run``.
 
@@ -20,9 +20,10 @@ successfully**, no matter how many overlapping jobs are submitted
 concurrently and no matter how many times workers die under it — a
 retry re-simulates only cells that provably produced no result.
 
-The pool itself is owned by a :class:`~repro.service.supervisor.
-PoolSupervisor`: worker crashes rebuild the pool and re-submit lost
-cells, raising cells retry with exponential backoff, hung cells time out
+The pool itself is owned by a :class:`~repro.harness.supervisor.
+PoolSupervisor` (the same one CLI sweeps use), stepped by the server's
+tick task: worker crashes rebuild the pool and re-submit lost cells,
+raising cells retry with exponential backoff, hung cells time out
 against a wall-clock deadline, and shutdown harvests already-completed
 results into the cache instead of dropping them.
 """
@@ -32,7 +33,7 @@ from __future__ import annotations
 from collections.abc import Callable
 
 from repro.harness.parallel import ResultCache, RunSpec, resolve_jobs
-from repro.service.supervisor import (
+from repro.harness.supervisor import (
     _USE_DEFAULT,
     CellResolution,
     PoolSupervisor,
@@ -42,7 +43,8 @@ from repro.service.supervisor import (
 
 class SweepExecutor:
     """Owns the supervised worker pool, the result cache, and the
-    in-flight index.  All methods must run on the server's event loop."""
+    in-flight index.  All methods must run on the server's event loop
+    (the thread that steps the supervisor)."""
 
     def __init__(
         self,
@@ -72,10 +74,6 @@ class SweepExecutor:
         self.supervisor = PoolSupervisor(**supervisor_kwargs)
 
     # -- lifecycle -----------------------------------------------------------
-
-    def start(self) -> None:
-        """Start the supervision loop (requires a running event loop)."""
-        self.supervisor.start()
 
     def shutdown(self) -> None:
         """Harvest completed work (persisting it to the cache), settle the

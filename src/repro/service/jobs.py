@@ -14,8 +14,8 @@ import time
 from dataclasses import dataclass, field
 
 from repro.harness.parallel import RunSpec
+from repro.harness.supervisor import CellTask
 from repro.service.specs import describe_workload
-from repro.service.supervisor import CellTask
 
 #: Cell lifecycle: ``queued`` (submitted to the pool, not yet picked up,
 #: or backing off between retry attempts) -> ``running`` (a worker

@@ -12,8 +12,9 @@ a cell's lifecycle is:
         -> supervised attempts (retry/backoff, crash recovery, deadline)
         -> [supervisor] cache.store + retire key -> watcher settles cell
 
-Failure handling is the supervisor's job (:mod:`repro.service.
-supervisor`); the server adds **bounded admission** (jobs beyond
+Failure handling is the supervisor's job (:mod:`repro.harness.
+supervisor`, a synchronous state machine the server steps from a tick
+task on its event loop); the server adds **bounded admission** (jobs beyond
 ``max_queued`` in-flight cells are rejected with HTTP 503 and a
 ``Retry-After`` header — load shedding is visible as
 ``repro_rejected_total``) and **graceful drain** (SIGTERM/SIGINT stops
@@ -31,17 +32,19 @@ from __future__ import annotations
 import asyncio
 import json
 import signal
+import sys
+import traceback
 
 from repro.harness.parallel import (
     ResultCache,
     RunSpec,
     cache_key_for,
 )
+from repro.harness.supervisor import _USE_DEFAULT, RetryPolicy
 from repro.service.executor import SweepExecutor
 from repro.service.jobs import Job, JobCell, JobRegistry
 from repro.service.metrics import ServiceMetrics
 from repro.service.specs import spec_from_dict
-from repro.service.supervisor import _USE_DEFAULT, RetryPolicy
 
 #: Largest accepted request body; a 4096-cell job with full configs is
 #: well under this.
@@ -100,21 +103,34 @@ class SweepService:
         )
         self.registry = JobRegistry()
         self._server: asyncio.base_events.Server | None = None
+        self._ticker: asyncio.Task | None = None
         self._watchers: set[asyncio.Task] = set()
         self._draining = False
 
     # -- lifecycle -----------------------------------------------------------
 
     async def start(self) -> tuple[str, int]:
-        """Bind, start serving, and start the pool supervisor; returns the
-        bound (host, port) — with ``port=0`` the kernel picks a port."""
-        self.executor.start()
+        """Bind, start serving, and start the supervision tick; returns
+        the bound (host, port) — with ``port=0`` the kernel picks a port."""
+        self._ticker = asyncio.create_task(self._tick())
         self._server = await asyncio.start_server(
             self._handle_client, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
         return self.host, self.port
+
+    async def _tick(self) -> None:
+        """The supervision loop: one ``step()`` every ``tick`` seconds, on
+        the event loop, so supervisor state stays loop-confined."""
+        supervisor = self.executor.supervisor
+        while True:
+            await asyncio.sleep(supervisor.tick)
+            try:
+                supervisor.step()
+            except Exception as exc:  # pragma: no cover - supervision must survive
+                print(f"supervisor step failed: {exc!r}", file=sys.stderr)
+                traceback.print_exc()
 
     async def serve_forever(self) -> None:
         assert self._server is not None, "call start() first"
@@ -156,6 +172,10 @@ class SweepService:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
+        if self._ticker is not None:
+            self._ticker.cancel()
+            await asyncio.gather(self._ticker, return_exceptions=True)
+            self._ticker = None
         # Settle cells whose workers already produced a result (persisting
         # them via the supervisor's settle hook), then everything else as
         # structured ``shutdown`` errors — never as silently-dropped work.
@@ -391,10 +411,7 @@ class SweepService:
         in the supervisor; by the time the outcome future resolves the
         result is already in the cache (on success) and the in-flight key
         retired — a follower never observes a pre-retry failure."""
-        try:
-            resolution = await asyncio.shield(cell.task.outcome)
-        except asyncio.CancelledError:
-            raise
+        resolution = await asyncio.wrap_future(cell.task.outcome)
         cell.attempts = resolution.attempts
         cell.task = None
         if resolution.ok:

@@ -50,11 +50,11 @@ class TestPaddingAblation:
     def test_padding_policy_actually_changes_layout(self):
         """The unpadded wrapper really co-locates sync variables."""
         from repro.config import config_16
-        from repro.harness.experiments import _unpadded
+        from repro.harness.parallel import unpadded
         from repro.workloads.base import KernelSpec
         from repro.workloads.registry import make_kernel
 
-        workload = _unpadded(
+        workload = unpadded(
             make_kernel("tatas", "counter", spec=KernelSpec(scale=0.02))
         )
         instance = workload.build(config_16(), seed=1)

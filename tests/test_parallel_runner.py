@@ -8,12 +8,19 @@ output to the serial reference path.
 from __future__ import annotations
 
 import io
+import os
 import pickle
+import signal
+import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 
 import pytest
 
 from repro.config import config_16, config_for_cores
-from repro.harness.experiments import run_apps_figure, run_kernel_figure
+from repro.harness import parallel
+from repro.harness.experiments import KERNEL_PROTOCOLS, run_apps_figure, run_kernel_figure
 from repro.harness.parallel import (
     ResultCache,
     RunSpec,
@@ -24,6 +31,7 @@ from repro.harness.parallel import (
     materialize_workload,
     resolve_jobs,
     run_specs,
+    run_tasks,
 )
 from repro.harness.report import print_figure
 from repro.harness.runner import run_workload
@@ -271,3 +279,112 @@ class TestCliFlags:
             cli_main(argv + ["--jobs", "2", "--cache-dir", str(tmp_path / "rc")]) == 0
         )
         assert capsys.readouterr().out == serial_out
+
+
+# -- a worker killed mid-sweep --------------------------------------------------
+#
+# ``run_tasks(jobs>1)`` runs on the PoolSupervisor: a SIGKILLed or
+# OOM-killed worker costs one re-submission of the cells it took down, not
+# the sweep.  The kill comes from inside: the task function kills its own
+# worker on the first call anywhere (an ``O_EXCL`` sentinel file records,
+# across processes, that it already happened), so the tests need no timing.
+# The re-breaking shim puts the old bare ``ProcessPoolExecutor`` fan-out
+# back and shows the same kill failing the whole sweep.
+
+SWEEP = dict(core_counts=(16,), scale=0.02, seed=1, names=["counter", "single Q"])
+CELLS = 2 * len(KERNEL_PROTOCOLS)
+
+
+def first_call_kills_its_worker(sentinel: str, fn, arg):
+    try:
+        os.close(os.open(sentinel, os.O_CREAT | os.O_EXCL))
+    except FileExistsError:
+        return fn(arg)
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def simulate(spec):
+    """``execute_spec`` under a name the monkeypatch below leaves alone
+    (a pickled function must still be its module's attribute)."""
+    return execute_spec(spec)
+
+
+def square(value):
+    return value * value
+
+
+def square_or_die(value):
+    """Kills its worker on every attempt for a negative value — late
+    enough that its siblings have finished, so the kills charge only it."""
+    if value < 0:
+        time.sleep(0.2)
+        os.kill(os.getpid(), signal.SIGKILL)
+    return value * value
+
+
+def legacy_run_tasks(fn, calls, *, jobs=1, return_exceptions=False):
+    """The bare-pool fan-out parallel sweeps used before the supervisor."""
+    calls = list(calls)
+    slots: list = [None] * len(calls)
+    with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
+        futures = [pool.submit(fn, call) for call in calls]
+        for index, future in enumerate(futures):
+            try:
+                slots[index] = future.result()
+            except Exception as exc:
+                slots[index] = exc
+    if not return_exceptions:
+        for slot in slots:
+            if isinstance(slot, Exception):
+                raise slot
+    return slots
+
+
+def kill_first_worker(monkeypatch, tmp_path):
+    """Swap the sweep's cell function for one whose first call kills its
+    worker; returns the sentinel path that proves the kill happened."""
+    sentinel = tmp_path / "worker-killed"
+    monkeypatch.setattr(
+        parallel, "execute_spec",
+        partial(first_call_kills_its_worker, str(sentinel), simulate),
+    )
+    return sentinel
+
+
+class TestWorkerDeath:
+    def test_kernel_figure_sweep_survives_a_killed_worker(self, tmp_path, monkeypatch):
+        serial = run_kernel_figure("tatas", jobs=1, **SWEEP)
+        sentinel = kill_first_worker(monkeypatch, tmp_path)
+
+        cache = ResultCache(tmp_path / "cache")
+        survived = run_kernel_figure("tatas", jobs=2, cache=cache, **SWEEP)
+        assert sentinel.exists(), "no worker was killed"
+        # Every cell settled with a result identical to the serial sweep's...
+        assert figure_summaries(survived) == figure_summaries(serial)
+        assert figure_text(survived) == figure_text(serial)
+        # ...and reached the cache: a fresh handle hits every cell.
+        assert cache.stores == CELLS
+        warm = ResultCache(tmp_path / "cache")
+        again = run_kernel_figure("tatas", jobs=2, cache=warm, **SWEEP)
+        assert (warm.hits, warm.misses, warm.stores) == (CELLS, 0, 0)
+        assert figure_text(again) == figure_text(serial)
+
+    def test_shim_bare_pool_loses_the_sweep(self, tmp_path, monkeypatch):
+        sentinel = kill_first_worker(monkeypatch, tmp_path)
+        monkeypatch.setattr(parallel, "run_tasks", legacy_run_tasks)
+        cache = ResultCache(tmp_path / "cache")
+        with pytest.raises(BrokenProcessPool):
+            run_kernel_figure("tatas", jobs=2, cache=cache, **SWEEP)
+        assert sentinel.exists()
+        assert cache.stores < CELLS  # the cells the break took down are lost
+
+    def test_run_tasks_resubmits_the_lost_calls(self, tmp_path):
+        fn = partial(first_call_kills_its_worker, str(tmp_path / "killed"), square)
+        assert run_tasks(fn, range(6), jobs=2) == [0, 1, 4, 9, 16, 25]
+        assert (tmp_path / "killed").exists()
+
+    def test_a_call_that_always_kills_its_worker_fails_alone(self):
+        slots = run_tasks(square_or_die, [2, -1, 3], jobs=2, return_exceptions=True)
+        assert slots[0] == 4 and slots[2] == 9
+        assert isinstance(slots[1], BrokenProcessPool)
+        assert "mid-execution" in str(slots[1])

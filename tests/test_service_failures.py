@@ -236,7 +236,10 @@ class TestChaosEndToEnd:
                 kernels=("counter",),
                 protocols=("MESI", "DeNovoSync"),
                 scale=0.25,
-                slow_scale=6.0,
+                # The slow cell must overrun the deadline on any host: at
+                # 6.0 it took about 4.1 s on a 2-vCPU Xeon, a coin flip
+                # against the 4.0 s deadline.
+                slow_scale=12.0,
                 cell_deadline=4.0,
                 wait_timeout=180.0,
                 cache_dir=str(tmp_path / "chaos-cache"),

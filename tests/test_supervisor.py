@@ -1,4 +1,4 @@
-"""Tests for the worker-pool supervisor (``repro.service.supervisor``).
+"""Tests for the worker-pool supervisor (``repro.harness.supervisor``).
 
 These drive :class:`PoolSupervisor` deterministically: the supervision
 loop is never started; tests call ``step()`` by hand (every state
@@ -21,8 +21,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.harness.supervisor import PoolSupervisor, RetryPolicy
 from repro.service.executor import SweepExecutor
-from repro.service.supervisor import PoolSupervisor, RetryPolicy
 
 #: fast, deterministic backoff so retry tests take milliseconds.
 FAST = dict(base_delay=0.01, multiplier=2.0, max_delay=0.05, jitter=0.0)
