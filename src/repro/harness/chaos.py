@@ -24,7 +24,6 @@ from repro.config import SystemConfig, config_for_cores
 from repro.harness.runner import run_workload
 from repro.noc.faults import FaultPlan
 from repro.protocols.registry import chaos_comparison_set
-from repro.verify.checker import check_protocol_state
 
 #: The chaos acceptance set: every default-comparison protocol that
 #: advertises fault-injection hooks and runtime invariant checking.
@@ -146,7 +145,7 @@ def run_chaos_cell(
         mismatches=diff_memory(
             baseline_snapshot, protocol.memory.snapshot()
         ),
-        violations=check_protocol_state(protocol),
+        violations=protocol.invariant_violations(),
     )
 
 

@@ -194,36 +194,20 @@ def run_padding_ablation(
     MESI suffers false sharing; DeNovo's word-granularity state is immune
     but loses the one-transfer-per-line benefit.
     """
-    config = config_for_cores(cores)
-    specs: list[RunSpec] = []
-    slots: list[tuple[str, FigureRow, str]] = []
-    figures: dict[str, list[FigureRow]] = {}
+    results = {}
     for padded in (True, False):
+        fig = run_kernel_figure(
+            "tatas",
+            core_counts=(cores,),
+            scale=scale,
+            seed=seed,
+            jobs=jobs,
+            cache=cache,
+            padded=padded,
+        )
         label = "padded" if padded else "unpadded"
-        figures[label] = []
-        for name in kernel_names("tatas"):
-            row = FigureRow(workload=name, num_cores=cores)
-            figures[label].append(row)
-            for protocol in KERNEL_PROTOCOLS:
-                specs.append(
-                    RunSpec(
-                        kernel_cell(
-                            "tatas", name, spec=KernelSpec(scale=scale), padded=padded
-                        ),
-                        protocol,
-                        config,
-                        seed=seed,
-                    )
-                )
-                slots.append((label, row, protocol))
-    for (label, row, protocol), result in zip(
-        slots, run_specs(specs, jobs=jobs, cache=cache)
-    ):
-        row.results[protocol] = result
-    return {
-        label: FigureResult(f"TATAS locks ({label})", rows, scale)
-        for label, rows in figures.items()
-    }
+        results[label] = FigureResult(f"TATAS locks ({label})", fig.rows, scale)
+    return results
 
 
 def run_sw_backoff_ablation(

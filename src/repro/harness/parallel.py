@@ -14,7 +14,7 @@ Cells are described by :class:`RunSpec`, a picklable value object: the
 workload is carried as a plain-tuple *descriptor* (rebuilt by
 :func:`materialize_workload` inside the worker) rather than a live
 ``Workload`` object, because workload instances may close over generators
-or monkey-patched builders that do not pickle.
+that do not pickle.
 
 :class:`ResultCache` adds an on-disk cache keyed by a SHA-256 of the
 workload descriptor, protocol name, every :class:`SystemConfig` field, the
@@ -83,28 +83,6 @@ def app_selfinv_cell(name: str, scale: float, flush_all: bool) -> tuple:
     return ("app_selfinv", name, float(scale), bool(flush_all))
 
 
-def unpadded(workload: Workload) -> Workload:
-    """Wrap a kernel workload so its allocator does not pad sync variables."""
-    original_build = workload.build
-
-    def build(config, *, seed=0):
-        from repro.mem import regions as regions_mod
-
-        original_init = regions_mod.RegionAllocator.__init__
-
-        def patched_init(self, amap, pad_sync_vars=True):
-            original_init(self, amap, pad_sync_vars=False)
-
-        regions_mod.RegionAllocator.__init__ = patched_init
-        try:
-            return original_build(config, seed=seed)
-        finally:
-            regions_mod.RegionAllocator.__init__ = original_init
-
-    workload.build = build
-    return workload
-
-
 def materialize_workload(descriptor: tuple) -> Workload:
     """Rebuild the workload a descriptor names (runs inside the worker)."""
     kind = descriptor[0]
@@ -119,7 +97,8 @@ def materialize_workload(descriptor: tuple) -> Workload:
             spec=KernelSpec(iterations=iterations, scale=scale, unbalanced=unbalanced),
             **dict(kwargs),
         )
-        return workload if padded else unpadded(workload)
+        workload.padded = padded
+        return workload
     if kind == "app":
         from repro.workloads.apps import make_app
 

@@ -4,25 +4,15 @@ All simulated addresses are *word indices* (a word is 4 bytes, the DeNovo
 coherence granularity).  Cache lines are 16 words (64 bytes).  LLC banks
 are interleaved at line granularity across the mesh tiles.
 
-Every standard configuration has power-of-two words-per-line and bank
-counts, so the mapping functions reduce to shift/mask operations.  The
-shift/mask values are precomputed at construction and also exposed as
-attributes (``line_shift``, ``offset_mask``, ``bank_mask``) so hot paths
-can inline the arithmetic instead of paying a method call per access;
-they are ``None`` for non-power-of-two geometries, where callers must
-fall back to the generic methods.
+The mapping is plain integer division and remainder, so it holds for
+any geometry (a 9-core machine has 9 banks).  Hot paths bind
+``words_per_line`` and ``num_banks`` once and inline the same
+expressions instead of paying a method call per access.
 """
 
 from __future__ import annotations
 
 from repro.config import SystemConfig
-
-
-def _shift_for(value: int) -> int | None:
-    """log2(value) when value is a power of two, else None."""
-    if value > 0 and value & (value - 1) == 0:
-        return value.bit_length() - 1
-    return None
 
 
 class AddressMap:
@@ -32,36 +22,17 @@ class AddressMap:
         self.config = config
         self.words_per_line = config.words_per_line
         self.num_banks = config.l2_banks
-        #: ``addr >> line_shift == line_of(addr)`` when not None.
-        self.line_shift = _shift_for(self.words_per_line)
-        #: ``addr & offset_mask == word_in_line(addr)`` when line_shift is set.
-        self.offset_mask = (
-            self.words_per_line - 1 if self.line_shift is not None else None
-        )
-        #: ``line & bank_mask == home_bank(line)`` when not None.
-        self.bank_mask = (
-            self.num_banks - 1 if _shift_for(self.num_banks) is not None else None
-        )
 
     def line_of(self, addr: int) -> int:
         """Cache-line id containing word ``addr``."""
-        shift = self.line_shift
-        if shift is not None:
-            return addr >> shift
         return addr // self.words_per_line
 
     def word_in_line(self, addr: int) -> int:
         """Word offset of ``addr`` within its line."""
-        mask = self.offset_mask
-        if mask is not None:
-            return addr & mask
         return addr % self.words_per_line
 
     def line_base(self, line: int) -> int:
         """Word address of the first word of ``line``."""
-        shift = self.line_shift
-        if shift is not None:
-            return line << shift
         return line * self.words_per_line
 
     def words_of_line(self, line: int) -> range:
@@ -75,9 +46,6 @@ class AddressMap:
         Lines are interleaved across banks; with one bank per tile this is
         also the tile id used for mesh distance computations.
         """
-        mask = self.bank_mask
-        if mask is not None:
-            return line & mask
         return line % self.num_banks
 
     def home_bank_of_addr(self, addr: int) -> int:

@@ -32,6 +32,7 @@ from collections.abc import Callable, Sequence
 
 from repro.config import SystemConfig
 from repro.mem.address import AddressMap
+from repro.mem.regions import Region
 
 
 class MesiState(Enum):
@@ -186,12 +187,9 @@ class DeNovoL1:
     ) -> None:
         self.core_id = core_id
         self.amap = amap
-        # Inlined address math for the per-word hot paths: every standard
-        # geometry is power-of-two, so state/value lookups use shift/mask
-        # directly; ``line_shift is None`` falls back to the AddressMap
-        # methods (see repro.mem.address).
-        self._line_shift = amap.line_shift
-        self._off_mask = amap.offset_mask
+        # The per-word hot paths inline the AddressMap arithmetic
+        # (``addr // wpl``, ``addr % wpl``, ``line * wpl``).
+        self._wpl = amap.words_per_line
         self._dir = _SetAssocDirectory(config)
         # state_of/value_of run several times per memory operation, so
         # they index the directory's sets directly (one dict get instead
@@ -200,32 +198,23 @@ class DeNovoL1:
         self._dnsets = self._dir.num_sets
         self._on_evict_registered = on_evict_registered
         # region_id -> set of word addresses currently Valid, for O(1)
-        # selective self-invalidation.
-        self._valid_by_region: dict[int, set[int]] = {}
-        self._region_of_addr: Callable[[int], int | None] = lambda addr: None
-        # Optional live view of the allocator's addr -> Region dict; when
-        # installed, valid-word tracking reads it directly (one dict get)
-        # instead of making two calls per lookup.  The dict is mutated in
-        # place by the allocator, so the reference never goes stale.
-        self._region_map: dict | None = None
+        # selective self-invalidation (addresses outside every region
+        # live under None).
+        self._valid_by_region: dict[int | None, set[int]] = {}
+        # Live view of the allocator's addr -> Region dict (empty without
+        # an allocator).  The allocator mutates it in place, so the
+        # reference never goes stale.
+        self._region_map: dict[int, Region] = {}
 
-    def set_region_lookup(
-        self,
-        lookup: Callable[[int], int | None],
-        region_map: dict | None = None,
-    ) -> None:
-        """Install the allocator's address -> region-id mapping."""
-        self._region_of_addr = lookup
+    def set_region_lookup(self, region_map: dict[int, Region]) -> None:
+        """Install the allocator's address -> :class:`Region` mapping."""
         self._region_map = region_map
 
     # -- state queries ----------------------------------------------------
 
     def state_of(self, addr: int, touch: bool = True) -> DeNovoState:
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
@@ -243,11 +232,8 @@ class DeNovoL1:
         the word itself is absent.  (Stored values are ints, so None is
         unambiguous.)
         """
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
@@ -263,11 +249,8 @@ class DeNovoL1:
         The sync-access hit check: Valid does not count as a usable copy
         for synchronization reads.  Touch semantics as ``state_of``.
         """
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
@@ -284,11 +267,8 @@ class DeNovoL1:
         touched even when the word is not Registered, as ``state_of``
         would touch it.
         """
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
@@ -300,11 +280,8 @@ class DeNovoL1:
         return True
 
     def value_of(self, addr: int) -> int | None:
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         frame = self._dsets[line % self._dnsets].get(line)
         if frame is None:
             return None
@@ -324,8 +301,7 @@ class DeNovoL1:
         LRU order, so a fill that brings nothing changes nothing.  Each
         value is ``values.get(addr, 0)`` at fill time (the backing store).
         """
-        shift = self._line_shift
-        base = line << shift if shift is not None else self.amap.line_base(line)
+        base = line * self._wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
@@ -351,11 +327,8 @@ class DeNovoL1:
             off = addr - base
             states[off] = valid
             stored[off] = get(addr, 0)
-            if rmap is not None:
-                region = rmap.get(addr)
-                region_id = region.region_id if region is not None else None
-            else:
-                region_id = self._region_of_addr(addr)
+            region = rmap.get(addr)
+            region_id = region.region_id if region is not None else None
             bucket = by_region.get(region_id)
             if bucket is None:
                 bucket = by_region[region_id] = set()
@@ -366,11 +339,8 @@ class DeNovoL1:
         """Install ``addr`` with ``value`` in ``state`` (Valid or Registered)."""
         if state is DeNovoState.INVALID:
             raise ValueError("cannot fill a word in Invalid state")
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is not None:
@@ -387,31 +357,20 @@ class DeNovoL1:
         # over Registered/absent) takes neither branch and pays no region
         # lookup at all.
         if old is DeNovoState.VALID:
-            rmap = self._region_map
-            if rmap is not None:
-                region = rmap.get(addr)
-                region_id = region.region_id if region is not None else None
-            else:
-                region_id = self._region_of_addr(addr)
+            region = self._region_map.get(addr)
+            region_id = region.region_id if region is not None else None
             bucket = self._valid_by_region.get(region_id)
             if bucket is not None:
                 bucket.discard(addr)
         if state is DeNovoState.VALID:
-            rmap = self._region_map
-            if rmap is not None:
-                region = rmap.get(addr)
-                region_id = region.region_id if region is not None else None
-            else:
-                region_id = self._region_of_addr(addr)
+            region = self._region_map.get(addr)
+            region_id = region.region_id if region is not None else None
             self._valid_by_region.setdefault(region_id, set()).add(addr)
 
     def downgrade(self, addr: int, to: DeNovoState) -> None:
         """Registered -> Valid/Invalid (remote registration took ownership)."""
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         frame = self._dsets[line % self._dnsets].get(line)
         if frame is None:
             return
@@ -423,21 +382,14 @@ class DeNovoL1:
             frame.values.pop(off, None)
             return
         frame.states[off] = to
-        rmap = self._region_map
-        if rmap is not None:
-            region = rmap.get(addr)
-            region_id = region.region_id if region is not None else None
-        else:
-            region_id = self._region_of_addr(addr)
+        region = self._region_map.get(addr)
+        region_id = region.region_id if region is not None else None
         self._valid_by_region.setdefault(region_id, set()).add(addr)
 
     def invalidate_word(self, addr: int) -> None:
         """Drop one word regardless of state (no writeback)."""
-        shift = self._line_shift
-        if shift is not None:
-            line, off = addr >> shift, addr & self._off_mask
-        else:
-            line, off = self.amap.line_of(addr), self.amap.word_in_line(addr)
+        wpl = self._wpl
+        line, off = addr // wpl, addr % wpl
         frame = self._dsets[line % self._dnsets].get(line)
         if frame is None:
             return
@@ -456,18 +408,13 @@ class DeNovoL1:
         addrs = self._valid_by_region.pop(region_id, None)
         if not addrs:
             return 0
-        shift = self._line_shift
-        mask = self._off_mask
-        amap = self.amap
+        wpl = self._wpl
         sets = self._dsets
         nsets = self._dnsets
         valid = DeNovoState.VALID
         dropped = 0
         for addr in addrs:
-            if shift is not None:
-                line, off = addr >> shift, addr & mask
-            else:
-                line, off = amap.line_of(addr), amap.word_in_line(addr)
+            line, off = addr // wpl, addr % wpl
             frame = sets[line % nsets].get(line)
             if frame is None:
                 continue
@@ -491,12 +438,8 @@ class DeNovoL1:
     def _untrack_valid(self, addr: int, old_state: DeNovoState | None) -> None:
         if old_state is not DeNovoState.VALID:
             return
-        rmap = self._region_map
-        if rmap is not None:
-            region = rmap.get(addr)
-            region_id = region.region_id if region is not None else None
-        else:
-            region_id = self._region_of_addr(addr)
+        region = self._region_map.get(addr)
+        region_id = region.region_id if region is not None else None
         bucket = self._valid_by_region.get(region_id)
         if bucket is not None:
             bucket.discard(addr)

@@ -8,10 +8,9 @@ and contribute nothing.
 ``record`` runs once per protocol message, so the per-class counts are
 fixed-size int lists indexed by ``MessageClass.<member>.idx`` instead of
 ``Counter[MessageClass]`` (enum hashing is slow Python-level code).  Keys
-outside :class:`MessageClass` — say a protocol extension's private enum —
-land in a side table, which makes :meth:`breakdown` *total* by
-construction: every key ever recorded appears in it, and every
-``MessageClass`` member appears even at zero.
+are :class:`MessageClass` members only (anything else has no ``idx`` and
+raises ``AttributeError``), so :meth:`breakdown` lists every member, zero
+counts included.
 """
 
 from __future__ import annotations
@@ -24,65 +23,39 @@ for _i, _klass in enumerate(MessageClass):
 _NUM_CLASSES = len(MessageClass)
 
 
-def _label(klass) -> str:
-    """Figure-legend label for a recorded key (enum value or repr)."""
-    return str(getattr(klass, "value", klass))
-
-
 class TrafficLedger:
     """Accumulates flit-crossing counts, keyed by :class:`MessageClass`."""
 
-    __slots__ = ("_flits", "_messages", "_extra_flits", "_extra_messages")
+    __slots__ = ("_flits", "_messages")
 
     def __init__(self) -> None:
         self._flits: list[int] = [0] * _NUM_CLASSES
         self._messages: list[int] = [0] * _NUM_CLASSES
-        # Non-MessageClass keys (kept so breakdown() stays total).
-        self._extra_flits: dict = {}
-        self._extra_messages: dict = {}
 
     def record(self, klass: MessageClass, flits: int, hops: int) -> None:
         """Record one message of ``flits`` flits crossing ``hops`` links."""
         if flits < 0 or hops < 0:
             raise ValueError("flits and hops must be non-negative")
-        try:
-            idx = klass.idx
-        except AttributeError:
-            self._extra_flits[klass] = self._extra_flits.get(klass, 0) + flits * hops
-            self._extra_messages[klass] = self._extra_messages.get(klass, 0) + 1
-            return
+        idx = klass.idx
         self._flits[idx] += flits * hops
         self._messages[idx] += 1
 
     def flit_crossings(self, klass: MessageClass | None = None) -> int:
         """Total flit crossings, optionally restricted to one class."""
         if klass is None:
-            return sum(self._flits) + sum(self._extra_flits.values())
-        try:
-            return self._flits[klass.idx]
-        except AttributeError:
-            return self._extra_flits.get(klass, 0)
+            return sum(self._flits)
+        return self._flits[klass.idx]
 
     def message_count(self, klass: MessageClass | None = None) -> int:
         if klass is None:
-            return sum(self._messages) + sum(self._extra_messages.values())
-        try:
-            return self._messages[klass.idx]
-        except AttributeError:
-            return self._extra_messages.get(klass, 0)
+            return sum(self._messages)
+        return self._messages[klass.idx]
 
     def breakdown(self) -> dict[str, int]:
-        """Flit crossings by class label, as used in the figure legends.
-
-        Total over every recorded key: all :class:`MessageClass` members
-        (zero counts included) plus any foreign key ever passed to
-        :meth:`record`.
-        """
+        """Flit crossings by class label, as used in the figure legends
+        (every :class:`MessageClass` member, zero counts included)."""
         flits = self._flits
-        out = {klass.value: flits[klass.idx] for klass in MessageClass}
-        for klass, crossings in self._extra_flits.items():
-            out[_label(klass)] = out.get(_label(klass), 0) + crossings
-        return out
+        return {klass.value: flits[klass.idx] for klass in MessageClass}
 
     def merged_with(self, other: "TrafficLedger") -> "TrafficLedger":
         # Fixed-size arrays make the merge trivially total: every class
@@ -90,13 +63,4 @@ class TrafficLedger:
         merged = TrafficLedger()
         merged._flits = [a + b for a, b in zip(self._flits, other._flits)]
         merged._messages = [a + b for a, b in zip(self._messages, other._messages)]
-        for src in (self, other):
-            for klass, crossings in src._extra_flits.items():
-                merged._extra_flits[klass] = (
-                    merged._extra_flits.get(klass, 0) + crossings
-                )
-            for klass, count in src._extra_messages.items():
-                merged._extra_messages[klass] = (
-                    merged._extra_messages.get(klass, 0) + count
-                )
         return merged

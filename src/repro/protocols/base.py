@@ -119,9 +119,10 @@ class CoherenceProtocol(ABC):
         self._resident = self.memory._resident_lines
         self._l2_flat = self.mesh._l2_latency
         self._memlat_flat = self.mesh._memory_latency
-        self._line_shift = self.amap.line_shift
-        self._bank_mask = self.amap.bank_mask
-        self._pow2 = self._line_shift is not None and self._bank_mask is not None
+        # AddressMap arithmetic, inlined at every per-access site:
+        # line = addr // _wpl, offset = addr % _wpl, bank = line % _nbanks.
+        self._wpl = self.amap.words_per_line
+        self._nbanks = self.amap.num_banks
         self.now = 0  # kept current by the cores before each operation
         # Runtime invariant checking (repro.protocols.invariants): a period
         # of 0 disables it, 1 checks before every operation, N samples
@@ -310,16 +311,9 @@ class CoherenceProtocol(ABC):
     # -- traffic helpers --------------------------------------------------------
 
     def record_control(self, klass: MessageClass, src: int, dst: int) -> None:
-        # Ledger accounting is inlined (traffic.record is one call per
-        # protocol message); foreign keys fall back to the ledger, which
-        # keeps its side table and breakdown() totality.
-        try:
-            idx = klass.idx
-        except AttributeError:
-            self.traffic.record(
-                klass, _CONTROL_FLITS, self._hops_flat[src * self._ntiles + dst]
-            )
-            return
+        # Ledger accounting is inlined: traffic.record would be one more
+        # call per protocol message.
+        idx = klass.idx
         self._tflits[idx] += (
             _CONTROL_FLITS * self._hops_flat[src * self._ntiles + dst]
         )
@@ -331,13 +325,7 @@ class CoherenceProtocol(ABC):
         flits = _DATA_FLITS.get(payload_bytes)
         if flits is None:
             flits = _DATA_FLITS[payload_bytes] = data_flits(payload_bytes)
-        try:
-            idx = klass.idx
-        except AttributeError:
-            self.traffic.record(
-                klass, flits, self._hops_flat[src * self._ntiles + dst]
-            )
-            return
+        idx = klass.idx
         self._tflits[idx] += flits * self._hops_flat[src * self._ntiles + dst]
         self._tmsgs[idx] += 1
 
@@ -349,7 +337,7 @@ class CoherenceProtocol(ABC):
         Returns (latency, cold): cold misses pay the memory latency and the
         extra controller traffic is charged by the caller.
         """
-        bank = line & self._bank_mask if self._pow2 else self.amap.home_bank(line)
+        bank = line % self._nbanks
         resident = self._resident
         if line in resident:
             return self._l2_flat[core_id * self._ntiles + bank], False
@@ -364,9 +352,3 @@ class CoherenceProtocol(ABC):
         hops = self.mesh.hops(bank, controller)
         self.traffic.record(klass, _CONTROL_FLITS, hops)
         self.traffic.record(klass, _data_flits(self.config.line_bytes), hops)
-
-    def region_id_of(self, addr: int) -> int | None:
-        if self.allocator is None:
-            return None
-        region = self.allocator.region_of(addr)
-        return region.region_id if region is not None else None

@@ -23,6 +23,7 @@ reads; hardware backoff).
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 
 from repro.mem.l1 import DeNovoL1, DeNovoState
@@ -30,9 +31,6 @@ from repro.mem.regions import Region
 from repro.noc.messages import MessageClass, data_flits
 from repro.protocols.base import Access, CoherenceProtocol, _CONTROL_FLITS
 from repro.protocols.invariants import denovo_violations
-
-#: Cycles for the local flash self-invalidation instruction.
-SELF_INVALIDATE_LATENCY = 1
 
 
 class DeNovoBaseProtocol(CoherenceProtocol):
@@ -47,13 +45,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             for core in range(config.num_cores)
         ]
         if allocator is not None:
-            # The second argument hands the L1s a live view of the
-            # allocator's addr -> Region dict so per-word valid tracking
-            # skips the two-call lookup chain.
             for l1 in self.l1s:
-                l1.set_region_lookup(
-                    self.region_id_of, allocator._region_of_addr
-                )
+                l1.set_region_lookup(allocator._region_of_addr)
         # word address -> core id currently registered (absent: value at LLC)
         self.registry: dict[int, int] = {}
         # word address -> [(core_id, callback)] spin-waiters asleep on their
@@ -70,44 +63,49 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self._store_burst: list[dict[int, int]] = [
             {} for _ in range(config.num_cores)
         ]
-        # Hot-path constants and inlined address math (power-of-two
-        # geometries; ``None`` falls back to the AddressMap methods).
+        # Hot-path constants (the address math is bound in base.__init__).
         self._chain_link = config.tuning.chain_link_cost
         self._agg_window = config.tuning.store_aggregation_window
         self._l1_hit = config.l1_hit_latency
         self._word_bytes = config.word_bytes
-        self._line_shift = self.amap.line_shift
-        self._bank_mask = self.amap.bank_mask
-        self._pow2 = self._line_shift is not None and self._bank_mask is not None
         self._word_flits = data_flits(config.word_bytes)
         self._remote_by_leg = self.mesh._remote_by_leg
         # The subclass hooks default to no-ops (DeNovoSync0); binding
-        # None in that case lets the hot paths skip the empty call.
+        # None in that case lets the hot paths skip the empty call.  An
+        # override is bound as its plain function, called with ``self``:
+        # a bound method would make the protocol a reference cycle (see
+        # _make_evict_handler).
         cls = type(self)
         base = DeNovoBaseProtocol
         self._steal_hook = (
             None
             if cls.on_registration_stolen is base.on_registration_stolen
-            else self.on_registration_stolen
+            else cls.on_registration_stolen
         )
         self._sync_hit_hook = (
-            None if cls.on_sync_hit is base.on_sync_hit else self.on_sync_hit
+            None if cls.on_sync_hit is base.on_sync_hit else cls.on_sync_hit
         )
         self._release_hook = (
-            None if cls.on_release is base.on_release else self.on_release
+            None if cls.on_release is base.on_release else cls.on_release
         )
 
     def _make_evict_handler(self, core_id: int):
+        # The L1 holds this handler, so it reaches the protocol through a
+        # weak proxy: with no reference cycle, a dropped protocol (and its
+        # L1 frames) is freed at once instead of waiting for the cycle
+        # collector, which keeps peak memory independent of GC timing.
+        proto = weakref.proxy(self)
+
         def on_evict_registered(addr: int, value: int) -> None:
             # A replaced Registered word returns its registration (and value)
             # to the LLC: a word-granularity writeback.
-            if self.registry.get(addr) == core_id:
-                del self.registry[addr]
-            bank = self.amap.home_bank_of_addr(addr)
-            self.record_data(
-                MessageClass.WRITEBACK, core_id, bank, self.config.word_bytes
+            if proto.registry.get(addr) == core_id:
+                del proto.registry[addr]
+            bank = proto.amap.home_bank_of_addr(addr)
+            proto.record_data(
+                MessageClass.WRITEBACK, core_id, bank, proto.config.word_bytes
             )
-            self.counters.bump("writebacks")
+            proto.counters.bump("writebacks")
 
         return on_evict_registered
 
@@ -146,12 +144,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             return Access(value, self._l1_hit, hit=True)
 
         self._counts["l1_misses"] += 1
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         owner = self.registry.get(addr)
         self.record_control(MessageClass.LOAD, core_id, bank)
 
@@ -237,12 +231,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self._mem_values[addr] = value
         return Access(old, self._l1_hit, hit=False)
 
-    @property
-    def STORE_AGGREGATION_WINDOW(self) -> int:
-        """Cycles within which data stores to one line combine into a single
-        registration message (the L1 store buffer's per-line word mask)."""
-        return self.config.tuning.store_aggregation_window
-
     def _store_aggregates(self, core_id: int, addr: int) -> bool:
         """True when this data-store registration can ride along a recent
         registration message for the same line (no remote owner involved).
@@ -256,8 +244,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         owner = self.registry.get(addr)
         if owner is not None and owner != core_id:
             return False
-        shift = self._line_shift
-        line = addr >> shift if shift is not None else self.amap.line_of(addr)
+        line = addr // self._wpl
         window = self._store_burst[core_id]
         last = window.get(line)
         window[line] = self.now
@@ -283,12 +270,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         ``carry_data_back`` adds a word of payload on the response (sync
         reads need the value; writes overwrite it anyway).
         """
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         prev = self.registry.get(addr)
         # Traffic recording is inlined with locals bound once: a
         # registration sends two or three messages and this is the
@@ -327,7 +310,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self.l1s[prev].downgrade(addr, target)
             hook = self._steal_hook
             if hook is not None:
-                hook(prev, addr, not invalidate_prev)
+                hook(self, prev, addr, not invalidate_prev)
             cold = False
         else:
             transfer, cold = self.llc_fetch_latency(core_id, line)

@@ -65,7 +65,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             counts["sync_read_hits"] += 1
             hook = self._sync_hit_hook
             if hook is not None:
-                hook(core_id, addr)
+                hook(self, core_id, addr)
             return Access(value, self._l1_hit, hit=True)
 
         counts["l1_misses"] += 1
@@ -97,7 +97,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             if release:
                 hook = self._release_hook
                 if hook is not None:
-                    hook(core_id, addr)
+                    hook(self, core_id, addr)
             return Access(old, self._l1_hit, hit=True)
 
         self._counts["l1_misses"] += 1
@@ -109,7 +109,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if release:
             hook = self._release_hook
             if hook is not None:
-                hook(core_id, addr)
+                hook(self, core_id, addr)
         return Access(old, latency, hit=False)
 
     # -- RMWs ---------------------------------------------------------------------
@@ -130,7 +130,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             hit = True
             hook = self._sync_hit_hook
             if hook is not None:
-                hook(core_id, addr)
+                hook(self, core_id, addr)
         else:
             self._counts["l1_misses"] += 1
             latency, _ = self._register(
@@ -150,7 +150,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if release:
             hook = self._release_hook
             if hook is not None:
-                hook(core_id, addr)
+                hook(self, core_id, addr)
         if acquire:
             self.on_acquire(core_id, addr)
         self._counts["rmws"] += 1

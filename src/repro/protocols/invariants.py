@@ -1,11 +1,12 @@
-"""Runtime coherence invariant checker.
+"""Coherence invariant checker: the one definition of each invariant.
 
-:mod:`repro.verify.checker` audits protocol state at quiescent points
-(exhaustive small-scope exploration, final-state tests).  This module is
-the *in-flight* version: protocols call :func:`verify` from
-:meth:`~repro.protocols.base.CoherenceProtocol.set_time` — i.e. just
-before every operation commits, when all state is architecturally settled
-— at a rate chosen by ``SystemConfig.invariant_level``:
+Every protocol's ``invariant_violations`` returns one of the lists below,
+and every audit goes through it: the exhaustive explorer
+(:mod:`repro.verify.checker`) after each step, the chaos sweep and the
+final-state tests at quiescent points, and the runtime check in
+:meth:`~repro.protocols.base.CoherenceProtocol.set_time` — just before
+every operation commits, when all state is architecturally settled — at
+a rate chosen by ``SystemConfig.invariant_level``:
 
 * ``off``      — never (the default; zero hot-path cost beyond one branch),
 * ``sampled``  — every ``invariant_sample_period``-th operation,

@@ -63,15 +63,11 @@ class MesiProtocol(CoherenceProtocol):
         # line -> list of (core_id, callback) waiting for their copy to die
         self._waiters: dict[int, list[tuple[int, Callable[[int], None]]]] = {}
         # Hot-path constants and tables, bound once (see base.__init__):
-        # per-operation code inlines the config lookups and, for the
-        # standard power-of-two geometries, the line/bank address math.
+        # per-operation code inlines the config lookups.
         self._l1_hit = config.l1_hit_latency
         self._line_bytes = config.line_bytes
         self._own_occ = config.tuning.ownership_occupancy
         self._bank_occ = config.tuning.bank_occupancy
-        self._line_shift = self.amap.line_shift
-        self._bank_mask = self.amap.bank_mask
-        self._pow2 = self._line_shift is not None and self._bank_mask is not None
         self._l2_flat = self.mesh._l2_latency
 
     # -- helpers ----------------------------------------------------------
@@ -163,10 +159,7 @@ class MesiProtocol(CoherenceProtocol):
         ticketed: bool = False,
         acquire: bool = False,
     ) -> Access:
-        if self._pow2:
-            line = addr >> self._line_shift
-        else:
-            line = self.amap.line_of(addr)
+        line = addr // self._wpl
         state = self.l1s[core_id].state_of(line)
         if state is not None:
             self._counts["l1_hits"] += 1
@@ -174,7 +167,7 @@ class MesiProtocol(CoherenceProtocol):
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
-        bank = line & self._bank_mask if self._pow2 else self.amap.home_bank(line)
+        bank = line % self._nbanks
         retry = self._reserve_or_retry(entry, core_id, bank, ticketed)
         if retry is not None:
             return retry
@@ -272,10 +265,7 @@ class MesiProtocol(CoherenceProtocol):
 
     def _obtain_modified(self, core_id: int, addr: int, ticketed: bool = False) -> Access:
         """Bring ``addr``'s line to Modified (the Access value is unset)."""
-        if self._pow2:
-            line = addr >> self._line_shift
-        else:
-            line = self.amap.line_of(addr)
+        line = addr // self._wpl
         l1 = self.l1s[core_id]
         state = l1.state_of(line)
         if state is MesiState.MODIFIED:
@@ -289,7 +279,7 @@ class MesiProtocol(CoherenceProtocol):
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
-        bank = line & self._bank_mask if self._pow2 else self.amap.home_bank(line)
+        bank = line % self._nbanks
         retry = self._reserve_or_retry(entry, core_id, bank, ticketed)
         if retry is not None:
             return retry

@@ -33,6 +33,7 @@ per-line dirty bits.  Replacement of a dirty word writes it back (the
 
 from __future__ import annotations
 
+import weakref
 from collections.abc import Callable
 
 from repro.mem.l1 import DeNovoL1, DeNovoState
@@ -75,9 +76,7 @@ class NeatProtocol(CoherenceProtocol):
         ]
         if allocator is not None:
             for l1 in self.l1s:
-                l1.set_region_lookup(
-                    self.region_id_of, allocator._region_of_addr
-                )
+                l1.set_region_lookup(allocator._region_of_addr)
         #: Per-core set of dirty word addresses (held Registered in the
         #: L1) awaiting their self-downgrade writeback.
         self._dirty: list[set[int]] = [set() for _ in range(config.num_cores)]
@@ -86,15 +85,18 @@ class NeatProtocol(CoherenceProtocol):
         self._flush_line_cost = config.tuning.neat_flush_line_cost
 
     def _make_evict_handler(self, core_id: int):
+        # A weak proxy, as in DeNovoBaseProtocol: no reference cycle.
+        proto = weakref.proxy(self)
+
         def on_evict_registered(addr: int, value: int) -> None:
             # Replacement of a dirty word: write it back now instead of
             # at the next release (ordinary write-back cache behaviour).
-            self._dirty[core_id].discard(addr)
-            bank = self.amap.home_bank_of_addr(addr)
-            self.record_data(
-                MessageClass.WRITEBACK, core_id, bank, self._word_bytes
+            proto._dirty[core_id].discard(addr)
+            bank = proto.amap.home_bank_of_addr(addr)
+            proto.record_data(
+                MessageClass.WRITEBACK, core_id, bank, proto._word_bytes
             )
-            self.counters.bump("writebacks")
+            proto.counters.bump("writebacks")
 
         return on_evict_registered
 
@@ -124,12 +126,8 @@ class NeatProtocol(CoherenceProtocol):
         # only diverge from it until their release, and reading them
         # before that release is a data race Si/Sd does not order).
         self._counts["l1_misses"] += 1
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
             self.record_memory_fill(MessageClass.LOAD, line)
@@ -185,12 +183,8 @@ class NeatProtocol(CoherenceProtocol):
             self._dirty[core_id].discard(addr)
             l1.invalidate_word(addr)
         self._counts["l1_misses"] += 1
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
             self.record_memory_fill(MessageClass.SYNCH, line)
@@ -211,12 +205,8 @@ class NeatProtocol(CoherenceProtocol):
         which is precisely the quiescent-until-signaled contract of
         :meth:`~repro.protocols.base.CoherenceProtocol.spin_poll_lease`.
         """
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         if line not in self._resident:
             # The next poll would be a cold miss (can only happen if no
             # probe ran yet); let the full probes handle it.
@@ -258,18 +248,14 @@ class NeatProtocol(CoherenceProtocol):
         if not dirty:
             return 0
         l1 = self.l1s[core_id]
-        shift = self._line_shift
+        wpl = self._wpl
         by_line: dict[int, int] = {}
         for addr in sorted(dirty):
-            line = addr >> shift if shift is not None else self.amap.line_of(addr)
+            line = addr // wpl
             by_line[line] = by_line.get(line, 0) + 1
             l1.downgrade(addr, DeNovoState.VALID)
         for line, nwords in by_line.items():
-            bank = (
-                line & self._bank_mask
-                if self._pow2
-                else self.amap.home_bank(line)
-            )
+            bank = line % self._nbanks
             self.record_data(
                 MessageClass.WRITEBACK, core_id, bank,
                 self._word_bytes * nwords,

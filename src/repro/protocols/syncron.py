@@ -83,12 +83,8 @@ class SynCronProtocol(DeNovoBaseProtocol):
         """Execute one sync op at ``addr``'s home-bank sync unit; returns
         its latency.  The architectural value itself is read/written by
         the caller through ``_mem_values``."""
-        if self._pow2:
-            line = addr >> self._line_shift
-            bank = line & self._bank_mask
-        else:
-            line = self.amap.line_of(addr)
-            bank = self.amap.home_bank(line)
+        line = addr // self._wpl
+        bank = line % self._nbanks
         counts = self._counts
         counts["l1_misses"] += 1
         counts["sync_unit_ops"] += 1

@@ -55,6 +55,12 @@ from repro.workloads.base import KernelSpec
 #: the worker on every attempt (a deterministically poisoned cell).
 POISON_KERNEL = "chaos-no-such-kernel"
 
+#: Kernel scale of a slow cell per second of ``cell_deadline``.  One
+#: scale unit of 16-core MESI tatas/counter simulates for about 0.7 s on
+#: a 2-vCPU Xeon, so the cell would run ~14x past its deadline; the
+#: supervisor kills it at the deadline, so the margin costs no wall time.
+SLOW_SCALE_PER_DEADLINE_SECOND = 20.0
+
 
 @dataclass(frozen=True)
 class ChaosConfig:
@@ -74,14 +80,20 @@ class ChaosConfig:
     seed: int = 1
     #: cells that raise in the worker on every attempt (retry path).
     poison_cells: int = 1
-    #: cells that overrun the deadline (deadline + recycle path).
+    #: cells that overrun the deadline (deadline + recycle path); their
+    #: size follows from ``cell_deadline``.
     slow_cells: int = 1
-    slow_scale: float = 8.0
     cell_deadline: float = 5.0
     max_retries: int = 3
     wait_timeout: float = 240.0
     #: result-cache directory; None uses a throwaway temp dir (cold cache).
     cache_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if self.slow_cells > 0 and self.cell_deadline <= 0:
+            raise ValueError(
+                f"slow cells need a positive cell_deadline, got {self.cell_deadline}"
+            )
 
 
 @dataclass
@@ -155,9 +167,10 @@ def healthy_specs(config: ChaosConfig) -> list[RunSpec]:
 
 def slow_specs(config: ChaosConfig) -> list[RunSpec]:
     system = config_for_cores(config.cores)
+    scale = config.cell_deadline * SLOW_SCALE_PER_DEADLINE_SECOND
     return [
         RunSpec(
-            kernel_cell("tatas", "counter", KernelSpec(scale=config.slow_scale)),
+            kernel_cell("tatas", "counter", KernelSpec(scale=scale)),
             "MESI", system, seed=config.seed + 9000 + i,
         )
         for i in range(config.slow_cells)

@@ -135,27 +135,6 @@ class Simulator:
             self._dead -= 1
         return heap[0] if heap else None
 
-    def step(self) -> bool:
-        """Fire the next pending event; return False when the queue is empty."""
-        entry = self._head()
-        if entry is None:
-            return False
-        heappop(self._heap)
-        if entry[0] != self.now:
-            self.now = entry[0]
-            self._epochs += 1
-        callback, arg, entry[2] = entry[2], entry[3], None
-        try:
-            if arg is _NO_ARG:
-                callback()
-            else:
-                callback(arg)
-        except Exception as exc:
-            exc.add_note(_note(entry))
-            raise
-        self._fired += 1
-        return True
-
     def run(self, until: int | None = None, max_events: int | None = None) -> int:
         """Run events until the queue drains (or limits hit); return event count.
 

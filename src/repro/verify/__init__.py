@@ -6,15 +6,14 @@ atomicity, write serialization, program order).  This package checks them
 the brute-force way: enumerate *every* interleaving of small per-core
 operation sequences, drive the protocol through each, and verify that
 all synchronization accesses observe the latest committed write and that
-the structural invariants (single writer, single registered reader,
-exclusive-owner uniqueness) hold after every step.
+the protocol's coherence invariants (:mod:`repro.protocols.invariants`)
+hold after every step.
 """
 
 from repro.verify.checker import (
     CheckFailure,
     Op,
     VerificationReport,
-    check_protocol_state,
     data_store,
     explore_protocol,
     rmw_inc,
@@ -26,7 +25,6 @@ __all__ = [
     "CheckFailure",
     "Op",
     "VerificationReport",
-    "check_protocol_state",
     "data_store",
     "explore_protocol",
     "rmw_inc",

@@ -11,12 +11,9 @@ completely.  For each interleaving the checker:
   value (write propagation + atomicity + serialization against a shadow
   memory — the section 4 conditions, which non-overlapped ops reduce to
   "reads see the newest write");
-* verifies the structural invariants after every operation:
-  - DeNovo: a word's registry owner (and only it) holds the word
-    Registered, with the up-to-date value (single writer / single
-    registered reader);
-  - MESI: a line with an exclusive owner is cached by that core alone,
-    and every Shared holder is known to the directory.
+* verifies the coherence invariants after every operation through the
+  protocol's ``invariant_violations`` (the checks defined in
+  :mod:`repro.protocols.invariants`), recording the first message.
 """
 
 from __future__ import annotations
@@ -26,11 +23,7 @@ from itertools import permutations
 from collections.abc import Iterable
 
 from repro.config import SystemConfig, config_for_cores
-from repro.mem.l1 import DeNovoState, MesiState
 from repro.protocols import make_protocol
-from repro.protocols.denovo_base import DeNovoBaseProtocol
-from repro.protocols.mesi import MesiProtocol
-from repro.protocols.neat import NeatProtocol
 
 #: Spacing between operations: beyond any transfer latency, so the
 #: atomic-at-issue model has no in-flight overlap to reason about.
@@ -137,9 +130,11 @@ def explore_protocol(
             if failure is not None:
                 report.failures.append(failure)
                 break
-            failure = _check_invariants(protocol, shadow, core, op, interleaving, step)
-            if failure is not None:
-                report.failures.append(failure)
+            violations = protocol.invariant_violations()
+            if violations:
+                report.failures.append(
+                    CheckFailure(interleaving, step, op, core, violations[0])
+                )
                 break
     return report
 
@@ -181,164 +176,4 @@ def _apply_and_check(protocol, shadow, core, op, interleaving, step):
             f"backing store holds {memory_value}, shadow says "
             f"{shadow.get(op.addr, 0)}"
         )
-    return None
-
-
-def check_protocol_state(protocol) -> list[str]:
-    """Structural-invariant audit of a protocol instance's current state.
-
-    Usable on any protocol at any quiescent point — tests run it on the
-    final state of full kernel/application executions.  Returns a list of
-    violation messages (empty = consistent).
-
-    * DeNovo: every registered word is held Registered by exactly its
-      registry owner, with the up-to-date value.
-    * MESI: an exclusive-owner line is cached only by its owner (in E/M);
-      every holder of a line is known to the directory.
-    * Neat: every dirty (Registered) word is in its core's dirty set and
-      matches the backing store; every dirty-set entry is held dirty.
-    """
-    failures = []
-
-    def fail(message):
-        failures.append(message)
-
-    inner = protocol
-    while hasattr(inner, "inner"):  # unwrap TracingProtocol / FaultInjector
-        inner = inner.inner
-    if isinstance(inner, DeNovoBaseProtocol):
-        for addr, owner in inner.registry.items():
-            for core_id, l1 in enumerate(inner.l1s):
-                state = l1.state_of(addr, touch=False)
-                if core_id == owner:
-                    if state is not DeNovoState.REGISTERED:
-                        fail(
-                            f"registry owner {owner} of word {addr} holds "
-                            f"state {state}"
-                        )
-                    elif l1.value_of(addr) != inner.memory.read(addr):
-                        fail(f"registered copy of word {addr} is stale")
-                elif state is DeNovoState.REGISTERED:
-                    fail(
-                        f"word {addr} registered at both {owner} and {core_id}"
-                    )
-    elif isinstance(inner, NeatProtocol):
-        for core_id, l1 in enumerate(inner.l1s):
-            dirty = inner._dirty[core_id]
-            for addr, state in l1.words_and_states():
-                if state is not DeNovoState.REGISTERED:
-                    continue
-                if addr not in dirty:
-                    fail(
-                        f"word {addr}: dirty at core {core_id} but missing "
-                        f"from its dirty set"
-                    )
-                elif l1.value_of(addr) != inner.memory.read(addr):
-                    fail(f"dirty copy of word {addr} at core {core_id} is stale")
-            for addr in dirty:
-                if l1.state_of(addr, touch=False) is not DeNovoState.REGISTERED:
-                    fail(
-                        f"word {addr}: in core {core_id}'s dirty set but "
-                        f"not held dirty"
-                    )
-    elif isinstance(inner, MesiProtocol):
-        for line, entry in inner._directory.items():
-            holders = {
-                core_id
-                for core_id, l1 in enumerate(inner.l1s)
-                if l1.state_of(line, touch=False) is not None
-            }
-            if entry.exclusive_owner is not None:
-                owner_state = inner.l1s[entry.exclusive_owner].state_of(
-                    line, touch=False
-                )
-                if owner_state not in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
-                    fail(
-                        f"line {line}: owner {entry.exclusive_owner} in "
-                        f"{owner_state}"
-                    )
-                if holders - {entry.exclusive_owner}:
-                    fail(f"line {line}: owner plus other holders {holders}")
-            elif holders - entry.sharers:
-                fail(
-                    f"line {line}: holders {holders - entry.sharers} unknown "
-                    f"to the directory"
-                )
-    return failures
-
-
-def _check_invariants(protocol, shadow, core, op, interleaving, step):
-    def fail(message):
-        return CheckFailure(interleaving, step, op, core, message)
-
-    if isinstance(protocol, DeNovoBaseProtocol):
-        for addr, owner in protocol.registry.items():
-            for core_id, l1 in enumerate(protocol.l1s):
-                state = l1.state_of(addr, touch=False)
-                if core_id == owner:
-                    if state is not DeNovoState.REGISTERED:
-                        return fail(
-                            f"registry says core {owner} owns word {addr} "
-                            f"but its L1 state is {state}"
-                        )
-                    if l1.value_of(addr) != protocol.memory.read(addr):
-                        return fail(
-                            f"registered copy of word {addr} at core "
-                            f"{owner} is stale"
-                        )
-                elif state is DeNovoState.REGISTERED:
-                    return fail(
-                        f"two registered copies of word {addr}: cores "
-                        f"{owner} and {core_id}"
-                    )
-    elif isinstance(protocol, NeatProtocol):
-        for core_id, l1 in enumerate(protocol.l1s):
-            dirty = protocol._dirty[core_id]
-            for addr, state in l1.words_and_states():
-                if state is not DeNovoState.REGISTERED:
-                    continue
-                if addr not in dirty:
-                    return fail(
-                        f"word {addr}: dirty at core {core_id} but missing "
-                        f"from its dirty set"
-                    )
-                if l1.value_of(addr) != protocol.memory.read(addr):
-                    return fail(
-                        f"dirty copy of word {addr} at core {core_id} is "
-                        f"stale"
-                    )
-            for addr in dirty:
-                if l1.state_of(addr, touch=False) is not DeNovoState.REGISTERED:
-                    return fail(
-                        f"word {addr}: in core {core_id}'s dirty set but "
-                        f"not held dirty in its L1"
-                    )
-    elif isinstance(protocol, MesiProtocol):
-        for line, entry in protocol._directory.items():
-            holders = {
-                core_id
-                for core_id, l1 in enumerate(protocol.l1s)
-                if l1.state_of(line, touch=False) is not None
-            }
-            if entry.exclusive_owner is not None:
-                owner_state = protocol.l1s[entry.exclusive_owner].state_of(
-                    line, touch=False
-                )
-                if owner_state not in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
-                    return fail(
-                        f"line {line}: directory owner "
-                        f"{entry.exclusive_owner} holds state {owner_state}"
-                    )
-                if holders - {entry.exclusive_owner}:
-                    return fail(
-                        f"line {line} has an exclusive owner and other "
-                        f"holders {holders}"
-                    )
-            else:
-                unknown = holders - entry.sharers
-                if unknown:
-                    return fail(
-                        f"line {line}: cores {unknown} hold copies the "
-                        f"directory does not know about"
-                    )
     return None

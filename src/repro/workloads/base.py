@@ -90,6 +90,10 @@ class KernelWorkload(Workload):
     thread).  The driver adds the dummy compute and the end barrier.
     """
 
+    #: Pad synchronization variables to their own cache line; the
+    #: lock-padding ablation builds with False.
+    padded = True
+
     def __init__(self, spec: KernelSpec | None = None):
         self.spec = spec or KernelSpec()
 
@@ -107,7 +111,7 @@ class KernelWorkload(Workload):
         from repro.mem.address import AddressMap
         from repro.synclib.barriers import TreeBarrier
 
-        allocator = RegionAllocator(AddressMap(config))
+        allocator = RegionAllocator(AddressMap(config), pad_sync_vars=self.padded)
         initial = dict(self.setup(config, allocator))
         end_barrier = TreeBarrier(allocator, config.num_cores, name="__end_barrier")
         window = non_synch_range(config, self.spec.unbalanced)

@@ -48,14 +48,13 @@ class TestPaddingAblation:
             assert 0.9 < ratio < 1.1
 
     def test_padding_policy_actually_changes_layout(self):
-        """The unpadded wrapper really co-locates sync variables."""
+        """An unpadded kernel cell really co-locates sync variables."""
         from repro.config import config_16
-        from repro.harness.parallel import unpadded
+        from repro.harness.parallel import kernel_cell, materialize_workload
         from repro.workloads.base import KernelSpec
-        from repro.workloads.registry import make_kernel
 
-        workload = unpadded(
-            make_kernel("tatas", "counter", spec=KernelSpec(scale=0.02))
+        workload = materialize_workload(
+            kernel_cell("tatas", "counter", KernelSpec(scale=0.02), padded=False)
         )
         instance = workload.build(config_16(), seed=1)
         amap = instance.allocator.amap
@@ -69,12 +68,3 @@ class TestPaddingAblation:
             if a is not lock_alloc
         ]
         assert amap.line_of(lock_alloc.base) in all_lines
-
-    def test_padding_restored_after_ablation(self):
-        """The monkeypatched allocator policy must not leak."""
-        from repro.mem.address import AddressMap
-        from repro.mem.regions import RegionAllocator
-        from repro.config import config_16
-
-        allocator = RegionAllocator(AddressMap(config_16()))
-        assert allocator.pad_sync_vars is True

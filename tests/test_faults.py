@@ -108,9 +108,7 @@ class TestFaultInjector:
             keep_protocol=True,
         )
         assert len(result.meta["trace"]) > 0
-        from repro.verify.checker import check_protocol_state
-
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []
 
 
 class TestDiffMemory:

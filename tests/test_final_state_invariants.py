@@ -2,15 +2,16 @@
 
 The exhaustive verifier covers tiny scopes; these tests run *real*
 kernels and applications to completion and then audit the protocol's
-entire cache/directory/registry state for consistency.
+entire cache/directory/registry state for consistency through its
+``invariant_violations`` (the checks of :mod:`repro.protocols.invariants`).
 """
 
 import pytest
 
 from repro.config import config_16
 from repro.harness.runner import run_workload
+from repro.mem.l1 import DeNovoState
 from repro.protocols import PROTOCOLS
-from repro.verify import check_protocol_state
 from repro.workloads.base import KernelSpec
 from repro.workloads.micro import FalseSharingMicro
 from repro.workloads.registry import make_kernel
@@ -33,8 +34,7 @@ class TestKernelFinalState:
         result = run_workload(
             workload, protocol, config_16(), seed=11, keep_protocol=True
         )
-        failures = check_protocol_state(result.meta["protocol"])
-        assert failures == []
+        assert result.meta["protocol"].invariant_violations() == []
 
 
 @pytest.mark.parametrize("protocol", list(PROTOCOLS))
@@ -49,26 +49,28 @@ class TestAppAndMicroFinalState:
             seed=11,
             keep_protocol=True,
         )
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []
 
     def test_false_sharing_micro_state_consistent(self, protocol):
         result = run_workload(
             FalseSharingMicro(rounds=8), protocol, config_16(), seed=11,
             keep_protocol=True,
         )
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []
 
 
 class TestAuditCatchesCorruption:
     def test_denovo_double_registration_detected(self):
-        from repro.mem.l1 import DeNovoState
         from repro.protocols.denovosync0 import DeNovoSync0Protocol
 
         protocol = DeNovoSync0Protocol(config_16())
         protocol.store(0, 100, 1)
         # Corrupt: a second L1 claims Registered without the registry.
         protocol.l1s[1].fill_word(100, 1, DeNovoState.REGISTERED)
-        assert any("registered at both" in f for f in check_protocol_state(protocol))
+        assert any(
+            "holds a Registered copy but the registry points at" in f
+            for f in protocol.invariant_violations()
+        )
 
     def test_mesi_unknown_holder_detected(self):
         from repro.mem.l1 import MesiState
@@ -78,5 +80,30 @@ class TestAuditCatchesCorruption:
         protocol.load(0, 100)
         # Corrupt: a copy the directory never granted.
         protocol.l1s[3].insert(protocol.amap.line_of(100), MesiState.SHARED)
-        failures = check_protocol_state(protocol)
-        assert any("holders" in f or "unknown" in f for f in failures)
+        failures = protocol.invariant_violations()
+        assert any("coexists with copies at cores [3]" in f for f in failures)
+
+    @pytest.mark.parametrize("protocol", ["DeNovoSync", "Neat"])
+    def test_valid_word_missing_from_region_tracking_detected(self, protocol):
+        """A Valid word its L1 no longer tracks would escape every
+        self-invalidation of its region."""
+        from repro.workloads.apps import make_app
+
+        result = run_workload(
+            make_app("LU", scale=0.02), protocol, config_16(), seed=11,
+            keep_protocol=True,
+        )
+        state = result.meta["protocol"]
+        assert state.invariant_violations() == []
+        core, l1, addr = next(
+            (core, l1, addr)
+            for core, l1 in enumerate(state.l1s)
+            for addr, st in l1.words_and_states()
+            if st is DeNovoState.VALID
+        )
+        for bucket in l1._valid_by_region.values():
+            bucket.discard(addr)
+        assert state.invariant_violations() == [
+            f"word {addr}: Valid at core {core} but missing from its "
+            f"self-invalidation region tracking"
+        ]

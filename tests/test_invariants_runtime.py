@@ -13,7 +13,6 @@ from repro.harness.runner import run_workload
 from repro.mem.l1 import DeNovoState, MesiState
 from repro.protocols import make_protocol
 from repro.protocols.invariants import InvariantViolation, verify
-from repro.verify.checker import check_protocol_state
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -177,4 +176,4 @@ class TestFullCheckingOnKernels:
             workload, protocol_name, config, seed=1, keep_protocol=True
         )
         assert result.cycles > 0
-        assert check_protocol_state(result.meta["protocol"]) == []
+        assert result.meta["protocol"].invariant_violations() == []

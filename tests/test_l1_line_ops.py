@@ -14,7 +14,8 @@ one with the line operations and one with the reference, and after every
 step compares what either could observe: word states and values, per-set
 LRU order, the region-indexed Valid tracking, the eviction callbacks
 (arguments and order), the returned counts, and the protocol's registry,
-backing store, counters and traffic.
+backing store, counters and traffic.  Each case runs on a 4-core machine
+and on a 9-core one, whose 9 LLC banks are not a power of two.
 """
 
 from __future__ import annotations
@@ -32,8 +33,10 @@ from repro.protocols import make_protocol
 from repro.protocols.denovo_base import DeNovoBaseProtocol
 from repro.protocols.registry import protocol_names
 
-CORES = 4
-_BUILT = {name: make_protocol(name, config_for_cores(CORES)) for name in protocol_names()}
+#: Random streams drive cores 0-3 on either machine size, so the same
+#: seed replays the same operations and replacement stays frequent.
+STREAM_CORES = 4
+_BUILT = {name: make_protocol(name, config_for_cores(4)) for name in protocol_names()}
 #: Every registry protocol whose L1s are DeNovoL1s ...
 DENOVO_L1_PROTOCOLS = [n for n, p in _BUILT.items() if isinstance(p.l1s[0], DeNovoL1)]
 #: ... and those of them that keep a DeNovo registry.
@@ -91,8 +94,8 @@ def per_word_fill_line_valid_words(self, core_id, line, from_owner):
 class Machine:
     """One protocol over a small address pool whose lines crowd two sets."""
 
-    def __init__(self, protocol: str, reference: bool) -> None:
-        config = config_for_cores(CORES)
+    def __init__(self, protocol: str, reference: bool, cores: int) -> None:
+        config = config_for_cores(cores)
         amap = AddressMap(config)
         allocator = RegionAllocator(amap)
         self.words = config.words_per_line
@@ -155,8 +158,11 @@ class Machine:
         )
 
 
-def twins(protocol: str) -> tuple[Machine, Machine]:
-    return Machine(protocol, reference=False), Machine(protocol, reference=True)
+def twins(protocol: str, cores: int) -> tuple[Machine, Machine]:
+    return (
+        Machine(protocol, reference=False, cores=cores),
+        Machine(protocol, reference=True, cores=cores),
+    )
 
 
 def _random_op(rng: random.Random, machine: Machine):
@@ -165,12 +171,12 @@ def _random_op(rng: random.Random, machine: Machine):
         ("load", "store", "sync", "fill", "selfinv", "selfinv_all"),
         weights=(6, 4, 1, 3, 2, 1),
     )[0]
-    core = rng.randrange(CORES)
+    core = rng.randrange(STREAM_CORES)
     line = rng.choice(machine.lines)
     addr = line * machine.words + rng.randrange(machine.words)
     if kind == "fill":
         # Owners include cores that registered nothing in the line.
-        return kind, core, line, rng.choice((None, None, *range(CORES)))
+        return kind, core, line, rng.choice((None, None, *range(STREAM_CORES)))
     if kind == "selfinv":
         return kind, core, rng.randrange(len(machine.regions)), None
     return kind, core, addr, rng.randrange(1, 1000)
@@ -196,21 +202,19 @@ def _apply(machine: Machine, op, now: int):
     return proto.self_invalidate(core, [], flush_all=True)
 
 
-@pytest.fixture(params=["pow2", "generic"])
-def geometry(request, monkeypatch):
-    """Power-of-two shift/mask paths, or the generic AddressMap fallback."""
-    if request.param == "generic":
-        monkeypatch.setattr("repro.mem.address._shift_for", lambda value: None)
+@pytest.fixture(params=[4, 9], ids=["pow2", "generic"])
+def cores(request):
+    """Machine size: 4 LLC banks (a power of two) or 9 (not one)."""
     return request.param
 
 
 @pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
 @pytest.mark.parametrize("seed", range(3))
-def test_random_streams_match_per_word_reference(protocol, seed, geometry):
+def test_random_streams_match_per_word_reference(protocol, seed, cores):
     """Seeded loads, stores, sync reads, direct LLC and remote-owner fills
     and self-invalidations over lines that overflow their sets."""
-    new, ref = twins(protocol)
-    assert (new.protocol._line_shift is None) == (geometry == "generic")
+    new, ref = twins(protocol, cores)
+    assert new.protocol.amap.num_banks == cores
     assert new.snapshot() == ref.snapshot()
     rng = random.Random(seed)
     now = 0
@@ -227,8 +231,8 @@ def test_random_streams_match_per_word_reference(protocol, seed, geometry):
 
 
 @pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
-def test_full_set_evicts_a_line_holding_registered_words(protocol, geometry):
-    new, ref = twins(protocol)
+def test_full_set_evicts_a_line_holding_registered_words(protocol, cores):
+    new, ref = twins(protocol, cores)
     words = new.words
     lines = new.lines[: new.protocol.config.l1_assoc + 1]
     for machine in (new, ref):
@@ -252,8 +256,8 @@ def test_full_set_evicts_a_line_holding_registered_words(protocol, geometry):
 
 
 @pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
-def test_a_line_where_nothing_fills_changes_nothing(protocol, geometry):
-    new, ref = twins(protocol)
+def test_a_line_where_nothing_fills_changes_nothing(protocol, cores):
+    new, ref = twins(protocol, cores)
     words = new.words
     assoc = new.protocol.config.l1_assoc
     full, fresh = new.lines[:assoc], new.lines[assoc]
@@ -294,11 +298,11 @@ def test_a_line_where_nothing_fills_changes_nothing(protocol, geometry):
 
 
 @pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
-def test_self_invalidation_matches_per_word_reference(protocol, geometry):
+def test_self_invalidation_matches_per_word_reference(protocol, cores):
     """Valid, Registered and downgraded words across three regions and
     the no-region bucket, plus stale tracking entries; every region, then
     the whole cache."""
-    new, ref = twins(protocol)
+    new, ref = twins(protocol, cores)
     for machine in (new, ref):
         rng = random.Random(7)
         proto = machine.protocol
@@ -315,7 +319,8 @@ def test_self_invalidation_matches_per_word_reference(protocol, geometry):
         registered = [a for a, st in l1.words_and_states()
                       if st is DeNovoState.REGISTERED]
         for addr in [*registered, 3 * new.words]:
-            rid = proto.region_id_of(addr)
+            region = proto.allocator.region_of(addr)
+            rid = region.region_id if region is not None else None
             l1._valid_by_region.setdefault(rid, set()).add(addr)
     assert registered
     assert new.snapshot() == ref.snapshot()
@@ -336,11 +341,11 @@ def test_self_invalidation_matches_per_word_reference(protocol, geometry):
 
 
 @pytest.mark.parametrize("protocol", REGISTRY_PROTOCOLS)
-def test_llc_fill_supplies_words_registered_to_the_requester(protocol, geometry):
+def test_llc_fill_supplies_words_registered_to_the_requester(protocol, cores):
     """The LLC holds every word not registered at *another* core: a word
     the registry credits to the requester fills like an unregistered one
     when the requester's L1 does not hold it."""
-    new, ref = twins(protocol)
+    new, ref = twins(protocol, cores)
     line = new.lines[0]
     base = line * new.words
     for machine in (new, ref):

@@ -19,7 +19,6 @@ import pytest
 
 from repro.cpu.isa import Cas, Fai, Load, SelfInvalidate, Store, WaitLoad
 from repro.mem.l1 import DeNovoState
-from repro.verify.checker import check_protocol_state
 
 
 def alloc_shared(machine, name, words=4):
@@ -79,7 +78,7 @@ class TestNeatSelfDowngrade:
         assert not protocol._dirty[0]
         assert protocol.counters.get("writebacks") == 1
         assert protocol.memory.read(base) == 5
-        assert not check_protocol_state(protocol)
+        assert not protocol.invariant_violations()
 
     def test_sync_ops_leave_no_cached_copy(self, machine_factory):
         m = machine_factory("Neat")
@@ -112,7 +111,7 @@ class TestNeatSelfDowngrade:
             assert value == 42
 
         m.run([producer(), consumer()])
-        assert not check_protocol_state(m.protocol)
+        assert not m.protocol.invariant_violations()
 
 
 class TestSynCronSyncUnits:
@@ -184,7 +183,7 @@ class TestSynCronSyncUnits:
         )
         assert protocol.counters.get("sync_unit_recalls") == 1
         assert protocol.memory.read(base) == 10
-        assert not check_protocol_state(protocol)
+        assert not protocol.invariant_violations()
 
     def test_parked_spinner_wakes_on_value_change(self, machine_factory):
         m = machine_factory("SynCron", num_cores=4)

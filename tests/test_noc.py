@@ -12,6 +12,7 @@ from repro.noc.messages import (
     data_flits,
 )
 from repro.noc.traffic import TrafficLedger
+from repro.protocols import make_protocol
 
 
 class TestMeshTopology:
@@ -171,25 +172,22 @@ class TestTrafficLedger:
         assert merged.message_count(MessageClass.WRITEBACK) == 1
         assert merged.message_count() == 2
 
-    def test_breakdown_total_over_foreign_keys(self):
-        # A protocol extension may record under its own key; the ledger
-        # must keep it: breakdown() is total over every recorded key, and
-        # merging never drops a class (zero-count classes included).
-        a, b = TrafficLedger(), TrafficLedger()
-        a.record("ext-probe", 4, 3)
-        a.record(MessageClass.LOAD, 2, 0)  # zero crossings, must survive
-        b.record("ext-probe", 1, 1)
-        merged = a.merged_with(b)
-        assert merged.breakdown()["ext-probe"] == 13
-        assert merged.flit_crossings("ext-probe") == 13
-        assert merged.message_count("ext-probe") == 2
-        assert merged.breakdown()[MessageClass.LOAD.value] == 0
-        assert merged.message_count() == 2 + 1
-        # every recorded key and every MessageClass member is present
-        assert set(merged.breakdown()) == {m.value for m in MessageClass} | {
-            "ext-probe"
-        }
-        assert merged.flit_crossings() == sum(merged.breakdown().values())
+    def test_non_message_class_key_raises(self):
+        # Keys are MessageClass members only; a foreign key is a caller
+        # bug, not a side-table entry.
+        ledger = TrafficLedger()
+        with pytest.raises(AttributeError):
+            ledger.record("ext-probe", 4, 3)
+        with pytest.raises(AttributeError):
+            ledger.flit_crossings("ext-probe")
+        with pytest.raises(AttributeError):
+            ledger.message_count("ext-probe")
+        protocol = make_protocol("MESI", config_16())
+        with pytest.raises(AttributeError):
+            protocol.record_control("ext-probe", 0, 5)
+        with pytest.raises(AttributeError):
+            protocol.record_data("ext-probe", 0, 5, 4)
+        assert ledger.message_count() == protocol.traffic.message_count() == 0
 
     def test_merged_with_zero_keys_from_both_sides(self):
         a, b = TrafficLedger(), TrafficLedger()

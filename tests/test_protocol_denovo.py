@@ -104,7 +104,7 @@ class TestDataStores:
     def test_store_aggregation_expires(self, proto):
         proto.store(0, ADDR, 1)
         first = proto.traffic.flit_crossings(MessageClass.STORE)
-        proto.set_time(proto.STORE_AGGREGATION_WINDOW + 10)
+        proto.set_time(proto.config.tuning.store_aggregation_window + 10)
         proto.store(0, ADDR + 1, 2)
         assert proto.traffic.flit_crossings(MessageClass.STORE) > first
 

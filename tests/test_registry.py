@@ -3,6 +3,9 @@ query helpers, the derived comparison sets the harness layers consume,
 the backwards-compatible ``PROTOCOLS``/``PROTOCOL_LABELS`` views, and
 ``make_protocol``'s near-miss error path."""
 
+import gc
+import weakref
+
 import pytest
 
 import repro.protocols as protocols_pkg
@@ -162,6 +165,22 @@ class TestMakeProtocolErrors:
         message = str(excinfo.value)
         assert "expected one of" in message
         assert "did you mean" not in message
+
+
+@pytest.mark.parametrize("name", protocol_names())
+def test_dropped_protocol_is_freed_without_the_cycle_collector(name):
+    """No protocol is a reference cycle: the last reference going away
+    frees it (and its L1 frames) at once, so peak memory does not depend
+    on when the cycle collector runs."""
+    config = config_for_cores(4)
+    protocol = make_protocol(name, config, RegionAllocator(AddressMap(config)))
+    alive = weakref.ref(protocol)
+    gc.disable()
+    try:
+        del protocol
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 class TestPresentation:

@@ -20,7 +20,12 @@ import pytest
 from repro.config import config_16
 from repro.harness.parallel import ResultCache, RunSpec, kernel_cell
 from repro.service import ServiceClient, SweepService
-from repro.service.chaos import ChaosConfig, run_service_chaos
+from repro.service.chaos import (
+    SLOW_SCALE_PER_DEADLINE_SECOND,
+    ChaosConfig,
+    run_service_chaos,
+    slow_specs,
+)
 from repro.service.client import ServiceError
 from repro.workloads.base import KernelSpec
 
@@ -226,6 +231,19 @@ class TestWorkerKillRecovery:
             harness.close()
 
 
+class TestChaosConfig:
+    def test_slow_cell_scale_follows_the_deadline(self):
+        (spec,) = slow_specs(ChaosConfig(cell_deadline=4.0))
+        _, _, _, (_, scale, _), _, _ = spec.workload
+        assert scale == 4.0 * SLOW_SCALE_PER_DEADLINE_SECOND
+
+    @pytest.mark.parametrize("deadline", [0.0, -1.0])
+    def test_slow_cells_need_a_positive_deadline(self, deadline):
+        with pytest.raises(ValueError, match="positive cell_deadline"):
+            ChaosConfig(cell_deadline=deadline)
+        assert slow_specs(ChaosConfig(cell_deadline=deadline, slow_cells=0)) == []
+
+
 class TestChaosEndToEnd:
     def test_chaos_run_survives_two_worker_kills(self, tmp_path):
         report = run_service_chaos(
@@ -236,10 +254,6 @@ class TestChaosEndToEnd:
                 kernels=("counter",),
                 protocols=("MESI", "DeNovoSync"),
                 scale=0.25,
-                # The slow cell must overrun the deadline on any host: at
-                # 6.0 it took about 4.1 s on a 2-vCPU Xeon, a coin flip
-                # against the 4.0 s deadline.
-                slow_scale=12.0,
                 cell_deadline=4.0,
                 wait_timeout=180.0,
                 cache_dir=str(tmp_path / "chaos-cache"),

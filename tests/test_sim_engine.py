@@ -221,6 +221,3 @@ class TestRunLimits:
         for t in range(5):
             sim.schedule_at(t, lambda: None)
         assert sim.run() == 5
-
-    def test_step_on_empty_queue(self):
-        assert Simulator().step() is False
