@@ -28,7 +28,7 @@ from repro.config import (
 )
 from repro.harness.runner import run_workload
 from repro.noc.faults import FaultInjector, FaultPlan
-from repro.protocols import PROTOCOLS, make_protocol
+from repro.protocols import make_protocol
 from repro.protocols.invariants import InvariantViolation
 from repro.sim.watchdog import HangError, SimulationStuck, Watchdog
 from repro.stats.collector import RunResult
@@ -44,7 +44,6 @@ __all__ = [
     "InvariantViolation",
     "KernelSpec",
     "LatencyRange",
-    "PROTOCOLS",
     "ProtocolTuning",
     "RunResult",
     "SimulationStuck",

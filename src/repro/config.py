@@ -124,9 +124,9 @@ class SystemConfig:
     :func:`config_16` / :func:`config_64` for the published setups.
 
     ``invariant_level`` arms the runtime coherence invariant checker
-    (:mod:`repro.protocols.invariants`): ``off`` disables it, ``sampled``
-    audits the full protocol state every ``invariant_sample_period``
-    operations, ``full`` audits before every operation.
+    (:class:`~repro.protocols.invariants.InvariantAudit`): ``off``
+    disables it, ``sampled`` audits the full protocol state before every
+    ``SAMPLE_PERIOD``-th protocol call, ``full`` before every call.
     """
 
     num_cores: int = 16
@@ -147,7 +147,6 @@ class SystemConfig:
     )
     tuning: ProtocolTuning = field(default_factory=ProtocolTuning)
     invariant_level: str = "off"
-    invariant_sample_period: int = 64
 
     def __post_init__(self) -> None:
         side = math.isqrt(self.num_cores)
@@ -161,11 +160,6 @@ class SystemConfig:
             raise ValueError(
                 f"invariant_level must be one of {INVARIANT_LEVELS}, "
                 f"got {self.invariant_level!r}"
-            )
-        if self.invariant_sample_period < 1:
-            raise ValueError(
-                f"invariant_sample_period must be >= 1, "
-                f"got {self.invariant_sample_period!r}"
             )
 
     @property

@@ -65,23 +65,9 @@ class Core:
         self.protocol = protocol
         self.time = TimeBreakdown()
         self._tc = self.time._cycles
-        # With invariant checking off, set_time degenerates to a clock
-        # store; cores then write ``protocol.now`` directly and skip the
-        # method call (several per memory operation).  Guarded on the
-        # protocol using the *base* set_time: the trace recorder and
-        # fault-injection wrappers override it and must keep being called.
-        self._fast_time = (
-            getattr(type(protocol), "set_time", None)
-            is CoherenceProtocol.set_time
-            and getattr(protocol, "_invariant_period", 1) == 0
-        )
         # Protocols that never ask for hardware backoff (everything except
-        # DeNovoSync; wrappers count as "may ask") skip the query entirely
-        # on sync loads and spin probes.
-        self._has_backoff = (
-            getattr(type(protocol), "sync_read_backoff", None)
-            is not CoherenceProtocol.sync_read_backoff
-        )
+        # DeNovoSync) skip the query entirely on sync loads and spin probes.
+        self._has_backoff = _overrides(protocol, "sync_read_backoff")
         self.finish_time: int | None = None
         self._gen: Generator | None = None
         self._bucket_stack: list[TimeComponent] = []
@@ -102,17 +88,13 @@ class Core:
         # path as (expected value, re-poll period, counter keys, traffic
         # row, flits/poll, messages/poll, ((time-component idx, cycles),
         # ...)).  Armed in _spin_probe_issue, consumed by _lease_tick.
-        # Eligibility is static per run: any protocol wrapper (tracing,
-        # fault injection, which override set_time and so clear
-        # _fast_time), runtime invariant sampling, and backoff-capable
-        # protocols all disable leasing; a schedule controller is
-        # re-checked at arm time.
+        # Eligibility is static per run: backoff-capable protocols and
+        # protocol wrappers (tracing, fault injection, runtime audits,
+        # which restore the base spin_poll_lease) never lease; a schedule
+        # controller is re-checked at arm time.
         self._lease: tuple | None = None
-        self._lease_ok = (
-            self._fast_time
-            and not self._has_backoff
-            and getattr(type(protocol), "spin_poll_lease", None)
-            is not CoherenceProtocol.spin_poll_lease
+        self._lease_ok = not self._has_backoff and _overrides(
+            protocol, "spin_poll_lease"
         )
         # Callbacks prebound once so the hot path schedules (method, arg)
         # pairs instead of allocating a closure per operation.
@@ -222,10 +204,6 @@ class Core:
             and self._gate(op, lambda: self._dispatch(op))
         ):
             return
-        if self._fast_time:
-            self.protocol.now = sim.now
-        else:
-            self.protocol.set_time(sim.now)
         handler = _HANDLERS.get(op.__class__)
         if handler is None:
             raise TypeError(f"core {self.core_id}: unknown operation {op!r}")
@@ -256,6 +234,7 @@ class Core:
 
     def _h_self_invalidate(self, op: isa.SelfInvalidate) -> None:
         self.wait_reason = "self-invalidate"
+        self.protocol.now = self.sim.now
         latency = self.protocol.self_invalidate(
             self.core_id, list(op.regions), flush_all=op.flush_all
         )
@@ -285,10 +264,7 @@ class Core:
         self._finish_load(op)
 
     def _finish_load(self, op: isa.Load, ticketed: bool = False) -> None:
-        if self._fast_time:
-            self.protocol.now = self.sim.now
-        else:
-            self.protocol.set_time(self.sim.now)
+        self.protocol.now = self.sim.now
         access = self.protocol.load(
             self.core_id, op.addr, sync=op.sync, ticketed=ticketed,
             acquire=op.acquire,
@@ -305,10 +281,7 @@ class Core:
         self._finish_load(op, ticketed=True)
 
     def _issue_store(self, op: isa.Store, ticketed: bool = False) -> None:
-        if self._fast_time:
-            self.protocol.now = self.sim.now
-        else:
-            self.protocol.set_time(self.sim.now)
+        self.protocol.now = self.sim.now
         access = self.protocol.store(
             self.core_id,
             op.addr,
@@ -332,10 +305,7 @@ class Core:
         self, addr: int, fn, release: bool, ticketed: bool = False,
         acquire: bool = False,
     ) -> None:
-        if self._fast_time:
-            self.protocol.now = self.sim.now
-        else:
-            self.protocol.set_time(self.sim.now)
+        self.protocol.now = self.sim.now
         access = self.protocol.rmw(
             self.core_id, addr, fn, release=release, ticketed=ticketed,
             acquire=acquire,
@@ -361,10 +331,6 @@ class Core:
             op, lambda: self._spin_probe(op)
         ):
             return
-        if self._fast_time:
-            self.protocol.now = self.sim.now
-        else:
-            self.protocol.set_time(self.sim.now)
         if op.sync and self._has_backoff:
             backoff = self.protocol.sync_read_backoff(
                 self.core_id, op.addr, spinning=True
@@ -377,10 +343,7 @@ class Core:
         self._spin_probe_issue(op)
 
     def _spin_probe_issue(self, op: isa.WaitLoad, ticketed: bool = False) -> None:
-        if self._fast_time:
-            self.protocol.now = self.sim.now
-        else:
-            self.protocol.set_time(self.sim.now)
+        self.protocol.now = self.sim.now
         access = self.protocol.load(
             self.core_id, op.addr, sync=op.sync, ticketed=ticketed
         )
@@ -493,6 +456,12 @@ class Core:
         # The wait itself is local spinning on a cached copy: compute.
         self._account(TimeComponent.COMPUTE, wake - retry_at)
         self.sim.call_at(wake, self._cb_spin_probe, self._spin_op)
+
+
+def _overrides(protocol, name: str) -> bool:
+    """True when ``protocol``'s method ``name``, as resolved through any
+    wrappers, is not the :class:`CoherenceProtocol` default."""
+    return getattr(protocol, name).__func__ is not getattr(CoherenceProtocol, name)
 
 
 #: Operation dispatch: one dict lookup on the op's exact class instead of

@@ -76,15 +76,6 @@ class DiagnosticDump:
         return "\n".join(lines)
 
 
-def _protocol_chain(protocol) -> list:
-    """The wrapper chain outermost-first (TracingProtocol / FaultInjector
-    each expose the wrapped protocol as ``.inner``)."""
-    chain = [protocol]
-    while hasattr(chain[-1], "inner"):
-        chain.append(chain[-1].inner)
-    return chain
-
-
 def _op_addrs(op) -> list[int]:
     """Addresses referenced by an ISA op (most have one; Compute has none)."""
     addr = getattr(op, "addr", None)
@@ -92,12 +83,15 @@ def _op_addrs(op) -> list[int]:
 
 
 def build_dump(sim, cores, protocol, reason: str) -> DiagnosticDump:
-    """Snapshot ``sim``/``cores``/``protocol`` into a :class:`DiagnosticDump`."""
-    chain = _protocol_chain(protocol)
-    inner = chain[-1]
+    """Snapshot ``sim``/``cores``/``protocol`` into a :class:`DiagnosticDump`.
+
+    ``protocol`` is the outermost layer the cores talk to: wrappers read
+    through to the bare protocol, and the fault injector puts its own
+    activity line ahead of the protocol's transients.
+    """
     dump = DiagnosticDump(
         reason=reason,
-        protocol=getattr(inner, "name", "?"),
+        protocol=protocol.name,
         cycle=sim.now,
         progress_cycle=sim.progress_cycle,
         pending_events=sim.pending_events,
@@ -118,14 +112,6 @@ def build_dump(sim, cores, protocol, reason: str) -> DiagnosticDump:
         for addr in _op_addrs(core.pending_op):
             if addr not in contested_addrs:
                 contested_addrs.append(addr)
-    describe = getattr(inner, "debug_addr_state", None)
-    if describe is not None:
-        dump.contested = [describe(addr) for addr in contested_addrs]
-    # Collect transients from every layer that reports its own (the fault
-    # injector adds its plan/activity line on top of the protocol's;
-    # TracingProtocol has none and is skipped).
-    for layer in chain:
-        transients = getattr(layer, "debug_transients", None)
-        if transients is not None:
-            dump.transients.extend(transients())
+    dump.contested = [protocol.debug_addr_state(addr) for addr in contested_addrs]
+    dump.transients = protocol.debug_transients()
     return dump

@@ -11,7 +11,7 @@ import sys
 from typing import TextIO
 
 from repro.harness.experiments import FigureResult
-from repro.protocols import PROTOCOL_LABELS
+from repro.protocols import get_info
 from repro.stats.timeparts import TimeComponent
 
 #: One glyph per time component, in stacking order (matches the legend).
@@ -51,7 +51,7 @@ def render_time_bars(
             continue
         base_total = max(1.0, sum(base.avg_time_breakdown.values()))
         for protocol, run in row.results.items():
-            label = PROTOCOL_LABELS.get(protocol, protocol)
+            label = get_info(protocol).label
             parts = run.avg_time_breakdown
             fractions = [
                 (glyph, parts[component.value] / base_total)
@@ -76,7 +76,7 @@ def render_traffic_bars(
             continue
         base_total = max(1, base.total_traffic)
         for protocol, run in row.results.items():
-            label = PROTOCOL_LABELS.get(protocol, protocol)
+            label = get_info(protocol).label
             breakdown = run.traffic_breakdown()
             fractions = [
                 (glyph, breakdown.get(name, 0) / base_total)

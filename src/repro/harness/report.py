@@ -14,7 +14,7 @@ from typing import TextIO
 import sys
 
 from repro.harness.experiments import FigureResult
-from repro.protocols import PROTOCOL_LABELS
+from repro.protocols import get_info
 from repro.stats.timeparts import TimeComponent
 
 TIME_COMPONENTS = [c.value for c in TimeComponent]
@@ -49,7 +49,7 @@ def print_time_table(result: FigureResult, out: TextIO = sys.stdout) -> None:
         base = row.results.get("MESI")
         base_total = max(1.0, sum(base.avg_time_breakdown.values())) if base else 1.0
         for protocol, res in row.results.items():
-            label = PROTOCOL_LABELS.get(protocol, protocol)
+            label = get_info(protocol).label
             rel_time = row.rel_time(protocol) if base else float("nan")
             parts = res.avg_time_breakdown
             cells = " ".join(f"{parts[c] / base_total:12.3f}" for c in TIME_COMPONENTS)
@@ -71,7 +71,7 @@ def print_traffic_table(result: FigureResult, out: TextIO = sys.stdout) -> None:
         base = row.results.get("MESI")
         base_total = max(1, base.total_traffic) if base else 1
         for protocol, res in row.results.items():
-            label = PROTOCOL_LABELS.get(protocol, protocol)
+            label = get_info(protocol).label
             rel = row.rel_traffic(protocol) if base else float("nan")
             breakdown = res.traffic_breakdown()
             cells = " ".join(

@@ -193,7 +193,7 @@ class PoolSupervisor:
 
     ``on_settle(resolution)`` runs synchronously *before* the task's
     outcome future resolves and before the task leaves the in-flight
-    index — the executor uses it to persist successful results, so a
+    index — the service uses it to persist successful results, so a
     submission processed after a cell settles always finds the cache
     entry, never a gap (the at-most-once-successful-simulation
     invariant).  ``on_counter(name, by)`` feeds the service metrics.

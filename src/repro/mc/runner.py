@@ -377,7 +377,7 @@ def run_schedule(
             controller.release(choice[1])
         else:
             _, evict_core, evict_line = choice
-            protocol.set_time(sim.now)
+            protocol.now = sim.now
             protocol.force_evict(evict_core, evict_line)
             evicts_used += 1
         violation = drain()

@@ -21,10 +21,10 @@ modelled hardware:
 * **scripted evictions** — exact ``(cycle, core, line)`` triples, for
   regression tests that must hit a specific race window.
 
-:class:`FaultInjector` applies a plan as a transparent protocol wrapper
-(same shape as :class:`~repro.trace.recorder.TracingProtocol`); the
-runner wraps it innermost and calls :meth:`FaultInjector.attach` to
-schedule the storm events.  Under a correct protocol, any plan must leave
+:class:`FaultInjector` applies a plan as a
+:class:`~repro.protocols.base.ProtocolWrapper`; the runner wraps it
+inside any tracing and calls :meth:`FaultInjector.attach` to schedule
+the storm events.  Under a correct protocol, any plan must leave
 final memory state identical to the unperturbed run for deterministic
 workloads — asserted by the chaos differential tests.
 """
@@ -35,8 +35,7 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.mem.regions import Region
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import Access, CoherenceProtocol, ProtocolWrapper
 
 
 @dataclass(frozen=True)
@@ -82,7 +81,7 @@ class FaultPlan:
         )
 
 
-class FaultInjector:
+class FaultInjector(ProtocolWrapper):
     """Apply a :class:`FaultPlan` while delegating to ``inner``.
 
     ``injected_delay`` / ``deferrals`` / ``forced_evictions`` count what
@@ -90,7 +89,7 @@ class FaultInjector:
     """
 
     def __init__(self, inner: CoherenceProtocol, plan: FaultPlan):
-        self.inner = inner
+        super().__init__(inner)
         self.plan = plan
         self.rng = random.Random((plan.seed << 1) ^ 0x5EED)
         self.injected_delay = 0
@@ -119,14 +118,14 @@ class FaultInjector:
             sim.schedule_after(self.plan.evict_period, self._storm_tick)
 
     def _scripted_evict(self, core_id: int, line: int) -> None:
-        self.inner.set_time(self._sim.now)
+        self.inner.now = self._sim.now
         if self.inner.force_evict(core_id, line):
             self.forced_evictions += 1
 
     def _storm_tick(self) -> None:
         if not self._keep_running():
             return
-        self.inner.set_time(self._sim.now)
+        self.inner.now = self._sim.now
         num_cores = self.inner.config.num_cores
         for _ in range(self.plan.evict_lines):
             core_id = self.rng.randrange(num_cores)
@@ -163,65 +162,8 @@ class FaultInjector:
             self.injected_delay += extra
         return access
 
-    # -- delegated attributes the cores/runner rely on ---------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def config(self):
-        return self.inner.config
-
-    @property
-    def memory(self):
-        return self.inner.memory
-
-    @property
-    def traffic(self):
-        return self.inner.traffic
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    @property
-    def now(self) -> int:
-        return self.inner.now
-
-    @property
-    def allocator(self):
-        return self.inner.allocator
-
-    def set_time(self, now: int) -> None:
-        self.inner.set_time(now)
-
-    def sync_read_backoff(self, core_id: int, addr: int, spinning: bool = False) -> int:
-        return self.inner.sync_read_backoff(core_id, addr, spinning=spinning)
-
-    def subscribe_line_change(self, core_id, addr, callback) -> bool:
-        return self.inner.subscribe_line_change(core_id, addr, callback)
-
-    def on_acquire(self, core_id: int, addr: int) -> None:
-        self.inner.on_acquire(core_id, addr)
-
-    def check_invariants(self) -> None:
-        self.inner.check_invariants()
-
-    def invariant_violations(self) -> list[str]:
-        return self.inner.invariant_violations()
-
-    def force_evict(self, core_id: int, line: int) -> bool:
-        return self.inner.force_evict(core_id, line)
-
-    def debug_resident_lines(self, core_id: int) -> list[int]:
-        return self.inner.debug_resident_lines(core_id)
-
-    def debug_addr_state(self, addr: int) -> str:
-        return self.inner.debug_addr_state(addr)
-
     def debug_transients(self) -> list[str]:
-        """The injector's own in-flight state, for hang dumps."""
+        """The injector's own activity line, then ``inner``'s transients."""
         out = []
         if self.plan.active:
             out.append(
@@ -233,7 +175,7 @@ class FaultInjector:
                 f"{self.deferrals} deferrals, "
                 f"{self.forced_evictions} forced evictions)"
             )
-        return out
+        return out + self.inner.debug_transients()
 
     # -- perturbed operations ----------------------------------------------
 
@@ -287,8 +229,3 @@ class FaultInjector:
                 core_id, addr, fn, release=release, ticketed=ticketed, acquire=acquire
             )
         )
-
-    def self_invalidate(
-        self, core_id: int, regions: list[Region], flush_all: bool = False
-    ) -> int:
-        return self.inner.self_invalidate(core_id, regions, flush_all=flush_all)

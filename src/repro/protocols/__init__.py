@@ -5,18 +5,15 @@ itself with :func:`repro.protocols.registry.register_protocol` as a side
 effect, so the registry below is complete the moment the package is
 importable.  Adding a backend is a one-file change: write the module,
 decorate the class with its :class:`~repro.protocols.registry.ProtocolInfo`
-capabilities, and import it here.
-
-``PROTOCOLS`` (name -> class) and ``PROTOCOL_LABELS`` (name -> figure
-label) remain as thin read-only views over the registry for
-backwards compatibility; new code should query the registry directly
-(:func:`protocols_with`, :func:`default_comparison_set`, ...).
+capabilities, and import it here.  Query the registry for names,
+labels and comparison sets (:func:`protocol_names`, :func:`get_info`,
+:func:`default_comparison_set`, ...).
 """
 
 from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit
 from repro.protocols.registry import (
     ProtocolInfo,
-    RegistryView,
     app_comparison_set,
     chaos_comparison_set,
     default_comparison_set,
@@ -41,20 +38,20 @@ from repro.protocols.mesi_rfo import MesiRfoProtocol
 from repro.protocols.neat import NeatProtocol
 from repro.protocols.syncron import SynCronProtocol
 
-#: Backwards-compatible ``name -> protocol class`` view of the registry.
-PROTOCOLS = RegistryView("cls")
-
-#: Figure-label abbreviations used throughout the paper figures.
-PROTOCOL_LABELS = RegistryView("label")
-
 
 def make_protocol(name: str, *args, **kwargs) -> CoherenceProtocol:
     """Instantiate a protocol by its registered paper name.
 
-    Unknown names raise :class:`ValueError` listing the registered
-    names plus near-miss suggestions (``mesi`` -> ``MESI``).
+    With ``config.invariant_level`` other than ``off`` the protocol comes
+    wrapped in an :class:`InvariantAudit`; with ``off`` it is returned
+    bare.  Unknown names raise :class:`ValueError` listing the
+    registered names plus near-miss suggestions (``mesi`` -> ``MESI``).
     """
-    return get_info(name).cls(*args, **kwargs)
+    protocol = get_info(name).cls(*args, **kwargs)
+    level = protocol.config.invariant_level
+    if level == "off":
+        return protocol
+    return InvariantAudit(protocol, SAMPLE_PERIOD if level == "sampled" else 1)
 
 
 __all__ = [
@@ -67,11 +64,8 @@ __all__ = [
     "MesiRfoProtocol",
     "NeatProtocol",
     "SynCronProtocol",
-    "PROTOCOLS",
-    "PROTOCOL_LABELS",
     "make_protocol",
     "ProtocolInfo",
-    "RegistryView",
     "register_protocol",
     "iter_protocols",
     "protocol_names",

@@ -123,36 +123,7 @@ class CoherenceProtocol(ABC):
         # line = addr // _wpl, offset = addr % _wpl, bank = line % _nbanks.
         self._wpl = self.amap.words_per_line
         self._nbanks = self.amap.num_banks
-        self.now = 0  # kept current by the cores before each operation
-        # Runtime invariant checking (repro.protocols.invariants): a period
-        # of 0 disables it, 1 checks before every operation, N samples
-        # every N-th.  Kept as a pre-computed int so the off path costs a
-        # single falsy branch in set_time.
-        level = config.invariant_level
-        if level == "full":
-            self._invariant_period = 1
-        elif level == "sampled":
-            self._invariant_period = config.invariant_sample_period
-        else:
-            self._invariant_period = 0
-        self._invariant_tick = 0
-
-    # -- time ---------------------------------------------------------------
-
-    def set_time(self, now: int) -> None:
-        """Cores call this with the simulator clock before each operation.
-
-        Doubles as the runtime invariant hook: at this point all protocol
-        state is architecturally settled (operations commit atomically at
-        service time), so it is the one safe place to audit coherence
-        invariants mid-run.
-        """
-        self.now = now
-        if self._invariant_period:
-            self._invariant_tick += 1
-            if self._invariant_tick >= self._invariant_period:
-                self._invariant_tick = 0
-                self.check_invariants()
+        self.now = 0  # stored by the cores right before each operation
 
     # -- runtime invariants & diagnostics -----------------------------------
 
@@ -352,3 +323,35 @@ class CoherenceProtocol(ABC):
         hops = self.mesh.hops(bank, controller)
         self.traffic.record(klass, _CONTROL_FLITS, hops)
         self.traffic.record(klass, _data_flits(self.config.line_bytes), hops)
+
+
+class ProtocolWrapper:
+    """Base of every optional per-access layer around a protocol.
+
+    Tracing (:class:`~repro.trace.recorder.TracingProtocol`), fault
+    injection (:class:`~repro.noc.faults.FaultInjector`) and runtime
+    invariant audits (:class:`~repro.protocols.invariants.InvariantAudit`)
+    each override only the calls they add work to.  Every other
+    attribute (``memory``, ``counters``, ``debug_transients``, ...) is
+    read from ``inner``, and the clock the cores store into ``now`` lands
+    on the bare protocol at the bottom of the stack.
+    """
+
+    #: Never lease: a lease tick replays a poll without calling the
+    #: protocol, so it would skip this wrapper's per-access work.
+    spin_poll_lease = CoherenceProtocol.spin_poll_lease
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def __getattr__(self, name: str):
+        # Reached only for names the wrapper does not define.
+        return getattr(self.inner, name)
+
+    @property
+    def now(self) -> int:
+        return self.inner.now
+
+    @now.setter
+    def now(self, now: int) -> None:
+        self.inner.now = now

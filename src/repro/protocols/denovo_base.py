@@ -70,24 +70,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self._word_bytes = config.word_bytes
         self._word_flits = data_flits(config.word_bytes)
         self._remote_by_leg = self.mesh._remote_by_leg
-        # The subclass hooks default to no-ops (DeNovoSync0); binding
-        # None in that case lets the hot paths skip the empty call.  An
-        # override is bound as its plain function, called with ``self``:
-        # a bound method would make the protocol a reference cycle (see
-        # _make_evict_handler).
-        cls = type(self)
-        base = DeNovoBaseProtocol
-        self._steal_hook = (
-            None
-            if cls.on_registration_stolen is base.on_registration_stolen
-            else cls.on_registration_stolen
-        )
-        self._sync_hit_hook = (
-            None if cls.on_sync_hit is base.on_sync_hit else cls.on_sync_hit
-        )
-        self._release_hook = (
-            None if cls.on_release is base.on_release else cls.on_release
-        )
 
     def _make_evict_handler(self, core_id: int):
         # The L1 holds this handler, so it reaches the protocol through a
@@ -308,9 +290,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             tmsgs[idx] += 1
             target = DeNovoState.INVALID if invalidate_prev else DeNovoState.VALID
             self.l1s[prev].downgrade(addr, target)
-            hook = self._steal_hook
-            if hook is not None:
-                hook(self, prev, addr, not invalidate_prev)
+            self.on_registration_stolen(prev, addr, not invalidate_prev)
             cold = False
         else:
             transfer, cold = self.llc_fetch_latency(core_id, line)

@@ -63,9 +63,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if value is not None:
             counts["l1_hits"] += 1
             counts["sync_read_hits"] += 1
-            hook = self._sync_hit_hook
-            if hook is not None:
-                hook(self, core_id, addr)
+            self.on_sync_hit(core_id, addr)
             return Access(value, self._l1_hit, hit=True)
 
         counts["l1_misses"] += 1
@@ -95,9 +93,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self._counts["l1_hits"] += 1
             self._mem_values[addr] = value
             if release:
-                hook = self._release_hook
-                if hook is not None:
-                    hook(self, core_id, addr)
+                self.on_release(core_id, addr)
             return Access(old, self._l1_hit, hit=True)
 
         self._counts["l1_misses"] += 1
@@ -107,9 +103,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         l1.fill_word(addr, value, DeNovoState.REGISTERED)
         self._mem_values[addr] = value
         if release:
-            hook = self._release_hook
-            if hook is not None:
-                hook(self, core_id, addr)
+            self.on_release(core_id, addr)
         return Access(old, latency, hit=False)
 
     # -- RMWs ---------------------------------------------------------------------
@@ -128,9 +122,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self._counts["l1_hits"] += 1
             latency = self._l1_hit
             hit = True
-            hook = self._sync_hit_hook
-            if hook is not None:
-                hook(self, core_id, addr)
+            self.on_sync_hit(core_id, addr)
         else:
             self._counts["l1_misses"] += 1
             latency, _ = self._register(
@@ -148,9 +140,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if new is not None:
             self._mem_values[addr] = new
         if release:
-            hook = self._release_hook
-            if hook is not None:
-                hook(self, core_id, addr)
+            self.on_release(core_id, addr)
         if acquire:
             self.on_acquire(core_id, addr)
         self._counts["rmws"] += 1

@@ -3,14 +3,16 @@
 Every protocol's ``invariant_violations`` returns one of the lists below,
 and every audit goes through it: the exhaustive explorer
 (:mod:`repro.verify.checker`) after each step, the chaos sweep and the
-final-state tests at quiescent points, and the runtime check in
-:meth:`~repro.protocols.base.CoherenceProtocol.set_time` — just before
-every operation commits, when all state is architecturally settled — at
-a rate chosen by ``SystemConfig.invariant_level``:
+final-state tests at quiescent points, and :class:`InvariantAudit`, the
+protocol wrapper that :func:`~repro.protocols.make_protocol` applies
+when ``SystemConfig.invariant_level`` asks for runtime audits.  It
+audits just before each state-changing call (load, store, RMW,
+self-invalidation, forced eviction), when all state is architecturally
+settled:
 
-* ``off``      — never (the default; zero hot-path cost beyond one branch),
-* ``sampled``  — every ``invariant_sample_period``-th operation,
-* ``full``     — before every operation.
+* ``off``      — never: no wrapper at all (the default),
+* ``sampled``  — before every :data:`SAMPLE_PERIOD`-th call,
+* ``full``     — before every call.
 
 A failed check raises :class:`InvariantViolation` (an ``AssertionError``:
 the simulator itself is wrong, not the workload), whose message names
@@ -53,6 +55,10 @@ Neat (word granularity, no global tracking):
 from __future__ import annotations
 
 from repro.mem.l1 import DeNovoState, MesiState
+from repro.protocols.base import ProtocolWrapper
+
+#: Calls between audits at ``invariant_level="sampled"``.
+SAMPLE_PERIOD = 64
 
 
 class InvariantViolation(AssertionError):
@@ -74,11 +80,41 @@ class InvariantViolation(AssertionError):
         )
 
 
-def verify(protocol) -> None:
-    """Raise :class:`InvariantViolation` if ``protocol`` is inconsistent."""
-    violations = protocol.invariant_violations()
-    if violations:
-        raise InvariantViolation(protocol.name, protocol.now, violations)
+class InvariantAudit(ProtocolWrapper):
+    """Audit ``inner``'s invariants before every ``period``-th
+    state-changing call; a violation raises :class:`InvariantViolation`
+    before the call runs."""
+
+    def __init__(self, inner, period: int = 1):
+        super().__init__(inner)
+        self.period = period
+        self._calls = 0
+
+    def _audit(self) -> None:
+        self._calls += 1
+        if self._calls >= self.period:
+            self._calls = 0
+            self.inner.check_invariants()
+
+    def load(self, *args, **kwargs):
+        self._audit()
+        return self.inner.load(*args, **kwargs)
+
+    def store(self, *args, **kwargs):
+        self._audit()
+        return self.inner.store(*args, **kwargs)
+
+    def rmw(self, *args, **kwargs):
+        self._audit()
+        return self.inner.rmw(*args, **kwargs)
+
+    def self_invalidate(self, *args, **kwargs):
+        self._audit()
+        return self.inner.self_invalidate(*args, **kwargs)
+
+    def force_evict(self, *args, **kwargs):
+        self._audit()
+        return self.inner.force_evict(*args, **kwargs)
 
 
 # -- MESI ---------------------------------------------------------------------

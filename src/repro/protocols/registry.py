@@ -64,7 +64,7 @@ from __future__ import annotations
 
 import difflib
 from dataclasses import dataclass, field
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator
 
 
 @dataclass(frozen=True)
@@ -296,43 +296,8 @@ def registry_markdown_table() -> str:
     return "\n".join(lines)
 
 
-# -- backwards-compatible mapping views ---------------------------------------
-
-
-class RegistryView(Mapping):
-    """Read-only ``name -> attribute`` view over the registry.
-
-    ``PROTOCOLS`` (name -> class) and ``PROTOCOL_LABELS`` (name ->
-    figure label) are instances, so every pre-registry import site
-    (``list(PROTOCOLS)``, ``PROTOCOLS[name]``, ``LABELS.get(p, p)``)
-    keeps working while reflecting dynamically registered backends.
-    """
-
-    def __init__(self, attribute: str):
-        self._attribute = attribute
-
-    def __getitem__(self, name: str):
-        try:
-            info = _REGISTRY[name]
-        except KeyError:
-            # Plain KeyError keeps the Mapping contract (`in`, `.get`);
-            # make_protocol/get_info raise the suggestion-rich ValueError.
-            raise KeyError(name) from None
-        return getattr(info, self._attribute)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(_REGISTRY)
-
-    def __len__(self) -> int:
-        return len(_REGISTRY)
-
-    def __repr__(self) -> str:
-        return f"RegistryView({dict(self)!r})"
-
-
 __all__ = [
     "ProtocolInfo",
-    "RegistryView",
     "register_protocol",
     "iter_protocols",
     "protocol_names",

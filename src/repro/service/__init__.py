@@ -40,7 +40,6 @@ from repro.harness.supervisor import (
 )
 from repro.service.chaos import ChaosConfig, ChaosReport, run_service_chaos
 from repro.service.client import DEFAULT_HOST, DEFAULT_PORT, ServiceClient, ServiceError
-from repro.service.executor import SweepExecutor
 from repro.service.jobs import Job, JobCell, JobRegistry
 from repro.service.metrics import ServiceMetrics
 from repro.service.server import SweepService, run_server
@@ -61,7 +60,6 @@ __all__ = [
     "ServiceClient",
     "ServiceError",
     "ServiceMetrics",
-    "SweepExecutor",
     "SweepService",
     "config_from_dict",
     "run_server",

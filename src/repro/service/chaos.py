@@ -205,11 +205,11 @@ def _kill_workers(
             status = client.job(job_id)
             if status["status"] in ("done", "failed"):
                 return delivered  # nothing left to murder mid-cell
-            if service.executor.running_count() > 0:
+            if service.supervisor.running_count() > 0:
                 break
             time.sleep(0.02)
         time.sleep(config.kill_interval * (0.5 + rng.random()))
-        pids = service.executor.worker_pids()
+        pids = service.supervisor.worker_pids()
         if not pids:
             continue
         try:

@@ -12,6 +12,17 @@ a cell's lifecycle is:
         -> supervised attempts (retry/backoff, crash recovery, deadline)
         -> [supervisor] cache.store + retire key -> watcher settles cell
 
+The lookup checks, in order, the on-disk
+:class:`~repro.harness.parallel.ResultCache` (a completed identical cell
+from any past job or process: ``cache``), the supervisor's in-flight
+index (an identical cell currently supervised for another job:
+``dedupe``, sharing one :class:`~repro.harness.supervisor.CellTask`
+whose outcome resolves only after all retries), and otherwise submits
+the cell (``run``).  With the content-addressed key (inputs + code hash)
+this gives the service's core guarantee: **each unique cell simulates at
+most once successfully**, however many overlapping jobs are submitted
+and however often workers die under it.
+
 Failure handling is the supervisor's job (:mod:`repro.harness.
 supervisor`, a synchronous state machine the server steps from a tick
 task on its event loop); the server adds **bounded admission** (jobs beyond
@@ -39,9 +50,15 @@ from repro.harness.parallel import (
     ResultCache,
     RunSpec,
     cache_key_for,
+    resolve_jobs,
 )
-from repro.harness.supervisor import _USE_DEFAULT, RetryPolicy
-from repro.service.executor import SweepExecutor
+from repro.harness.supervisor import (
+    _USE_DEFAULT,
+    CellResolution,
+    PoolSupervisor,
+    RetryPolicy,
+    execute_cell,
+)
 from repro.service.jobs import Job, JobCell, JobRegistry
 from repro.service.metrics import ServiceMetrics
 from repro.service.specs import spec_from_dict
@@ -71,7 +88,12 @@ class ServiceUnavailable(Exception):
 
 
 class SweepService:
-    """The server: routing, admission, job submission, and cell watchers."""
+    """The server: routing, admission, job submission, and cell watchers.
+
+    It owns one :class:`~repro.harness.supervisor.PoolSupervisor` for its
+    whole lifetime (warm workers, no per-job fork cost), stepped by the
+    tick task on the event loop; every method runs on that loop.
+    """
 
     def __init__(
         self,
@@ -85,20 +107,20 @@ class SweepService:
         cell_deadline: float | None = None,
         policy: RetryPolicy | None = None,
         tick: float = 0.05,
-        worker_fn=None,
+        worker_fn=execute_cell,
     ) -> None:
         self.host = host
         self.port = port
         self.max_queued = max_queued
         self.metrics = ServiceMetrics()
-        self.executor = SweepExecutor(
-            workers=workers,
-            cache=cache,
-            max_workers_cap=max_workers_cap,
+        self.cache = cache
+        self.supervisor = PoolSupervisor(
+            workers=resolve_jobs(workers, cap=max_workers_cap),
             policy=policy,
-            default_deadline=cell_deadline,
             tick=tick,
+            default_deadline=cell_deadline,
             worker_fn=worker_fn,
+            on_settle=self._on_settle,
             on_counter=self.metrics.bump,
         )
         self.registry = JobRegistry()
@@ -123,7 +145,7 @@ class SweepService:
     async def _tick(self) -> None:
         """The supervision loop: one ``step()`` every ``tick`` seconds, on
         the event loop, so supervisor state stays loop-confined."""
-        supervisor = self.executor.supervisor
+        supervisor = self.supervisor
         while True:
             await asyncio.sleep(supervisor.tick)
             try:
@@ -147,7 +169,7 @@ class SweepService:
 
     def settled(self) -> bool:
         """True when no cell is in flight and every watcher has run."""
-        return self.executor.queue_depth() == 0 and not self._watchers
+        return self.supervisor.pending_count() == 0 and not self._watchers
 
     async def drain(self, budget: float = DEFAULT_DRAIN_TIMEOUT) -> bool:
         """Graceful shutdown: stop admissions, let in-flight cells settle
@@ -158,7 +180,7 @@ class SweepService:
         loop = asyncio.get_running_loop()
         deadline = loop.time() + budget
         while not self.settled() and loop.time() < deadline:
-            await asyncio.sleep(min(0.05, self.executor.supervisor.tick))
+            await asyncio.sleep(min(0.05, self.supervisor.tick))
         finished = self.settled()
         await self.stop()
         return finished
@@ -179,7 +201,7 @@ class SweepService:
         # Settle cells whose workers already produced a result (persisting
         # them via the supervisor's settle hook), then everything else as
         # structured ``shutdown`` errors — never as silently-dropped work.
-        self.executor.shutdown()
+        self.supervisor.shutdown()
         if self._watchers:
             # Watchers wake on the outcome futures shutdown just resolved.
             await asyncio.wait(list(self._watchers), timeout=5.0)
@@ -290,9 +312,9 @@ class SweepService:
             return as_json(200, self._healthz())
         if path == "/metrics" and method == "GET":
             text = self.metrics.render(
-                queue_depth=self.executor.queue_depth(),
-                running=self.executor.running_count(),
-                workers=self.executor.worker_health(),
+                queue_depth=self.supervisor.pending_count(),
+                running=self.supervisor.running_count(),
+                workers=self.supervisor.worker_health(),
             )
             return 200, "text/plain; version=0.0.4", text.encode()
         if path == "/jobs":
@@ -315,11 +337,13 @@ class SweepService:
         return 404, "application/json", b'{"error": "no such endpoint"}\n'
 
     def _healthz(self) -> dict:
-        workers = self.executor.worker_health()
+        workers = self.supervisor.worker_health()
         if self._draining:
             status = "draining"
+        elif workers["broken"] or workers["shutdown"]:
+            status = "degraded"
         else:
-            status = "ok" if self.executor.healthy else "degraded"
+            status = "ok"
         payload = {
             "status": status,
             "draining": self._draining,
@@ -328,8 +352,8 @@ class SweepService:
         }
         payload.update(
             self.metrics.snapshot(
-                queue_depth=self.executor.queue_depth(),
-                running=self.executor.running_count(),
+                queue_depth=self.supervisor.pending_count(),
+                running=self.supervisor.running_count(),
                 workers=workers,
             )
         )
@@ -371,7 +395,7 @@ class SweepService:
         # The check is conservative — cells that would resolve via cache
         # or dedupe count against the bound until they are looked up.
         if self.max_queued is not None:
-            depth = self.executor.queue_depth()
+            depth = self.supervisor.pending_count()
             if depth + len(specs) > self.max_queued:
                 raise ServiceUnavailable(
                     f"queue full: {depth} cells in flight + {len(specs)} "
@@ -383,27 +407,51 @@ class SweepService:
         self.metrics.bump("jobs_submitted")
         self.metrics.bump("cells_submitted", len(specs))
         for index, spec in enumerate(specs):
-            job.cells.append(self._submit_cell(job, index, spec, deadline))
+            job.cells.append(self._submit_cell(index, spec, deadline))
         return job
 
-    def _submit_cell(
-        self, job: Job, index: int, spec: RunSpec, deadline=_USE_DEFAULT
-    ) -> JobCell:
+    def _submit_cell(self, index: int, spec: RunSpec, deadline=_USE_DEFAULT) -> JobCell:
+        """Resolve one cell from the cache, an identical in-flight cell, or
+        a fresh supervised run, in that order.
+
+        ``deadline`` is the cell's wall-clock execution budget in seconds
+        (None: unlimited; default: the service-wide ``cell_deadline``).
+        A dedupe hit keeps the original submission's deadline."""
         key = cache_key_for(spec)
-        source, resolved = self.executor.lookup(spec, key, deadline=deadline)
-        cell = JobCell(index=index, spec=spec, key=key, source=source)
-        if source == "cache":
+        cell = JobCell(index=index, spec=spec, key=key, source="cache")
+        cached = self.cache.load(spec) if self.cache is not None else None
+        if cached is not None:
             cell.status = "done"
-            cell.summary = resolved.summary()
+            cell.summary = cached.summary()
             self.metrics.bump("cache_hits")
+            return cell
+        cell.task = self.supervisor.get(key)
+        if cell.task is not None:
+            cell.source = "dedupe"
+            self.metrics.bump("dedupe_hits")
         else:
-            cell.task = resolved
-            if source == "dedupe":
-                self.metrics.bump("dedupe_hits")
-            watcher = asyncio.create_task(self._watch_cell(cell))
-            self._watchers.add(watcher)
-            watcher.add_done_callback(self._watchers.discard)
+            cell.source = "run"
+            cell.task = self.supervisor.submit(spec, key, deadline=deadline)
+        watcher = asyncio.create_task(self._watch_cell(cell))
+        self._watchers.add(watcher)
+        watcher.add_done_callback(self._watchers.discard)
         return cell
+
+    def _on_settle(self, resolution: CellResolution) -> None:
+        """Supervisor settle hook, invoked *before* the outcome future
+        resolves and before the in-flight key retires: persist a success
+        so any later submission sees the cache entry, never a gap."""
+        if resolution.ok:
+            if self.cache is not None:
+                self.cache.store(resolution.spec, resolution.result)
+            self.metrics.bump("cells_simulated", 1)
+            epoch = resolution.result.meta.get("epoch")
+            if epoch:
+                self.metrics.bump("epoch_epochs", epoch["epochs"])
+                self.metrics.bump("epoch_events_batched", epoch["events_batched"])
+                self.metrics.bump(
+                    "epoch_spin_polls_elided", epoch["spin_polls_elided"]
+                )
 
     async def _watch_cell(self, cell: JobCell) -> None:
         """Await one cell's *terminal* supervised outcome and settle it.
@@ -452,7 +500,7 @@ def run_server(
         if ready_message:
             print(
                 f"sweep service on http://{bound_host}:{bound_port} "
-                f"({service.executor.workers} workers, cache "
+                f"({service.supervisor.workers} workers, cache "
                 f"{'off' if cache is None else cache.root})",
                 flush=True,
             )
@@ -485,7 +533,7 @@ def run_server(
                 service.begin_drain()
                 if ready_message:
                     print(
-                        f"draining: {service.executor.queue_depth()} cells in "
+                        f"draining: {service.supervisor.pending_count()} cells in "
                         f"flight, budget {drain_timeout:g}s (signal again to "
                         f"skip)",
                         flush=True,

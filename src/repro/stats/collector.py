@@ -70,9 +70,9 @@ class RunResult:
         )
 
     #: meta keys that hold live simulation objects (attached by the
-    #: ``keep_protocol`` / ``trace`` runner options) and must not cross a
-    #: process boundary or enter the on-disk result cache.
-    NON_PORTABLE_META = ("protocol", "trace")
+    #: ``keep_protocol`` / ``trace`` / ``fault_plan`` runner options) and
+    #: must not cross a process boundary or enter the on-disk result cache.
+    NON_PORTABLE_META = ("protocol", "trace", "fault_injector")
 
     def portable_copy(self) -> "RunResult":
         """A copy safe to pickle: all measurements, no live objects.

@@ -1,10 +1,10 @@
 """A protocol wrapper that records every access it forwards.
 
-``TracingProtocol`` is a transparent decorator around any
-:class:`~repro.protocols.base.CoherenceProtocol`: cores talk to it
-exactly as they would to the wrapped protocol, and every load, store,
-RMW and self-invalidation lands in the trace (directory retries are not
-recorded — they are re-issues of the same access).
+``TracingProtocol`` is a :class:`~repro.protocols.base.ProtocolWrapper`
+around any :class:`~repro.protocols.base.CoherenceProtocol`: cores talk
+to it exactly as they would to the wrapped protocol, and every load,
+store, RMW and self-invalidation lands in the trace (directory retries
+are not recorded — they are re-issues of the same access).
 """
 
 from __future__ import annotations
@@ -13,55 +13,16 @@ from dataclasses import replace
 from collections.abc import Callable
 
 from repro.mem.regions import Region
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import Access, CoherenceProtocol, ProtocolWrapper
 from repro.trace.events import AccessRecord
 
 
-class TracingProtocol:
+class TracingProtocol(ProtocolWrapper):
     """Record accesses while delegating everything to ``inner``."""
 
     def __init__(self, inner: CoherenceProtocol):
-        self.inner = inner
+        super().__init__(inner)
         self.records: list[AccessRecord] = []
-
-    # -- delegated attributes the cores/runner rely on ---------------------
-
-    @property
-    def name(self) -> str:
-        return self.inner.name
-
-    @property
-    def config(self):
-        return self.inner.config
-
-    @property
-    def memory(self):
-        return self.inner.memory
-
-    @property
-    def traffic(self):
-        return self.inner.traffic
-
-    @property
-    def counters(self):
-        return self.inner.counters
-
-    @property
-    def now(self) -> int:
-        return self.inner.now
-
-    @property
-    def allocator(self):
-        return self.inner.allocator
-
-    def set_time(self, now: int) -> None:
-        self.inner.set_time(now)
-
-    def sync_read_backoff(self, core_id: int, addr: int, spinning: bool = False) -> int:
-        return self.inner.sync_read_backoff(core_id, addr, spinning=spinning)
-
-    def subscribe_line_change(self, core_id, addr, callback) -> bool:
-        return self.inner.subscribe_line_change(core_id, addr, callback)
 
     def on_acquire(self, core_id: int, addr: int) -> None:
         self.inner.on_acquire(core_id, addr)
@@ -77,21 +38,6 @@ class TracingProtocol:
                 if not record.acquire:
                     self.records[i] = replace(record, acquire=True)
             break
-
-    def check_invariants(self) -> None:
-        self.inner.check_invariants()
-
-    def invariant_violations(self) -> list[str]:
-        return self.inner.invariant_violations()
-
-    def force_evict(self, core_id: int, line: int) -> bool:
-        return self.inner.force_evict(core_id, line)
-
-    def debug_resident_lines(self, core_id: int) -> list[int]:
-        return self.inner.debug_resident_lines(core_id)
-
-    def debug_addr_state(self, addr: int) -> str:
-        return self.inner.debug_addr_state(addr)
 
     # -- recorded operations -------------------------------------------------
 

@@ -122,7 +122,7 @@ def explore_protocol(
             op = programs[core][positions[core]]
             positions[core] += 1
             now += OP_SPACING
-            protocol.set_time(now)
+            protocol.now = now
             failure = _apply_and_check(
                 protocol, shadow, core, op, interleaving, step
             )

@@ -11,10 +11,10 @@ from repro.cpu.core import Core
 from repro.cpu.thread import ThreadCtx
 from repro.mem.address import AddressMap
 from repro.mem.regions import RegionAllocator
-from repro.protocols import PROTOCOLS, make_protocol
+from repro.protocols import make_protocol, protocol_names
 from repro.sim.engine import Simulator
 
-ALL_PROTOCOLS = list(PROTOCOLS)
+ALL_PROTOCOLS = list(protocol_names())
 
 
 @pytest.fixture(params=ALL_PROTOCOLS)

@@ -19,7 +19,7 @@ from repro.cpu.isa import Compute, Fai, Load, SelfInvalidate, Store
 from repro.harness.runner import run_workload
 from repro.mem.address import AddressMap
 from repro.mem.regions import RegionAllocator
-from repro.protocols import PROTOCOLS
+from repro.protocols import protocol_names
 from repro.synclib.barriers import TreeBarrier
 from repro.synclib.tatas import TatasLock
 from repro.workloads.base import Workload, WorkloadInstance
@@ -135,7 +135,7 @@ class TestBarrierEpisodeBug:
 class TestCrossProtocolAgreement:
     def test_all_protocols_agree_on_final_state(self, seed):
         states = {
-            protocol: _final_state(seed, protocol) for protocol in PROTOCOLS
+            protocol: _final_state(seed, protocol) for protocol in protocol_names()
         }
         reference = states["MESI"]
         total = sum(reference.values())

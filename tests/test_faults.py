@@ -8,6 +8,8 @@ runtime invariant checking armed — across every chaos-capable protocol
 the registry advertises.
 """
 
+import pickle
+
 import pytest
 
 from repro.config import config_for_cores
@@ -83,6 +85,15 @@ class TestFaultInjector:
             assert getattr(runs[0].meta["fault_injector"], attr) == getattr(
                 runs[1].meta["fault_injector"], attr
             )
+
+    def test_portable_copy_of_a_faulted_run_pickles(self):
+        result = run_workload(
+            _counter(), "MESI", config_for_cores(4),
+            fault_plan=FaultPlan(seed=1, delay_jitter=4),
+        )
+        copy = pickle.loads(pickle.dumps(result.portable_copy()))
+        assert "fault_injector" not in copy.meta
+        assert copy.summary() == result.summary()
 
     def test_perturbations_actually_fire(self):
         plan = FaultPlan(

@@ -11,7 +11,7 @@ import pytest
 from repro.config import config_16
 from repro.harness.runner import run_workload
 from repro.mem.l1 import DeNovoState
-from repro.protocols import PROTOCOLS
+from repro.protocols import protocol_names
 from repro.workloads.base import KernelSpec
 from repro.workloads.micro import FalseSharingMicro
 from repro.workloads.registry import make_kernel
@@ -27,7 +27,7 @@ KERNELS = [
 
 
 @pytest.mark.parametrize("figure,name", KERNELS)
-@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+@pytest.mark.parametrize("protocol", list(protocol_names()))
 class TestKernelFinalState:
     def test_protocol_state_consistent_after_run(self, figure, name, protocol):
         workload = make_kernel(figure, name, spec=KernelSpec(iterations=4, scale=1.0))
@@ -37,7 +37,7 @@ class TestKernelFinalState:
         assert result.meta["protocol"].invariant_violations() == []
 
 
-@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+@pytest.mark.parametrize("protocol", list(protocol_names()))
 class TestAppAndMicroFinalState:
     def test_app_model_state_consistent(self, protocol):
         from repro.workloads.apps import make_app

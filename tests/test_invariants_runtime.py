@@ -12,7 +12,8 @@ from repro.config import config_for_cores
 from repro.harness.runner import run_workload
 from repro.mem.l1 import DeNovoState, MesiState
 from repro.protocols import make_protocol
-from repro.protocols.invariants import InvariantViolation, verify
+from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit, InvariantViolation
+from repro.protocols.mesi import MesiProtocol
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -20,33 +21,51 @@ from repro.workloads.registry import make_kernel
 STEP = 2_000
 
 
-def _mesi(level="full", **overrides):
-    config = config_for_cores(4, invariant_level=level, **overrides)
-    return make_protocol("MESI", config)
+def _mesi(level="full"):
+    return make_protocol("MESI", config_for_cores(4, invariant_level=level))
 
 
-def _denovo(level="full", **overrides):
-    config = config_for_cores(4, invariant_level=level, **overrides)
-    return make_protocol("DeNovoSync", config)
+def _denovo(level="full"):
+    return make_protocol("DeNovoSync", config_for_cores(4, invariant_level=level))
+
+
+def _two_modified_copies(protocol) -> None:
+    """Core 0 owns line 0 in M; plant an illegal second M copy at core 1."""
+    protocol.now = STEP
+    protocol.store(0, 0, 1, sync=True, ticketed=True)
+    protocol.l1s[1].insert(0, MesiState.MODIFIED)
+
+
+def _load_other_lines(protocol, count: int) -> int:
+    """Load ``count`` lines that the planted violation does not touch;
+    returns how many loads ran before an audit tripped."""
+    done = 0
+    try:
+        for i in range(1, count + 1):
+            protocol.load(2, i * protocol.amap.words_per_line, ticketed=True)
+            done += 1
+    except InvariantViolation:
+        pass
+    return done
 
 
 class TestMesiInvariants:
     def test_clean_state_has_no_violations(self):
         protocol = _mesi()
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)
-        protocol.set_time(2 * STEP)
+        protocol.now = 2 * STEP
         protocol.load(1, 0, ticketed=True)
         assert protocol.invariant_violations() == []
-        verify(protocol)  # must not raise
+        protocol.check_invariants()  # must not raise
 
     def test_two_modified_copies_detected(self):
         protocol = _mesi(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)  # core 0: line 0 in M
         protocol.l1s[1].insert(0, MesiState.MODIFIED)  # illegal second M copy
         with pytest.raises(InvariantViolation) as excinfo:
-            verify(protocol)
+            protocol.check_invariants()
         message = str(excinfo.value)
         assert "line 0" in message
         assert "coexists with copies at cores [1]" in message
@@ -54,9 +73,9 @@ class TestMesiInvariants:
 
     def test_sharer_unknown_to_directory_detected(self):
         protocol = _mesi(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.load(0, 0, ticketed=True)
-        protocol.set_time(2 * STEP)
+        protocol.now = 2 * STEP
         protocol.load(1, 0, ticketed=True)  # line 0 now unowned, sharers {0, 1}
         protocol.l1s[2].insert(0, MesiState.SHARED)  # directory never told
         violations = protocol.invariant_violations()
@@ -65,30 +84,24 @@ class TestMesiInvariants:
             for v in violations
         )
 
-    def test_full_level_checks_on_set_time(self):
+    def test_full_level_audits_before_every_call(self):
         protocol = _mesi(level="full")
-        protocol.set_time(STEP)
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
-        protocol.l1s[1].insert(0, MesiState.MODIFIED)
-        with pytest.raises(InvariantViolation):
-            protocol.set_time(STEP + 1)
+        assert isinstance(protocol, InvariantAudit)
+        _two_modified_copies(protocol)
+        assert _load_other_lines(protocol, 1) == 0
 
     def test_sampled_level_trips_within_period(self):
-        protocol = _mesi(level="sampled", invariant_sample_period=8)
-        protocol.set_time(STEP)
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
-        protocol.l1s[1].insert(0, MesiState.MODIFIED)
-        with pytest.raises(InvariantViolation):
-            for tick in range(1, 9):  # at most one full period of calls
-                protocol.set_time(STEP + tick)
+        protocol = _mesi(level="sampled")
+        assert isinstance(protocol, InvariantAudit)
+        _two_modified_copies(protocol)  # the store is call 1 of the period
+        # Calls 2 .. SAMPLE_PERIOD - 1 run unaudited; call SAMPLE_PERIOD trips.
+        assert _load_other_lines(protocol, SAMPLE_PERIOD) == SAMPLE_PERIOD - 2
 
     def test_off_level_never_checks(self):
         protocol = _mesi(level="off")
-        protocol.set_time(STEP)
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
-        protocol.l1s[1].insert(0, MesiState.MODIFIED)
-        for tick in range(1, 200):
-            protocol.set_time(STEP + tick)  # never raises
+        assert type(protocol) is MesiProtocol  # no wrapper at all
+        _two_modified_copies(protocol)
+        assert _load_other_lines(protocol, 200) == 200  # never raises
         # The state is still reportable on demand.
         assert protocol.invariant_violations()
 
@@ -96,27 +109,27 @@ class TestMesiInvariants:
 class TestDeNovoInvariants:
     def test_clean_state_has_no_violations(self):
         protocol = _denovo()
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)
-        protocol.set_time(2 * STEP)
+        protocol.now = 2 * STEP
         protocol.load(1, 0, ticketed=True)
         assert protocol.invariant_violations() == []
-        verify(protocol)
+        protocol.check_invariants()
 
     def test_stale_registry_pointer_detected(self):
         protocol = _denovo(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)  # word 0 registered at 0
         protocol.l1s[0].invalidate_word(0)  # copy gone, registry not updated
         with pytest.raises(InvariantViolation) as excinfo:
-            verify(protocol)
+            protocol.check_invariants()
         message = str(excinfo.value)
         assert "word 0" in message
         assert "registry points at core 0" in message
 
     def test_stale_registered_value_detected(self):
         protocol = _denovo(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)
         protocol.memory.write(0, 99)  # backing store diverges from the copy
         violations = protocol.invariant_violations()
@@ -126,7 +139,7 @@ class TestDeNovoInvariants:
 
     def test_second_registered_copy_detected(self):
         protocol = _denovo(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)
         protocol.l1s[1].fill_word(0, 7, DeNovoState.REGISTERED)
         violations = protocol.invariant_violations()
@@ -137,7 +150,7 @@ class TestDeNovoInvariants:
 
     def test_untracked_valid_word_detected(self):
         protocol = _denovo(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.load(1, 0, ticketed=True)  # core 1 caches word 0 Valid
         assert protocol.l1s[1].state_of(0, touch=False) is DeNovoState.VALID
         protocol.l1s[1]._valid_by_region.clear()  # desync the tracking
@@ -149,7 +162,7 @@ class TestDeNovoInvariants:
 
     def test_violation_carries_structured_fields(self):
         protocol = _denovo(level="off")
-        protocol.set_time(STEP)
+        protocol.now = STEP
         protocol.store(0, 0, 1, sync=True, ticketed=True)
         protocol.l1s[0].invalidate_word(0)
         with pytest.raises(InvariantViolation) as excinfo:

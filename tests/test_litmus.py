@@ -13,12 +13,12 @@ from itertools import permutations
 import pytest
 
 from repro.config import config_for_cores
-from repro.protocols import PROTOCOLS, make_protocol
+from repro.protocols import make_protocol, protocol_names
 
 X = 64  # two sync variables on distinct lines
 Y = 160
 
-PROTOCOL_NAMES = list(PROTOCOLS)
+PROTOCOL_NAMES = list(protocol_names())
 
 
 def run_all_interleavings(protocol_name, programs):
@@ -43,7 +43,7 @@ def run_all_interleavings(protocol_name, programs):
             op = programs[core][positions[core]]
             positions[core] += 1
             now += 2000
-            protocol.set_time(now)
+            protocol.now = now
             if op[0] == "store":
                 protocol.store(core, op[1], op[2], sync=True, ticketed=True)
             else:

@@ -36,7 +36,7 @@ class TestRfoSemantics:
 
     def test_sync_readers_invalidate_each_other(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True, ticketed=True)
         line = proto.amap.line_of(ADDR)
         assert proto.l1s[0].state_of(line) is None  # R-R ping-pong
@@ -44,7 +44,7 @@ class TestRfoSemantics:
 
     def test_sync_read_sees_latest_value(self, proto):
         proto.store(0, ADDR, 7, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         assert proto.load(1, ADDR, sync=True, ticketed=True).value == 7
 
 

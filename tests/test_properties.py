@@ -189,7 +189,7 @@ class TestProtocolValueProperties:
         now = 0
         for core, word, op in ops:
             now += 1000  # space operations out: no in-flight overlap
-            protocol.set_time(now)
+            protocol.now = now
             addr = pool[word]
             if op == "load":
                 protocol.load(core, addr, ticketed=True)
@@ -222,7 +222,7 @@ class TestProtocolValueProperties:
         now = 0
         for _ in range(80):
             now += 500
-            protocol.set_time(now)
+            protocol.now = now
             core = rng.randrange(4)
             addr = pool[rng.randrange(4)] + rng.randrange(4)
             op = rng.choice(["load", "store", "sync_load", "rmw"])

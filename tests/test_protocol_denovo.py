@@ -43,7 +43,7 @@ class TestDataLoads:
 
     def test_remote_owner_serves_data_and_stays_registered(self, proto):
         proto.store(0, ADDR, 5)  # core 0 registers the word
-        proto.set_time(1000)
+        proto.now = 1000
         access = proto.load(1, ADDR)
         assert access.value == 5
         assert proto.registry[ADDR] == 0  # reads do not revoke
@@ -54,7 +54,7 @@ class TestDataLoads:
         # bring both (the owner responds with its registered words).
         proto.store(0, ADDR, 5)
         proto.store(0, ADDR + 1, 6)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR)
         assert proto.l1s[1].state_of(ADDR + 1) is DeNovoState.VALID
 
@@ -62,9 +62,9 @@ class TestDataLoads:
         region = allocator.region("shared")
         allocator._region_of_addr[ADDR] = region  # register addr's region
         proto.load(1, ADDR)  # fills Valid copy of value 0
-        proto.set_time(500)
+        proto.now = 500
         proto.store(0, ADDR, 9)  # core 0 writes through registration
-        proto.set_time(1000)
+        proto.now = 1000
         assert proto.load(1, ADDR).value == 0  # stale Valid hit (legal: DRF)
         proto.self_invalidate(1, [region])
         assert proto.load(1, ADDR).value == 9  # fresh after self-invalidate
@@ -80,7 +80,7 @@ class TestDataStores:
 
     def test_store_steals_registration_and_invalidates_prev(self, proto):
         proto.store(0, ADDR, 5)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.store(1, ADDR, 6)
         assert proto.registry[ADDR] == 1
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.INVALID
@@ -95,7 +95,7 @@ class TestDataStores:
     def test_store_aggregation_combines_line_burst(self, proto):
         proto.store(0, ADDR, 1)
         first = proto.traffic.flit_crossings(MessageClass.STORE)
-        proto.set_time(10)
+        proto.now = 10
         proto.store(0, ADDR + 1, 2)  # same line, within the window
         assert proto.traffic.flit_crossings(MessageClass.STORE) == first
         assert proto.registry[ADDR + 1] == 0
@@ -104,15 +104,15 @@ class TestDataStores:
     def test_store_aggregation_expires(self, proto):
         proto.store(0, ADDR, 1)
         first = proto.traffic.flit_crossings(MessageClass.STORE)
-        proto.set_time(proto.config.tuning.store_aggregation_window + 10)
+        proto.now = proto.config.tuning.store_aggregation_window + 10
         proto.store(0, ADDR + 1, 2)
         assert proto.traffic.flit_crossings(MessageClass.STORE) > first
 
     def test_store_aggregation_never_skips_steals(self, proto):
         proto.store(1, ADDR + 1, 9)  # word owned by another core
-        proto.set_time(5)
+        proto.now = 5
         proto.store(0, ADDR, 1)
-        proto.set_time(10)
+        proto.now = 10
         proto.store(0, ADDR + 1, 2)  # must take the full transfer path
         assert proto.l1s[1].state_of(ADDR + 1) is DeNovoState.INVALID
         assert proto.registry[ADDR + 1] == 0
@@ -134,7 +134,7 @@ class TestSyncLoads:
 
     def test_sync_read_steals_and_downgrades_to_valid(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True)
         assert proto.registry[ADDR] == 1
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.VALID
@@ -142,15 +142,15 @@ class TestSyncLoads:
 
     def test_sync_read_to_valid_misses_again(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True)  # steal: core 0 now Valid
-        proto.set_time(2000)
+        proto.now = 2000
         access = proto.load(0, ADDR, sync=True)  # Valid is not usable
         assert not access.hit
 
     def test_sync_read_sees_latest_write(self, proto):
         proto.store(0, ADDR, 7, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         assert proto.load(1, ADDR, sync=True).value == 7
 
     def test_sync_traffic_classified_synch(self, proto):
@@ -162,20 +162,20 @@ class TestSyncLoads:
 class TestSyncStoresAndRmw:
     def test_sync_store_invalidates_prev(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.store(1, ADDR, 3, sync=True)
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.INVALID
         assert proto.registry[ADDR] == 1
 
     def test_rmw_returns_old_and_writes(self, proto):
         proto.store(0, ADDR, 10, sync=True)
-        proto.set_time(100)
+        proto.now = 100
         access = proto.rmw(0, ADDR, lambda old: old + 5)
         assert access.value == 10
         assert proto.memory.read(ADDR) == 15
 
     def test_failed_cas_keeps_registration(self, proto):
-        proto.set_time(100)
+        proto.now = 100
         access = proto.rmw(0, ADDR, lambda old: None)
         assert access.value == 0
         assert proto.registry[ADDR] == 0
@@ -183,7 +183,7 @@ class TestSyncStoresAndRmw:
 
     def test_rmw_hit_when_registered(self, proto):
         proto.rmw(0, ADDR, lambda old: 1)
-        proto.set_time(10)
+        proto.now = 10
         access = proto.rmw(0, ADDR, lambda old: 2)
         assert access.hit and access.latency == 1
 
@@ -191,7 +191,7 @@ class TestSyncStoresAndRmw:
 class TestRegistrationChain:
     def test_concurrent_registrations_serialize(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         first = proto.load(1, ADDR, sync=True)
         second = proto.load(2, ADDR, sync=True)  # same cycle: chains behind
         assert second.latency > first.latency
@@ -199,9 +199,9 @@ class TestRegistrationChain:
 
     def test_chain_drains_over_time(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True)
-        proto.set_time(100000)
+        proto.now = 100000
         access = proto.load(2, ADDR, sync=True)
         assert access.latency <= proto.config.remote_l1_latency.max
 
@@ -217,7 +217,7 @@ class TestSubscriptions:
         proto.load(0, ADDR, sync=True)
         wakes = []
         proto.subscribe_line_change(0, ADDR, wakes.append)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True)
         assert len(wakes) == 1 and wakes[0] >= 1000
 
@@ -225,7 +225,7 @@ class TestSubscriptions:
         proto.load(0, ADDR, sync=True)
         wakes = []
         proto.subscribe_line_change(0, ADDR, wakes.append)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.store(1, ADDR, 1, sync=True)
         assert len(wakes) == 1
 
@@ -237,13 +237,13 @@ class TestEviction:
         wpl = config.words_per_line
         lines = [i * num_sets + 1 for i in range(config.l1_assoc + 1)]
         for i, line in enumerate(lines):
-            proto.set_time(i * 1000)
+            proto.now = i * 1000
             proto.store(0, line * wpl, i)
         victim_addr = lines[0] * wpl
         assert victim_addr not in proto.registry
         assert proto.counters.get("writebacks") >= 1
         # The value survives at the LLC.
-        proto.set_time(10**6)
+        proto.now = 10**6
         assert proto.load(1, victim_addr).value == 0
 
 
@@ -253,32 +253,32 @@ class TestDeNovoSyncBackoff:
 
     def test_backoff_armed_by_incoming_steal(self, proto_ds):
         proto_ds.load(0, ADDR, sync=True)
-        proto_ds.set_time(1000)
+        proto_ds.now = 1000
         proto_ds.load(1, ADDR, sync=True)  # steals from core 0
-        proto_ds.set_time(2000)
+        proto_ds.now = 2000
         stall = proto_ds.sync_read_backoff(0, ADDR)
         assert stall == proto_ds.config.backoff.default_increment
         assert proto_ds.counters.get("hw_backoff_events") == 1
 
     def test_write_steal_does_not_arm_backoff(self, proto_ds):
         proto_ds.load(0, ADDR, sync=True)
-        proto_ds.set_time(1000)
+        proto_ds.now = 1000
         proto_ds.store(1, ADDR, 1, sync=True)  # write steal -> Invalid
-        proto_ds.set_time(2000)
+        proto_ds.now = 2000
         assert proto_ds.sync_read_backoff(0, ADDR) == 0
 
     def test_registered_hit_resets_backoff(self, proto_ds):
         proto_ds.load(0, ADDR, sync=True)
-        proto_ds.set_time(1000)
+        proto_ds.now = 1000
         proto_ds.load(1, ADDR, sync=True)
-        proto_ds.set_time(2000)
+        proto_ds.now = 2000
         proto_ds.load(0, ADDR, sync=True)  # re-register
         proto_ds.load(0, ADDR, sync=True)  # hit: resets counter
         assert proto_ds.backoff_states[0].backoff == 0
 
     def test_ds0_never_backs_off(self, proto):
         proto.load(0, ADDR, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR, sync=True)
-        proto.set_time(2000)
+        proto.now = 2000
         assert proto.sync_read_backoff(0, ADDR) == 0

@@ -43,7 +43,7 @@ class TestLoads:
 
     def test_second_reader_shares_and_downgrades_owner(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(1, ADDR)
         line = proto.amap.line_of(ADDR)
         assert proto.l1s[0].state_of(line) is MesiState.SHARED
@@ -52,14 +52,14 @@ class TestLoads:
     def test_load_forwarded_by_modified_owner_writes_back(self, proto):
         proto.store(0, ADDR, 7, sync=True)
         before = proto.traffic.flit_crossings(MessageClass.WRITEBACK)
-        proto.set_time(1000)
+        proto.now = 1000
         access = proto.load(1, ADDR, ticketed=True)
         assert access.value == 7
         assert proto.traffic.flit_crossings(MessageClass.WRITEBACK) > before
 
     def test_loads_see_latest_value(self, proto):
         proto.store(0, ADDR, 41, sync=True)
-        proto.set_time(1000)
+        proto.now = 1000
         assert proto.load(1, ADDR, ticketed=True).value == 41
 
 
@@ -88,11 +88,11 @@ class TestStores:
 
     def test_store_invalidates_sharers(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, ADDR, ticketed=True)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.load(2, ADDR, ticketed=True)
-        proto.set_time(2000)
+        proto.now = 2000
         proto.store(1, ADDR, 9, sync=True, ticketed=True)
         line = proto.amap.line_of(ADDR)
         assert proto.l1s[0].state_of(line) is None
@@ -102,18 +102,18 @@ class TestStores:
 
     def test_invalidation_traffic_counted(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, ADDR, ticketed=True)
-        proto.set_time(1000)
+        proto.now = 1000
         assert proto.traffic.flit_crossings(MessageClass.INVALIDATION) == 0
         proto.store(0, ADDR, 9, sync=True, ticketed=True)
         assert proto.traffic.flit_crossings(MessageClass.INVALIDATION) > 0
 
     def test_upgrade_latency_covers_invalidation(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, ADDR, ticketed=True)
-        proto.set_time(1000)
+        proto.now = 1000
         bank = proto.amap.home_bank_of_addr(ADDR)
         access = proto.store(0, ADDR, 9, sync=True, ticketed=True)
         inv_rtt = proto.mesh.invalidation_round_trip(bank, 1)
@@ -123,14 +123,14 @@ class TestStores:
 class TestRmw:
     def test_rmw_returns_old_applies_new(self, proto):
         proto.store(0, ADDR, 10)
-        proto.set_time(100)
+        proto.now = 100
         access = proto.rmw(0, ADDR, lambda old: old + 1)
         assert access.value == 10
         assert proto.memory.read(ADDR) == 11
 
     def test_failed_cas_leaves_memory(self, proto):
         proto.store(0, ADDR, 10)
-        proto.set_time(100)
+        proto.now = 100
         access = proto.rmw(0, ADDR, lambda old: None)
         assert access.value == 10
         assert proto.memory.read(ADDR) == 10
@@ -175,25 +175,25 @@ class TestSubscriptions:
 
     def test_waiter_woken_by_invalidation(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, ADDR, ticketed=True)
         wakes = []
         proto.subscribe_line_change(0, ADDR, wakes.append)
-        proto.set_time(1000)
+        proto.now = 1000
         proto.store(1, ADDR, 1, sync=True, ticketed=True)
         assert len(wakes) == 1
         assert wakes[0] >= 1000
 
     def test_other_cores_waiters_not_woken(self, proto):
         proto.load(0, ADDR)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, ADDR, ticketed=True)
-        proto.set_time(600)
+        proto.now = 600
         proto.load(2, ADDR, ticketed=True)
         wakes0, wakes2 = [], []
         proto.subscribe_line_change(0, ADDR, wakes0.append)
         proto.subscribe_line_change(2, ADDR, wakes2.append)
-        proto.set_time(1000)
+        proto.now = 1000
         # Core 2 upgrades: invalidates 0 but keeps its own copy.
         proto.store(2, ADDR, 1, sync=True, ticketed=True)
         assert len(wakes0) == 1
@@ -224,10 +224,10 @@ class TestWaiterEviction:
         proto.load(0, addr_a)
         wakes = []
         assert proto.subscribe_line_change(0, addr_a, wakes.append) is True
-        proto.set_time(100)
+        proto.now = 100
         proto.load(0, addr_b)  # fills the second way; A still resident
         assert wakes == []
-        proto.set_time(200)
+        proto.now = 200
         proto.load(0, addr_c)  # evicts A (LRU) from core 0's own L1
         assert wakes == [200]
         assert proto.l1s[0].state_of(proto.amap.line_of(addr_a), touch=False) is None
@@ -241,9 +241,9 @@ class TestWaiterEviction:
         proto.store(0, addr_a, 7, sync=True)  # Modified copy
         wakes = []
         assert proto.subscribe_line_change(0, addr_a, wakes.append) is True
-        proto.set_time(50)
+        proto.now = 50
         proto.load(0, addr_b)
-        proto.set_time(90)
+        proto.now = 90
         proto.load(0, addr_c)  # evicts dirty A: writeback + wake
         assert wakes == [90]
         assert proto.counters.get("writebacks") >= 1
@@ -253,14 +253,14 @@ class TestWaiterEviction:
         words = proto.config.words_per_line
         addr_a, addr_b, addr_c = 0, words, 2 * words
         proto.load(0, addr_a)
-        proto.set_time(500)
+        proto.now = 500
         proto.load(1, addr_a, ticketed=True)
         wakes0, wakes1 = [], []
         proto.subscribe_line_change(0, addr_a, wakes0.append)
         proto.subscribe_line_change(1, addr_a, wakes1.append)
-        proto.set_time(600)
+        proto.now = 600
         proto.load(0, addr_b)
-        proto.set_time(700)
+        proto.now = 700
         proto.load(0, addr_c)  # core 0 loses A; core 1's copy is intact
         assert wakes0 == [700]
         assert wakes1 == []
@@ -275,11 +275,11 @@ class TestRemoteDowngradeLru:
         words = proto.config.words_per_line
         addr_a, addr_b, addr_c = 0, words, 2 * words
         proto.load(0, addr_a)  # Exclusive, oldest local touch
-        proto.set_time(10)
+        proto.now = 10
         proto.load(0, addr_b)
-        proto.set_time(2000)
+        proto.now = 2000
         proto.load(1, addr_a, ticketed=True)  # owner forward, A -> Shared
-        proto.set_time(4000)
+        proto.now = 4000
         proto.load(0, addr_c)  # replacement: A is still core 0's LRU victim
         l1 = proto.l1s[0]
         assert l1.state_of(proto.amap.line_of(addr_a), touch=False) is None
@@ -293,7 +293,7 @@ class TestEviction:
         words_per_line = config.words_per_line
         lines = [i * num_sets + 1 for i in range(config.l1_assoc + 1)]
         for i, line in enumerate(lines):
-            proto.set_time(i * 1000)
+            proto.now = i * 1000
             proto.store(0, line * words_per_line, i, sync=True, ticketed=True)
         victim_line = lines[0]
         assert proto.l1s[0].state_of(victim_line, touch=False) is None

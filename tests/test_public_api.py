@@ -24,7 +24,9 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_protocol_registry(self):
-        assert set(repro.PROTOCOLS) >= {"MESI", "DeNovoSync0", "DeNovoSync"}
+        assert set(repro.protocols.protocol_names()) >= {
+            "MESI", "DeNovoSync0", "DeNovoSync",
+        }
         protocol = repro.make_protocol("MESI", repro.config_16())
         assert protocol.name == "MESI"
 

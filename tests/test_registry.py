@@ -1,7 +1,6 @@
 """Tests for the protocol plugin registry: capability descriptors,
 query helpers, the derived comparison sets the harness layers consume,
-the backwards-compatible ``PROTOCOLS``/``PROTOCOL_LABELS`` views, and
-``make_protocol``'s near-miss error path."""
+and ``make_protocol``'s near-miss error path."""
 
 import gc
 import weakref
@@ -12,11 +11,7 @@ import repro.protocols as protocols_pkg
 from repro.config import config_for_cores
 from repro.mem.address import AddressMap
 from repro.mem.regions import RegionAllocator
-from repro.protocols import (
-    PROTOCOL_LABELS,
-    PROTOCOLS,
-    make_protocol,
-)
+from repro.protocols import make_protocol
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
@@ -49,7 +44,11 @@ class TestDescriptors:
         assert info.invalidation == "self"
         assert info.backoff == "adaptive"
         assert info.requires_annotations
-        assert info.cls is PROTOCOLS["DeNovoSync"]
+        assert info.cls is protocols_pkg.DeNovoSyncProtocol
+
+    def test_labels_are_unique(self):
+        labels = [info.label for info in iter_protocols()]
+        assert len(labels) == len(set(labels))
 
     def test_capability_vocabulary_is_validated(self):
         from repro.protocols.registry import register_protocol
@@ -123,26 +122,6 @@ class TestCapabilityQueries:
 
         assert KERNEL_PROTOCOLS == default_comparison_set()
         assert APP_PROTOCOLS == app_comparison_set()
-
-
-class TestBackCompatViews:
-    def test_protocols_view_is_a_mapping_of_classes(self):
-        assert list(PROTOCOLS) == list(protocol_names())
-        assert len(PROTOCOLS) == len(protocol_names())
-        assert PROTOCOLS["MESI"] is protocols_pkg.MesiProtocol
-        assert "Neat" in PROTOCOLS
-        assert "MOESI" not in PROTOCOLS
-        with pytest.raises(KeyError):
-            PROTOCOLS["MOESI"]
-
-    def test_labels_view(self):
-        assert PROTOCOL_LABELS["DeNovoSync0"] == "DS0"
-        assert PROTOCOL_LABELS.get("nope", "nope") == "nope"
-        assert dict(PROTOCOL_LABELS)["SynCron"] == "SynC"
-
-    def test_labels_are_unique(self):
-        labels = list(PROTOCOL_LABELS.values())
-        assert len(labels) == len(set(labels))
 
 
 class TestMakeProtocolErrors:

@@ -73,7 +73,7 @@ class Harness:
 
     def pump(self):
         """One manual supervision pass, on the loop."""
-        self.call(self.service.executor.supervisor.step)
+        self.call(self.service.supervisor.step)
 
     def close(self) -> None:
         self.submit_coro(self.service.stop())
@@ -175,10 +175,10 @@ class TestWorkerKillRecovery:
                 specs_for([7301, 7302, 7303, 7304], scale=0.5)
             )
             wait_until(
-                lambda: harness.service.executor.running_count() > 0,
+                lambda: harness.service.supervisor.running_count() > 0,
                 message="a cell to start running",
             )
-            os.kill(harness.service.executor.worker_pids()[0], signal.SIGKILL)
+            os.kill(harness.service.supervisor.worker_pids()[0], signal.SIGKILL)
 
             # The break is visible (degraded) before the supervisor reacts.
             wait_until(
@@ -212,7 +212,7 @@ class TestWorkerKillRecovery:
             assert recycled_samples[-1] == 1
             # Crash recovery re-submits lost cells; it is not a *retry*.
             assert counters["cells_retried"] == 0
-            assert harness.service.executor.worker_health()["alive"] == 2
+            assert harness.service.supervisor.worker_health()["alive"] == 2
         finally:
             harness.close()
 

@@ -24,7 +24,7 @@ def proto():
 
 def _spaced(proto):
     """Advance the protocol clock far enough that nothing overlaps."""
-    proto.set_time(proto.now + 5000)
+    proto.now = proto.now + 5000
 
 
 class TestSignatureMechanics:

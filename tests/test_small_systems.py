@@ -5,7 +5,7 @@ import pytest
 from repro.config import config_for_cores
 from repro.harness.runner import run_workload
 from repro.noc.mesh import Mesh
-from repro.protocols import PROTOCOLS
+from repro.protocols import protocol_names
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -25,7 +25,7 @@ class TestOneCoreSystem:
         assert mesh.nearest_controller(0) == 0
         assert mesh.invalidation_round_trip(0, 0) == config.tuning.inv_processing
 
-    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", list(protocol_names()))
     def test_kernel_runs_on_one_core(self, protocol):
         workload = make_kernel("tatas", "counter", spec=KernelSpec(iterations=3))
         result = run_workload(
@@ -35,7 +35,7 @@ class TestOneCoreSystem:
         # Nothing crosses a link in a one-tile mesh.
         assert result.total_traffic == 0
 
-    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", list(protocol_names()))
     def test_barrier_on_one_core(self, protocol):
         workload = make_kernel("barrier", "central", spec=KernelSpec(iterations=2))
         result = run_workload(workload, protocol, config_for_cores(1), seed=1)

@@ -21,8 +21,11 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness.supervisor import PoolSupervisor, RetryPolicy
-from repro.service.executor import SweepExecutor
+from repro.config import config_for_cores
+from repro.harness.parallel import RunSpec, execute_spec, kernel_cell
+from repro.harness.supervisor import PoolSupervisor, RetryPolicy, execute_cell
+from repro.service import SweepService
+from repro.workloads.base import KernelSpec
 
 #: fast, deterministic backoff so retry tests take milliseconds.
 FAST = dict(base_delay=0.01, multiplier=2.0, max_delay=0.05, jitter=0.0)
@@ -44,6 +47,17 @@ def flaky_worker(spec, marker_path):
         sentinel.touch()
         raise ValueError("transient worker failure")
     return "recovered"
+
+
+def flaky_cell_worker(spec, marker_path):
+    """Fails a pool's first attempt, then simulates ``spec``: the
+    sentinel lives in the supervisor's own spool directory."""
+    sentinel = Path(marker_path).parent / "first-attempt"
+    if not sentinel.exists():
+        Path(marker_path).touch()
+        sentinel.touch()
+        raise ValueError("transient worker failure")
+    return execute_cell(spec, marker_path)
 
 
 def always_fail_worker(spec, marker_path):
@@ -319,51 +333,59 @@ class TestShutdownHarvest:
 
 
 class TestDedupeAfterFailure:
-    def test_follower_observes_the_retried_outcome(self, tmp_path):
+    """Drives the service's cache -> in-flight -> submit lookup directly
+    (no HTTP), stepping its supervisor by hand."""
+
+    SPEC = RunSpec(
+        kernel_cell("tatas", "counter", KernelSpec(scale=0.02)),
+        "MESI", config_for_cores(4), seed=1,
+    )
+
+    def test_follower_observes_the_retried_outcome(self):
         """Satellite regression: a submission deduped against an in-flight
         cell whose first attempt *fails* must observe the retried success,
         not the dead first attempt."""
-        executor = SweepExecutor(
-            workers=1, cache=None, worker_fn=flaky_worker,
+        service = SweepService(
+            workers=1, cache=None, worker_fn=flaky_cell_worker,
             policy=RetryPolicy(**FAST),
         )
 
         async def scenario():
-            spec = str(tmp_path / "sentinel")
-            source1, leader = executor.lookup(spec, "k1")
-            source2, follower = executor.lookup(spec, "k1")
-            assert source1 == "run" and source2 == "dedupe"
+            cell1 = service._submit_cell(0, self.SPEC)
+            cell2 = service._submit_cell(1, self.SPEC)
+            leader, follower = cell1.task, cell2.task
+            assert cell1.source == "run" and cell2.source == "dedupe"
             assert follower is leader  # one task, one terminal outcome
-            resolutions = await drive(executor.supervisor, leader, follower)
+            resolutions = await drive(service.supervisor, leader, follower)
             return resolutions
 
         try:
             res_leader, res_follower = asyncio.run(scenario())
         finally:
-            executor.shutdown()
+            service.supervisor.shutdown()
         assert res_leader.ok and res_follower.ok
-        assert res_follower.result == "recovered"
+        expected = execute_spec(self.SPEC).summary()
+        assert res_follower.result.summary() == expected
         assert res_follower.attempts == 2
 
-    def test_without_retries_the_follower_shares_the_failure(self, tmp_path):
+    def test_without_retries_the_follower_shares_the_failure(self):
         """Re-breaking shim: with retries disabled (``max_attempts=1``, the
         legacy behavior), the follower is stuck with the first attempt's
         failure — the exact outcome the retry layer exists to prevent."""
-        executor = SweepExecutor(
-            workers=1, cache=None, worker_fn=flaky_worker,
+        service = SweepService(
+            workers=1, cache=None, worker_fn=flaky_cell_worker,
             policy=RetryPolicy(max_attempts=1, **FAST),
         )
 
         async def scenario():
-            spec = str(tmp_path / "sentinel")
-            _, leader = executor.lookup(spec, "k1")
-            source2, follower = executor.lookup(spec, "k1")
-            assert source2 == "dedupe"
-            return await drive(executor.supervisor, leader, follower)
+            leader = service._submit_cell(0, self.SPEC).task
+            cell2 = service._submit_cell(1, self.SPEC)
+            assert cell2.source == "dedupe"
+            return await drive(service.supervisor, leader, cell2.task)
 
         try:
             res_leader, res_follower = asyncio.run(scenario())
         finally:
-            executor.shutdown()
+            service.supervisor.shutdown()
         assert not res_leader.ok and not res_follower.ok
         assert res_follower.error["kind"] == "ValueError"

@@ -5,7 +5,7 @@ import pytest
 
 from repro.config import config_16
 from repro.harness.runner import run_workload
-from repro.protocols import PROTOCOLS
+from repro.protocols import protocol_names
 from repro.stats.timeparts import TimeComponent
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import all_kernel_ids, kernel_names, make_kernel
@@ -35,7 +35,7 @@ class TestRegistryShape:
 
 
 @pytest.mark.parametrize("figure,name", all_kernel_ids())
-@pytest.mark.parametrize("protocol", list(PROTOCOLS))
+@pytest.mark.parametrize("protocol", list(protocol_names()))
 class TestKernelRuns:
     def test_runs_and_accounts(self, figure, name, protocol):
         spec = KernelSpec(iterations=3, scale=1.0)
@@ -58,7 +58,7 @@ class TestKernelRuns:
 
 
 class TestKernelSemantics:
-    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", list(protocol_names()))
     def test_fai_counter_exact_total(self, protocol):
         workload = make_kernel("nonblocking", "FAI counter", spec=TINY)
         result = run_workload(
@@ -68,7 +68,7 @@ class TestKernelSemantics:
         assert final == 16 * 3
 
     @pytest.mark.parametrize("figure", ["tatas", "array"])
-    @pytest.mark.parametrize("protocol", list(PROTOCOLS))
+    @pytest.mark.parametrize("protocol", list(protocol_names()))
     def test_locked_counter_exact_total(self, figure, protocol):
         workload = make_kernel(figure, "counter", spec=TINY)
         result = run_workload(
