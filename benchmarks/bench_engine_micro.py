@@ -22,10 +22,9 @@ Each scenario reports two things:
 
 The scenarios stress the event queue's distinct regimes: a serial
 hand-off chain (one event in flight), a fan-out mixing near deltas with
-multi-thousand-cycle ones (a deep heap), a cancel storm (tombstone
-compaction), one real kernel run, independent per-core chains (many
-events per cycle), and a 64-core Neat spin-heavy kernel (the spin
-fast-forward's lease ticks).  One more scenario covers the data path
+multi-thousand-cycle ones (a deep heap), one real kernel run,
+independent per-core chains (many events per cycle), and a 64-core Neat
+spin-heavy kernel (the spin fast-forward's lease ticks).  One more scenario covers the data path
 rather than the engine: the LU application model at 64 cores under Neat
 (DeNovo L1 line fills and region self-invalidation), counted in
 simulated cycles.  ``--compare --strict-counts`` additionally fails when
@@ -80,25 +79,6 @@ def _fanout_mix(n: int = 120_000):
     sim.call_after(0, fire, None)
     start = perf_counter()
     fired = sim.run()
-    return fired, perf_counter() - start
-
-
-def _cancel_churn(rounds: int = 50, batch: int = 2_000):
-    """Schedule storms, cancel half, drain: exercises compaction."""
-    sim = Simulator()
-
-    def noop():
-        return None
-
-    fired = 0
-    start = perf_counter()
-    for _ in range(rounds):
-        handles = [
-            sim.schedule_after((i * 13) % 3_000 + 1, noop) for i in range(batch)
-        ]
-        for handle in handles[::2]:
-            handle.cancel()
-        fired += sim.run()
     return fired, perf_counter() - start
 
 
@@ -166,7 +146,6 @@ def _data_path():
 SCENARIOS = {
     "pingpong": (_pingpong, "events"),
     "fanout_mix": (_fanout_mix, "events"),
-    "cancel_churn": (_cancel_churn, "events"),
     "kernel_tatas_16c": (_kernel_ops, "cycles"),
     "uncontended_stretch": (_uncontended_stretch, "events"),
     "spin_heavy_64c": (_spin_heavy, "cycles"),

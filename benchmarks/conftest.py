@@ -17,9 +17,20 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
+@pytest.fixture(scope="session")
+def _reported_names() -> set[str]:
+    """Figure names already written to ``results/`` in this session."""
+    return set()
+
+
 @pytest.fixture
-def figure_reporter():
-    """Returns a function that prints a FigureResult and saves it."""
+def figure_reporter(_reported_names):
+    """Returns a function that prints a FigureResult and saves it.
+
+    The first report under a name in a session rewrites
+    ``results/<name>.txt``; later ones in the same session append (one
+    table per core count, say), so rerunning a bench never duplicates it.
+    """
     from repro.harness.report import print_figure
 
     def report(name: str, result) -> None:
@@ -30,7 +41,8 @@ def figure_reporter():
         print(text)
         os.makedirs(RESULTS_DIR, exist_ok=True)
         path = os.path.join(RESULTS_DIR, f"{name}.txt")
-        mode = "a" if os.path.exists(path) else "w"
+        mode = "a" if name in _reported_names else "w"
+        _reported_names.add(name)
         with open(path, mode) as fh:
             fh.write(text)
 

@@ -25,11 +25,12 @@ Spin-wait execution (:class:`~repro.cpu.isa.WaitLoad`):
 Hot-path structure: operations dispatch through a per-class handler table
 instead of an ``isinstance`` chain, and every event the core schedules
 goes through :meth:`~repro.sim.engine.Simulator.call_after` /
-``call_at`` with a method prebound in ``__init__`` — no closure and no
-``Event`` allocation per operation.  The state a retry needs (the op, the
-RMW operands, the spin re-probe cycle) lives in per-core fields, which is
-sound because an in-order blocking core has exactly one operation in
-flight.
+``call_at`` with a method prebound in ``__init__`` — no closure per
+operation.  The state a retry needs (the op, the RMW operands, the spin
+re-probe cycle) lives in per-core fields, which is sound because an
+in-order blocking core has exactly one operation in flight.  The model
+checker's scheduling gate lives in a subclass,
+:class:`~repro.mc.controller.GatedCore`.
 """
 
 from __future__ import annotations
@@ -48,12 +49,6 @@ SPIN_LOOP_OVERHEAD = 1
 #: (accounting indexes ``TimeBreakdown._cycles`` directly, see below).
 _IDX_COMPUTE = TimeComponent.COMPUTE.idx
 _IDX_MEMORY_STALL = TimeComponent.MEMORY_STALL.idx
-
-#: Operations that are *visible* to a schedule controller: each issue is
-#: a decision point when ``sim.controller`` is set.  ``WaitLoad`` is
-#: gated per probe in :meth:`Core._spin_probe` instead, so every probe of
-#: a spin loop is its own decision point.
-GATED_OPS = (isa.Load, isa.Store, isa.Cas, isa.Fai, isa.Swap, isa.SelfInvalidate)
 
 
 class Core:
@@ -77,9 +72,6 @@ class Core:
         self.pending_op = None
         self.wait_reason: str | None = None
         self.blocked_since = 0
-        # One-shot token set by ScheduleController.release: lets the
-        # parked continuation pass the gate exactly once.
-        self._release_granted = False
         # In-flight retry state (one op in flight on an in-order core).
         self._rmw_state: tuple | None = None
         self._spin_op: isa.WaitLoad | None = None
@@ -90,8 +82,7 @@ class Core:
         # ...)).  Armed in _spin_probe_issue, consumed by _lease_tick.
         # Eligibility is static per run: backoff-capable protocols and
         # protocol wrappers (tracing, fault injection, runtime audits,
-        # which restore the base spin_poll_lease) never lease; a schedule
-        # controller is re-checked at arm time.
+        # which restore the base spin_poll_lease) never lease.
         self._lease: tuple | None = None
         self._lease_ok = not self._has_backoff and _overrides(
             protocol, "spin_poll_lease"
@@ -121,9 +112,6 @@ class Core:
         return self.finish_time is not None
 
     # -- accounting -----------------------------------------------------------
-
-    def _bucket(self) -> TimeComponent | None:
-        return self._bucket_stack[-1] if self._bucket_stack else None
 
     def _account(self, component: TimeComponent, cycles: int) -> None:
         # Accounting runs several times per memory operation, so both
@@ -176,34 +164,7 @@ class Core:
     def _resume_after(self, delay: int, value=None) -> None:
         self.sim.call_after(delay, self._cb_step, value)
 
-    def _gate(self, op, cont) -> bool:
-        """Park at a scheduling decision point; True if parked.
-
-        With ``sim.controller`` set, a visible operation does not issue on
-        its own: the core hands the controller a continuation and goes
-        quiet.  :meth:`ScheduleController.release` grants a one-shot token
-        and reschedules ``cont``, which then passes this gate and issues.
-        Without a controller this is one attribute test.
-        """
-        controller = self.sim.controller
-        if controller is None:
-            return False
-        if self._release_granted:
-            self._release_granted = False
-            return False
-        self.wait_reason = "schedule-gate"
-        self.blocked_since = self.sim.now
-        controller.arrive(self, op, cont)
-        return True
-
     def _dispatch(self, op) -> None:
-        sim = self.sim
-        if (
-            sim.controller is not None
-            and isinstance(op, GATED_OPS)
-            and self._gate(op, lambda: self._dispatch(op))
-        ):
-            return
         handler = _HANDLERS.get(op.__class__)
         if handler is None:
             raise TypeError(f"core {self.core_id}: unknown operation {op!r}")
@@ -327,10 +288,6 @@ class Core:
 
     def _spin_probe(self, op: isa.WaitLoad) -> None:
         """One probe of a spin-wait; reschedules itself until ``pred`` holds."""
-        if self.sim.controller is not None and self._gate(
-            op, lambda: self._spin_probe(op)
-        ):
-            return
         if op.sync and self._has_backoff:
             backoff = self.protocol.sync_read_backoff(
                 self.core_id, op.addr, spinning=True
@@ -376,7 +333,7 @@ class Core:
         self.wait_reason = "spin-poll"
         self._account(TimeComponent.COMPUTE, SPIN_LOOP_OVERHEAD)
         sim = self.sim
-        if self._lease_ok and op.sync and sim.controller is None:
+        if self._lease_ok and op.sync:
             lease = self.protocol.spin_poll_lease(self.core_id, op.addr)
             if lease is not None:
                 lat = lease.latency

@@ -335,11 +335,6 @@ class _Replay:
         return self.findings
 
 
-def replay_execution(execution: Execution, model: FormalModel) -> list:
-    """Findings from replaying one execution through ``model``."""
-    return _Replay(execution, model).run()
-
-
 def replay_corpus(
     protocol_name: str,
     model: FormalModel,

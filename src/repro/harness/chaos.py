@@ -23,11 +23,11 @@ from collections.abc import Callable, Sequence
 from repro.config import SystemConfig, config_for_cores
 from repro.harness.runner import run_workload
 from repro.noc.faults import FaultPlan
-from repro.protocols.registry import chaos_comparison_set
+from repro.protocols.registry import default_comparison_set
 
-#: The chaos acceptance set: every default-comparison protocol that
-#: advertises fault-injection hooks and runtime invariant checking.
-CHAOS_PROTOCOLS = chaos_comparison_set()
+#: The chaos acceptance set: the default comparison set (every backend
+#: supports fault injection and runtime invariant checking).
+CHAOS_PROTOCOLS = default_comparison_set()
 
 #: How many differing words to name before truncating a mismatch report.
 MAX_REPORTED_DIFFS = 8
@@ -155,7 +155,6 @@ def run_chaos_sweep(
     num_cores: int = 16,
     scale: float = 0.05,
     invariant_level: str = "full",
-    plan_for_seed: Callable[[int], FaultPlan] = default_fault_plan,
 ) -> list[ChaosCell]:
     """The full differential matrix, with runtime invariants armed."""
     config = config_for_cores(num_cores, invariant_level=invariant_level)
@@ -172,7 +171,7 @@ def run_chaos_sweep(
                         factory,
                         protocol_name,
                         config,
-                        plan_for_seed(seed),
+                        default_fault_plan(seed),
                         label,
                         baseline_snapshot=snapshot,
                         baseline_cycles=baseline.cycles,

@@ -41,7 +41,6 @@ from repro.harness.parallel import default_cache
 from repro.harness.plots import render_figure
 from repro.harness.report import print_figure
 from repro.protocols.registry import (
-    chaos_comparison_set,
     default_comparison_set,
     formal_model_set,
     protocol_names,
@@ -673,7 +672,6 @@ def _run_protocols(args) -> int:
                 for key in (
                     "name", "label", "paper", "summary", "tracking",
                     "invalidation", "backoff", "requires_annotations",
-                    "fault_hooks", "runtime_invariants",
                     "default_comparison", "app_comparison",
                 )
             }
@@ -905,7 +903,7 @@ TARGETS: dict[str, Target] = {
     "chaos": Target(
         _run_chaos, "seeded fault-injection differential sweep",
         ("protocols", "--seeds", "--cores", "--scale", "--invariant-level"),
-        {**_protocols(chaos_comparison_set()), "--invariant-level": dict(default="full")},
+        {**_protocols(default_comparison_set()), "--invariant-level": dict(default="full")},
     ),
     "mc": Target(
         _run_mc, "exhaustive interleaving exploration of the litmus corpus",

@@ -299,18 +299,12 @@ class ResultCache:
 # -- the sweep executor -------------------------------------------------------
 
 
-def resolve_jobs(jobs: int | None, *, cap: int | None = None) -> int:
-    """Normalize a ``--jobs`` value: None/0/negative mean "all host cores".
-
-    ``cap`` bounds the answer from above (a service's configured worker
-    budget); it applies even when ``os.cpu_count()`` cannot be determined
-    and the core-count fallback of 1 kicks in.  The result is always >= 1.
-    """
+def resolve_jobs(jobs: int | None) -> int:
+    """Normalize a ``--jobs`` value: None/0/negative mean "all host cores"
+    (1 when ``os.cpu_count()`` cannot tell).  The result is always >= 1."""
     if jobs is None or jobs < 1:
-        jobs = os.cpu_count() or 1
-    if cap is not None:
-        jobs = min(jobs, cap)
-    return max(1, jobs)
+        return os.cpu_count() or 1
+    return jobs
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,6 @@ class PoolSupervisor:
         on_settle: Callable[[CellResolution], None] | None = None,
         on_counter: Callable[..., None] | None = None,
         clock: Callable[[], float] = time.monotonic,
-        rng_seed: int = 0x5EED,
     ) -> None:
         if tick <= 0:
             raise ValueError(f"tick must be positive, got {tick!r}")
@@ -224,7 +223,7 @@ class PoolSupervisor:
         self._on_settle = on_settle
         self._on_counter = on_counter
         self._clock = clock
-        self._rng = random.Random(rng_seed)
+        self._rng = random.Random(0x5EED)  # retry jitter, reproducible
         self._spool = Path(tempfile.mkdtemp(prefix="repro-sweep-spool-"))
         self._marker_ids = itertools.count(1)
         self._tasks: dict[str, CellTask] = {}

@@ -1,13 +1,14 @@
 """Model checking: exhaustive interleaving exploration for the protocols.
 
 The subsystem runs small litmus workloads (:mod:`repro.mc.litmus`) under
-*controlled* scheduling: with ``Simulator.controller`` set, every core
-parks at each visible memory-operation boundary and a
+*controlled* scheduling: every core is a
+:class:`~repro.mc.controller.GatedCore` that parks at each visible
+memory-operation boundary, and a
 :class:`~repro.mc.controller.ScheduleController` decides which core
 issues next.  The exploration driver (:mod:`repro.mc.explorer`) performs
 a stateless DFS over schedules with dynamic partial-order reduction
 (persistent/sleep sets keyed on cache-line conflicts) and CHESS-style
-iterative preemption bounding; safety oracles (:mod:`repro.mc.oracle`)
+preemption bounding; safety oracles (:mod:`repro.mc.oracle`)
 check runtime coherence invariants, per-execution conformance against an
 interpreter-computed sequentially-consistent reference, final memory,
 and each litmus test's postcondition.  On violation the failing schedule
@@ -16,7 +17,7 @@ artifact (:mod:`repro.mc.artifact`).
 """
 
 from repro.mc.controller import ScheduleController
-from repro.mc.explorer import ExploreResult, explore, explore_iterative
+from repro.mc.explorer import ExploreResult, explore
 from repro.mc.litmus import CORPUS, LitmusTest
 from repro.mc.runner import Execution, McOptions, Violation, run_schedule
 
@@ -29,6 +30,5 @@ __all__ = [
     "ScheduleController",
     "Violation",
     "explore",
-    "explore_iterative",
     "run_schedule",
 ]

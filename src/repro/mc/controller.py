@@ -1,15 +1,15 @@
-"""The receiving end of the core scheduling hook.
+"""The model checker's scheduling hook: gated cores and their controller.
 
-With ``Simulator.controller`` set to a :class:`ScheduleController`, every
-:class:`~repro.cpu.core.Core` *gates* before issuing a visible memory
-operation (loads, stores, RMWs, self-invalidations, and every individual
-spin probe): instead of touching the protocol it calls :meth:`arrive`
-with a continuation and goes quiet.  Draining the event queue then
-reaches quiescence with every unfinished core either parked here or
-asleep on a protocol subscription — at which point the caller picks one
-parked core, :meth:`release`\\ s it, and drains again.  Exactly one core
-performs protocol work per release, which is what lets the model checker
-serialize, attribute, and enumerate interleavings of visible operations.
+A :class:`GatedCore` *gates* before issuing a visible memory operation
+(loads, stores, RMWs, self-invalidations, and every individual spin
+probe): instead of touching the protocol it calls
+:meth:`ScheduleController.arrive` with a continuation and goes quiet.
+Draining the event queue then reaches quiescence with every unfinished
+core either parked here or asleep on a protocol subscription — at which
+point the caller picks one parked core, :meth:`~ScheduleController.release`\\ s
+it, and drains again.  Exactly one core performs protocol work per
+release, which is what lets the model checker serialize, attribute, and
+enumerate interleavings of visible operations.
 """
 
 from __future__ import annotations
@@ -17,14 +17,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Callable
 
+from repro.cpu import isa
+from repro.cpu.core import Core
+
 
 @dataclass
 class GatedOp:
     """One core parked at a decision point: its pending op + continuation."""
 
-    core: object  # repro.cpu.core.Core (untyped to avoid an import cycle)
+    core: GatedCore
     op: object  # the ISA operation about to issue
-    cont: Callable[[], None]
+    cont: Callable[[object], None]  # called with ``op`` once released
+
+
+class GatedCore(Core):
+    """A :class:`~repro.cpu.core.Core` that parks at every visible
+    operation until its :class:`ScheduleController` releases it."""
+
+    #: Operations whose issue is a decision point.  ``WaitLoad`` is gated
+    #: per probe in :meth:`_spin_probe` instead, so every probe of a spin
+    #: loop is its own decision point.
+    GATED_OPS = (isa.Load, isa.Store, isa.Cas, isa.Fai, isa.Swap, isa.SelfInvalidate)
+
+    def __init__(self, core_id: int, sim, protocol, controller: ScheduleController):
+        super().__init__(core_id, sim, protocol)
+        self.controller = controller
+        # One-shot token set by ScheduleController.release: lets the
+        # parked continuation pass the gate exactly once.
+        self._release_granted = False
+
+    def _gate(self, op, cont: Callable[[object], None]) -> bool:
+        """Park at a scheduling decision point; True if parked.
+
+        :meth:`ScheduleController.release` grants a one-shot token and
+        reschedules ``cont(op)``, which then passes this gate and issues.
+        """
+        if self._release_granted:
+            self._release_granted = False
+            return False
+        self.wait_reason = "schedule-gate"
+        self.blocked_since = self.sim.now
+        self.controller.arrive(self, op, cont)
+        return True
+
+    def _dispatch(self, op) -> None:
+        if op.__class__ is isa.WaitLoad:
+            # The handler table maps WaitLoad to the unbound
+            # Core._spin_probe, which would skip the gate below.
+            self._spin_probe(op)
+        elif not (isinstance(op, self.GATED_OPS) and self._gate(op, self._dispatch)):
+            super()._dispatch(op)
+
+    def _spin_probe(self, op: isa.WaitLoad) -> None:
+        if not self._gate(op, self._spin_probe):
+            super()._spin_probe(op)
 
 
 class ScheduleController:
@@ -35,7 +81,7 @@ class ScheduleController:
         #: Total arrivals observed (diagnostic).
         self.arrivals = 0
 
-    def arrive(self, core, op, cont: Callable[[], None]) -> None:
+    def arrive(self, core: GatedCore, op, cont: Callable[[object], None]) -> None:
         """Called by a core at a visible-operation boundary."""
         if core.core_id in self._parked:
             raise RuntimeError(
@@ -55,5 +101,5 @@ class ScheduleController:
         gated = self._parked.pop(core_id)
         core = gated.core
         core._release_granted = True
-        core.sim.schedule_after(0, gated.cont)
+        core.sim.call_after(0, gated.cont, gated.op)
         return gated

@@ -19,8 +19,7 @@ current path:
 * **Preemption bounding** (CHESS-style): a branch choice that preempts —
   switches away from the previous core while it is still runnable — is
   only taken while the path's preemption count is below the bound, so
-  exploration effort concentrates on few-preemption schedules and the
-  bound can be raised iteratively (:func:`explore_iterative`).  With
+  exploration effort concentrates on few-preemption schedules.  With
   ``bound=None`` exploration is exhaustive (up to DPOR equivalence).
 * **Eviction branches**: enabled eviction choices (environment actions,
   see :mod:`repro.mc.litmus`) are added to each new frame's backtrack set
@@ -265,22 +264,3 @@ def explore(
             break
         else:
             return result  # DFS exhausted
-
-
-def explore_iterative(
-    test: LitmusTest,
-    protocol_name: str,
-    *,
-    bounds: tuple[int, ...] = (0, 1, 2),
-    options: McOptions | None = None,
-) -> list[ExploreResult]:
-    """CHESS-style iterative bounding: explore at each bound in turn,
-    stopping early at the first violation (anytime behavior: shallow
-    bounds give fast feedback, deeper bounds add coverage)."""
-    results = []
-    for bound in bounds:
-        result = explore(test, protocol_name, bound=bound, options=options)
-        results.append(result)
-        if result.violation is not None:
-            break
-    return results

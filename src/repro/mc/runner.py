@@ -1,7 +1,8 @@
 """Controlled execution of one litmus test under one schedule.
 
-:func:`run_schedule` builds a litmus instance, arms the scheduling hook
-(``Simulator.controller``), and serializes the execution into *steps*:
+:func:`run_schedule` builds a litmus instance whose cores are
+:class:`~repro.mc.controller.GatedCore` instances, parking at every
+visible operation, and serializes the execution into *steps*:
 at each quiescent point every unfinished core is either parked at its
 next visible operation or asleep on a protocol subscription; the runner
 picks one **choice** — release a parked core, or force-evict a cache
@@ -38,8 +39,7 @@ from collections.abc import Sequence
 
 from repro.config import config_for_cores
 from repro.cpu import isa
-from repro.cpu.core import Core
-from repro.mc.controller import ScheduleController
+from repro.mc.controller import GatedCore, ScheduleController
 from repro.mc.litmus import LitmusInstance, LitmusTest
 from repro.mem.address import AddressMap
 from repro.protocols import make_protocol
@@ -239,8 +239,10 @@ def run_schedule(
 
     sim = Simulator()
     controller = ScheduleController()
-    sim.controller = controller
-    cores = [Core(core_id, sim, protocol) for core_id in range(config.num_cores)]
+    cores = [
+        GatedCore(core_id, sim, protocol, controller)
+        for core_id in range(config.num_cores)
+    ]
     for core, program in zip(cores, instance.programs):
         core.start(program)
 

@@ -111,18 +111,17 @@ class FaultInjector(ProtocolWrapper):
         if keep_running is not None:
             self._keep_running = keep_running
         for cycle, core_id, line in self.plan.scripted_evictions:
-            sim.schedule_at(
-                cycle, lambda c=core_id, ln=line: self._scripted_evict(c, ln)
-            )
+            sim.call_at(cycle, self._scripted_evict, (core_id, line))
         if self.plan.evict_period > 0:
-            sim.schedule_after(self.plan.evict_period, self._storm_tick)
+            sim.call_after(self.plan.evict_period, self._storm_tick)
 
-    def _scripted_evict(self, core_id: int, line: int) -> None:
+    def _scripted_evict(self, target: tuple[int, int]) -> None:
+        core_id, line = target
         self.inner.now = self._sim.now
         if self.inner.force_evict(core_id, line):
             self.forced_evictions += 1
 
-    def _storm_tick(self) -> None:
+    def _storm_tick(self, _unused) -> None:
         if not self._keep_running():
             return
         self.inner.now = self._sim.now
@@ -135,7 +134,7 @@ class FaultInjector(ProtocolWrapper):
             line = self.rng.choice(lines)
             if self.inner.force_evict(core_id, line):
                 self.forced_evictions += 1
-        self._sim.schedule_after(self.plan.evict_period, self._storm_tick)
+        self._sim.call_after(self.plan.evict_period, self._storm_tick)
 
     # -- perturbation helpers ----------------------------------------------
 

@@ -15,7 +15,6 @@ from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
-    chaos_comparison_set,
     default_comparison_set,
     get_info,
     iter_protocols,
@@ -74,7 +73,6 @@ __all__ = [
     "unknown_protocol_error",
     "default_comparison_set",
     "app_comparison_set",
-    "chaos_comparison_set",
     "sanitize_comparison_set",
     "registry_table",
     "registry_markdown_table",

@@ -79,10 +79,6 @@ class MesiProtocol(CoherenceProtocol):
             self._directory[line] = entry
         return entry
 
-    def _queue_delay(self, entry: DirectoryEntry) -> int:
-        """Blocking-directory delay seen by a request arriving now."""
-        return max(0, entry.busy_until - self.now)
-
     def _reserve_or_retry(
         self, entry: DirectoryEntry, core_id: int, bank: int, ticketed: bool
     ) -> Access | None:

@@ -37,12 +37,6 @@ The capability schema (one :class:`ProtocolInfo` per backend):
 ``requires_annotations``
     Whether the backend needs acquire/release/self-invalidate
     annotations to be correct (every self-invalidation design does).
-``fault_hooks``
-    Supports the fault-injection harness (``force_evict`` /
-    ``debug_resident_lines``) — the chaos sweep only selects these.
-``runtime_invariants``
-    Implements ``invariant_violations`` so ``--invariant-level`` can
-    audit it in-flight.
 ``default_comparison``
     Member of the headline comparison set (figure sweeps, mc, chaos).
 ``app_comparison``
@@ -79,8 +73,6 @@ class ProtocolInfo:
     invalidation: str          # "writer" | "self"
     backoff: str = "none"      # "none" | "adaptive"
     requires_annotations: bool = False
-    fault_hooks: bool = True
-    runtime_invariants: bool = True
     default_comparison: bool = False
     app_comparison: bool = False
     formal_model: str | None = None
@@ -173,8 +165,8 @@ def get_info(name: str) -> ProtocolInfo:
 def protocols_with(**capabilities) -> tuple[str, ...]:
     """Names of backends whose descriptor matches every given field.
 
-    ``protocols_with(invalidation="self", fault_hooks=True)`` returns
-    the self-invalidation protocols that also support fault injection.
+    ``protocols_with(invalidation="self", backoff="none")`` returns
+    the self-invalidation protocols without hardware backoff.
     Unknown field names raise (they would silently match nothing).
     """
     for key in capabilities:
@@ -203,14 +195,6 @@ def app_comparison_set() -> tuple[str, ...]:
     return protocols_with(app_comparison=True)
 
 
-def chaos_comparison_set() -> tuple[str, ...]:
-    """Chaos differential set: default-set members that advertise both
-    fault-injection hooks and runtime invariant checking."""
-    return protocols_with(
-        default_comparison=True, fault_hooks=True, runtime_invariants=True
-    )
-
-
 def sanitize_comparison_set() -> tuple[str, ...]:
     """Sanitizer sweep set: the stale-read oracle only makes sense for
     protocols that rely on reader self-invalidation."""
@@ -231,7 +215,7 @@ def registry_table() -> str:
     """The registry as an aligned text table (the ``protocols`` target)."""
     headers = (
         "protocol", "label", "tracking", "invalidation", "backoff",
-        "annotations", "faults", "invariants", "sets", "formal", "paper",
+        "annotations", "sets", "formal", "paper",
     )
     rows = []
     for info in _REGISTRY.values():
@@ -247,8 +231,6 @@ def registry_table() -> str:
             info.name, info.label, info.tracking, info.invalidation,
             info.backoff,
             "required" if info.requires_annotations else "optional",
-            "yes" if info.fault_hooks else "no",
-            "yes" if info.runtime_invariants else "no",
             sets, info.formal_model or "-", info.paper,
         ))
     widths = [
@@ -306,7 +288,6 @@ __all__ = [
     "unknown_protocol_error",
     "default_comparison_set",
     "app_comparison_set",
-    "chaos_comparison_set",
     "sanitize_comparison_set",
     "formal_model_set",
     "registry_table",

@@ -103,7 +103,6 @@ def analyze_trace(
     records: Iterable[AccessRecord],
     *,
     region_of: Callable[[int], int | None] | None = None,
-    max_findings_per_kind: int = MAX_FINDINGS_PER_KIND,
 ) -> TraceAnalysis:
     """Run both dynamic checks over ``records``.
 
@@ -141,7 +140,7 @@ def analyze_trace(
         return clock
 
     def emit(kind: str, count: int, finding: Finding) -> None:
-        if count <= max_findings_per_kind:
+        if count <= MAX_FINDINGS_PER_KIND:
             analysis.findings.append(finding)
 
     for record in records:

@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 from repro.config import config_for_cores
 from repro.harness.parallel import ResultCache, RunSpec, kernel_cell
 from repro.harness.supervisor import RetryPolicy
-from repro.protocols.registry import chaos_comparison_set
+from repro.protocols.registry import default_comparison_set
 from repro.service.client import ServiceClient
 from repro.service.server import SweepService
 from repro.workloads.base import KernelSpec
@@ -72,8 +72,8 @@ class ChaosConfig:
     #: seconds between observing a running cell and pulling the trigger.
     kill_interval: float = 0.3
     cores: int = 16
-    #: registry-derived default: every chaos-capable protocol.
-    protocols: tuple = field(default_factory=chaos_comparison_set)
+    #: registry-derived default: the default comparison set.
+    protocols: tuple = field(default_factory=default_comparison_set)
     kernels: tuple = ("counter", "stack")
     #: scale of the healthy cells — large enough that kills land mid-cell.
     scale: float = 0.3

@@ -102,7 +102,6 @@ class SweepService:
         port: int = 0,
         workers: int | None = None,
         cache: ResultCache | None = None,
-        max_workers_cap: int | None = None,
         max_queued: int | None = DEFAULT_MAX_QUEUED,
         cell_deadline: float | None = None,
         policy: RetryPolicy | None = None,
@@ -115,7 +114,7 @@ class SweepService:
         self.metrics = ServiceMetrics()
         self.cache = cache
         self.supervisor = PoolSupervisor(
-            workers=resolve_jobs(workers, cap=max_workers_cap),
+            workers=resolve_jobs(workers),
             policy=policy,
             tick=tick,
             default_deadline=cell_deadline,
@@ -481,7 +480,6 @@ def run_server(
     cell_deadline: float | None = None,
     max_retries: int = RetryPolicy.max_attempts,
     drain_timeout: float = DEFAULT_DRAIN_TIMEOUT,
-    ready_message: bool = True,
 ) -> None:
     """Blocking entry point used by ``denovosync-bench serve``.
 
@@ -497,13 +495,12 @@ def run_server(
             policy=RetryPolicy(max_attempts=max(1, max_retries)),
         )
         bound_host, bound_port = await service.start()
-        if ready_message:
-            print(
-                f"sweep service on http://{bound_host}:{bound_port} "
-                f"({service.supervisor.workers} workers, cache "
-                f"{'off' if cache is None else cache.root})",
-                flush=True,
-            )
+        print(
+            f"sweep service on http://{bound_host}:{bound_port} "
+            f"({service.supervisor.workers} workers, cache "
+            f"{'off' if cache is None else cache.root})",
+            flush=True,
+        )
 
         loop = asyncio.get_running_loop()
         drain_requested = asyncio.Event()
@@ -531,13 +528,11 @@ def run_server(
             )
             if drain_requested.is_set():
                 service.begin_drain()
-                if ready_message:
-                    print(
-                        f"draining: {service.supervisor.pending_count()} cells in "
-                        f"flight, budget {drain_timeout:g}s (signal again to "
-                        f"skip)",
-                        flush=True,
-                    )
+                print(
+                    f"draining: {service.supervisor.pending_count()} cells in "
+                    f"flight, budget {drain_timeout:g}s (signal again to skip)",
+                    flush=True,
+                )
                 waiter = asyncio.create_task(force_stop.wait())
                 deadline = loop.time() + drain_timeout
                 while not service.settled() and not force_stop.is_set():

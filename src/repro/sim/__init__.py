@@ -1,6 +1,6 @@
 """Event-driven simulation engine."""
 
-from repro.sim.engine import Event, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.watchdog import HangError, SimulationStuck, Watchdog
 
-__all__ = ["Event", "Simulator", "HangError", "SimulationStuck", "Watchdog"]
+__all__ = ["Simulator", "HangError", "SimulationStuck", "Watchdog"]

@@ -22,9 +22,9 @@ in-flight registration chains, fault-injector deferrals), and the event
 queue depth.  The renderer lives in :mod:`repro.harness.diagnostics`.
 
 The watchdog is sampled: :meth:`Watchdog.check` runs every
-``check_interval`` fired events (the :class:`~repro.sim.engine.Simulator`
-run loop calls it), so at the default interval its overhead is a fraction
-of a percent of the event-dispatch cost.
+:data:`CHECK_INTERVAL` fired events (the :class:`~repro.sim.engine.Simulator`
+run loop calls it), so its overhead is a fraction of a percent of the
+event-dispatch cost.
 """
 
 from __future__ import annotations
@@ -42,8 +42,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (sim <- harness)
 #: backoff, well under 100k cycles; 500k keeps headroom for app models.
 DEFAULT_PROGRESS_WINDOW = 500_000
 
-#: Fired events between watchdog checks (the default sampling rate).
-DEFAULT_CHECK_INTERVAL = 256
+#: Fired events between watchdog checks (the sampling rate).
+CHECK_INTERVAL = 256
 
 
 class HangError(RuntimeError):
@@ -82,10 +82,7 @@ class Watchdog:
         *,
         window: int | None = DEFAULT_PROGRESS_WINDOW,
         max_cycles: int | None = None,
-        check_interval: int = DEFAULT_CHECK_INTERVAL,
     ) -> None:
-        if check_interval < 1:
-            raise ValueError(f"check_interval must be >= 1, got {check_interval}")
         if window is not None and window < 1:
             raise ValueError(f"progress window must be >= 1, got {window}")
         self.sim = sim
@@ -93,7 +90,6 @@ class Watchdog:
         self.protocol = protocol
         self.window = window
         self.max_cycles = max_cycles
-        self.check_interval = check_interval
 
     # -- detection -----------------------------------------------------------
 

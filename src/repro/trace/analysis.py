@@ -30,10 +30,10 @@ class TraceSummary:
         return self.hits / total if total else 0.0
 
 
-def summarize(records: list[AccessRecord], top_n: int = 10) -> TraceSummary:
+def summarize(records: list[AccessRecord]) -> TraceSummary:
     """Compute a :class:`TraceSummary` over ``records``.
 
-    ``hot_words`` are the ``top_n`` most-accessed addresses (with counts);
+    ``hot_words`` are the 10 most-accessed addresses (with counts);
     ``max_sharing_degree`` is the largest number of distinct cores that
     touched any one word; ``read_shared_words`` counts words read by more
     than one core — the population DeNovoSync's read registration
@@ -72,7 +72,7 @@ def summarize(records: list[AccessRecord], top_n: int = 10) -> TraceSummary:
     summary.avg_miss_latency = (
         miss_latency_total / summary.misses if summary.misses else 0.0
     )
-    summary.hot_words = per_word.most_common(top_n)
+    summary.hot_words = per_word.most_common(10)
     summary.max_sharing_degree = max(
         (len(cores) for cores in sharers.values()), default=0
     )

@@ -178,16 +178,6 @@ class LargeCSKernel(LockKernel):
 
     base_name = "large CS"
 
-    def __init__(
-        self,
-        lock_type: str = "tatas",
-        spec: KernelSpec | None = None,
-        software_backoff: bool = False,
-        cs_words: int = LARGE_CS_WORDS,
-    ):
-        super().__init__(lock_type, spec, software_backoff)
-        self.cs_words = cs_words
-
     def setup(self, config: SystemConfig, allocator: RegionAllocator):
         lock, initial = make_lock(
             self.lock_type, allocator, config.num_cores, "largecs.lock",
@@ -195,13 +185,13 @@ class LargeCSKernel(LockKernel):
         )
         self.lock = lock
         self.region = allocator.region("largecs.data")
-        self.data = allocator.alloc("largecs.data", self.cs_words).base
+        self.data = allocator.alloc("largecs.data", LARGE_CS_WORDS).base
         return initial
 
     def body(self, ctx: ThreadCtx, iteration: int) -> Iterable:
         token = yield from self.lock.acquire(ctx)
         yield SelfInvalidate((self.region,))
-        for i in range(self.cs_words):
+        for i in range(LARGE_CS_WORDS):
             value = yield Load(self.data + i)
             yield Store(self.data + i, value + 1)
         yield from self.lock.release(token)

@@ -10,7 +10,6 @@ import pytest
 from repro.harness import cli
 from repro.harness.cli import TARGETS, build_parser, main
 from repro.protocols.registry import (
-    chaos_comparison_set,
     default_comparison_set,
     formal_model_set,
     sanitize_comparison_set,
@@ -134,7 +133,7 @@ class TestDefaults:
     def test_chaos(self):
         args = parse("chaos")
         assert args["invariant_level"] == "full"
-        assert tuple(args["protocols"]) == chaos_comparison_set()
+        assert tuple(args["protocols"]) == default_comparison_set()
         assert (args["cores"], args["scale"], args["seeds"]) == (16, 0.1, [1, 2, 3])
 
     def test_chaos_service(self):

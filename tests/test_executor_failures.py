@@ -298,23 +298,14 @@ class TestCodeVersionFingerprint:
         assert code_version() == version_before  # stale!
 
 
-# -- resolve_jobs: worker cap ---------------------------------------------------
+# -- resolve_jobs: unknown core count -------------------------------------------
 
 
-class TestResolveJobsCap:
-    def test_cap_bounds_explicit_jobs(self):
-        assert resolve_jobs(16, cap=4) == 4
-        assert resolve_jobs(2, cap=4) == 2
-        assert resolve_jobs(4, cap=None) == 4
-
-    def test_cap_honored_when_cpu_count_unknown(self, monkeypatch):
+class TestResolveJobsFallback:
+    def test_unknown_cpu_count_means_one_job(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
         assert resolve_jobs(None) == 1
-        assert resolve_jobs(0, cap=4) == 1
-        assert resolve_jobs(None, cap=3) == 1
-        assert resolve_jobs(8, cap=3) == 3
 
     def test_result_is_always_positive(self, monkeypatch):
         monkeypatch.setattr(os, "cpu_count", lambda: None)
-        assert resolve_jobs(0, cap=0) == 1
         assert resolve_jobs(-5) == 1

@@ -158,7 +158,7 @@ class TestSimulatorProperties:
         sim = Simulator()
         fired = []
         for t in times:
-            sim.schedule_at(t, lambda t=t: fired.append(t))
+            sim.call_at(t, fired.append, t)
         sim.run()
         assert fired == sorted(times)
         assert len(fired) == len(times)

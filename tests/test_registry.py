@@ -15,7 +15,6 @@ from repro.protocols import make_protocol
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
-    chaos_comparison_set,
     default_comparison_set,
     get_info,
     iter_protocols,
@@ -91,20 +90,14 @@ class TestCapabilityQueries:
             "MESI", "DeNovoSync", "Neat", "SynCron",
         )
 
-    def test_chaos_filter_picks_exactly_the_advertised_protocols(self):
-        """The chaos sweep must select exactly the default-set backends
-        advertising fault hooks + runtime invariants — no hard-coding."""
+    def test_chaos_set_is_the_default_set(self):
+        """Both chaos harnesses sweep the registry's default set — no
+        hard-coding."""
         from repro.harness.chaos import CHAOS_PROTOCOLS
+        from repro.service.chaos import ChaosConfig
 
-        expected = tuple(
-            info.name
-            for info in iter_protocols()
-            if info.default_comparison
-            and info.fault_hooks
-            and info.runtime_invariants
-        )
-        assert chaos_comparison_set() == expected
-        assert CHAOS_PROTOCOLS == expected
+        assert CHAOS_PROTOCOLS == default_comparison_set()
+        assert ChaosConfig().protocols == default_comparison_set()
 
     def test_sanitize_filter_picks_exactly_the_self_invalidators(self):
         from repro.protocols.registry import sanitize_comparison_set

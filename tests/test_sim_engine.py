@@ -1,7 +1,10 @@
 """Tests for the discrete-event engine."""
 
+import inspect
+
 import pytest
 
+import repro.sim
 from repro.sim.engine import Simulator
 
 
@@ -9,9 +12,9 @@ class TestScheduling:
     def test_events_fire_in_time_order(self):
         sim = Simulator()
         fired = []
-        sim.schedule_at(30, lambda: fired.append(30))
-        sim.schedule_at(10, lambda: fired.append(10))
-        sim.schedule_at(20, lambda: fired.append(20))
+        sim.call_at(30, fired.append, 30)
+        sim.call_at(10, fired.append, 10)
+        sim.call_at(20, fired.append, 20)
         sim.run()
         assert fired == [10, 20, 30]
 
@@ -19,177 +22,110 @@ class TestScheduling:
         sim = Simulator()
         fired = []
         for tag in range(5):
-            sim.schedule_at(7, lambda t=tag: fired.append(t))
+            sim.call_at(7, fired.append, tag)
         sim.run()
         assert fired == [0, 1, 2, 3, 4]
 
-    def test_schedule_after_is_relative(self):
+    def test_call_after_is_relative(self):
         sim = Simulator()
         times = []
-        sim.schedule_at(5, lambda: sim.schedule_after(10, lambda: times.append(sim.now)))
+        sim.call_at(5, lambda _: sim.call_after(10, lambda _: times.append(sim.now)))
         sim.run()
         assert times == [15]
+
+    def test_callback_always_gets_its_arg(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(1, seen.append)
+        sim.call_after(2, seen.append, "arg")
+        sim.run()
+        assert seen == [None, "arg"]
 
     def test_now_tracks_event_time(self):
         sim = Simulator()
         seen = []
-        sim.schedule_at(42, lambda: seen.append(sim.now))
+        sim.call_at(42, lambda _: seen.append(sim.now))
         sim.run()
         assert seen == [42]
         assert sim.now == 42
 
     def test_cannot_schedule_in_past(self):
         sim = Simulator()
-        sim.schedule_at(10, lambda: None)
+        sim.call_at(10, lambda _: None)
         sim.run()
         with pytest.raises(ValueError):
-            sim.schedule_at(5, lambda: None)
+            sim.call_at(5, lambda _: None)
 
     def test_negative_delay_rejected(self):
         sim = Simulator()
         with pytest.raises(ValueError):
-            sim.schedule_after(-1, lambda: None)
+            sim.call_after(-1, lambda _: None)
 
+    def test_call_at_the_current_cycle_is_allowed(self):
+        sim = Simulator()
+        seen = []
+        sim.call_at(10, lambda _: sim.call_at(10, seen.append, sim.now))
+        sim.run()
+        assert seen == [10]
 
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
+    def test_call_at_and_call_after_share_one_sequence(self):
+        """Entries due in the same cycle fire in schedule order whichever
+        call queued them, including one scheduled from inside the run."""
         sim = Simulator()
         fired = []
-        event = sim.schedule_at(10, lambda: fired.append("no"))
-        event.cancel()
-        sim.run()
-        assert fired == []
 
-    def test_pending_events_excludes_cancelled(self):
+        def first(_):
+            fired.append("first")
+            sim.call_after(3, fired.append, "from-callback")
+
+        sim.call_at(2, first)
+        sim.call_after(5, fired.append, "after")
+        sim.call_at(5, fired.append, "at")
+        sim.run()
+        assert fired == ["first", "after", "at", "from-callback"]
+
+    def test_event_for_now_runs_after_its_queued_peers(self):
         sim = Simulator()
-        event = sim.schedule_at(10, lambda: None)
-        sim.schedule_at(20, lambda: None)
-        assert sim.pending_events == 2
-        event.cancel()
-        assert sim.pending_events == 1
+        fired = []
+        sim.call_at(4, lambda _: sim.call_after(0, fired.append, "follow-up"))
+        sim.call_at(4, fired.append, "peer")
+        sim.run()
+        assert fired == ["peer", "follow-up"]
+        assert sim.now == 4
 
 
 class TestPendingEventsCounter:
-    """``pending_events`` is a live counter (O(1)), with heap compaction
-    once cancelled events dominate the queue."""
-
-    def test_double_cancel_counts_once(self):
-        sim = Simulator()
-        event = sim.schedule_at(10, lambda: None)
-        sim.schedule_at(20, lambda: None)
-        event.cancel()
-        event.cancel()
-        assert sim.pending_events == 1
-
     def test_counter_tracks_fired_events(self):
         sim = Simulator()
         for t in range(5):
-            sim.schedule_at(t, lambda: None)
+            sim.call_at(t, lambda _: None)
         assert sim.pending_events == 5
         sim.run()
         assert sim.pending_events == 0
 
-    def test_counter_with_mixed_cancel_and_fire(self):
+    def test_counter_inside_a_callback_excludes_the_firing_event(self):
         sim = Simulator()
-        events = [sim.schedule_at(t, lambda: None) for t in range(10)]
-        for event in events[::2]:
-            event.cancel()
-        assert sim.pending_events == 5
-        sim.run()
-        assert sim.pending_events == 0
+        seen = []
 
-    def test_compaction_shrinks_queue(self):
-        sim = Simulator()
-        keep = sim.schedule_at(1000, lambda: None)
-        doomed = [
-            sim.schedule_at(10 + t, lambda: None)
-            for t in range(sim.COMPACT_MIN_SIZE * 2)
-        ]
-        for event in doomed:
-            event.cancel()
-        # Cancelled events dominate: compaction must have kept the queue
-        # from retaining every tombstone (it shrinks whenever live
-        # entries fall below half of a COMPACT_MIN_SIZE-or-larger side).
-        assert sim.pending_events == 1
-        assert sim._retained_entries() < sim.COMPACT_MIN_SIZE
-        assert not keep.cancelled
-        fired = []
-        sim.schedule_at(1001, lambda: fired.append(1))
-        sim.run()
-        assert fired == [1]
+        def probe(_):
+            seen.append(sim.pending_events)
+            if len(seen) == 1:
+                sim.call_after(1, probe)
 
-    def test_small_queues_are_not_compacted(self):
-        sim = Simulator()
-        events = [sim.schedule_at(10 + t, lambda: None) for t in range(4)]
-        for event in events[:3]:
-            event.cancel()
-        # Below COMPACT_MIN_SIZE the tombstones stay (compaction would
-        # cost more than it saves) but the counter is still exact.
-        assert sim.pending_events == 1
-        assert sim._retained_entries() == 4
+        sim.call_at(0, probe)
+        sim.call_at(5, lambda _: None)
+        sim.run()
+        assert seen == [1, 1]
 
 
 class TestRunLimits:
-    def test_until_stops_before_later_events(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(10, lambda: fired.append(10))
-        sim.schedule_at(100, lambda: fired.append(100))
-        sim.run(until=50)
-        assert fired == [10]
-        sim.run()
-        assert fired == [10, 100]
-
-    def test_until_advances_clock(self):
-        # run(until=t) must leave now == t, not at the last fired event,
-        # so a subsequent schedule_at(t - k) is rejected as in-the-past.
-        sim = Simulator()
-        sim.schedule_at(10, lambda: None)
-        sim.schedule_at(100, lambda: None)
-        sim.run(until=50)
-        assert sim.now == 50
-        with pytest.raises(ValueError):
-            sim.schedule_at(40, lambda: None)
-
-    def test_until_advances_clock_on_empty_queue(self):
-        sim = Simulator()
-        assert sim.run(until=30) == 0
-        assert sim.now == 30
-
-    def test_event_exactly_at_until_fires(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(50, lambda: fired.append(50))
-        sim.schedule_at(51, lambda: fired.append(51))
-        sim.run(until=50)
-        assert fired == [50]
-        assert sim.now == 50
-
-    def test_stale_until_does_not_rewind_clock(self):
-        sim = Simulator()
-        sim.schedule_at(40, lambda: None)
-        sim.run()
-        assert sim.now == 40
-        sim.run(until=10)
-        assert sim.now == 40
-
-    def test_until_then_resume_is_seamless(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule_at(10, lambda: fired.append(10))
-        sim.schedule_at(100, lambda: fired.append(100))
-        sim.run(until=50)
-        sim.schedule_at(60, lambda: fired.append(60))
-        sim.run()
-        assert fired == [10, 60, 100]
-
     def test_max_events_raises(self):
         sim = Simulator()
 
-        def reschedule():
-            sim.schedule_after(1, reschedule)
+        def reschedule(_):
+            sim.call_after(1, reschedule)
 
-        sim.schedule_at(0, reschedule)
+        sim.call_at(0, reschedule)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run(max_events=100)
 
@@ -197,27 +133,99 @@ class TestRunLimits:
         sim = Simulator()
         fired = []
         for t in range(5):
-            sim.schedule_at(t, lambda t=t: fired.append(t))
+            sim.call_at(t, fired.append, t)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run(max_events=3)
         assert fired == [0, 1, 2]
 
-    def test_max_events_does_not_advance_clock_to_until(self):
-        sim = Simulator()
-        for t in range(5):
-            sim.schedule_at(t, lambda: None)
-        with pytest.raises(RuntimeError, match="max_events"):
-            sim.run(until=100, max_events=2)
-        assert sim.now == 1  # last fired event, not until
-
     def test_max_events_zero_with_pending_events_raises(self):
         sim = Simulator()
-        sim.schedule_at(10, lambda: None)
+        sim.call_at(10, lambda _: None)
         with pytest.raises(RuntimeError, match="max_events"):
             sim.run(max_events=0)
+
+    def test_max_events_spent_on_a_drained_queue_returns(self):
+        sim = Simulator()
+        for t in range(3):
+            sim.call_at(t, lambda _: None)
+        assert sim.run(max_events=3) == 3
+        assert sim.pending_events == 0
+
+    def test_max_events_trip_leaves_clock_at_last_fired_event(self):
+        sim = Simulator()
+        for t in range(0, 50, 10):
+            sim.call_at(t, lambda _: None)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=2)
+        assert sim.now == 10
+        assert sim.pending_events == 3
+
+    def test_max_events_trip_then_resume_is_seamless(self):
+        sim = Simulator()
+        fired = []
+        sim.call_at(10, fired.append, 10)
+        sim.call_at(100, fired.append, 100)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=1)
+        sim.call_at(60, fired.append, 60)
+        assert sim.run() == 2
+        assert fired == [10, 60, 100]
 
     def test_run_returns_event_count(self):
         sim = Simulator()
         for t in range(5):
-            sim.schedule_at(t, lambda: None)
+            sim.call_at(t, lambda _: None)
         assert sim.run() == 5
+
+    def test_run_on_an_empty_queue_keeps_the_clock(self):
+        sim = Simulator()
+        sim.call_at(40, lambda _: None)
+        sim.run()
+        assert sim.run() == 0
+        assert sim.run(max_events=0) == 0
+        assert sim.now == 40
+
+
+class TestEpochStats:
+    """The keys the end-to-end benchmark reads: ``epochs`` counts the cycles
+    the clock advanced to, ``events_batched`` the events fired."""
+
+    def test_counts_fired_events_and_clock_advances(self):
+        sim = Simulator()
+        for t in (0, 0, 5, 5, 9):
+            sim.call_at(t, lambda _: None)
+        sim.run()
+        stats = sim.epoch_stats
+        assert stats["epochs"] == 2
+        assert stats["events_batched"] == 5
+        assert stats["spin_polls_elided"] == 0
+        assert stats["fallbacks"] == {}
+
+    def test_counters_include_an_interrupted_run(self):
+        sim = Simulator()
+        for t in range(1, 6):
+            sim.call_at(t, lambda _: None)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=3)
+        assert sim.epoch_stats["events_batched"] == 3
+        assert sim.epoch_stats["epochs"] == 3
+        sim.run()
+        assert sim.epoch_stats["events_batched"] == 5
+        assert sim.epoch_stats["epochs"] == 5
+
+
+class TestApiSurface:
+    """Scheduling is ``call_at``/``call_after`` firing ``callback(arg)``:
+    no event handles, no run horizon, no scheduling hook on the engine."""
+
+    def test_package_exports_no_event_type(self):
+        assert "Event" not in repro.sim.__all__
+        assert not hasattr(repro.sim.engine, "Event")
+
+    def test_run_takes_only_max_events(self):
+        assert list(inspect.signature(Simulator.run).parameters) == ["self", "max_events"]
+
+    def test_calls_return_no_handle(self):
+        sim = Simulator()
+        assert sim.call_at(1, lambda _: None) is None
+        assert sim.call_after(1, lambda _: None) is None

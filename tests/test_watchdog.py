@@ -19,7 +19,7 @@ from repro.mem.regions import RegionAllocator
 from repro.noc.faults import FaultPlan
 from repro.protocols.mesi import MesiProtocol
 from repro.sim.engine import Simulator
-from repro.sim.watchdog import HangError, SimulationStuck, Watchdog
+from repro.sim.watchdog import CHECK_INTERVAL, HangError, SimulationStuck, Watchdog
 from repro.workloads.base import Workload, WorkloadInstance
 
 
@@ -166,41 +166,52 @@ class TestProgressWindow:
 
 
 class TestWatchdogValidation:
-    def test_check_interval_validated(self):
-        with pytest.raises(ValueError):
-            Watchdog(Simulator(), [], None, check_interval=0)
-
     def test_window_validated(self):
         with pytest.raises(ValueError):
             Watchdog(Simulator(), [], None, window=0)
 
-    def test_run_guards_zero_interval_watchdog(self):
-        """Simulator.run validates the interval itself, so a watchdog-like
-        object that bypasses Watchdog.__init__ raises ValueError, not a
-        ZeroDivisionError (or an infinite poll loop) deep in the run loop."""
 
-        class BrokenWatchdog:
-            check_interval = 0
+class CountingWatchdog:
+    """Stands in for :class:`Watchdog`: records the clock at every poll."""
 
-            def check(self):  # pragma: no cover - never reached
-                raise AssertionError("must not be polled")
+    def __init__(self, sim):
+        self.sim = sim
+        self.polls = []
 
+    def check(self):
+        self.polls.append(self.sim.now)
+
+
+class TestPolling:
+    def test_run_polls_once_per_interval_of_events(self):
         sim = Simulator()
-        sim.watchdog = BrokenWatchdog()
-        sim.schedule_at(1, lambda: None)
-        with pytest.raises(ValueError, match="check_interval"):
-            sim.run()
+        sim.watchdog = watchdog = CountingWatchdog(sim)
+        for t in range(2 * CHECK_INTERVAL + 7):
+            sim.call_at(t, lambda _: None)
+        assert sim.run() == 2 * CHECK_INTERVAL + 7
+        # Polled after each CHECK_INTERVAL-th event, before the next fires.
+        assert watchdog.polls == [CHECK_INTERVAL - 1, 2 * CHECK_INTERVAL - 1]
+
+    def test_poll_and_spent_budget_on_the_same_event(self):
+        sim = Simulator()
+        sim.watchdog = watchdog = CountingWatchdog(sim)
+        for t in range(CHECK_INTERVAL + 1):
+            sim.call_at(t, lambda _: None)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=CHECK_INTERVAL)
+        assert watchdog.polls == [CHECK_INTERVAL - 1]
+        assert sim.pending_events == 1
 
 
 class TestEventAttribution:
     def test_callback_exception_names_scheduling_site(self):
         sim = Simulator()
 
-        def boom():
+        def boom(_):
             raise ValueError("kaboom")
 
         # Scheduled at cycle 5 (inside another event), fires at cycle 12.
-        sim.schedule_at(5, lambda: sim.schedule_after(7, boom))
+        sim.call_at(5, lambda _: sim.call_after(7, boom))
         with pytest.raises(ValueError, match="kaboom") as excinfo:
             sim.run()
         notes = getattr(excinfo.value, "__notes__", [])
@@ -212,7 +223,7 @@ class TestEventAttribution:
     def test_exception_type_is_preserved(self):
         """Attribution annotates (PEP 678); it must not wrap or re-type."""
         sim = Simulator()
-        sim.schedule_at(0, lambda: 1 // 0)
+        sim.call_at(0, lambda _: 1 // 0)
         with pytest.raises(ZeroDivisionError):
             sim.run()
 
