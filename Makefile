@@ -73,9 +73,8 @@ figures:
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
 
+# Machine-local output only: the rest of results/ (figure tables, the
+# formal and sanitize reports, the perf baseline) is committed.
 clean:
-	rm -rf .pytest_cache .benchmarks
-	# results/ holds generated figures and the sweep cache, but
-	# bench_baseline.json is committed (the perf-smoke reference).
-	find results -mindepth 1 ! -name bench_baseline.json -exec rm -rf {} + 2>/dev/null || true
+	rm -rf .pytest_cache .benchmarks results/.runcache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -21,9 +21,6 @@ class FormalCell:
     """One protocol's formal-verification work item."""
 
     protocol: str
-    cores: int = 3
-    addrs: int = 2
-    max_writes: int = 2
     divergence_bound: int = 1
     divergence_schedules: int = 300
     litmus: tuple = ()  # () = the whole corpus
@@ -63,7 +60,7 @@ class FormalOutcome:
 def run_cell(cell: FormalCell) -> FormalOutcome:
     """Run every formal layer for one protocol (worker entry point)."""
     from repro.formal.conformance import check_protocol
-    from repro.formal.explore import ExploreScope, explore_model
+    from repro.formal.explore import explore_model
     from repro.formal.model import get_model
     from repro.formal.oracle import replay_corpus
     from repro.formal.tla import export_tla, module_name
@@ -85,10 +82,7 @@ def run_cell(cell: FormalCell) -> FormalOutcome:
     )
     outcome.findings.extend(conformance.findings)
 
-    scope = ExploreScope(
-        cores=cell.cores, addrs=cell.addrs, max_writes=cell.max_writes
-    )
-    exploration = explore_model(model, scope)
+    exploration = explore_model(model)
     outcome.explore_stats = exploration.stats()
     outcome.findings.extend(exploration.findings)
 

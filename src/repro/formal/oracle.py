@@ -36,7 +36,7 @@ from repro.formal.model import (
 )
 from repro.mc.explorer import explore
 from repro.mc.litmus import CORPUS, LitmusTest
-from repro.mc.runner import Execution, McOptions
+from repro.mc.runner import Execution
 from repro.sanitize.findings import (
     KIND_MODEL_DIVERGENCE,
     SEVERITY_ERROR,
@@ -387,7 +387,7 @@ def _replay_test(
         test,
         protocol_name,
         bound=bound,
-        options=McOptions(max_schedules=max_schedules),
+        max_schedules=max_schedules,
         on_execution=observe,
     )
     if result.violation is not None:

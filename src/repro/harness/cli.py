@@ -22,6 +22,7 @@ ignore.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from collections.abc import Callable
@@ -714,6 +715,16 @@ def _preemption_bound(text: str) -> int | None:
     return None if bound < 0 else bound
 
 
+def _deadline_seconds(text: str) -> float:
+    """``--cell-deadline`` values: a finite, positive number of seconds."""
+    seconds = float(text)
+    if not math.isfinite(seconds) or seconds <= 0:
+        raise argparse.ArgumentTypeError(
+            f"expected a finite, positive number of seconds, got {text!r}"
+        )
+    return seconds
+
+
 PROTOCOL_NAMES = list(protocol_names())
 
 #: Every flag, defined once as ``add_argument`` keyword arguments.  A
@@ -804,7 +815,7 @@ FLAGS: dict[str, dict] = {
     "--max-queued": dict(type=int, default=4096, help=(
         "admission bound: reject job submissions with HTTP 503 + Retry-After once "
         "this many cells are queued or running (default: 4096)")),
-    "--cell-deadline": dict(type=float, help=(
+    "--cell-deadline": dict(type=_deadline_seconds, help=(
         "per-cell wall-clock execution budget in seconds; an overrunning cell fails "
         "with deadline_exceeded and its worker is recycled (default: %(default)s)")),
     "--max-retries": dict(type=int, default=3, help=(

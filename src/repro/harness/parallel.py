@@ -243,7 +243,10 @@ class ResultCache:
         try:
             with open(path, "rb") as fh:
                 result = pickle.load(fh)
-        except (OSError, pickle.PickleError, EOFError, AttributeError):
+        except Exception:
+            # Unpickling damaged bytes can raise almost anything
+            # (UnicodeDecodeError, ValueError, OverflowError, MemoryError,
+            # ...); every one of them means "miss", never "fail the sweep".
             self.misses += 1
             return None
         if not isinstance(result, RunResult):

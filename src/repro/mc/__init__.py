@@ -19,14 +19,13 @@ artifact (:mod:`repro.mc.artifact`).
 from repro.mc.controller import ScheduleController
 from repro.mc.explorer import ExploreResult, explore
 from repro.mc.litmus import CORPUS, LitmusTest
-from repro.mc.runner import Execution, McOptions, Violation, run_schedule
+from repro.mc.runner import Execution, Violation, run_schedule
 
 __all__ = [
     "CORPUS",
     "Execution",
     "ExploreResult",
     "LitmusTest",
-    "McOptions",
     "ScheduleController",
     "Violation",
     "explore",

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.mc.litmus import CORPUS
-from repro.mc.runner import Choice, Execution, McOptions, Violation, run_schedule
+from repro.mc.runner import Choice, Execution, Violation, run_schedule
 from repro.trace.events import read_trace, write_trace
 
 ARTIFACT_VERSION = 1
@@ -88,9 +88,7 @@ class ReplayReport:
         return "FAILED to reproduce the recorded violation"
 
 
-def replay_counterexample(
-    path, options: McOptions | None = None
-) -> tuple[dict, ReplayReport]:
+def replay_counterexample(path) -> tuple[dict, ReplayReport]:
     """Replay the artifact at ``path``; returns (payload, report)."""
     payload = load_counterexample(path)
     test = CORPUS[payload["test"]]
@@ -98,7 +96,6 @@ def replay_counterexample(
         test,
         payload["protocol"],
         forced=payload["schedule"],
-        options=options,
         tolerant=True,
     )
     kind = payload["violation"]["kind"]

@@ -81,11 +81,11 @@ def run_cell(cell: McCell) -> CellOutcome:
     from repro.mc.explorer import explore
     from repro.mc.litmus import CORPUS
     from repro.mc.minimize import minimize_schedule
-    from repro.mc.runner import McOptions
 
     test = CORPUS[cell.test_name]
-    options = McOptions(max_schedules=cell.max_schedules)
-    result = explore(test, cell.protocol, bound=cell.bound, options=options)
+    result = explore(
+        test, cell.protocol, bound=cell.bound, max_schedules=cell.max_schedules
+    )
     outcome = CellOutcome(
         test_name=cell.test_name,
         protocol=cell.protocol,
@@ -105,7 +105,7 @@ def run_cell(cell: McCell) -> CellOutcome:
     outcome.schedule_len = len(result.violating_schedule)
     minimized, execution = minimize_schedule(
         test, cell.protocol, result.violating_schedule,
-        result.violation.kind, options,
+        result.violation.kind,
     )
     outcome.minimized_len = len(minimized)
     outcome.minimized_schedule = [list(choice) for choice in minimized]

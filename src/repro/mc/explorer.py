@@ -39,7 +39,6 @@ from repro.mc.litmus import LitmusTest
 from repro.mc.runner import (
     Choice,
     Execution,
-    McOptions,
     StepInfo,
     dependent,
     run_schedule,
@@ -174,17 +173,16 @@ def explore(
     protocol_name: str,
     *,
     bound: int | None = 2,
-    options: McOptions | None = None,
+    max_schedules: int = 20_000,
     on_execution: Callable[[Execution], None] | None = None,
 ) -> ExploreResult:
     """Explore ``test`` under ``protocol_name`` up to ``bound`` preemptions.
 
     Stops at the first violation (after recording its schedule); otherwise
-    runs until the DFS is exhausted or ``options.max_schedules`` is hit.
+    runs until the DFS is exhausted or ``max_schedules`` executions ran.
     ``on_execution`` observes every completed, violation-free execution
     (the formal divergence oracle replays them against the model).
     """
-    options = options or McOptions()
     result = ExploreResult(
         test_name=test.name, protocol_name=protocol_name, bound=bound,
     )
@@ -196,7 +194,6 @@ def explore(
     while True:
         execution = run_schedule(
             test, protocol_name, forced=forced, branch_sleep=branch_sleep,
-            options=options,
         )
         result.executions += 1
         if result.naive_estimate == 0 and execution.op_counts:
@@ -226,7 +223,7 @@ def explore(
         path.extend(new_frames)
         _update_races(path)
 
-        if result.executions >= options.max_schedules:
+        if result.executions >= max_schedules:
             result.truncated = True
             return result
 

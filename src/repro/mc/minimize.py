@@ -20,7 +20,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 from repro.mc.litmus import LitmusTest
-from repro.mc.runner import Choice, Execution, McOptions, run_schedule
+from repro.mc.runner import Choice, Execution, run_schedule
 
 
 def reproduces(
@@ -28,12 +28,11 @@ def reproduces(
     protocol_name: str,
     schedule: Sequence[Choice],
     kind: str,
-    options: McOptions | None = None,
 ) -> Execution | None:
     """Tolerantly replay ``schedule``; return the execution if it ends in
     a violation of ``kind``, else None."""
     execution = run_schedule(
-        test, protocol_name, forced=schedule, options=options, tolerant=True
+        test, protocol_name, forced=schedule, tolerant=True
     )
     if any(v.kind == kind for v in execution.violations):
         return execution
@@ -45,7 +44,6 @@ def minimize_schedule(
     protocol_name: str,
     schedule: Sequence[Choice],
     kind: str,
-    options: McOptions | None = None,
 ) -> tuple[list[Choice], Execution]:
     """Shrink ``schedule`` while a ``kind`` violation still reproduces.
 
@@ -55,19 +53,16 @@ def minimize_schedule(
     replay execution.
     """
     schedule = list(schedule)
-    best = reproduces(test, protocol_name, schedule, kind, options)
+    best = reproduces(test, protocol_name, schedule, kind)
     if best is None:
         return schedule, run_schedule(
-            test, protocol_name, forced=schedule, options=options,
-            tolerant=True,
+            test, protocol_name, forced=schedule, tolerant=True
         )
 
     # Phase 1: shortest reproducing prefix (linear scan — schedules are
     # litmus-sized and reproduction need not be monotone in the length).
     for length in range(len(schedule) + 1):
-        execution = reproduces(
-            test, protocol_name, schedule[:length], kind, options
-        )
+        execution = reproduces(test, protocol_name, schedule[:length], kind)
         if execution is not None:
             schedule = schedule[:length]
             best = execution
@@ -80,9 +75,7 @@ def minimize_schedule(
         i = 0
         while i < len(schedule):
             candidate = schedule[:i] + schedule[i + 1:]
-            execution = reproduces(
-                test, protocol_name, candidate, kind, options
-            )
+            execution = reproduces(test, protocol_name, candidate, kind)
             if execution is not None:
                 schedule = candidate
                 best = execution

@@ -24,10 +24,10 @@ from __future__ import annotations
 from collections import defaultdict
 
 from repro.cpu import isa
-from repro.mc.runner import Execution, McOptions, Violation
+from repro.mc.runner import Execution, Violation
 
 
-def _interpret(execution: Execution, options: McOptions) -> tuple[dict, list[Violation]]:
+def _interpret(execution: Execution) -> tuple[dict, list[Violation]]:
     """Run the interpreter over the steps; return (memory, violations)."""
     mem: dict[int, int] = defaultdict(int)
     mem.update(execution.instance.initial_values)
@@ -62,12 +62,10 @@ def _interpret(execution: Execution, options: McOptions) -> tuple[dict, list[Vio
             continue
         record = step.records[-1]
         if isinstance(op, (isa.WaitLoad, isa.Load)):
-            is_sync = op.sync
-            if is_sync or options.check_data_loads:
-                expected = mem[op.addr]
-                if record.value != expected:
-                    what = "sync read" if is_sync else "data read"
-                    mismatch(step, expected, record.value, what)
+            expected = mem[op.addr]
+            if record.value != expected:
+                what = "sync read" if op.sync else "data read"
+                mismatch(step, expected, record.value, what)
         elif isinstance(op, isa.Store):
             mem[op.addr] = op.value
         elif isinstance(op, isa.Cas):
@@ -86,9 +84,9 @@ def _interpret(execution: Execution, options: McOptions) -> tuple[dict, list[Vio
     return mem, violations
 
 
-def check_execution(execution: Execution, options: McOptions) -> list[Violation]:
+def check_execution(execution: Execution) -> list[Violation]:
     """All end-of-execution oracles; returns the violations found."""
-    reference, violations = _interpret(execution, options)
+    reference, violations = _interpret(execution)
 
     for addr in execution.instance.footprint:
         expected = reference[addr]

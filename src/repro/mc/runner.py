@@ -19,11 +19,13 @@ Choice labels:
 
 A demonic scheduler could spin a waiter forever, so enabled sets apply a
 *spin fairness* filter: a core whose pending operation is a spin probe is
-deferred after ``spin_retry_limit`` consecutive probes of the same line,
+deferred after :data:`SPIN_RETRY_LIMIT` consecutive probes of the same line,
 until some write (store/RMW/evict) touches that line again.  If only
 deferred spinners remain runnable the execution is declared a livelock;
 if no core is runnable at all with unfinished cores, a deadlock.  Both
 violations carry a rendered :class:`~repro.harness.diagnostics.DiagnosticDump`.
+An execution longer than :data:`MAX_STEPS` choices, or a drain firing
+more than :data:`MAX_DRAIN_EVENTS` events, is a ``step-limit`` violation.
 
 Safety oracles run on every completed execution: full-level runtime
 coherence invariants (armed via ``SystemConfig.invariant_level``),
@@ -49,6 +51,13 @@ from repro.trace.events import AccessRecord
 from repro.trace.recorder import TracingProtocol
 
 Choice = tuple  # ("core", core_id) | ("evict", core_id, line)
+
+#: Consecutive probes of one line after which a spinning core is deferred.
+SPIN_RETRY_LIMIT = 3
+#: Scheduling choices after which an execution is a ``step-limit`` violation.
+MAX_STEPS = 600
+#: Events one drain back to quiescence may fire before ``step-limit``.
+MAX_DRAIN_EVENTS = 200_000
 
 
 @dataclass(frozen=True)
@@ -109,18 +118,6 @@ class Step:
     preemptive: bool
     #: Trace records produced by this step (usually exactly one).
     records: tuple[AccessRecord, ...]
-
-
-@dataclass
-class McOptions:
-    """Knobs of a controlled execution / exploration."""
-
-    preemption_bound: int | None = 2
-    spin_retry_limit: int = 3
-    max_steps: int = 600
-    max_drain_events: int = 200_000
-    max_schedules: int = 20_000
-    check_data_loads: bool = True
 
 
 @dataclass
@@ -211,7 +208,6 @@ def run_schedule(
     *,
     forced: Sequence[Choice] = (),
     branch_sleep: dict | None = None,
-    options: McOptions | None = None,
     tolerant: bool = False,
 ) -> Execution:
     """Execute ``test`` under ``protocol_name`` with the given schedule.
@@ -229,7 +225,6 @@ def run_schedule(
     instead of raising :class:`ScheduleDivergence` (used by schedule
     minimization and counterexample replay).
     """
-    options = options or McOptions()
     config = config_for_cores(test.num_cores, invariant_level="full")
     amap = AddressMap(config)
     instance = test.build(config)
@@ -262,7 +257,7 @@ def run_schedule(
 
     def drain() -> Violation | None:
         try:
-            sim.run(max_events=options.max_drain_events)
+            sim.run(max_events=MAX_DRAIN_EVENTS)
         except InvariantViolation as exc:
             return Violation(kind="invariant", message=str(exc))
         except RuntimeError as exc:  # max_events exceeded
@@ -278,7 +273,7 @@ def run_schedule(
         if not isinstance(op, isa.WaitLoad):
             return False
         key = (core_id, amap.line_of(op.addr))
-        return probes.get(key, 0) >= options.spin_retry_limit
+        return probes.get(key, 0) >= SPIN_RETRY_LIMIT
 
     def fair_enabled() -> dict:
         """Enabled choices (deterministic order) after spin fairness and
@@ -305,10 +300,10 @@ def run_schedule(
         if all(core.done for core in cores):
             completed = True
             break
-        if len(steps) >= options.max_steps:
+        if len(steps) >= MAX_STEPS:
             violation = Violation(
                 kind="step-limit",
-                message=f"execution exceeded max_steps={options.max_steps}",
+                message=f"execution exceeded max_steps={MAX_STEPS}",
                 dump=make_dump("step limit"),
             )
             break
@@ -448,5 +443,5 @@ def run_schedule(
     if completed:
         from repro.mc.oracle import check_execution
 
-        execution.violations.extend(check_execution(execution, options))
+        execution.violations.extend(check_execution(execution))
     return execution

@@ -1,11 +1,11 @@
 """Coherence invariant checker: the one definition of each invariant.
 
 Every protocol's ``invariant_violations`` returns one of the lists below,
-and every audit goes through it: the exhaustive explorer
-(:mod:`repro.verify.checker`) after each step, the chaos sweep and the
-final-state tests at quiescent points, and :class:`InvariantAudit`, the
-protocol wrapper that :func:`~repro.protocols.make_protocol` applies
-when ``SystemConfig.invariant_level`` asks for runtime audits.  It
+and every audit goes through it: the chaos sweep and the final-state
+tests at quiescent points, and :class:`InvariantAudit`, the protocol
+wrapper that :func:`~repro.protocols.make_protocol` applies when
+``SystemConfig.invariant_level`` asks for runtime audits (the model
+checker, :mod:`repro.mc`, runs every execution at ``full``).  It
 audits just before each state-changing call (load, store, RMW,
 self-invalidation, forced eviction), when all state is architecturally
 settled:

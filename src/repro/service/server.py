@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import asyncio
 import json
+import math
 import signal
 import sys
 import traceback
@@ -383,8 +384,10 @@ class SweepService:
                     raise BadRequest(
                         "cell_deadline must be a number of seconds or null"
                     ) from None
-                if deadline <= 0:
-                    raise BadRequest("cell_deadline must be positive")
+                if not math.isfinite(deadline) or deadline <= 0:
+                    raise BadRequest(
+                        "cell_deadline must be a finite, positive number of seconds"
+                    )
 
         if self._draining:
             raise ServiceUnavailable(

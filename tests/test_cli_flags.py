@@ -93,6 +93,17 @@ class TestUnreadFlagsAreRejected:
         assert "unrecognized arguments" in capsys.readouterr().err
 
 
+class TestValuesAreValidated:
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_cell_deadline_must_be_finite_and_positive(self, value, capsys):
+        # A zero deadline kills every cell on its first supervision pass,
+        # and a NaN one never fires.
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(["serve", "--cell-deadline", value])
+        assert excinfo.value.code == 2
+        assert "finite, positive number of seconds" in capsys.readouterr().err
+
+
 class TestDefaults:
     """With no flags, every target gets the effective defaults it had when
     all targets shared one flag set."""

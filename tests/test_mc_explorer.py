@@ -5,11 +5,10 @@ import json
 
 import pytest
 
-from repro.mc import CORPUS, McOptions, ScheduleController, explore, run_schedule
+from repro.mc import CORPUS, ScheduleController, explore, run_schedule
 from repro.mc.explorer import _naive_interleavings
 from repro.mc.runner import ScheduleDivergence, StepInfo, dependent
-
-MC_PROTOCOLS = ("MESI", "DeNovoSync0", "DeNovoSync")
+from repro.protocols import protocol_names
 
 
 class TestControlledExecution:
@@ -63,7 +62,7 @@ class TestDeterminism:
     """Satellite: the same decision sequence must give byte-identical
     observable output and final memory, for every protocol."""
 
-    @pytest.mark.parametrize("protocol", MC_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_same_schedule_same_bytes(self, protocol):
         def fingerprint():
             execution = run_schedule(CORPUS["treiber"], protocol)
@@ -77,7 +76,7 @@ class TestDeterminism:
         first, second = fingerprint(), fingerprint()
         assert first == second
 
-    @pytest.mark.parametrize("protocol", MC_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     def test_forced_replay_reproduces_bytes(self, protocol):
         base = run_schedule(CORPUS["lock"], protocol)
         replay = run_schedule(CORPUS["lock"], protocol, forced=base.schedule)
@@ -147,18 +146,17 @@ class TestExploration:
         assert runs[0].bound_pruned == runs[1].bound_pruned
 
     def test_max_schedules_truncates(self):
-        options = McOptions(max_schedules=2)
-        result = explore(CORPUS["lock"], "MESI", bound=2, options=options)
+        result = explore(CORPUS["lock"], "MESI", bound=2, max_schedules=2)
         assert result.truncated
         assert result.executions == 2
 
 
 class TestCorpusSafety:
     """Acceptance: the whole corpus explores clean at preemption bound 2
-    under all three protocols, with DPOR pruning >= 5x the naive
+    under every registered protocol, with DPOR pruning >= 5x the naive
     interleaving count in every cell."""
 
-    @pytest.mark.parametrize("protocol", MC_PROTOCOLS)
+    @pytest.mark.parametrize("protocol", protocol_names())
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_cell_clean_and_pruned(self, name, protocol):
         result = explore(CORPUS[name], protocol, bound=2)

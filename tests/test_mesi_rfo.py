@@ -69,13 +69,3 @@ class TestRfoEndToEnd:
             make_kernel("array", "counter", spec=spec), "MESI-RFO", config_16(), seed=1
         )
         assert rfo.cycles <= base.cycles
-
-    def test_exhaustive_verification(self):
-        from repro.verify import explore_protocol, rmw_inc, sync_load, sync_store
-
-        programs = [
-            [sync_store(64, 1), sync_load(64)],
-            [rmw_inc(64), sync_load(64)],
-        ]
-        report = explore_protocol("MESI-RFO", programs)
-        assert report.ok, report.failures[:1]

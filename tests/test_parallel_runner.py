@@ -54,6 +54,14 @@ def figure_summaries(figure) -> list[dict]:
     ]
 
 
+def _bad_utf8_pickle() -> bytes:
+    """A pickled str whose first UTF-8 byte is 0xFF: unpickling raises
+    ``UnicodeDecodeError``, not a ``PickleError``."""
+    payload = bytearray(pickle.dumps("héllo"))
+    payload[payload.index("héllo".encode())] = 0xFF
+    return bytes(payload)
+
+
 class TestSerialParallelEquivalence:
     def test_kernel_figure_identical_across_jobs(self):
         kwargs = dict(core_counts=(16,), scale=SCALE, seed=1, names=["counter"])
@@ -158,7 +166,10 @@ class TestResultCache:
         key64 = cache.key_for(RunSpec(cell, "MESI", config_for_cores(64), seed=1))
         assert key16 != key64
 
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
+    @pytest.mark.parametrize(
+        "payload", [b"not a pickle", _bad_utf8_pickle()], ids=["garbage", "bad-utf8"]
+    )
+    def test_corrupt_entry_is_a_miss(self, tmp_path, payload):
         cache = ResultCache(tmp_path)
         config = config_16()
         spec = RunSpec(
@@ -169,7 +180,7 @@ class TestResultCache:
         )
         (result,) = run_specs([spec], cache=cache)
         path = cache._path_for(cache.key_for(spec))
-        path.write_bytes(b"not a pickle")
+        path.write_bytes(payload)
         fresh = ResultCache(tmp_path)
         assert fresh.load(spec) is None
         assert fresh.misses == 1

@@ -188,6 +188,15 @@ class TestEndToEnd:
         assert excinfo.value.status == 400
         assert "workload" in str(excinfo.value)
 
+    @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 0.0])
+    def test_unusable_cell_deadline_is_rejected(self, harness, deadline):
+        # NaN never fires and zero always does; JSON carries both.
+        cells = [spec_to_dict(spec) for spec in sweep_specs(protocols=("MESI",))]
+        with pytest.raises(ServiceError) as excinfo:
+            harness.client.submit_cells(cells, cell_deadline=deadline)
+        assert excinfo.value.status == 400
+        assert "cell_deadline" in str(excinfo.value)
+
 
 class TestWireFormat:
     def test_spec_round_trip_preserves_cache_key(self):
