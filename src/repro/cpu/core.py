@@ -76,13 +76,14 @@ class Core:
         self._rmw_state: tuple | None = None
         self._spin_op: isa.WaitLoad | None = None
         self._spin_retry_at = 0
-        # Spin fast-forward: a granted lease, flattened for the tick hot
-        # path as (expected value, re-poll period, counter keys, traffic
-        # row, flits/poll, messages/poll, ((time-component idx, cycles),
-        # ...)).  Armed in _spin_probe_issue, consumed by _lease_tick.
-        # Eligibility is static per run: backoff-capable protocols and
-        # protocol wrappers (tracing, fault injection, runtime audits,
-        # which restore the base spin_poll_lease) never lease.
+        # Spin fast-forward: an open lease, as (expected value, re-poll
+        # period, first tick's cycle, SpinLease, ((time-component idx,
+        # cycles), ...)).  Armed in _spin_probe_issue; a tick needs only
+        # the first two fields, and the settling tick charges the rest
+        # once for every poll the lease elided.  Eligibility is static
+        # per run: backoff-capable protocols and protocol wrappers
+        # (tracing, fault injection, runtime audits, which restore the
+        # base spin_poll_lease) never lease.
         self._lease: tuple | None = None
         self._lease_ok = not self._has_backoff and _overrides(
             protocol, "spin_poll_lease"
@@ -355,24 +356,17 @@ class Core:
                     acct = (
                         (_IDX_COMPUTE, max(lat, 0) + SPIN_LOOP_OVERHEAD),
                     )
+                first_tick = retry_at + SPIN_LOOP_OVERHEAD
                 self._lease = (
-                    access.value,
-                    lat + SPIN_LOOP_OVERHEAD,
-                    lease.counts,
-                    lease.traffic_idx,
-                    lease.flits,
-                    lease.messages,
-                    acct,
+                    access.value, lat + SPIN_LOOP_OVERHEAD, first_tick, lease, acct
                 )
                 self.wait_reason = "spin-poll (leased)"
-                sim.call_at(
-                    retry_at + SPIN_LOOP_OVERHEAD, self._cb_lease_tick, op
-                )
+                sim.call_at(first_tick, self._cb_lease_tick, op)
                 return
         sim.call_at(retry_at + SPIN_LOOP_OVERHEAD, self._cb_spin_probe, op)
 
     def _lease_tick(self, op: isa.WaitLoad) -> None:
-        """One fast-forwarded spin poll under a granted lease.
+        """One fast-forwarded spin poll under an open lease.
 
         Fires at exactly the cycle (and, because the successor is
         scheduled from inside the same event, the sequence number) the
@@ -380,29 +374,36 @@ class Core:
         unchanged the probe's outcome is a stateless repeat (the
         :meth:`~repro.protocols.base.CoherenceProtocol.spin_poll_lease`
         contract) — re-reading the value each tick keeps even an
-        A→B→A flip exact — so only the constant deltas are applied.  On
-        any change the full probe runs *inside this same event*,
-        which re-evaluates the predicate, resumes or re-arms, and keeps
-        the schedule byte-identical to the reference engine's.
+        A→B→A flip exact — so the tick only reschedules itself.  The
+        tick that sees a change *settles* the lease: ticks are strictly
+        periodic from the first one, so the clock gives the number of
+        elided polls, and their constant counter, traffic and time
+        deltas are added at once.  The full probe then runs *inside
+        this same event*, which re-evaluates the predicate, resumes or
+        re-arms, and keeps the schedule byte-identical to the reference
+        engine's.  Until that settle the deltas lag, which nothing
+        observes (see the ``spin_poll_lease`` contract).
         """
         lease = self._lease
         protocol = self.protocol
-        if protocol._mem_get(op.addr, 0) != lease[0]:
-            self._lease = None
-            self._spin_probe(op)
+        if protocol._mem_get(op.addr, 0) == lease[0]:
+            self.sim.call_after(lease[1], self._cb_lease_tick, op)
             return
-        counts = protocol._counts
-        for key in lease[2]:
-            counts[key] += 1
-        idx = lease[3]
-        protocol._tflits[idx] += lease[4]
-        protocol._tmsgs[idx] += lease[5]
-        tc = self._tc
-        for cidx, cycles in lease[6]:
-            tc[cidx] += cycles
+        self._lease = None
+        _, period, first_tick, grant, acct = lease
         sim = self.sim
-        sim._spin_polls_elided += 1
-        sim.call_after(lease[1], self._cb_lease_tick, op)
+        polls = (sim.now - first_tick) // period
+        counts = protocol._counts
+        for key in grant.counts:
+            counts[key] += polls
+        idx = grant.traffic_idx
+        protocol._tflits[idx] += polls * grant.flits
+        protocol._tmsgs[idx] += polls * grant.messages
+        tc = self._tc
+        for cidx, cycles in acct:
+            tc[cidx] += polls * cycles
+        sim._spin_polls_elided += polls
+        self._spin_probe(op)
 
     def _retry_spin_probe(self, op: isa.WaitLoad) -> None:
         self._spin_probe_issue(op, ticketed=True)

@@ -11,6 +11,12 @@ semantically a loop of (sync) loads until a predicate holds, which the
 core executes protocol-appropriately — sleeping on the cached copy until
 invalidated under MESI, re-registering (with hardware backoff) under the
 DeNovo protocols.
+
+Ops are plain slotted records, not frozen ones: every op a thread yields
+is constructed on the hot path, and a frozen dataclass's ``__init__``
+sets each field through ``object.__setattr__``, which made construction
+2–4× slower.  Nothing mutates or hashes an op once it is yielded, so
+freezing bought nothing; ops are unhashable.
 """
 
 from __future__ import annotations
@@ -22,7 +28,7 @@ from repro.mem.regions import Region
 from repro.stats.timeparts import TimeComponent
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Compute:
     """Spend ``cycles`` cycles of local work, charged to ``component``."""
 
@@ -30,7 +36,7 @@ class Compute:
     component: TimeComponent = TimeComponent.COMPUTE
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Load:
     """Read a word; returns its value.
 
@@ -44,7 +50,7 @@ class Load:
     acquire: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Store:
     """Write a word.  Data stores are non-blocking; sync stores block.
 
@@ -57,7 +63,7 @@ class Store:
     release: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Cas:
     """Compare-and-swap; returns the old value (success iff old == expected)."""
 
@@ -68,7 +74,7 @@ class Cas:
     acquire: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Fai:
     """Fetch-and-increment by ``delta``; returns the old value."""
 
@@ -78,7 +84,7 @@ class Fai:
     acquire: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class Swap:
     """Atomic exchange (test-and-set is ``Swap(addr, 1)``); returns old."""
 
@@ -88,7 +94,7 @@ class Swap:
     acquire: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class WaitLoad:
     """Spin on (sync) loads of ``addr`` until ``pred(value)``; returns it.
 
@@ -106,7 +112,7 @@ class WaitLoad:
     acquire: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class SelfInvalidate:
     """Self-invalidate the Valid words of ``regions`` (DeNovo acquires).
 
@@ -119,13 +125,13 @@ class SelfInvalidate:
     flush_all: bool = False
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PushBucket:
     """Route all subsequent cycle accounting to ``component`` (stacked)."""
 
     component: TimeComponent
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class PopBucket:
     """Undo the innermost :class:`PushBucket`."""

@@ -52,15 +52,22 @@ class SpinLease:
     full probe with a cheap *lease tick* at the same cycle (and, since
     the tick schedules its successor exactly where the real probe
     would, the same event sequence number): the tick re-reads the
-    value, applies the deltas, and re-arms — or, on a change, settles
-    by running the full probe in the very same event.  Results are
-    byte-identical to probing; only the Python work per poll shrinks.
+    value and reschedules itself.  The tick that sees a change
+    *settles* the lease: it adds the deltas once for every elided poll
+    (ticks are strictly periodic, so the clock gives their number) and
+    then runs the full probe in the very same event.  While a lease is
+    open the deltas therefore lag behind a polled run;
+    :meth:`CoherenceProtocol.spin_poll_lease` says why nothing can
+    observe that.  Results are byte-identical to probing; only the
+    Python work per poll shrinks.
     """
 
     #: Per-poll stall latency (constant while the lease holds); the
     #: core derives the re-poll period from it.
     latency: int
-    #: Protocol counter keys bumped by one per poll.
+    #: Protocol counter keys bumped by one per poll.  The failed probe
+    #: that earned the lease bumped them too, so settling (even after
+    #: zero elided polls) never creates a key a polled run lacks.
     counts: tuple[str, ...]
     #: Traffic ledger row (message-class index) the poll charges.
     traffic_idx: int
@@ -270,6 +277,15 @@ class CoherenceProtocol(ABC):
           the ``undeclared-wake-mutation`` sanitize rule enforces
           this) — so re-reading it each tick observes exactly what the
           full probe would.
+
+        The core charges the lease's deltas at settle time, once per
+        elided poll, so while the lease is open they lag behind a
+        polled run.  That is unobservable: a lease ends only by
+        settling, and its ticks keep the event queue non-empty until
+        it does; nothing reads counters, traffic or per-core time
+        before the run ends (hang diagnostics read none); and every
+        :class:`ProtocolWrapper` (the layers that watch individual
+        accesses) restores this default, so wrapped runs never lease.
 
         Return None (the default) when any of this fails to hold; the
         core then keeps issuing full probes.  Only polling protocols

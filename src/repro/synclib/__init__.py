@@ -12,7 +12,6 @@ from repro.synclib.arraylock import ArrayLock
 from repro.synclib.mcslock import McsLock
 from repro.synclib.barriers import CentralBarrier, TreeBarrier
 from repro.synclib.backoff_sw import exponential_backoff
-from repro.synclib.condvar import BoundedBuffer, ConditionVariable
 from repro.synclib.counters import FaiCounter, LockedCounter
 from repro.synclib.msqueue import MichaelScottQueue
 from repro.synclib.pljqueue import PLJQueue
@@ -27,9 +26,7 @@ from repro.synclib.locked_structures import (
 
 __all__ = [
     "ArrayLock",
-    "BoundedBuffer",
     "CentralBarrier",
-    "ConditionVariable",
     "McsLock",
     "DoubleLockQueue",
     "FaiCounter",

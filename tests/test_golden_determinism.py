@@ -8,8 +8,9 @@ order.  These tests pin that down:
   byte-identical trace files, for every registry protocol;
 * spin leases change host work, never results: with leases Neat (the one
   registry protocol whose failed polls are stateless) elides polls, with
-  its lease hook disabled it elides none, and both runs give
-  byte-identical summaries.
+  its lease hook disabled it elides none, and both runs give identical
+  summaries, traffic, counters and per-core time — also when a settled
+  lease re-arms inside the same ``WaitLoad``.
 """
 
 import hashlib
@@ -18,12 +19,14 @@ import json
 import pytest
 
 from repro.config import config_for_cores
+from repro.cpu.isa import Compute, Store, WaitLoad
 from repro.harness.runner import run_workload
+from repro.noc.messages import MessageClass
 from repro.protocols.neat import NeatProtocol
 from repro.protocols.registry import protocol_names
 from repro.trace.events import write_trace
 from repro.workloads.base import KernelSpec
-from repro.workloads.registry import make_kernel
+from repro.workloads.registry import all_kernel_ids, make_kernel
 
 CELLS = [
     ("tatas", "counter"),  # lock kernel
@@ -55,9 +58,30 @@ def test_repeat_runs_are_byte_identical(family, name, protocol, tmp_path):
     assert first == second
 
 
-@pytest.mark.parametrize("family,name", [("tatas", "counter"),
-                                         ("barrier", "central")])
-def test_spin_leases_leave_results_byte_identical(family, name, monkeypatch):
+#: Neat cells for the lease-equivalence check: every kernel (each one
+#: spins, so each one leases) at 16 cores, plus a 64-core lock cell, the
+#: shape the e2e ``lock64`` workload's elided polls come from.
+LEASE_CELLS = [(family, name, 16) for family, name in all_kernel_ids()]
+LEASE_CELLS.append(("tatas", "large CS", 64))
+LEASE_IDS = [f"{f}-{n}" + ("-64c" if c == 64 else "") for f, n, c in LEASE_CELLS]
+
+
+def _never_lease(self, core_id, addr):
+    return None
+
+
+def _simulated(traffic, counters, per_core_time):
+    """Every simulated number a lease could skew: traffic by class
+    (flits and messages), protocol counters, and each core's time."""
+    return (
+        [(traffic.flit_crossings(k), traffic.message_count(k)) for k in MessageClass],
+        counters.as_dict(),
+        [time.as_dict() for time in per_core_time],
+    )
+
+
+@pytest.mark.parametrize("family,name,cores", LEASE_CELLS, ids=LEASE_IDS)
+def test_spin_leases_leave_results_byte_identical(family, name, cores, monkeypatch):
     """The spin fast-forward must actually engage and still match.
 
     Tracing wraps the protocol (which disables leasing), so this check
@@ -65,13 +89,69 @@ def test_spin_leases_leave_results_byte_identical(family, name, monkeypatch):
     """
     def run():
         workload = make_kernel(family, name, spec=KernelSpec(scale=0.02))
-        return run_workload(workload, "Neat", config_for_cores(16), seed=1)
+        return run_workload(workload, "Neat", config_for_cores(cores), seed=1)
 
     leased = run()
-    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", lambda self, core, addr: None)
+    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", _never_lease)
     polled = run()
     assert leased.meta["epoch"]["spin_polls_elided"] > 0
     assert polled.meta["epoch"]["spin_polls_elided"] == 0
     assert json.dumps(leased.summary(), sort_keys=True) == json.dumps(
         polled.summary(), sort_keys=True
     )
+    assert _simulated(
+        leased.traffic, leased.counters, leased.per_core_time
+    ) == _simulated(polled.traffic, polled.counters, polled.per_core_time)
+
+
+def _rearm_run(machine_factory):
+    """A Neat spinner waits for ``flag == 1``.  The writer's first sync
+    store (2) fails the predicate, so the settling probe arms a second
+    lease; two data stores one cycle apart then flip the word 2 -> 7 -> 2
+    between two ticks of that lease, before the release store of 1."""
+    machine = machine_factory("Neat", 4)
+    flag = machine.allocator.alloc_sync("flag").base
+
+    def spinner():
+        yield WaitLoad(flag, lambda v: v == 1)
+
+    def writer():
+        yield Compute(600)
+        yield Store(flag, 2, sync=True)
+        yield Compute(700)
+        yield Store(flag, 7)
+        yield Store(flag, 2)
+        yield Store(flag, 1, sync=True, release=True)
+
+    machine.run([spinner(), writer()])
+    return machine
+
+
+def test_a_rearmed_lease_matches_polling(machine_factory, monkeypatch):
+    grants = []
+    grant_lease = NeatProtocol.spin_poll_lease
+
+    def counted(self, core_id, addr):
+        lease = grant_lease(self, core_id, addr)
+        if lease is not None:
+            grants.append(self.now)
+        return lease
+
+    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", counted)
+    leased = _rearm_run(machine_factory)
+    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", _never_lease)
+    polled = _rearm_run(machine_factory)
+
+    # The first lease, one re-arm after the rejected store, and no third:
+    # a tick that saw the flip would have settled and re-armed again.
+    assert len(grants) == 2
+    assert leased.sim.epoch_stats["spin_polls_elided"] > 0
+    assert polled.sim.epoch_stats["spin_polls_elided"] == 0
+
+    def state(machine):
+        protocol = machine.protocol
+        return [core.finish_time for core in machine.cores], _simulated(
+            protocol.traffic, protocol.counters, [core.time for core in machine.cores]
+        )
+
+    assert state(leased) == state(polled)
