@@ -66,9 +66,15 @@ profile:
 	$(PYTHON) -m repro.harness.cli profile --workload "$(WORKLOAD)" \
 		--protocol $(PROTO) --cores $(CORES) --top 25
 
-# Regenerate every paper figure into results/ (text tables).
+# Regenerate every committed table in results/: the paper's figures and
+# ablations (the CLI, results/<target>.txt) and the three extension
+# studies that write tables (results/ext_*.txt).  CI's figures-fresh job
+# runs this and fails if any table differs from the committed one.
 figures:
-	$(PYTHON) -m repro.harness.cli all --out results/
+	$(PYTHON) -m repro.harness.cli all --scale 0.05 --jobs 0 --out results/
+	$(PYTHON) -m pytest benchmarks/bench_ext_lock_design.py \
+		benchmarks/bench_ext_rfo.py benchmarks/bench_ext_signatures.py \
+		--benchmark-only -q
 
 examples:
 	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done

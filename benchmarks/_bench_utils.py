@@ -1,4 +1,4 @@
-"""Helpers shared by the figure-reproduction benchmarks."""
+"""Helpers shared by the extension benchmarks."""
 
 from __future__ import annotations
 
@@ -8,8 +8,3 @@ import os
 def bench_scale() -> float:
     """Fraction of the paper's kernel iteration counts (REPRO_BENCH_SCALE)."""
     return float(os.environ.get("REPRO_BENCH_SCALE", "0.05"))
-
-
-def app_scale() -> float:
-    """Input scale for the Figure 7 app models (REPRO_BENCH_APP_SCALE)."""
-    return float(os.environ.get("REPRO_BENCH_APP_SCALE", "0.5"))

@@ -37,24 +37,21 @@ def _timed(**kwargs):
     return figure, time.perf_counter() - start
 
 
-def test_bench_parallel_speedup(benchmark, figure_reporter):
+def test_bench_parallel_speedup(benchmark):
     serial, serial_s = _timed(jobs=1)
 
     def parallel_sweep():
         figure, elapsed = _timed(jobs=4)
         assert _figure_text(figure) == _figure_text(serial)
-        return figure, elapsed
+        return elapsed
 
-    parallel, parallel_s = benchmark.pedantic(
-        parallel_sweep, rounds=1, iterations=1
-    )
+    parallel_s = benchmark.pedantic(parallel_sweep, rounds=1, iterations=1)
     print()
     print(
         f"serial {serial_s:.2f}s, jobs=4 {parallel_s:.2f}s "
         f"-> speedup {serial_s / max(parallel_s, 1e-9):.2f}x "
         f"(output byte-identical)"
     )
-    figure_reporter("ext_parallel", parallel)
 
 
 def test_bench_cache_warm_path(benchmark, tmp_path):

@@ -1,10 +1,10 @@
-"""Shared fixtures for the figure-reproduction benchmarks.
+"""Shared fixtures for the extension benchmarks.
 
-Every bench regenerates one of the paper's tables/figures, printing the
-rows and writing them under ``results/``.  ``REPRO_BENCH_SCALE`` (default
-0.05) sets the fraction of the paper's kernel iteration counts; the
-figure *shapes* are stable across scales, and scale 1.0 reproduces the
-paper's full methodology (slow in pure Python).
+The paper's figures and ablations are written by the CLI
+(``make figures``); the benches here measure extension studies, and the
+three that produce tables (lock design, RFO, signatures) write them under
+``results/ext_*.txt``.  ``REPRO_BENCH_SCALE`` (default 0.05) sets the
+fraction of the paper's kernel iteration counts.
 """
 
 from __future__ import annotations
@@ -17,20 +17,11 @@ import pytest
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "..", "results")
 
 
-@pytest.fixture(scope="session")
-def _reported_names() -> set[str]:
-    """Figure names already written to ``results/`` in this session."""
-    return set()
-
-
 @pytest.fixture
-def figure_reporter(_reported_names):
-    """Returns a function that prints a FigureResult and saves it.
-
-    The first report under a name in a session rewrites
-    ``results/<name>.txt``; later ones in the same session append (one
-    table per core count, say), so rerunning a bench never duplicates it.
-    """
+def figure_reporter():
+    """Returns a function that prints a FigureResult and writes it to
+    ``results/<name>.txt``, replacing any earlier table of that name (so
+    rerunning a bench never duplicates it)."""
     from repro.harness.report import print_figure
 
     def report(name: str, result) -> None:
@@ -40,10 +31,7 @@ def figure_reporter(_reported_names):
         print()
         print(text)
         os.makedirs(RESULTS_DIR, exist_ok=True)
-        path = os.path.join(RESULTS_DIR, f"{name}.txt")
-        mode = "a" if name in _reported_names else "w"
-        _reported_names.add(name)
-        with open(path, mode) as fh:
+        with open(os.path.join(RESULTS_DIR, f"{name}.txt"), "w") as fh:
             fh.write(text)
 
     return report

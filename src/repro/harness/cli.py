@@ -5,7 +5,7 @@ Usage (installed as ``denovosync-bench``)::
     denovosync-bench fig3 --cores 16 64 --scale 0.1
     denovosync-bench fig7 --app-scale 0.5
     denovosync-bench ablation-padding
-    denovosync-bench all --scale 0.05 --out results/
+    denovosync-bench all --scale 0.05 --jobs 0 --out results/   # make figures
     denovosync-bench fig3 --help     # the flags one target reads
 
 ``--scale 1.0`` runs the paper's full iteration counts (slow in pure
@@ -104,39 +104,41 @@ FIGURES: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
 }
 
 
-def _open_out(out_dir: str | None, name: str):
+def _open_out(out_dir: str | None, name: str, fmt: str):
     if out_dir is None:
         return sys.stdout
     os.makedirs(out_dir, exist_ok=True)
-    return open(os.path.join(out_dir, f"{name}.txt"), "w")
+    suffix = fmt if fmt in ("csv", "json") else "txt"
+    return open(os.path.join(out_dir, f"{name}.{suffix}"), "w")
 
 
-def _emit(result, out, fmt: str) -> None:
+def _emit(figures: list, out, fmt: str) -> None:
+    """Write one target's figures as one document: one CSV header or one
+    JSON array (each row's ``figure`` column names its variant), or one
+    table (``==`` title) or plot per figure."""
     if fmt == "csv":
-        write_figure_csv(result, out)
+        write_figure_csv(figures, out)
     elif fmt == "json":
-        write_figure_json(result, out)
-    elif fmt == "plot":
-        render_figure(result, out)
-        print(file=out)
+        write_figure_json(figures, out)
     else:
-        print_figure(result, out)
+        for figure in figures:
+            if fmt == "plot":
+                render_figure(figure, out)
+                print(file=out)
+            else:
+                print_figure(figure, out)
 
 
 def _run_figures(names: tuple[str, ...], args) -> int:
     """The figure targets and ``all``: run each named figure sweep and
-    print it to stdout, or to ``<--out>/<name>.txt``."""
+    print it to stdout, or to ``<--out>/<name>.<txt|csv|json>``."""
     cache = None if args.no_cache else default_cache(args.cache_dir)
     for name in names:
-        out = _open_out(args.out, name)
+        out = _open_out(args.out, name, args.format)
         try:
             result = FIGURES[name][1](args, jobs=args.jobs, cache=cache)
-            if isinstance(result, dict):
-                for label, figure in result.items():
-                    print(f"-- {label} --", file=out)
-                    _emit(figure, out, args.format)
-            else:
-                _emit(result, out, args.format)
+            figures = list(result.values()) if isinstance(result, dict) else [result]
+            _emit(figures, out, args.format)
         finally:
             if out is not sys.stdout:
                 out.close()
@@ -741,7 +743,9 @@ FLAGS: dict[str, dict] = {
         "result-cache directory (default: $REPRO_CACHE_DIR or results/.runcache; "
         "entries auto-invalidate when any source file under src/repro changes)")),
     # output
-    "--out": dict(help="directory for per-figure .txt reports (default: stdout)"),
+    "--out": dict(help=(
+        "directory for one report per target, <target>.txt (.csv/.json by --format; "
+        "default: stdout)")),
     "--format": dict(choices=["table", "csv", "json", "plot"], default="table", help=(
         "output format: aligned tables (default), CSV, JSON, or ASCII stacked bars")),
     # machine

@@ -3,13 +3,16 @@
 Each experiment regenerates the rows/series of one figure:
 
 * Figures 3-6: the four kernel families, each at 16 and 64 cores, under
-  MESI / DeNovoSync0 / DeNovoSync, reporting execution time and network
+  the registry's default comparison set (the paper's MESI / DeNovoSync0 /
+  DeNovoSync plus Neat and SynCron), reporting execution time and network
   traffic normalized to MESI with the same component decomposition as the
   paper's stacked bars.
-* Figure 7: the 13 applications under MESI / DeNovoSync (ferret and x264
-  at 16 cores, the rest at 64).
-* The section 7.1 ablations: lock padding, software backoff on TATAS
-  kernels, and the Herlihy equality-check modification.
+* Figure 7: the 13 applications under the app comparison set (ferret and
+  x264 at 16 cores, the rest at 64).
+* The section 7.1 ablations (lock padding, software backoff on TATAS
+  kernels, the Herlihy equality-check modification) and the section 3
+  self-invalidation fallback.  Each ablation's baseline variant is its
+  figure's own cells.
 
 ``scale`` shrinks the paper's iteration counts/inputs so a full figure
 sweep stays tractable in pure Python; the shapes are stable across scales
@@ -120,7 +123,7 @@ def run_kernel_figure(
 
 def run_apps_figure(
     scale: float = 0.5,
-    seed: int = 2,
+    seed: int = 1,
     protocols: tuple[str, ...] = APP_PROTOCOLS,
     names: list[str] | None = None,
     jobs: int = 1,
@@ -143,42 +146,35 @@ def run_apps_figure(
     return FigureResult("Figure 7 (applications)", rows, scale)
 
 
-# -- section 7.1 ablations ----------------------------------------------------
+# -- ablations (sections 7.1 and 3) -------------------------------------------
 
 
-def headline_summary(figures: list[FigureResult]) -> dict[str, dict[str, float]]:
-    """Aggregate the abstract's headline numbers over kernel figures.
+def _kernel_ablation(
+    family: str,
+    subject: str,
+    variants: dict[str, dict],
+    cores: int,
+    scale: float,
+    names: list[str] | None = None,
+    **sweep,
+) -> dict[str, FigureResult]:
+    """One kernel figure per ``{label: kernel arguments}`` variant.
 
-    The paper's abstract: "compared to MESI, DeNovoSync shows comparable
-    or up to 22% lower execution time and up to 58% lower network
-    traffic" over the 48 kernel cases (24 kernels x 2 core counts), and
-    22%/58% are the kernel-average improvements.  Returns, per non-MESI
-    protocol: mean/best/worst relative time and traffic across all rows.
+    The baseline variant passes no kernel argument, so its cells are the
+    figure's own (and hit the figure's cache entries).
     """
-    stats: dict[str, dict[str, list[float]]] = {}
-    for figure in figures:
-        for row in figure.rows:
-            if "MESI" not in row.results:
-                continue
-            for protocol in row.results:
-                if protocol == "MESI":
-                    continue
-                bucket = stats.setdefault(protocol, {"time": [], "traffic": []})
-                bucket["time"].append(row.rel_time(protocol))
-                bucket["traffic"].append(row.rel_traffic(protocol))
-    summary = {}
-    for protocol, bucket in stats.items():
-        times, traffics = bucket["time"], bucket["traffic"]
-        summary[protocol] = {
-            "cases": len(times),
-            "avg_rel_time": sum(times) / len(times),
-            "best_rel_time": min(times),
-            "worst_rel_time": max(times),
-            "avg_rel_traffic": sum(traffics) / len(traffics),
-            "best_rel_traffic": min(traffics),
-            "worst_rel_traffic": max(traffics),
-        }
-    return summary
+    results = {}
+    for label, kernel_kwargs in variants.items():
+        fig = run_kernel_figure(
+            family,
+            core_counts=(cores,),
+            scale=scale,
+            names=names,
+            **sweep,
+            **kernel_kwargs,
+        )
+        results[label] = FigureResult(f"{subject} ({label})", fig.rows, scale)
+    return results
 
 
 def run_padding_ablation(
@@ -194,20 +190,10 @@ def run_padding_ablation(
     MESI suffers false sharing; DeNovo's word-granularity state is immune
     but loses the one-transfer-per-line benefit.
     """
-    results = {}
-    for padded in (True, False):
-        fig = run_kernel_figure(
-            "tatas",
-            core_counts=(cores,),
-            scale=scale,
-            seed=seed,
-            jobs=jobs,
-            cache=cache,
-            padded=padded,
-        )
-        label = "padded" if padded else "unpadded"
-        results[label] = FigureResult(f"TATAS locks ({label})", fig.rows, scale)
-    return results
+    return _kernel_ablation(
+        "tatas", "TATAS locks", {"padded": {}, "unpadded": {"padded": False}},
+        cores, scale, seed=seed, jobs=jobs, cache=cache,
+    )
 
 
 def run_sw_backoff_ablation(
@@ -223,60 +209,47 @@ def run_sw_backoff_ablation(
     spaces failed synchronization reads (reducing DeNovo's false-race
     misses) but does nothing about MESI's invalidation latency.
     """
-    results = {}
-    for backoff in (False, True):
-        fig = run_kernel_figure(
-            "tatas",
-            core_counts=(cores,),
-            scale=scale,
-            seed=seed,
-            jobs=jobs,
-            cache=cache,
-            software_backoff=backoff,
-        )
-        label = "sw backoff" if backoff else "no backoff"
-        results[label] = FigureResult(f"TATAS locks ({label})", fig.rows, scale)
-    return results
+    return _kernel_ablation(
+        "tatas", "TATAS locks",
+        {"no backoff": {}, "sw backoff": {"software_backoff": True}},
+        cores, scale, seed=seed, jobs=jobs, cache=cache,
+    )
 
 
 def run_selfinv_ablation(
     app: str = "water",
     scale: float = 0.3,
-    seed: int = 2,
+    seed: int = 1,
     jobs: int = 1,
     cache: ResultCache | None = None,
 ) -> dict[str, FigureResult]:
     """Section 3's data-consistency spectrum on one application.
 
     Compares DeNovoSync with compiler-provided selective region
-    self-invalidation (the paper's assumption) against the always-correct
-    no-information fallback that flushes every Valid word at each acquire
-    and phase boundary.  MESI is the common baseline.
+    self-invalidation (the paper's assumption, so Figure 7's own cells)
+    against the always-correct no-information fallback that flushes every
+    Valid word at each acquire and phase boundary.  MESI is the common
+    baseline.
     """
     cores = app_core_count(app)
     config = config_for_cores(cores)
-    specs: list[RunSpec] = []
-    slots: list[tuple[str, FigureRow, str]] = []
-    labelled_rows: dict[str, FigureRow] = {}
-    for flush_all in (False, True):
-        label = "flush-all" if flush_all else "selective regions"
-        row = FigureRow(workload=app, num_cores=cores)
-        labelled_rows[label] = row
-        for protocol in APP_PROTOCOLS:
-            specs.append(
-                RunSpec(
-                    app_selfinv_cell(app, scale, flush_all), protocol, config, seed=seed
-                )
-            )
-            slots.append((label, row, protocol))
-    for (label, row, protocol), result in zip(
-        slots, run_specs(specs, jobs=jobs, cache=cache)
-    ):
-        row.results[protocol] = result
-    return {
-        label: FigureResult(f"{app} ({label} self-invalidation)", [row], scale)
-        for label, row in labelled_rows.items()
+    variants = {
+        "selective regions": app_cell(app, scale=scale),
+        "flush-all": app_selfinv_cell(app, scale, flush_all=True),
     }
+    specs = [
+        RunSpec(cell, protocol, config, seed=seed)
+        for cell in variants.values()
+        for protocol in APP_PROTOCOLS
+    ]
+    results = iter(run_specs(specs, jobs=jobs, cache=cache))
+    figures = {}
+    for label in variants:
+        row = FigureRow(workload=app, num_cores=cores)
+        for protocol in APP_PROTOCOLS:
+            row.results[protocol] = next(results)
+        figures[label] = FigureResult(f"{app} self-invalidation ({label})", [row], scale)
+    return figures
 
 
 def run_eqcheck_ablation(
@@ -293,18 +266,9 @@ def run_eqcheck_ablation(
     miss under DeNovo.  The paper's modified (reduced-check) versions help
     DeNovo far more than MESI.
     """
-    results = {}
-    for reduced in (False, True):
-        fig = run_kernel_figure(
-            "nonblocking",
-            core_counts=(cores,),
-            scale=scale,
-            seed=seed,
-            jobs=jobs,
-            cache=cache,
-            names=["Herlihy stack", "Herlihy heap"],
-            reduced_checks=reduced,
-        )
-        label = "reduced checks" if reduced else "original checks"
-        results[label] = FigureResult(f"Herlihy kernels ({label})", fig.rows, scale)
-    return results
+    return _kernel_ablation(
+        "nonblocking", "Herlihy kernels",
+        {"original checks": {"reduced_checks": False}, "reduced checks": {}},
+        cores, scale, names=["Herlihy stack", "Herlihy heap"],
+        seed=seed, jobs=jobs, cache=cache,
+    )

@@ -49,9 +49,17 @@ def figure_to_rows(result: FigureResult) -> list[dict]:
     return rows
 
 
-def write_figure_csv(result: FigureResult, out: TextIO) -> int:
-    """Write a figure as CSV; returns the number of data rows."""
-    rows = figure_to_rows(result)
+def _rows(figures: FigureResult | list[FigureResult]) -> list[dict]:
+    if isinstance(figures, FigureResult):
+        figures = [figures]
+    return [row for figure in figures for row in figure_to_rows(figure)]
+
+
+def write_figure_csv(figures: FigureResult | list[FigureResult], out: TextIO) -> int:
+    """Write one figure, or several as one document under one header (the
+    ``figure`` column names each row's variant); returns the number of
+    data rows."""
+    rows = _rows(figures)
     if not rows:
         return 0
     fields = sorted({key for row in rows for key in row})
@@ -65,9 +73,10 @@ def write_figure_csv(result: FigureResult, out: TextIO) -> int:
     return len(rows)
 
 
-def write_figure_json(result: FigureResult, out: TextIO) -> int:
-    """Write a figure as a JSON array; returns the number of rows."""
-    rows = figure_to_rows(result)
+def write_figure_json(figures: FigureResult | list[FigureResult], out: TextIO) -> int:
+    """Write one figure, or several, as one JSON array; returns the number
+    of rows."""
+    rows = _rows(figures)
     json.dump(rows, out, indent=2)
     out.write("\n")
     return len(rows)

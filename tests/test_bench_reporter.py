@@ -1,9 +1,9 @@
 """The benchmarks' figure reporter: rerunning a bench rewrites its tables.
 
 The reporter fixture lives in ``benchmarks/conftest.py``.  These tests copy
-it next to a two-test bench that reports one figure name twice, then run
-pytest on that directory: a session must replace whatever table an
-earlier session left, not append to it.
+it next to a one-test bench that reports one figure, then run pytest on
+that directory: a session must replace whatever table an earlier session
+left, not append to it.
 """
 
 import os
@@ -18,17 +18,13 @@ BENCH = '''
 from repro.harness.experiments import FigureResult
 
 
-def test_first_half(figure_reporter):
-    figure_reporter("table", FigureResult("table", [], 0.1))
-
-
-def test_second_half(figure_reporter):
+def test_report(figure_reporter):
     figure_reporter("table", FigureResult("table", [], 0.1))
 '''
 
 
 def _bench_session(tmp_path):
-    """Run the two-test bench once; return the table it left."""
+    """Run the bench once; return the table it left."""
     bench = tmp_path / "bench"
     if not bench.exists():
         bench.mkdir()
@@ -44,7 +40,7 @@ def _bench_session(tmp_path):
 
 def test_rerun_rewrites_instead_of_appending(tmp_path):
     texts = [_bench_session(tmp_path) for _ in range(2)]
-    assert texts[0].count("== table") == 2  # both reports of the session
+    assert texts[0].count("== table") == 1
     assert texts[1] == texts[0]
 
 
@@ -54,4 +50,4 @@ def test_stale_table_is_replaced(tmp_path):
     (results / "table.txt").write_text("stale table from an older run\n")
     text = _bench_session(tmp_path)
     assert "stale" not in text
-    assert text.count("== table") == 2
+    assert text.count("== table") == 1

@@ -1,5 +1,9 @@
 """Tests for the command-line interface."""
 
+import csv
+import json
+import re
+
 import pytest
 
 from repro.harness.cli import main as cli_main
@@ -31,8 +35,6 @@ class TestFigureTargets:
         assert header.startswith("figure,workload,protocol")
 
     def test_json_format(self, capsys):
-        import json
-
         assert (
             cli_main(["fig3", "--cores", "16", "--scale", "0.02", "--format", "json"])
             == 0
@@ -42,14 +44,40 @@ class TestFigureTargets:
         rows = json.loads(capsys.readouterr().out)
         assert len(rows) == 6 * len(KERNEL_PROTOCOLS)  # kernels x protocols
 
-    def test_out_directory(self, tmp_path):
-        assert (
-            cli_main(
-                ["fig3", "--cores", "16", "--scale", "0.02", "--out", str(tmp_path)]
-            )
-            == 0
-        )
-        assert (tmp_path / "fig3.txt").exists()
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    @pytest.mark.parametrize(
+        "target, titles",
+        [
+            pytest.param("fig3", {"Figure 3 (TATAS locks)"}, id="fig3"),
+            pytest.param(
+                "ablation-padding",
+                {"TATAS locks (padded)", "TATAS locks (unpadded)"},
+                id="ablation-padding",
+            ),
+        ],
+    )
+    def test_out_directory(self, tmp_path, target, titles, fmt):
+        """``--out`` writes one document per target, named by format, that
+        reads back whole; every variant's rows are in it."""
+        argv = [target, "--scale", "0.02", "--format", fmt, "--out", str(tmp_path)]
+        if target == "fig3":
+            argv += ["--cores", "16"]
+        assert cli_main(argv) == 0
+        name = f"{target}.{'txt' if fmt == 'table' else fmt}"
+        assert [path.name for path in tmp_path.iterdir()] == [name]
+        with open(tmp_path / name) as fh:
+            if fmt == "csv":
+                rows = list(csv.DictReader(fh))
+            elif fmt == "json":
+                rows = json.load(fh)
+            else:
+                text = fh.read()
+                rows = [
+                    {"figure": title}
+                    for title in re.findall(r"^== (.*) \(scale=[^)]*\) ==$", text, re.M)
+                ]
+                assert not re.search(r"^-- ", text, re.M)
+        assert {row["figure"] for row in rows} == titles
 
 
 class TestRunTarget:

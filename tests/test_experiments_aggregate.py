@@ -1,58 +1,14 @@
-"""Tests for the headline aggregator and figure machinery edge cases."""
+"""Tests for the kernel-figure runner's options."""
 
-import pytest
-
-from repro.harness.experiments import (
-    FigureResult,
-    FigureRow,
-    headline_summary,
-    run_kernel_figure,
-)
-
-
-@pytest.fixture(scope="module")
-def two_family_figures():
-    return [
-        run_kernel_figure(
-            "tatas", core_counts=(16,), scale=0.03, names=["counter", "stack"]
-        ),
-        run_kernel_figure(
-            "barrier", core_counts=(16,), scale=0.03, names=["tree"]
-        ),
-    ]
-
-
-class TestHeadlineSummary:
-    def test_counts_all_cases(self, two_family_figures):
-        summary = headline_summary(two_family_figures)
-        assert summary["DeNovoSync"]["cases"] == 3
-        assert summary["DeNovoSync0"]["cases"] == 3
-
-    def test_mesi_excluded(self, two_family_figures):
-        assert "MESI" not in headline_summary(two_family_figures)
-
-    def test_best_is_min_worst_is_max(self, two_family_figures):
-        stats = headline_summary(two_family_figures)["DeNovoSync"]
-        assert stats["best_rel_time"] <= stats["avg_rel_time"] <= stats["worst_rel_time"]
-        assert (
-            stats["best_rel_traffic"]
-            <= stats["avg_rel_traffic"]
-            <= stats["worst_rel_traffic"]
-        )
-
-    def test_empty_figures(self):
-        assert headline_summary([]) == {}
-
-    def test_rows_without_mesi_skipped(self):
-        fig = FigureResult("x", [FigureRow(workload="w", num_cores=4)], 1.0)
-        assert headline_summary([fig]) == {}
+from repro.harness.experiments import run_kernel_figure
 
 
 class TestRunKernelFigureOptions:
-    def test_names_filter(self, two_family_figures):
-        assert [r.workload for r in two_family_figures[0].rows] == [
-            "counter", "stack",
-        ]
+    def test_names_filter(self):
+        fig = run_kernel_figure(
+            "tatas", core_counts=(16,), scale=0.03, names=["counter", "stack"]
+        )
+        assert [r.workload for r in fig.rows] == ["counter", "stack"]
 
     def test_protocol_subset(self):
         fig = run_kernel_figure(

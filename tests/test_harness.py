@@ -7,11 +7,15 @@ import pytest
 from repro.config import config_16
 from repro.harness.cli import main as cli_main
 from repro.harness.experiments import (
+    APP_PROTOCOLS,
+    KERNEL_PROTOCOLS,
     run_apps_figure,
     run_eqcheck_ablation,
     run_kernel_figure,
+    run_selfinv_ablation,
     run_sw_backoff_ablation,
 )
+from repro.harness.parallel import ResultCache
 from repro.harness.report import figure_summary, print_figure
 from repro.harness.runner import SimulationStuck, run_workload
 from repro.stats.collector import normalize_to
@@ -81,6 +85,45 @@ class TestReport:
 
 
 class TestAblations:
+    @pytest.mark.parametrize(
+        "run_figure, run_ablation, hits",
+        [
+            (
+                lambda cache: run_kernel_figure(
+                    "tatas", core_counts=(16,), scale=SCALE, cache=cache
+                ),
+                lambda cache: run_sw_backoff_ablation(
+                    cores=16, scale=SCALE, cache=cache
+                ),
+                6 * len(KERNEL_PROTOCOLS),
+            ),
+            (
+                lambda cache: run_kernel_figure(
+                    "nonblocking", core_counts=(16,), scale=SCALE, cache=cache,
+                    names=["Herlihy stack", "Herlihy heap"],
+                ),
+                lambda cache: run_eqcheck_ablation(cores=16, scale=SCALE, cache=cache),
+                2 * len(KERNEL_PROTOCOLS),
+            ),
+            (
+                lambda cache: run_apps_figure(scale=0.02, names=["water"], cache=cache),
+                lambda cache: run_selfinv_ablation(app="water", scale=0.02, cache=cache),
+                len(APP_PROTOCOLS),
+            ),
+        ],
+        ids=["sw-backoff", "eqchecks", "selfinv"],
+    )
+    def test_baseline_variant_is_the_figures_cells(
+        self, tmp_path, run_figure, run_ablation, hits
+    ):
+        """An ablation's baseline variant reuses its figure's cache entries
+        (same seed, no kernel argument), so ``all`` simulates them once."""
+        cache = ResultCache(tmp_path)
+        run_figure(cache)
+        assert cache.hits == 0
+        run_ablation(cache)
+        assert cache.hits == hits
+
     def test_sw_backoff_ablation_labels(self):
         results = run_sw_backoff_ablation(cores=16, scale=SCALE)
         assert set(results) == {"no backoff", "sw backoff"}
@@ -153,14 +196,6 @@ class TestNormalize:
 
 
 class TestCli:
-    def test_cli_fig3_to_files(self, tmp_path, monkeypatch):
-        code = cli_main(
-            ["fig3", "--cores", "16", "--scale", "0.02", "--out", str(tmp_path)]
-        )
-        assert code == 0
-        text = (tmp_path / "fig3.txt").read_text()
-        assert "Figure 3" in text
-
     def test_cli_rejects_unknown_target(self):
         with pytest.raises(SystemExit):
             cli_main(["fig99"])
