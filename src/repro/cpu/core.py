@@ -26,11 +26,13 @@ Hot-path structure: operations dispatch through a per-class handler table
 instead of an ``isinstance`` chain, and every event the core schedules
 goes through :meth:`~repro.sim.engine.Simulator.call_after` /
 ``call_at`` with a method prebound in ``__init__`` — no closure per
-operation.  The state a retry needs (the op, the RMW operands, the spin
-re-probe cycle) lives in per-core fields, which is sound because an
-in-order blocking core has exactly one operation in flight.  The model
-checker's scheduling gate lives in a subclass,
-:class:`~repro.mc.controller.GatedCore`.
+operation.  Calls into the protocol pass every argument positionally
+(keywords cost CPython extra on a call made once per access).  The state
+a retry needs (the op, the RMW operands, the spin re-probe cycle) lives
+in per-core fields, which is sound because an in-order blocking core has
+exactly one operation in flight.  The model checker's scheduling gate
+lives in a subclass, :class:`~repro.mc.controller.GatedCore`, which
+overrides :meth:`Core._dispatch`.
 """
 
 from __future__ import annotations
@@ -162,9 +164,6 @@ class Core:
         self.blocked_since = sim.now
         self._dispatch(op)
 
-    def _resume_after(self, delay: int, value=None) -> None:
-        self.sim.call_after(delay, self._cb_step, value)
-
     def _dispatch(self, op) -> None:
         handler = _HANDLERS.get(op.__class__)
         if handler is None:
@@ -176,7 +175,7 @@ class Core:
     def _h_compute(self, op: isa.Compute) -> None:
         self.wait_reason = "compute"
         self._account(op.component, op.cycles)
-        self._resume_after(op.cycles)
+        self.sim.call_after(op.cycles, self._cb_step, None)
 
     def _h_cas(self, op: isa.Cas) -> None:
         self._issue_rmw(
@@ -198,10 +197,10 @@ class Core:
         self.wait_reason = "self-invalidate"
         self.protocol.now = self.sim.now
         latency = self.protocol.self_invalidate(
-            self.core_id, list(op.regions), flush_all=op.flush_all
+            self.core_id, list(op.regions), op.flush_all
         )
         self._account(TimeComponent.COMPUTE, latency)
-        self._resume_after(latency)
+        self.sim.call_after(latency, self._cb_step, None)
 
     def _h_push_bucket(self, op: isa.PushBucket) -> None:
         self._bucket_stack.append(op.component)
@@ -227,17 +226,14 @@ class Core:
 
     def _finish_load(self, op: isa.Load, ticketed: bool = False) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.load(
-            self.core_id, op.addr, sync=op.sync, ticketed=ticketed,
-            acquire=op.acquire,
-        )
+        access = self.protocol.load(self.core_id, op.addr, op.sync, ticketed, op.acquire)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
             self.sim.call_after(access.latency, self._cb_retry_load, op)
             return
         self.wait_reason = "memory-access"
-        self._resume_after(access.latency, access.value)
+        self.sim.call_after(access.latency, self._cb_step, access.value)
 
     def _retry_load(self, op: isa.Load) -> None:
         self._finish_load(op, ticketed=True)
@@ -245,12 +241,7 @@ class Core:
     def _issue_store(self, op: isa.Store, ticketed: bool = False) -> None:
         self.protocol.now = self.sim.now
         access = self.protocol.store(
-            self.core_id,
-            op.addr,
-            op.value,
-            sync=op.sync,
-            release=op.release,
-            ticketed=ticketed,
+            self.core_id, op.addr, op.value, op.sync, op.release, ticketed
         )
         self._account_access(access)
         if access.retry:
@@ -258,7 +249,7 @@ class Core:
             self.sim.call_after(access.latency, self._cb_retry_store, op)
             return
         self.wait_reason = "memory-access"
-        self._resume_after(access.latency, access.value)
+        self.sim.call_after(access.latency, self._cb_step, access.value)
 
     def _retry_store(self, op: isa.Store) -> None:
         self._issue_store(op, ticketed=True)
@@ -268,10 +259,7 @@ class Core:
         acquire: bool = False,
     ) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.rmw(
-            self.core_id, addr, fn, release=release, ticketed=ticketed,
-            acquire=acquire,
-        )
+        access = self.protocol.rmw(self.core_id, addr, fn, release, ticketed, acquire)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
@@ -279,7 +267,7 @@ class Core:
             self.sim.call_after(access.latency, self._cb_retry_rmw, None)
             return
         self.wait_reason = "memory-access"
-        self._resume_after(access.latency, access.value)
+        self.sim.call_after(access.latency, self._cb_step, access.value)
 
     def _retry_rmw(self, _unused) -> None:
         addr, fn, release, acquire = self._rmw_state
@@ -290,9 +278,7 @@ class Core:
     def _spin_probe(self, op: isa.WaitLoad) -> None:
         """One probe of a spin-wait; reschedules itself until ``pred`` holds."""
         if op.sync and self._has_backoff:
-            backoff = self.protocol.sync_read_backoff(
-                self.core_id, op.addr, spinning=True
-            )
+            backoff = self.protocol.sync_read_backoff(self.core_id, op.addr, True)
             if backoff > 0:
                 self.wait_reason = "hw-backoff"
                 self._account(TimeComponent.HW_BACKOFF, backoff)
@@ -302,9 +288,7 @@ class Core:
 
     def _spin_probe_issue(self, op: isa.WaitLoad, ticketed: bool = False) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.load(
-            self.core_id, op.addr, sync=op.sync, ticketed=ticketed
-        )
+        access = self.protocol.load(self.core_id, op.addr, op.sync, ticketed)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
@@ -315,7 +299,7 @@ class Core:
                 # The successful probe is the acquire point.
                 self.protocol.on_acquire(self.core_id, op.addr)
             self.wait_reason = "memory-access"
-            self._resume_after(access.latency, access.value)
+            self.sim.call_after(access.latency, self._cb_step, access.value)
             return
         # Failed probe: wait for our copy to change if the protocol can tell
         # us (MESI), otherwise poll again after the probe completes.

@@ -83,23 +83,31 @@ FIGURES: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
     ),
     "ablation-padding": (
         "section 7.1.1 lock-padding study",
-        lambda args, **sweep: run_padding_ablation(scale=args.scale, **sweep),
-        ("--scale",),
+        lambda args, **sweep: run_padding_ablation(
+            scale=args.scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--seed"),
     ),
     "ablation-swbackoff": (
         "section 7.1.1 software-backoff study",
-        lambda args, **sweep: run_sw_backoff_ablation(scale=args.scale, **sweep),
-        ("--scale",),
+        lambda args, **sweep: run_sw_backoff_ablation(
+            scale=args.scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--seed"),
     ),
     "ablation-eqchecks": (
         "section 7.1.3 equality-check study",
-        lambda args, **sweep: run_eqcheck_ablation(scale=args.scale, **sweep),
-        ("--scale",),
+        lambda args, **sweep: run_eqcheck_ablation(
+            scale=args.scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--seed"),
     ),
     "ablation-selfinv": (
         "section 3 self-invalidation fallback",
-        lambda args, **sweep: run_selfinv_ablation(scale=args.app_scale, **sweep),
-        ("--app-scale",),
+        lambda args, **sweep: run_selfinv_ablation(
+            scale=args.app_scale, seed=args.seed, **sweep
+        ),
+        ("--app-scale", "--seed"),
     ),
 }
 

@@ -238,17 +238,24 @@ class PoolSupervisor:
     # -- lifecycle -----------------------------------------------------------
 
     def shutdown(self) -> None:
-        """Harvest already-completed work, settle the rest, kill the pool.
+        """Harvest already-completed work, settle the rest, stop the pool.
 
         Results that finished in a worker but were not yet observed are
         settled (and thus persisted by ``on_settle``) **before** the pool
         goes down — completed simulations are never discarded.  Cells
         still running or queued settle with a ``shutdown`` error.
+
+        With nothing left in flight the pool is joined: its manager
+        thread exits here rather than racing interpreter exit, where
+        ``concurrent.futures``' exit hook can write to the wakeup pipe
+        the thread is closing (``OSError: [Errno 9]``).  Otherwise the
+        workers may be hung, so the pool is killed.
         """
         if self._closed:
             return
         self._closed = True
         self.harvest()
+        idle = not self._tasks
         for task in list(self._tasks.values()):
             self._settle(
                 task,
@@ -259,7 +266,10 @@ class PoolSupervisor:
                 ),
             )
         if self._pool is not None:
-            self._kill_pool(self._pool)
+            if idle:
+                self._pool.shutdown(wait=True)
+            else:
+                self._kill_pool(self._pool)
             self._pool = None
         shutil.rmtree(self._spool, ignore_errors=True)
 

@@ -384,7 +384,10 @@ class DeNovoL1:
         frame.states[off] = to
         region = self._region_map.get(addr)
         region_id = region.region_id if region is not None else None
-        self._valid_by_region.setdefault(region_id, set()).add(addr)
+        bucket = self._valid_by_region.get(region_id)
+        if bucket is None:
+            bucket = self._valid_by_region[region_id] = set()
+        bucket.add(addr)
 
     def invalidate_word(self, addr: int) -> None:
         """Drop one word regardless of state (no writeback)."""

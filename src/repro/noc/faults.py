@@ -152,7 +152,7 @@ class FaultInjector(ProtocolWrapper):
             return None
         self.deferrals += 1
         delay = self.rng.randint(1, self.plan.reorder_delay)
-        return Access(0, delay, hit=False, retry=True)
+        return Access(0, delay, False, True)
 
     def _jitter(self, access: Access) -> Access:
         if self.plan.delay_jitter and not access.retry:
@@ -189,9 +189,7 @@ class FaultInjector(ProtocolWrapper):
         deferred = self._defer(ticketed)
         if deferred is not None:
             return deferred
-        return self._jitter(
-            self.inner.load(core_id, addr, sync=sync, ticketed=ticketed, acquire=acquire)
-        )
+        return self._jitter(self.inner.load(core_id, addr, sync, ticketed, acquire))
 
     def store(
         self,
@@ -206,9 +204,7 @@ class FaultInjector(ProtocolWrapper):
         if deferred is not None:
             return deferred
         return self._jitter(
-            self.inner.store(
-                core_id, addr, value, sync=sync, release=release, ticketed=ticketed
-            )
+            self.inner.store(core_id, addr, value, sync, release, ticketed)
         )
 
     def rmw(
@@ -224,7 +220,5 @@ class FaultInjector(ProtocolWrapper):
         if deferred is not None:
             return deferred
         return self._jitter(
-            self.inner.rmw(
-                core_id, addr, fn, release=release, ticketed=ticketed, acquire=acquire
-            )
+            self.inner.rmw(core_id, addr, fn, release, ticketed, acquire)
         )

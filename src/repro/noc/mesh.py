@@ -7,17 +7,95 @@ is interpolated between the Table 1 min (0 hops) and max (farthest tile)
 for the relevant access class, so the simulated system reproduces the
 paper's latency ranges exactly.
 
-Every value is a pure function of the (static) topology, so the
-constructor precomputes them once — the hop matrix, the nearest
-controller per tile, per-(core, bank) interpolated latency matrices and a
-per-leg remote-L1 table — and the public methods become table lookups.
-The tables are filled by evaluating the original closed-form expressions,
-so the numbers are bit-for-bit what the formulas produce.
+Every value is a pure function of the (static) topology, so the tables —
+the hop matrix, the nearest controller per tile, per-(core, bank)
+interpolated latency matrices and a per-leg remote-L1 table — are built
+once per distinct set of the five config fields they read, shared as
+read-only tuples by every :class:`Mesh` of that configuration, and the
+public methods become table lookups.  The tables are filled by evaluating
+the original closed-form expressions, so the numbers are bit-for-bit what
+the formulas produce.
 """
 
 from __future__ import annotations
 
-from repro.config import SystemConfig
+import math
+from functools import lru_cache
+
+from repro.config import LatencyRange, SystemConfig
+
+
+def _corner_tiles(side: int) -> tuple[int, ...]:
+    """Tile ids of the four on-chip memory controllers (mesh corners)."""
+    if side == 1:
+        return (0,)
+    return (0, side - 1, side * (side - 1), side * side - 1)
+
+
+def _per_hop_cycles(l2_hit_latency: LatencyRange, max_hops: int) -> float:
+    if max_hops == 0:
+        return 0.0
+    return (l2_hit_latency.max - l2_hit_latency.min) / (2 * max_hops)
+
+
+@lru_cache(maxsize=16)
+def _tables(
+    num_cores: int,
+    l2_hit_latency: LatencyRange,
+    remote_l1_latency: LatencyRange,
+    memory_latency: LatencyRange,
+    inv_processing: int,
+) -> tuple[tuple, ...]:
+    """Every table of one mesh, keyed on exactly the fields they read.
+
+    Sweeps that vary any other config field (tuning constants, backoff,
+    L1 geometry) share one entry.  Returns (hops, nearest controller,
+    remote-L1 latency by leg, l2 latency, memory latency, invalidation
+    round trip); the two-argument tables are flat and row-major:
+    ``table[a * num_cores + b]``.
+    """
+    n = num_cores
+    side = math.isqrt(n)
+    max_hops = 2 * (side - 1)
+    coords = [(tile % side, tile // side) for tile in range(n)]
+    hops = [0] * (n * n)
+    for src, (sx, sy) in enumerate(coords):
+        row = src * n
+        for dst, (dx, dy) in enumerate(coords):
+            hops[row + dst] = abs(sx - dx) + abs(sy - dy)
+
+    controllers = _corner_tiles(side)
+    nearest = tuple(
+        min(controllers, key=lambda c: (hops[tile * n + c], c)) for tile in range(n)
+    )
+
+    # Per-leg latency tables (a leg never exceeds max_hops).
+    leg_range = range(max_hops + 1)
+    l2_by_leg = tuple(l2_hit_latency.interpolate(leg, max_hops) for leg in leg_range)
+    remote_by_leg = tuple(
+        remote_l1_latency.interpolate(leg, max_hops) for leg in leg_range
+    )
+    memory_by_leg = tuple(
+        memory_latency.interpolate(leg, max_hops) for leg in leg_range
+    )
+
+    memory = [0] * (n * n)
+    inv_rtt = [0] * (n * n)
+    per_hop = _per_hop_cycles(l2_hit_latency, max_hops)
+    for a in range(n):
+        row = a * n
+        for b in range(n):
+            leg = max(hops[row + b], hops[b * n + nearest[b]])
+            memory[row + b] = memory_by_leg[leg]
+            inv_rtt[row + b] = round(2 * hops[row + b] * per_hop) + inv_processing
+    return (
+        tuple(hops),
+        nearest,
+        remote_by_leg,
+        tuple(l2_by_leg[h] for h in hops),
+        tuple(memory),
+        tuple(inv_rtt),
+    )
 
 
 class Mesh:
@@ -26,60 +104,22 @@ class Mesh:
     def __init__(self, config: SystemConfig) -> None:
         self.config = config
         self.side = config.mesh_side
-        self._controller_tiles = self._corner_tiles()
-        n = self._num_tiles = config.num_cores
-        max_hops = config.max_hops
-
-        # Hop matrix (flat, row-major: hops(src, dst) = _hops[src * n + dst]).
-        coords = [self._coords_of(tile) for tile in range(n)]
-        hops = [0] * (n * n)
-        for src, (sx, sy) in enumerate(coords):
-            row = src * n
-            for dst, (dx, dy) in enumerate(coords):
-                hops[row + dst] = abs(sx - dx) + abs(sy - dy)
-        self._hops = hops
-
-        self._nearest_controller = [
-            min(self._controller_tiles, key=lambda c: (hops[tile * n + c], c))
-            for tile in range(n)
-        ]
-
-        # Per-leg latency tables (a leg never exceeds 2 * (side - 1) hops).
-        leg_range = range(2 * (self.side - 1) + 1)
-        self._l2_by_leg = [
-            config.l2_hit_latency.interpolate(leg, max_hops) for leg in leg_range
-        ]
-        self._remote_by_leg = [
-            config.remote_l1_latency.interpolate(leg, max_hops) for leg in leg_range
-        ]
-        self._memory_by_leg = [
-            config.memory_latency.interpolate(leg, max_hops) for leg in leg_range
-        ]
-
-        # Per-(core, bank) matrices for the two-argument lookups.
-        self._l2_latency = [self._l2_by_leg[h] for h in hops]
-        memory_latency = [0] * (n * n)
-        inv_rtt = [0] * (n * n)
-        per_hop = self.per_hop_cycles()
-        inv_processing = config.tuning.inv_processing
-        for a in range(n):
-            row = a * n
-            for b in range(n):
-                controller = self._nearest_controller[b]
-                leg = max(hops[row + b], hops[b * n + controller])
-                memory_latency[row + b] = self._memory_by_leg[leg]
-                inv_rtt[row + b] = (
-                    round(2 * hops[row + b] * per_hop) + inv_processing
-                )
-        self._memory_latency = memory_latency
-        self._inv_round_trip = inv_rtt
-
-    def _corner_tiles(self) -> tuple[int, ...]:
-        """Tile ids of the four on-chip memory controllers (mesh corners)."""
-        side = self.side
-        if side == 1:
-            return (0,)
-        return (0, side - 1, side * (side - 1), side * side - 1)
+        self._controller_tiles = _corner_tiles(self.side)
+        self._num_tiles = config.num_cores
+        (
+            self._hops,
+            self._nearest_controller,
+            self._remote_by_leg,
+            self._l2_latency,
+            self._memory_latency,
+            self._inv_round_trip,
+        ) = _tables(
+            config.num_cores,
+            config.l2_hit_latency,
+            config.remote_l1_latency,
+            config.memory_latency,
+            config.tuning.inv_processing,
+        )
 
     def _coords_of(self, tile: int) -> tuple[int, int]:
         return tile % self.side, tile // self.side
@@ -125,10 +165,7 @@ class Mesh:
 
     def per_hop_cycles(self) -> float:
         """One-way per-hop network cost implied by the Table 1 L2 range."""
-        if self.config.max_hops == 0:
-            return 0.0
-        span = self.config.l2_hit_latency.max - self.config.l2_hit_latency.min
-        return span / (2 * self.config.max_hops)
+        return _per_hop_cycles(self.config.l2_hit_latency, self.config.max_hops)
 
     def invalidation_round_trip(self, bank: int, sharer: int) -> int:
         """Invalidate-and-ack round trip between the home bank and a sharer.

@@ -81,6 +81,15 @@ class SpinLease:
 class Access:
     """Outcome of one memory operation.
 
+    Each public protocol call (``load``/``store``/``rmw``) builds exactly
+    one ``Access``, passing every field positionally: a class call with
+    keywords costs CPython about twice as much, and this runs once per
+    simulated access.  Internal helpers return latencies, not ``Access``
+    objects, except MESI's ``_obtain_modified`` and ``_reserve_or_retry``,
+    which return the call's single ``Access`` (the caller completes or
+    forwards it).  Wrappers may adjust the result in place (the fault
+    injector adds jitter to ``latency``).
+
     ``latency`` is the stall the issuing core must take (1 for a hit or a
     non-blocking store).  ``value`` is the loaded/old value.  ``hit`` is
     True when the access was served entirely from the private L1.

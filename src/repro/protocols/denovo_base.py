@@ -123,7 +123,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         value = l1.present_value(addr)
         if value is not None:
             self._counts["l1_hits"] += 1
-            return Access(value, self._l1_hit, hit=True)
+            return Access(value, self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
         line = addr // self._wpl
@@ -145,7 +145,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
                 MessageClass.LOAD, owner, core_id, self._word_bytes * filled
             )
             value = self._mem_get(addr, 0)
-            return Access(value, latency, hit=False)
+            return Access(value, latency, False)
 
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
@@ -155,7 +155,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             MessageClass.LOAD, bank, core_id, self._word_bytes * filled
         )
         value = self._mem_get(addr, 0)
-        return Access(value, latency, hit=False)
+        return Access(value, latency, False)
 
     def _fill_line_valid_words(
         self, core_id: int, line: int, from_owner: int | None
@@ -189,13 +189,13 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         ticketed: bool = False,
     ) -> Access:
         if sync:
-            return self.sync_store(core_id, addr, value, release=release)
+            return self.sync_store(core_id, addr, value, release)
         l1 = self.l1s[core_id]
         old = self._mem_get(addr, 0)
         if l1.try_write_registered(addr, value):
             self._counts["l1_hits"] += 1
             self._mem_values[addr] = value
-            return Access(old, self._l1_hit, hit=True)
+            return Access(old, self._l1_hit, True)
 
         # Immediate transition to Registered, registration request in the
         # background: data writes never block the core.
@@ -211,7 +211,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self._register(core_id, addr, MessageClass.STORE, invalidate_prev=True)
         l1.fill_word(addr, value, DeNovoState.REGISTERED)
         self._mem_values[addr] = value
-        return Access(old, self._l1_hit, hit=False)
+        return Access(old, self._l1_hit, False)
 
     def _store_aggregates(self, core_id: int, addr: int) -> bool:
         """True when this data-store registration can ride along a recent
@@ -243,12 +243,12 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         klass: MessageClass,
         invalidate_prev: bool,
         carry_data_back: bool = False,
-    ) -> tuple[int, bool]:
-        """Move ``addr``'s registration to ``core_id``.
+    ) -> int:
+        """Move ``addr``'s registration to ``core_id``; returns the latency.
 
-        Returns (latency, cold).  ``invalidate_prev`` selects the previous
-        registrant's downgrade target: Invalid for writes, Valid for sync
-        reads (the Valid copy is unusable but arms the backoff trigger).
+        ``invalidate_prev`` selects the previous registrant's downgrade
+        target: Invalid for writes, Valid for sync reads (the Valid copy
+        is unusable but arms the backoff trigger).
         ``carry_data_back`` adds a word of payload on the response (sync
         reads need the value; writes overwrite it anyway).
         """
@@ -291,7 +291,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             target = DeNovoState.INVALID if invalidate_prev else DeNovoState.VALID
             self.l1s[prev].downgrade(addr, target)
             self.on_registration_stolen(prev, addr, not invalidate_prev)
-            cold = False
         else:
             transfer, cold = self.llc_fetch_latency(core_id, line)
             if cold:
@@ -313,7 +312,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self._notify_word_waiters(addr, prev, completion)
         self.registry[addr] = core_id
         self._reg_chain[addr] = completion
-        return latency, cold
+        return latency
 
     # -- synchronization accesses: defined by subclasses ----------------------
 

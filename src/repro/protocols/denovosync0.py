@@ -64,14 +64,14 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             counts["l1_hits"] += 1
             counts["sync_read_hits"] += 1
             self.on_sync_hit(core_id, addr)
-            return Access(value, self._l1_hit, hit=True)
+            return Access(value, self._l1_hit, True)
 
         counts["l1_misses"] += 1
         counts["sync_read_misses"] += 1
         owner = self.registry.get(addr)
         if owner is not None and owner != core_id:
             counts["read_registration_steals"] += 1
-        latency, _ = self._register(
+        latency = self._register(
             core_id,
             addr,
             MessageClass.SYNCH,
@@ -80,7 +80,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         )
         value = self._mem_get(addr, 0)
         l1.fill_word(addr, value, DeNovoState.REGISTERED)
-        return Access(value, latency, hit=False)
+        return Access(value, latency, False)
 
     # -- sync stores -------------------------------------------------------------
 
@@ -94,17 +94,17 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self._mem_values[addr] = value
             if release:
                 self.on_release(core_id, addr)
-            return Access(old, self._l1_hit, hit=True)
+            return Access(old, self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
-        latency, _ = self._register(
+        latency = self._register(
             core_id, addr, MessageClass.SYNCH, invalidate_prev=True
         )
         l1.fill_word(addr, value, DeNovoState.REGISTERED)
         self._mem_values[addr] = value
         if release:
             self.on_release(core_id, addr)
-        return Access(old, latency, hit=False)
+        return Access(old, latency, False)
 
     # -- RMWs ---------------------------------------------------------------------
 
@@ -125,7 +125,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self.on_sync_hit(core_id, addr)
         else:
             self._counts["l1_misses"] += 1
-            latency, _ = self._register(
+            latency = self._register(
                 core_id,
                 addr,
                 MessageClass.SYNCH,
@@ -144,4 +144,4 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if acquire:
             self.on_acquire(core_id, addr)
         self._counts["rmws"] += 1
-        return Access(old, latency, hit=hit)
+        return Access(old, latency, hit)

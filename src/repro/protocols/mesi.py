@@ -99,7 +99,7 @@ class MesiProtocol(CoherenceProtocol):
             return None
         self._counts["directory_retries"] += 1
         entry.busy_until += self._own_occ
-        return Access(0, queue, hit=False, retry=True)
+        return Access(0, queue, False, True)
 
     def _insert_line(self, core_id: int, line: int, state: MesiState) -> None:
         """Fill ``line`` into the L1, handling any replacement victim."""
@@ -159,7 +159,7 @@ class MesiProtocol(CoherenceProtocol):
         state = self.l1s[core_id].state_of(line)
         if state is not None:
             self._counts["l1_hits"] += 1
-            return Access(self._mem_get(addr, 0), self._l1_hit, hit=True)
+            return Access(self._mem_get(addr, 0), self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
@@ -197,7 +197,7 @@ class MesiProtocol(CoherenceProtocol):
                 self.now + self._own_occ,
             )
             self._insert_line(core_id, line, MesiState.SHARED)
-            return Access(self._mem_get(addr, 0), latency, hit=False)
+            return Access(self._mem_get(addr, 0), latency, False)
 
         return self._load_from_llc(core_id, line, addr, entry, bank)
 
@@ -217,7 +217,7 @@ class MesiProtocol(CoherenceProtocol):
             entry.sharers.add(core_id)
             self._insert_line(core_id, line, MesiState.SHARED)
         entry.busy_until = max(entry.busy_until, self.now + self._bank_occ)
-        return Access(self._mem_get(addr, 0), latency, hit=False)
+        return Access(self._mem_get(addr, 0), latency, False)
 
     # -- stores and RMWs ------------------------------------------------------
 
@@ -230,15 +230,15 @@ class MesiProtocol(CoherenceProtocol):
         release: bool = False,
         ticketed: bool = False,
     ) -> Access:
-        outcome = self._obtain_modified(core_id, addr, ticketed)
-        if outcome.retry:
-            return outcome
-        old = self._mem_get(addr, 0)
+        access = self._obtain_modified(core_id, addr, ticketed)
+        if access.retry:
+            return access
+        access.value = self._mem_get(addr, 0)
         self._mem_values[addr] = value
         if not sync:
             # Non-blocking data store: the core retires it in one cycle.
-            return Access(old, self._l1_hit, hit=outcome.hit)
-        return Access(old, outcome.latency, hit=outcome.hit)
+            access.latency = self._l1_hit
+        return access
 
     def rmw(
         self,
@@ -249,29 +249,32 @@ class MesiProtocol(CoherenceProtocol):
         ticketed: bool = False,
         acquire: bool = False,
     ) -> Access:
-        outcome = self._obtain_modified(core_id, addr, ticketed)
-        if outcome.retry:
-            return outcome
-        old = self._mem_get(addr, 0)
+        access = self._obtain_modified(core_id, addr, ticketed)
+        if access.retry:
+            return access
+        old = access.value = self._mem_get(addr, 0)
         new = fn(old)
         if new is not None:
             self._mem_values[addr] = new
         self._counts["rmws"] += 1
-        return Access(old, outcome.latency, hit=outcome.hit)
+        return access
 
     def _obtain_modified(self, core_id: int, addr: int, ticketed: bool = False) -> Access:
-        """Bring ``addr``'s line to Modified (the Access value is unset)."""
+        """Bring ``addr``'s line to Modified.
+
+        The returned Access's value is unset (0): the caller fills in the
+        word it reads, so a store or RMW builds one Access, not two."""
         line = addr // self._wpl
         l1 = self.l1s[core_id]
         state = l1.state_of(line)
         if state is MesiState.MODIFIED:
             self._counts["l1_hits"] += 1
-            return Access(0, self._l1_hit, hit=True)
+            return Access(0, self._l1_hit, True)
         if state is MesiState.EXCLUSIVE:
             # Silent E -> M upgrade.
             self._counts["l1_hits"] += 1
             l1.set_state(line, MesiState.MODIFIED)
-            return Access(0, self._l1_hit, hit=True)
+            return Access(0, self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
@@ -346,7 +349,7 @@ class MesiProtocol(CoherenceProtocol):
             l1.set_state(line, MesiState.MODIFIED)
         else:
             self._insert_line(core_id, line, MesiState.MODIFIED)
-        return Access(0, latency, hit=False)
+        return Access(0, latency, False)
 
     # -- misc ----------------------------------------------------------------
 

@@ -49,13 +49,12 @@ class MesiRfoProtocol(MesiProtocol):
         acquire: bool = False,
     ) -> Access:
         if not sync:
-            return super().load(
-                core_id, addr, sync=sync, ticketed=ticketed, acquire=acquire
-            )
+            return super().load(core_id, addr, sync, ticketed, acquire)
         # Synchronization read: bring the line in Modified so the write
         # that usually follows an acquire hits locally.
-        outcome = self._obtain_modified(core_id, addr, ticketed)
-        if outcome.retry:
-            return outcome
+        access = self._obtain_modified(core_id, addr, ticketed)
+        if access.retry:
+            return access
         self.counters.bump("rfo_sync_reads")
-        return Access(self.memory.read(addr), outcome.latency, hit=outcome.hit)
+        access.value = self.memory.read(addr)
+        return access

@@ -112,15 +112,15 @@ class NeatProtocol(CoherenceProtocol):
     ) -> Access:
         if sync:
             self._counts["sync_read_misses"] += 1
-            access = self._sync_access(core_id, addr)
+            latency = self._sync_access(core_id, addr)
             if acquire:
                 self.on_acquire(core_id, addr)
-            return access
+            return Access(self._mem_get(addr, 0), latency, False)
         l1 = self.l1s[core_id]
         value = l1.present_value(addr)
         if value is not None:
             self._counts["l1_hits"] += 1
-            return Access(value, self._l1_hit, hit=True)
+            return Access(value, self._l1_hit, True)
 
         # Miss: the LLC always owns a usable copy (dirty words elsewhere
         # only diverge from it until their release, and reading them
@@ -138,7 +138,7 @@ class NeatProtocol(CoherenceProtocol):
         self.record_data(
             MessageClass.LOAD, bank, core_id, self._word_bytes * filled
         )
-        return Access(self._mem_get(addr, 0), latency, hit=False)
+        return Access(self._mem_get(addr, 0), latency, False)
 
     def store(
         self,
@@ -153,9 +153,9 @@ class NeatProtocol(CoherenceProtocol):
             old = self._mem_get(addr, 0)
             # Sd: the release write publishes every dirty word first.
             flush = self._flush_dirty(core_id) if release else 0
-            access = self._sync_access(core_id, addr)
+            latency = self._sync_access(core_id, addr)
             self._mem_values[addr] = value
-            return Access(old, access.latency + flush, hit=False)
+            return Access(old, latency + flush, False)
         # Data write: completes locally, marked dirty, zero traffic now —
         # the cost is deferred to the release flush (or replacement).
         l1 = self.l1s[core_id]
@@ -163,17 +163,17 @@ class NeatProtocol(CoherenceProtocol):
         if l1.try_write_registered(addr, value):
             self._counts["l1_hits"] += 1
             self._mem_values[addr] = value
-            return Access(old, self._l1_hit, hit=True)
+            return Access(old, self._l1_hit, True)
         self._counts["l1_misses"] += 1
         l1.fill_word(addr, value, DeNovoState.REGISTERED)
         self._dirty[core_id].add(addr)
         self._mem_values[addr] = value
-        return Access(old, self._l1_hit, hit=False)
+        return Access(old, self._l1_hit, False)
 
     # -- synchronization accesses --------------------------------------------
 
-    def _sync_access(self, core_id: int, addr: int) -> Access:
-        """One sync op at ``addr``'s LLC home bank.
+    def _sync_access(self, core_id: int, addr: int) -> int:
+        """One sync op at ``addr``'s LLC home bank; returns its latency.
 
         Drops any local copy first (a cached sync word would otherwise
         satisfy later spin probes with a stale value forever — Neat has
@@ -190,7 +190,7 @@ class NeatProtocol(CoherenceProtocol):
             self.record_memory_fill(MessageClass.SYNCH, line)
         self.record_control(MessageClass.SYNCH, core_id, bank)
         self.record_data(MessageClass.SYNCH, bank, core_id, self._word_bytes)
-        return Access(self._mem_get(addr, 0), latency, hit=False)
+        return latency
 
     def spin_poll_lease(self, core_id: int, addr: int) -> SpinLease | None:
         """Neat spinners poll the LLC; the failed polls are stateless.
@@ -230,15 +230,15 @@ class NeatProtocol(CoherenceProtocol):
         acquire: bool = False,
     ) -> Access:
         flush = self._flush_dirty(core_id) if release else 0
-        access = self._sync_access(core_id, addr)
-        old = access.value
+        latency = self._sync_access(core_id, addr)
+        old = self._mem_get(addr, 0)
         new = fn(old)
         if new is not None:
             self._mem_values[addr] = new
         self._counts["rmws"] += 1
         if acquire:
             self.on_acquire(core_id, addr)
-        return Access(old, access.latency + flush, hit=False)
+        return Access(old, latency + flush, False)
 
     def _flush_dirty(self, core_id: int) -> int:
         """Self-downgrade: write every dirty word back to its LLC home

@@ -159,7 +159,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
     def sync_load(self, core_id: int, addr: int) -> Access:
         self._counts["sync_read_misses"] += 1
         latency = self._su_op(core_id, addr, carry_data=True)
-        return Access(self._mem_get(addr, 0), latency, hit=False)
+        return Access(self._mem_get(addr, 0), latency, False)
 
     def sync_store(
         self, core_id: int, addr: int, value: int, release: bool = False
@@ -169,7 +169,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         self._mem_values[addr] = value
         if value != old:
             self._notify_su_waiters(addr, self.now + latency)
-        return Access(old, latency, hit=False)
+        return Access(old, latency, False)
 
     def rmw(
         self,
@@ -190,7 +190,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         self._counts["rmws"] += 1
         if acquire:
             self.on_acquire(core_id, addr)
-        return Access(old, latency, hit=False)
+        return Access(old, latency, False)
 
     # -- data stores also wake parked spinners -------------------------------
 
@@ -204,9 +204,9 @@ class SynCronProtocol(DeNovoBaseProtocol):
         ticketed: bool = False,
     ) -> Access:
         if sync:
-            return self.sync_store(core_id, addr, value, release=release)
+            return self.sync_store(core_id, addr, value, release)
         old = self._mem_get(addr, 0)
-        access = super().store(core_id, addr, value, ticketed=ticketed)
+        access = super().store(core_id, addr, value)
         # A spinner may be parked at the SU on a word the program then
         # publishes with a plain data write (chaos perturbations can
         # reorder things this way); the SU observes the home bank, so the

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 
 from repro.noc.traffic import TrafficLedger
@@ -25,13 +25,20 @@ class ProtocolCounters:
     """
 
     def __init__(self) -> None:
-        self._counts: Counter[str] = Counter()
+        # Not a ``Counter``: it defines ``__delitem__`` in Python, so
+        # CPython sends every subscript store through a generic slot
+        # wrapper and a ``+= 1`` costs about 2.5x a dict's, while the
+        # protocols bump entries hundreds of thousands of times per run.
+        # ``bump(key, 0)`` still inserts ``key``; ``get`` never does, so a
+        # read cannot change the key set ``as_dict`` (and every result
+        # digest) reports.
+        self._counts: defaultdict[str, int] = defaultdict(int)
 
     def bump(self, key: str, by: int = 1) -> None:
         self._counts[key] += by
 
     def get(self, key: str) -> int:
-        return self._counts[key]
+        return self._counts.get(key, 0)
 
     def as_dict(self) -> dict[str, int]:
         return dict(self._counts)

@@ -6,7 +6,16 @@ import re
 
 import pytest
 
+from repro.harness import cli
 from repro.harness.cli import main as cli_main
+
+#: The ablation targets and the runner each one calls.
+ABLATION_RUNNERS = {
+    "ablation-padding": "run_padding_ablation",
+    "ablation-swbackoff": "run_sw_backoff_ablation",
+    "ablation-eqchecks": "run_eqcheck_ablation",
+    "ablation-selfinv": "run_selfinv_ablation",
+}
 
 
 class TestFigureTargets:
@@ -78,6 +87,31 @@ class TestFigureTargets:
                 ]
                 assert not re.search(r"^-- ", text, re.M)
         assert {row["figure"] for row in rows} == titles
+
+    @pytest.mark.parametrize("target", sorted(ABLATION_RUNNERS))
+    def test_ablations_read_seed(self, monkeypatch, target):
+        seen = []
+
+        def runner(**kwargs):
+            seen.append(kwargs["seed"])
+            return {}
+
+        monkeypatch.setattr(cli, ABLATION_RUNNERS[target], runner)
+        assert cli_main([target, "--seed", "2", "--no-cache"]) == 0
+        assert cli_main([target, "--no-cache"]) == 0
+        assert seen == [2, 1]
+
+    def test_all_runs_every_target_at_one_seed(self, monkeypatch):
+        seen = []
+
+        def runner(*args, **kwargs):
+            seen.append(kwargs["seed"])
+            return {}
+
+        for name in ("run_kernel_figure", "run_apps_figure", *ABLATION_RUNNERS.values()):
+            monkeypatch.setattr(cli, name, runner)
+        assert cli_main(["all", "--seed", "3", "--no-cache"]) == 0
+        assert seen == [3] * len(cli.FIGURES)
 
 
 class TestRunTarget:

@@ -78,7 +78,7 @@ class TestUnreadFlagsAreRejected:
         [
             ["fig3", "--protocols", "MESI"],
             ["chaos", "--jobs", "4"],
-            ["ablation-padding", "--seed", "3"],
+            ["ablation-padding", "--cores", "16"],
             ["status", "--scale", "0.1"],
             ["protocols", "--jobs", "2"],
             ["sanitize", "--cores", "16", "64"],
@@ -119,12 +119,14 @@ class TestDefaults:
     def test_app_figure_and_ablations(self):
         assert parse("fig7")["app_scale"] == 0.5 and parse("fig7")["seed"] == 1
         for name in ("ablation-padding", "ablation-swbackoff", "ablation-eqchecks"):
-            assert parse(name)["scale"] == 0.1
+            assert parse(name)["scale"] == 0.1 and parse(name)["seed"] == 1
         assert parse("ablation-selfinv")["app_scale"] == 0.5
+        assert parse("ablation-selfinv")["seed"] == 1
         everything = parse("all")
         assert (everything["cores"], everything["scale"], everything["app_scale"]) == (
             [16, 64], 0.1, 0.5
         )
+        assert everything["seed"] == 1
 
     def test_run_cores_follow_the_workload(self):
         _, config = cli._build_workload(build_parser().parse_args(

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.config import config_16, config_64
+from repro.config import LatencyRange, ProtocolTuning, config_16, config_64, config_for_cores
 from repro.noc.mesh import Mesh
 from repro.noc.messages import (
     BYTES_PER_FLIT,
@@ -96,6 +96,75 @@ class TestLatencyModel:
     def test_invalidation_round_trip_grows(self):
         mesh = Mesh(config_16())
         assert mesh.invalidation_round_trip(0, 15) > mesh.invalidation_round_trip(0, 1)
+
+
+#: Every table a Mesh shares with the other meshes of its configuration.
+TABLES = (
+    "_hops",
+    "_nearest_controller",
+    "_remote_by_leg",
+    "_l2_latency",
+    "_memory_latency",
+    "_inv_round_trip",
+)
+
+
+class TestSharedTables:
+    def test_one_configuration_shares_read_only_tables(self):
+        a, b = Mesh(config_16()), Mesh(config_16())
+        for name in TABLES:
+            assert isinstance(getattr(a, name), tuple), name
+            assert getattr(a, name) is getattr(b, name), name
+
+    def test_fields_the_tables_do_not_read_share_them(self):
+        base = Mesh(config_16())
+        other = Mesh(config_16(tuning=ProtocolTuning(bank_occupancy=8), l1_assoc=4))
+        for name in TABLES:
+            assert getattr(base, name) is getattr(other, name), name
+
+    @pytest.mark.parametrize(
+        "change, table",
+        [
+            (dict(tuning=ProtocolTuning(inv_processing=9)), "_inv_round_trip"),
+            (dict(l2_hit_latency=LatencyRange(30, 80)), "_l2_latency"),
+            (dict(remote_l1_latency=LatencyRange(40, 120)), "_remote_by_leg"),
+            (dict(memory_latency=LatencyRange(150, 300)), "_memory_latency"),
+        ],
+        ids=["inv_processing", "l2_hit_latency", "remote_l1_latency", "memory_latency"],
+    )
+    def test_each_table_field_gets_its_own_tables(self, change, table):
+        base = Mesh(config_16())
+        other = Mesh(config_16(**change))
+        assert getattr(other, table) is not getattr(base, table)
+        assert getattr(other, table) != getattr(base, table)
+        assert other._hops == base._hops
+
+    @pytest.mark.parametrize("cores", [4, 16, 64])
+    def test_tables_equal_their_closed_forms(self, cores):
+        config = config_for_cores(cores)
+        mesh = Mesh(config)
+        side, max_hops = config.mesh_side, config.max_hops
+        l2 = config.l2_hit_latency
+        per_hop = (l2.max - l2.min) / (2 * max_hops)
+        corners = (0, side - 1, side * (side - 1), side * side - 1)
+
+        def hops(a, b):
+            return abs(a % side - b % side) + abs(a // side - b // side)
+
+        for a in range(cores):
+            for b in range(cores):
+                i = a * cores + b
+                h = hops(a, b)
+                controller = min(corners, key=lambda c: (hops(b, c), c))
+                leg = max(h, hops(b, controller))
+                assert mesh._hops[i] == h
+                assert mesh._l2_latency[i] == l2.interpolate(h, max_hops)
+                assert mesh._memory_latency[i] == config.memory_latency.interpolate(
+                    leg, max_hops
+                )
+                assert mesh._inv_round_trip[i] == (
+                    round(2 * h * per_hop) + config.tuning.inv_processing
+                )
 
 
 class TestMessageSizing:

@@ -61,6 +61,11 @@ class TestProtocolCounters:
         counters.bump("l1_misses", 4)
         assert counters.get("l1_misses") == 5
         assert counters.get("never") == 0
+        # A read never inserts a key (a digest taken after it would
+        # otherwise include the key), while a zero bump still does.
+        assert "never" not in counters.as_dict()
+        counters.bump("z", 0)
+        assert counters.as_dict() == {"l1_misses": 5, "z": 0}
 
     def test_as_dict(self):
         counters = ProtocolCounters()

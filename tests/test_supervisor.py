@@ -318,6 +318,20 @@ class TestShutdownHarvest:
         assert not resolution.ok
         assert resolution.error["kind"] == "shutdown"
 
+    def test_shutdown_with_nothing_in_flight_joins_the_pool(self):
+        """After a completed run, shutdown joins the executor instead of
+        killing it: its manager thread is gone when shutdown returns, so
+        it cannot race the interpreter-exit hook of
+        ``concurrent.futures`` on the executor's wakeup pipe."""
+        supervisor = make(worker_fn=ok_worker)
+        task = supervisor.submit("payload", "k1")
+        [resolution] = supervisor.wait([task])
+        assert resolution.ok
+        manager = supervisor._pool._executor_manager_thread
+        assert manager.is_alive()
+        supervisor.shutdown()
+        assert not manager.is_alive()
+
     def test_unfinished_cells_settle_with_structured_shutdown_error(self):
         supervisor = make(worker_fn=sleepy_worker)
 
