@@ -6,7 +6,7 @@ PYTHON ?= python
 # needed); with the package installed this still prefers the checkout.
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: install test test-fast lint typecheck formal sanitize serve chaos-service bench bench-micro profile figures examples clean
+.PHONY: install test test-fast lint typecheck formal sanitize serve chaos-service bench-micro profile figures examples clean
 
 install:
 	pip install -e ".[dev]"
@@ -32,8 +32,10 @@ formal:
 
 # DRF-contract sanitizer: lint the synclib/workloads sources and sweep
 # every kernel x protocol for unannotated races and stale-read hazards.
+# The same command as CI's sanitize-smoke job, which fails unless it
+# leaves the committed results/sanitize.json unchanged.
 sanitize:
-	$(PYTHON) -m repro.harness.cli sanitize --jobs 0
+	$(PYTHON) -m repro.harness.cli sanitize --cores 16 --scale 0.05 --jobs 2
 
 # Simulation-as-a-service: persistent sweep job server, e.g.:
 #   make serve PORT=8642 WORKERS=8
@@ -48,9 +50,6 @@ serve:
 chaos-service:
 	$(PYTHON) -m repro.harness.cli chaos-service --workers 2 --kills 2 \
 		--cell-deadline 5.0
-
-bench:
-	$(PYTHON) -m pytest benchmarks/ --benchmark-only
 
 # Engine/dispatch microbenchmarks with the committed-baseline gate
 # (exact event counts + throughput floor; see benchmarks/bench_engine_micro.py).
@@ -68,21 +67,20 @@ profile:
 	$(PYTHON) -m repro.harness.cli profile --workload "$(WORKLOAD)" \
 		--protocol $(PROTO) --cores $(CORES) --top 25
 
-# Regenerate every committed table in results/: the paper's figures and
-# ablations (the CLI, results/<target>.txt) and the three extension
-# studies that write tables (results/ext_*.txt).  CI's figures-fresh job
-# runs this and fails if any table differs from the committed one.
+# Regenerate every committed table in results/<target>.txt: the paper's
+# figures, the ablations and the extension studies, through one result
+# cache and one worker pool.  CI's figures-fresh job runs this and fails
+# if any table differs from the committed one.
 figures:
 	$(PYTHON) -m repro.harness.cli all --scale 0.05 --jobs 0 --out results/
-	$(PYTHON) -m pytest benchmarks/bench_ext_lock_design.py \
-		benchmarks/bench_ext_rfo.py benchmarks/bench_ext_signatures.py \
-		--benchmark-only -q
 
+# Run every example script; the first one that fails stops the loop
+# and fails the target (CI runs this).
 examples:
-	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f; done
+	@for f in examples/*.py; do echo "== $$f"; $(PYTHON) $$f || exit 1; done
 
 # Machine-local output only: the rest of results/ (figure tables, the
 # formal and sanitize reports, the perf baseline) is committed.
 clean:
-	rm -rf .pytest_cache .benchmarks results/.runcache
+	rm -rf .pytest_cache results/.runcache
 	find . -name __pycache__ -type d -exec rm -rf {} +

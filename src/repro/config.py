@@ -75,7 +75,7 @@ class BackoffConfig:
 @dataclass(frozen=True)
 class ProtocolTuning:
     """Micro-architectural calibration constants, exposed for sensitivity
-    studies (see ``benchmarks/bench_ext_sensitivity.py``).
+    studies (see ``denovosync-bench ext-sensitivity``).
 
     * ``bank_occupancy``: LLC bank busy cycles for a clean (no third
       party) transaction.

@@ -5,6 +5,7 @@ Usage (installed as ``denovosync-bench``)::
     denovosync-bench fig3 --cores 16 64 --scale 0.1
     denovosync-bench fig7 --app-scale 0.5
     denovosync-bench ablation-padding
+    denovosync-bench ext-rfo
     denovosync-bench all --scale 0.05 --jobs 0 --out results/   # make figures
     denovosync-bench fig3 --help     # the flags one target reads
 
@@ -33,8 +34,13 @@ from repro.harness.experiments import (
     run_apps_figure,
     run_eqcheck_ablation,
     run_kernel_figure,
+    run_lock_design_study,
     run_padding_ablation,
+    run_rfo_study,
+    run_scaling_study,
     run_selfinv_ablation,
+    run_sensitivity_study,
+    run_signatures_study,
     run_sw_backoff_ablation,
 )
 from repro.harness.export import write_figure_csv, write_figure_json
@@ -108,6 +114,37 @@ FIGURES: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
             scale=args.app_scale, seed=args.seed, **sweep
         ),
         ("--app-scale", "--seed"),
+    ),
+    "ext-lock-design": (
+        "extension: TATAS, array and MCS locks (section 6)",
+        lambda args, **sweep: run_lock_design_study(
+            scale=args.scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--seed"),
+    ),
+    "ext-rfo": (
+        "extension: MESI read-for-ownership against DeNovoSync (section 8)",
+        lambda args, **sweep: run_rfo_study(scale=args.scale, seed=args.seed, **sweep),
+        ("--scale", "--seed"),
+    ),
+    "ext-signatures": (
+        "extension: write signatures against static regions (section 7)",
+        lambda args, **sweep: run_signatures_study(
+            scale=args.scale, app_scale=args.app_scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--app-scale", "--seed"),
+    ),
+    "ext-scaling": (
+        "extension: TATAS counter and tree barrier from 4 to 64 cores",
+        lambda args, **sweep: run_scaling_study(scale=args.scale, seed=args.seed, **sweep),
+        ("--scale", "--seed"),
+    ),
+    "ext-sensitivity": (
+        "extension: the orderings across unpublished calibration constants",
+        lambda args, **sweep: run_sensitivity_study(
+            scale=args.scale, seed=args.seed, **sweep
+        ),
+        ("--scale", "--seed"),
     ),
 }
 
@@ -669,25 +706,18 @@ def _run_protocols(args) -> int:
     meant for embedding); the default is the aligned text table.
     """
     import json as _json
+    from dataclasses import fields
 
     from repro.protocols.registry import (
+        ProtocolInfo,
         iter_protocols,
         registry_markdown_table,
         registry_table,
     )
 
     if args.format == "json":
-        infos = [
-            {
-                key: getattr(info, key)
-                for key in (
-                    "name", "label", "paper", "summary", "tracking",
-                    "invalidation", "backoff", "requires_annotations",
-                    "default_comparison", "app_comparison",
-                )
-            }
-            for info in iter_protocols()
-        ]
+        keys = [f.name for f in fields(ProtocolInfo) if f.name != "cls"]
+        infos = [{key: getattr(info, key) for key in keys} for info in iter_protocols()]
         print(_json.dumps(infos, indent=2))
     elif args.format in ("csv", "plot"):
         print(registry_markdown_table())
@@ -908,7 +938,7 @@ def _protocols(default: tuple[str, ...]) -> dict[str, dict]:
 TARGETS: dict[str, Target] = {
     **{name: _figure_target((name,), help, flags) for name, (help, _, flags) in FIGURES.items()},
     "all": _figure_target(
-        tuple(FIGURES), "every figure and ablation, in order",
+        tuple(FIGURES), "every figure, ablation and extension study, in order",
         [flag for _, _, flags in FIGURES.values() for flag in flags],
     ),
     "run": Target(

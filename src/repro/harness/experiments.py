@@ -13,6 +13,9 @@ Each experiment regenerates the rows/series of one figure:
   kernels, the Herlihy equality-check modification) and the section 3
   self-invalidation fallback.  Each ablation's baseline variant is its
   figure's own cells.
+* Extension studies: lock design (section 6), read-for-ownership
+  (section 8), write signatures (section 7), scaling from 4 to 64 cores,
+  and sensitivity to the calibration constants.
 
 ``scale`` shrinks the paper's iteration counts/inputs so a full figure
 sweep stays tractable in pure Python; the shapes are stable across scales
@@ -21,9 +24,9 @@ sweep stays tractable in pure Python; the shapes are stable across scales
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
-from repro.config import config_for_cores
+from repro.config import BackoffConfig, ProtocolTuning, config_16, config_64, config_for_cores
 from repro.harness.parallel import (
     RunSpec,
     ResultCache,
@@ -78,6 +81,16 @@ class FigureResult:
     scale: float
 
 
+def _fill_rows(
+    cells: list[tuple[FigureRow, RunSpec]], jobs: int, cache: ResultCache | None
+) -> None:
+    """Simulate every ``(row, spec)`` cell in one sweep and file each
+    result under its row by protocol."""
+    results = run_specs([spec for _, spec in cells], jobs=jobs, cache=cache)
+    for (row, spec), result in zip(cells, results):
+        row.results[spec.protocol] = result
+
+
 def run_kernel_figure(
     family: str,
     core_counts: tuple[int, ...] = (16, 64),
@@ -97,27 +110,15 @@ def run_kernel_figure(
     simulated with identical inputs and code.
     """
     rows: list[FigureRow] = []
-    specs: list[RunSpec] = []
-    slots: list[tuple[FigureRow, str]] = []
+    cells: list[tuple[FigureRow, RunSpec]] = []
     for cores in core_counts:
         config = config_for_cores(cores)
         for name in names or kernel_names(family):
             row = FigureRow(workload=name, num_cores=cores)
             rows.append(row)
-            for protocol in protocols:
-                specs.append(
-                    RunSpec(
-                        kernel_cell(
-                            family, name, spec=KernelSpec(scale=scale), **kernel_kwargs
-                        ),
-                        protocol,
-                        config,
-                        seed=seed,
-                    )
-                )
-                slots.append((row, protocol))
-    for (row, protocol), result in zip(slots, run_specs(specs, jobs=jobs, cache=cache)):
-        row.results[protocol] = result
+            cell = kernel_cell(family, name, spec=KernelSpec(scale=scale), **kernel_kwargs)
+            cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in protocols]
+    _fill_rows(cells, jobs, cache)
     return FigureResult(FIGURE_FOR_FAMILY[family], rows, scale)
 
 
@@ -131,50 +132,36 @@ def run_apps_figure(
 ) -> FigureResult:
     """Reproduce Figure 7 (applications)."""
     rows: list[FigureRow] = []
-    specs: list[RunSpec] = []
-    slots: list[tuple[FigureRow, str]] = []
+    cells: list[tuple[FigureRow, RunSpec]] = []
     for name in names or APP_NAMES:
         cores = app_core_count(name)
         config = config_for_cores(cores)
         row = FigureRow(workload=name, num_cores=cores)
         rows.append(row)
-        for protocol in protocols:
-            specs.append(RunSpec(app_cell(name, scale=scale), protocol, config, seed=seed))
-            slots.append((row, protocol))
-    for (row, protocol), result in zip(slots, run_specs(specs, jobs=jobs, cache=cache)):
-        row.results[protocol] = result
+        cell = app_cell(name, scale=scale)
+        cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in protocols]
+    _fill_rows(cells, jobs, cache)
     return FigureResult("Figure 7 (applications)", rows, scale)
 
 
 # -- ablations (sections 7.1 and 3) -------------------------------------------
 
 
-def _kernel_ablation(
-    family: str,
-    subject: str,
-    variants: dict[str, dict],
-    cores: int,
-    scale: float,
-    names: list[str] | None = None,
-    **sweep,
+def _kernel_variants(
+    subject: str, variants: dict[str, dict], **common
 ) -> dict[str, FigureResult]:
-    """One kernel figure per ``{label: kernel arguments}`` variant.
+    """One kernel figure per ``{label: run_kernel_figure arguments}``
+    variant, titled ``<subject> (<label>)``; ``common`` goes to all.
 
-    The baseline variant passes no kernel argument, so its cells are the
-    figure's own (and hit the figure's cache entries).
+    A variant that passes no kernel argument at a figure's core counts
+    and protocols is that figure's own cells (and hits its cache entries).
     """
-    results = {}
-    for label, kernel_kwargs in variants.items():
-        fig = run_kernel_figure(
-            family,
-            core_counts=(cores,),
-            scale=scale,
-            names=names,
-            **sweep,
-            **kernel_kwargs,
+    return {
+        label: replace(
+            run_kernel_figure(**common, **arguments), figure=f"{subject} ({label})"
         )
-        results[label] = FigureResult(f"{subject} ({label})", fig.rows, scale)
-    return results
+        for label, arguments in variants.items()
+    }
 
 
 def run_padding_ablation(
@@ -190,9 +177,10 @@ def run_padding_ablation(
     MESI suffers false sharing; DeNovo's word-granularity state is immune
     but loses the one-transfer-per-line benefit.
     """
-    return _kernel_ablation(
-        "tatas", "TATAS locks", {"padded": {}, "unpadded": {"padded": False}},
-        cores, scale, seed=seed, jobs=jobs, cache=cache,
+    return _kernel_variants(
+        "TATAS locks", {"padded": {}, "unpadded": {"padded": False}},
+        family="tatas", core_counts=(cores,), scale=scale, seed=seed, jobs=jobs,
+        cache=cache,
     )
 
 
@@ -209,10 +197,10 @@ def run_sw_backoff_ablation(
     spaces failed synchronization reads (reducing DeNovo's false-race
     misses) but does nothing about MESI's invalidation latency.
     """
-    return _kernel_ablation(
-        "tatas", "TATAS locks",
-        {"no backoff": {}, "sw backoff": {"software_backoff": True}},
-        cores, scale, seed=seed, jobs=jobs, cache=cache,
+    return _kernel_variants(
+        "TATAS locks", {"no backoff": {}, "sw backoff": {"software_backoff": True}},
+        family="tatas", core_counts=(cores,), scale=scale, seed=seed, jobs=jobs,
+        cache=cache,
     )
 
 
@@ -237,18 +225,13 @@ def run_selfinv_ablation(
         "selective regions": app_cell(app, scale=scale),
         "flush-all": app_selfinv_cell(app, scale, flush_all=True),
     }
-    specs = [
-        RunSpec(cell, protocol, config, seed=seed)
-        for cell in variants.values()
-        for protocol in APP_PROTOCOLS
-    ]
-    results = iter(run_specs(specs, jobs=jobs, cache=cache))
     figures = {}
-    for label in variants:
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    for label, cell in variants.items():
         row = FigureRow(workload=app, num_cores=cores)
-        for protocol in APP_PROTOCOLS:
-            row.results[protocol] = next(results)
+        cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in APP_PROTOCOLS]
         figures[label] = FigureResult(f"{app} self-invalidation ({label})", [row], scale)
+    _fill_rows(cells, jobs, cache)
     return figures
 
 
@@ -266,9 +249,132 @@ def run_eqcheck_ablation(
     miss under DeNovo.  The paper's modified (reduced-check) versions help
     DeNovo far more than MESI.
     """
-    return _kernel_ablation(
-        "nonblocking", "Herlihy kernels",
+    return _kernel_variants(
+        "Herlihy kernels",
         {"original checks": {"reduced_checks": False}, "reduced checks": {}},
-        cores, scale, names=["Herlihy stack", "Herlihy heap"],
+        family="nonblocking", core_counts=(cores,), scale=scale,
+        names=["Herlihy stack", "Herlihy heap"], seed=seed, jobs=jobs, cache=cache,
+    )
+
+
+# -- extension studies --------------------------------------------------------
+#
+# Claims beyond the figures, at fixed core counts and protocols.  Wherever
+# a study's cell is a figure's (same inputs), it is that figure's cache
+# entry, so ``all`` simulates it once.
+
+
+def run_lock_design_study(
+    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
+) -> dict[str, FigureResult]:
+    """Section 6: TATAS (one hot word), Anderson array and MCS locks (one
+    spinner per word) on the counter and stack kernels.  The analysis
+    predicts the queuing locks separate the protocols less than TATAS."""
+    return _kernel_variants(
+        "Lock design", {lock: {"family": lock} for lock in ("tatas", "array", "mcs")},
+        core_counts=(16, 64), scale=scale, names=["counter", "stack"], seed=seed,
+        jobs=jobs, cache=cache,
+    )
+
+
+def run_rfo_study(
+    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
+) -> dict[str, FigureResult]:
+    """Section 8: is read registration "just" read-for-ownership?  MESI,
+    MESI-RFO and DeNovoSync on the array lock's single waiter (the write
+    miss RFO saves) and on the TATAS counter and CAS loops (where RFO adds
+    read-read ping-pong to MESI's invalidations)."""
+    return _kernel_variants(
+        "Read-for-ownership",
+        {
+            "array": {"family": "array", "names": ["counter", "stack"]},
+            "tatas": {"family": "tatas", "names": ["counter"]},
+            "nonblocking": {"family": "nonblocking", "names": ["M-S queue", "Treiber stack"]},
+        },
+        core_counts=(16, 64), scale=scale, protocols=("MESI", "MESI-RFO", "DeNovoSync"),
         seed=seed, jobs=jobs, cache=cache,
     )
+
+
+def run_signatures_study(
+    scale: float = 0.1,
+    app_scale: float = 0.5,
+    seed: int = 1,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+) -> dict[str, FigureResult]:
+    """Section 7's future work: write signatures (``DeNovoSyncSig``)
+    against static regions on the two workloads the paper names as
+    victims of conservative regions, the 64-core array-lock heap (with
+    the counter) and fluidanimate at ``app_scale``."""
+    protocols = ("MESI", "DeNovoSync", "DeNovoSyncSig")
+    figures = _kernel_variants(
+        "Write signatures", {"array": {"family": "array"}},
+        core_counts=(64,), scale=scale, names=["heap", "counter"], protocols=protocols,
+        seed=seed, jobs=jobs, cache=cache,
+    )
+    apps = run_apps_figure(
+        scale=app_scale, seed=seed, protocols=protocols, names=["fluidanimate"],
+        jobs=jobs, cache=cache,
+    )
+    figures["fluidanimate"] = replace(apps, figure="Write signatures (fluidanimate)")
+    return figures
+
+
+def run_scaling_study(
+    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
+) -> dict[str, FigureResult]:
+    """4, 16 and 64 cores: the TATAS counter (MESI's invalidation cost
+    grows with every spinner) and the tree barrier (the protocols tie)."""
+    return _kernel_variants(
+        "Scaling",
+        {
+            "tatas": {"family": "tatas", "names": ["counter"]},
+            "barrier": {"family": "barrier", "names": ["tree"]},
+        },
+        core_counts=(4, 16, 64), scale=scale,
+        protocols=("MESI", "DeNovoSync0", "DeNovoSync"), seed=seed, jobs=jobs,
+        cache=cache,
+    )
+
+
+def run_sensitivity_study(
+    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
+) -> dict[str, FigureResult]:
+    """The orderings across unpublished calibration constants, one row
+    per setting: MESI's directory occupancy times DeNovo's chain link
+    cost at 16 cores, on the TATAS counter (DeNovoSync wins) and the M-S
+    queue (DeNovoSync0 loses); hardware-backoff counter bits and default
+    increment at 64 cores, on the TATAS counter."""
+    tuning = {
+        f"occ {occupancy} link {link}": config_16(
+            tuning=ProtocolTuning(ownership_occupancy=occupancy, chain_link_cost=link)
+        )
+        for occupancy in (8, 16, 32)
+        for link in (2, 4, 8)
+    }
+    backoff = {
+        f"bits {bits} inc {increment}": config_64(
+            backoff=BackoffConfig(bits, increment, update_period=64)
+        )
+        for bits, increment in ((9, 1), (12, 64), (12, 16), (9, 8))
+    }
+    spec = KernelSpec(scale=scale)
+    counter = kernel_cell("tatas", "counter", spec=spec)
+    queue = kernel_cell("nonblocking", "M-S queue", spec=spec)
+    variants = {
+        "tatas counter": (counter, ("MESI", "DeNovoSync"), tuning),
+        "M-S queue": (queue, ("MESI", "DeNovoSync0"), tuning),
+        "backoff": (counter, ("MESI", "DeNovoSync"), backoff),
+    }
+    figures = {}
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    for label, (workload, protocols, configs) in variants.items():
+        rows = []
+        for setting, config in configs.items():
+            row = FigureRow(setting, config.num_cores)
+            rows.append(row)
+            cells += [(row, RunSpec(workload, p, config, seed=seed)) for p in protocols]
+        figures[label] = FigureResult(f"Sensitivity ({label})", rows, scale)
+    _fill_rows(cells, jobs, cache)
+    return figures

@@ -34,12 +34,15 @@ def result_to_dict(result: RunResult) -> dict:
 
 def figure_to_rows(result: FigureResult) -> list[dict]:
     """Flatten a figure into per-(workload, protocol) rows with relative
-    metrics against the MESI baseline."""
+    metrics against the MESI baseline.  ``workload`` is the figure row's
+    label, as the text table prints it (a sensitivity row names its
+    setting, not its kernel)."""
     rows = []
     for fig_row in result.rows:
         base = fig_row.results.get("MESI")
         for protocol, run in fig_row.results.items():
             row = result_to_dict(run)
+            row["workload"] = fig_row.workload
             row["figure"] = result.figure
             row["scale"] = result.scale
             if base is not None:

@@ -95,6 +95,8 @@ class FaultInjector(ProtocolWrapper):
         self.injected_delay = 0
         self.deferrals = 0
         self.forced_evictions = 0
+        #: Cores whose in-flight access was deferred (one op per core).
+        self._deferred: set[int] = set()
         self._sim = None
         self._keep_running: Callable[[], bool] = lambda: True
 
@@ -138,21 +140,28 @@ class FaultInjector(ProtocolWrapper):
 
     # -- perturbation helpers ----------------------------------------------
 
-    def _defer(self, ticketed: bool) -> Access | None:
-        """Maybe turn a first-issue access into a forced retry.
+    def _defer(self, core_id: int, ticketed: bool) -> tuple[Access | None, bool]:
+        """Maybe turn a first-issue access into a forced retry; return it
+        (or None) and the ``ticketed`` flag to forward to ``inner``.
 
-        The core re-issues with ``ticketed=True`` (exactly as after a real
-        directory retry), so a deferred access is never deferred twice and
-        the access commits at its *re-issue* time — a bounded reordering
-        of racing requests' service order.
+        The core re-issues a deferred access with ``ticketed=True``, as
+        after a real directory retry, so it is never deferred twice and
+        commits at its *re-issue* time: a bounded reordering of racing
+        requests' service order.  But a deferral holds no directory
+        reservation, so that re-issue is forwarded unticketed and passes
+        the protocol's admission check; a real retry after it keeps its
+        ticket.
         """
-        if ticketed or not self.plan.reorder_prob:
-            return None
-        if self.rng.random() >= self.plan.reorder_prob:
-            return None
+        if ticketed:
+            reserved = core_id not in self._deferred
+            self._deferred.discard(core_id)
+            return None, reserved
+        if not self.plan.reorder_prob or self.rng.random() >= self.plan.reorder_prob:
+            return None, False
         self.deferrals += 1
+        self._deferred.add(core_id)
         delay = self.rng.randint(1, self.plan.reorder_delay)
-        return Access(0, delay, False, True)
+        return Access(0, delay, False, True), False
 
     def _jitter(self, access: Access) -> Access:
         if self.plan.delay_jitter and not access.retry:
@@ -186,7 +195,7 @@ class FaultInjector(ProtocolWrapper):
         ticketed: bool = False,
         acquire: bool = False,
     ) -> Access:
-        deferred = self._defer(ticketed)
+        deferred, ticketed = self._defer(core_id, ticketed)
         if deferred is not None:
             return deferred
         return self._jitter(self.inner.load(core_id, addr, sync, ticketed, acquire))
@@ -200,7 +209,7 @@ class FaultInjector(ProtocolWrapper):
         release: bool = False,
         ticketed: bool = False,
     ) -> Access:
-        deferred = self._defer(ticketed)
+        deferred, ticketed = self._defer(core_id, ticketed)
         if deferred is not None:
             return deferred
         return self._jitter(
@@ -216,7 +225,7 @@ class FaultInjector(ProtocolWrapper):
         ticketed: bool = False,
         acquire: bool = False,
     ) -> Access:
-        deferred = self._defer(ticketed)
+        deferred, ticketed = self._defer(core_id, ticketed)
         if deferred is not None:
             return deferred
         return self._jitter(

@@ -16,6 +16,29 @@ ABLATION_RUNNERS = {
     "ablation-eqchecks": "run_eqcheck_ablation",
     "ablation-selfinv": "run_selfinv_ablation",
 }
+#: The extension-study targets and the runner each one calls.
+EXTENSION_RUNNERS = {
+    "ext-lock-design": "run_lock_design_study",
+    "ext-rfo": "run_rfo_study",
+    "ext-signatures": "run_signatures_study",
+    "ext-scaling": "run_scaling_study",
+    "ext-sensitivity": "run_sensitivity_study",
+}
+
+
+def seeds_seen(monkeypatch, target: str, runner: str) -> list[int]:
+    """The seeds ``target`` hands its runner with ``--seed 2``, then with
+    no ``--seed``."""
+    seen = []
+
+    def record(**kwargs):
+        seen.append(kwargs["seed"])
+        return {}
+
+    monkeypatch.setattr(cli, runner, record)
+    assert cli_main([target, "--seed", "2", "--no-cache"]) == 0
+    assert cli_main([target, "--no-cache"]) == 0
+    return seen
 
 
 class TestFigureTargets:
@@ -90,16 +113,11 @@ class TestFigureTargets:
 
     @pytest.mark.parametrize("target", sorted(ABLATION_RUNNERS))
     def test_ablations_read_seed(self, monkeypatch, target):
-        seen = []
+        assert seeds_seen(monkeypatch, target, ABLATION_RUNNERS[target]) == [2, 1]
 
-        def runner(**kwargs):
-            seen.append(kwargs["seed"])
-            return {}
-
-        monkeypatch.setattr(cli, ABLATION_RUNNERS[target], runner)
-        assert cli_main([target, "--seed", "2", "--no-cache"]) == 0
-        assert cli_main([target, "--no-cache"]) == 0
-        assert seen == [2, 1]
+    @pytest.mark.parametrize("target", sorted(EXTENSION_RUNNERS))
+    def test_extension_studies_read_seed(self, monkeypatch, target):
+        assert seeds_seen(monkeypatch, target, EXTENSION_RUNNERS[target]) == [2, 1]
 
     def test_all_runs_every_target_at_one_seed(self, monkeypatch):
         seen = []
@@ -108,7 +126,8 @@ class TestFigureTargets:
             seen.append(kwargs["seed"])
             return {}
 
-        for name in ("run_kernel_figure", "run_apps_figure", *ABLATION_RUNNERS.values()):
+        runners = (*ABLATION_RUNNERS.values(), *EXTENSION_RUNNERS.values())
+        for name in ("run_kernel_figure", "run_apps_figure", *runners):
             monkeypatch.setattr(cli, name, runner)
         assert cli_main(["all", "--seed", "3", "--no-cache"]) == 0
         assert seen == [3] * len(cli.FIGURES)

@@ -79,6 +79,8 @@ class TestUnreadFlagsAreRejected:
             ["fig3", "--protocols", "MESI"],
             ["chaos", "--jobs", "4"],
             ["ablation-padding", "--cores", "16"],
+            ["ext-scaling", "--cores", "16"],
+            ["ext-rfo", "--app-scale", "0.5"],
             ["status", "--scale", "0.1"],
             ["protocols", "--jobs", "2"],
             ["sanitize", "--cores", "16", "64"],
@@ -122,6 +124,10 @@ class TestDefaults:
             assert parse(name)["scale"] == 0.1 and parse(name)["seed"] == 1
         assert parse("ablation-selfinv")["app_scale"] == 0.5
         assert parse("ablation-selfinv")["seed"] == 1
+        signatures = parse("ext-signatures")
+        assert (signatures["scale"], signatures["app_scale"], signatures["seed"]) == (
+            0.1, 0.5, 1
+        )
         everything = parse("all")
         assert (everything["cores"], everything["scale"], everything["app_scale"]) == (
             [16, 64], 0.1, 0.5

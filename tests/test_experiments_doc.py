@@ -13,7 +13,9 @@ workload (first column) and has value columns headed
 * the metric defaults to time.
 
 Every such cell, with bold removed, must equal the table's two-decimal
-value.  The headline block is recomputed from Figures 3-6.
+value.  The headline block is recomputed from Figures 3-6, the
+extension studies' claims are checked on their tables, and Table 1's
+measured latencies against the latency model.
 """
 
 from __future__ import annotations
@@ -22,6 +24,9 @@ import re
 from pathlib import Path
 
 import pytest
+
+from repro.config import config_16, config_64
+from repro.noc.mesh import Mesh
 
 REPO = Path(__file__).resolve().parents[1]
 RESULTS = REPO / "results"
@@ -188,6 +193,80 @@ def test_headline_holds():
     assert headline["avg_time"] < 0.95
     assert headline["avg_traffic"] < 0.70
     assert headline["worse"] <= 6
+
+
+def column(name: str, variant: str, label: str) -> dict[tuple[str, int], float]:
+    """``{(workload, cores): time}`` of one protocol in one variant of
+    ``results/<name>.txt``."""
+    return {
+        (workload, cores): float(value)
+        for (v, workload, cores, proto, metric), value in parse_table_file(
+            RESULTS / f"{name}.txt"
+        ).items()
+        if (v, proto, metric) == (variant, label, "time")
+    }
+
+
+def test_queuing_locks_separate_the_protocols_less_than_tatas():
+    tatas = column("ext-lock-design", "tatas", "DS").values()
+    mcs = column("ext-lock-design", "mcs", "DS").values()
+    assert len(tatas) == len(mcs) == 4
+    assert sum(tatas) / len(tatas) <= sum(mcs) / len(mcs) + 0.15
+
+
+def test_rfo_does_not_lose_to_mesi_on_array_locks():
+    times = column("ext-rfo", "array", "M-RFO").values()
+    assert len(times) == 4 and max(times) <= 1.10
+
+
+def test_signatures_stay_competitive_on_fluidanimate():
+    static = column("ext-signatures", "fluidanimate", "DS")
+    signatures = column("ext-signatures", "fluidanimate", "DSsig")
+    assert signatures[("fluidanimate", 64)] <= 1.1 * static[("fluidanimate", 64)]
+
+
+def test_tatas_advantage_widens_while_tree_barriers_tie():
+    counter = column("ext-scaling", "tatas", "DS")
+    assert counter[("counter", 64)] < counter[("counter", 4)]
+    tree = column("ext-scaling", "barrier", "DS")
+    assert sorted(cores for _, cores in tree) == [4, 16, 64]
+    assert all(0.8 < time < 1.25 for time in tree.values())
+
+
+def test_calibration_constants_never_flip_an_ordering():
+    tatas = column("ext-sensitivity", "tatas counter", "DS").values()
+    queue = column("ext-sensitivity", "M-S queue", "DS0").values()
+    backoff = column("ext-sensitivity", "backoff", "DS").values()
+    assert (len(tatas), len(queue), len(backoff)) == (9, 9, 4)
+    assert max(tatas) < 1.0 and min(queue) > 0.9 and max(backoff) < 1.0
+
+
+def latency_ranges(config) -> dict[str, str]:
+    """``{Table 1 parameter: "min–max"}`` of the latency model's cycles."""
+    mesh = Mesh(config)
+    cores, banks = range(config.num_cores), range(config.l2_banks)
+    samples = {
+        "L1 hit": [config.l1_hit_latency],
+        "L2 hit": [mesh.l2_access_latency(c, b) for c in cores for b in banks],
+        "remote L1": [
+            mesh.remote_l1_latency(c, b, owner) for c in cores for b in banks for owner in cores
+        ],
+        "memory": [mesh.memory_latency(c, b) for c in cores for b in banks],
+    }
+    return {
+        name: f"{min(cycles)}–{max(cycles)}" if min(cycles) < max(cycles) else str(cycles[0])
+        for name, cycles in samples.items()
+    }
+
+
+def test_table1_quotes_the_latency_model():
+    sections = markdown_sections(DOC.read_text())
+    (table,) = markdown_tables(sections["Table 1 — simulated system parameters"])
+    header, *rows = table
+    for config in (config_16(), config_64()):
+        measured = header.index(f"measured {config.num_cores}c")
+        quoted = {row[0]: row[measured] for row in rows}
+        assert quoted == latency_ranges(config), f"{config.num_cores} cores"
 
 
 def test_headline_table_quotes_the_tables():

@@ -41,6 +41,14 @@ class TestExport:
         mesi = next(r for r in rows if r["protocol"] == "MESI")
         assert mesi["rel_time"] == pytest.approx(1.0)
 
+    def test_figure_rows_carry_the_tables_row_labels(self, small_figure):
+        from repro.harness.experiments import FigureResult, FigureRow
+
+        assert {r["workload"] for r in figure_to_rows(small_figure)} == {"counter"}
+        results = small_figure.rows[0].results
+        setting = FigureResult("Sensitivity (x)", [FigureRow("occ 8 link 2", 16, results)], 0.02)
+        assert {r["workload"] for r in figure_to_rows(setting)} == {"occ 8 link 2"}
+
     def test_csv_roundtrip(self, small_figure):
         buffer = io.StringIO()
         count = write_figure_csv(small_figure, buffer)

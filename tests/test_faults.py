@@ -21,7 +21,8 @@ from repro.harness.chaos import (
     run_chaos_sweep,
 )
 from repro.harness.runner import run_workload
-from repro.noc.faults import FaultPlan
+from repro.noc.faults import FaultInjector, FaultPlan
+from repro.protocols.mesi import MesiProtocol
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -120,6 +121,28 @@ class TestFaultInjector:
         )
         assert len(result.meta["trace"]) > 0
         assert result.meta["protocol"].invariant_violations() == []
+
+
+class TestDeferredReissue:
+    def test_reissue_of_a_deferred_access_passes_admission(self):
+        """A deferral holds no directory reservation, so its re-issue waits
+        for MESI's busy line like an unperturbed load arriving then; a real
+        retry after it keeps its ticket."""
+        mesi = MesiProtocol(config_for_cores(4))
+        injector = FaultInjector(mesi, FaultPlan(reorder_prob=1.0, reorder_delay=1))
+        mesi.now = 100
+        mesi.store(0, 0, 1, sync=True)  # line 0's entry is busy until 128
+        injector.now = 101
+        deferred = injector.load(2, 0)
+        assert (deferred.retry, deferred.latency) == (True, 1)
+        injector.now = 102
+        reissue = injector.load(2, 0, ticketed=True)
+        assert (reissue.retry, reissue.latency) == (True, 128 - 102)
+        injector.now = 128
+        served = injector.load(2, 0, ticketed=True)
+        assert not served.retry and served.value == 1
+        assert mesi.counters.get("directory_retries") == 1
+        assert injector.deferrals == 1
 
 
 class TestDiffMemory:

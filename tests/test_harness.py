@@ -5,6 +5,7 @@ import io
 import pytest
 
 from repro.config import config_16
+from repro.harness import experiments
 from repro.harness.cli import main as cli_main
 from repro.harness.experiments import (
     APP_PROTOCOLS,
@@ -12,10 +13,15 @@ from repro.harness.experiments import (
     run_apps_figure,
     run_eqcheck_ablation,
     run_kernel_figure,
+    run_lock_design_study,
+    run_rfo_study,
+    run_scaling_study,
     run_selfinv_ablation,
+    run_sensitivity_study,
+    run_signatures_study,
     run_sw_backoff_ablation,
 )
-from repro.harness.parallel import ResultCache
+from repro.harness.parallel import ResultCache, cache_key_for
 from repro.harness.report import figure_summary, print_figure
 from repro.harness.runner import SimulationStuck, run_workload
 from repro.stats.collector import normalize_to
@@ -123,6 +129,43 @@ class TestAblations:
         assert cache.hits == 0
         run_ablation(cache)
         assert cache.hits == hits
+
+    @pytest.mark.parametrize(
+        "run_study, figures, cells, shared",
+        [
+            (run_lock_design_study, ["tatas", "array"], 60, 40),
+            (run_rfo_study, ["tatas", "array", "nonblocking"], 30, 20),
+            (run_signatures_study, ["array", "apps"], 9, 6),
+            (run_scaling_study, ["tatas", "barrier"], 18, 12),
+            (run_sensitivity_study, ["tatas", "nonblocking"], 44, 6),
+        ],
+        ids=["lock-design", "rfo", "signatures", "scaling", "sensitivity"],
+    )
+    def test_extension_study_reuses_the_figures_cells(
+        self, monkeypatch, run_study, figures, cells, shared
+    ):
+        """Where an extension study's cell is a figure's (same inputs at
+        the CLI's common --scale, --app-scale and --seed), it has the
+        figure's cache key, so ``all`` simulates it once.  Only the cache
+        keys are computed; nothing is simulated."""
+        keys: list[str] = []
+
+        def record(specs, jobs=1, cache=None):
+            specs = list(specs)
+            keys.extend(cache_key_for(spec) for spec in specs)
+            return [None] * len(specs)
+
+        monkeypatch.setattr(experiments, "run_specs", record)
+        for family in figures:
+            if family == "apps":
+                run_apps_figure()
+            else:
+                run_kernel_figure(family, scale=SCALE)
+        figure_keys = set(keys)
+        keys.clear()
+        run_study(scale=SCALE)
+        assert len(keys) == len(set(keys)) == cells
+        assert len(figure_keys.intersection(keys)) == shared
 
     def test_sw_backoff_ablation_labels(self):
         results = run_sw_backoff_ablation(cores=16, scale=SCALE)

@@ -179,6 +179,19 @@ class TestPresentation:
         out = capsys.readouterr().out
         assert "SynCron" in out and "dirty-set" in out
 
+    def test_protocols_cli_json_lists_every_capability(self, capsys):
+        import dataclasses
+        import json
+
+        from repro.harness.cli import main as cli_main
+
+        assert cli_main(["protocols", "--format", "json"]) == 0
+        infos = json.loads(capsys.readouterr().out)
+        keys = {f.name for f in dataclasses.fields(ProtocolInfo)} - {"cls"}
+        assert [info["name"] for info in infos] == [i.name for i in iter_protocols()]
+        assert all(set(info) == keys for info in infos)
+        assert {info["name"]: info["formal_model"] for info in infos}["MESI"] == "mesi"
+
     def test_protocols_cli_check_doc_detects_drift(self, tmp_path, capsys):
         from repro.harness.cli import main as cli_main
 

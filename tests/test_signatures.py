@@ -10,6 +10,7 @@ from repro.protocols.signatures import (
     DeNovoSyncSigProtocol,
 )
 from repro.synclib.tatas import TatasLock
+from repro.workloads.apps import app_core_count, make_app
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
 
@@ -211,3 +212,16 @@ class TestEndToEnd:
         final = result.meta["protocol"].memory.read(workload.counter.addr)
         assert final == 16 * 3
         assert result.counters.get("signature_acquires") > 0
+
+    def test_signatures_invalidate_no_more_than_static_regions(self):
+        """fluidanimate at Figure 7's inputs (the ``ext-signatures`` cells):
+        per-acquire write deltas never flush more words than the
+        conservative static regions do."""
+        config = config_for_cores(app_core_count("fluidanimate"))
+        invalidated = {
+            protocol: run_workload(
+                make_app("fluidanimate", scale=0.5), protocol, config, seed=1
+            ).counters.get("self_invalidated_words")
+            for protocol in ("DeNovoSync", "DeNovoSyncSig")
+        }
+        assert 0 < invalidated["DeNovoSyncSig"] <= invalidated["DeNovoSync"]

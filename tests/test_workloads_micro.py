@@ -13,7 +13,7 @@ from repro.workloads.micro import (
     ReadOnlySharing,
 )
 
-PROTOCOLS = ["MESI", "DeNovoSync0", "DeNovoSync"]
+PROTOCOLS = ["MESI", "DeNovoSync0", "DeNovoSync", "DeNovoSyncSig"]
 
 
 @pytest.mark.parametrize("name", list(MICROBENCHES))
