@@ -69,8 +69,9 @@ profile:
 
 # Regenerate every committed table in results/<target>.txt: the paper's
 # figures, the ablations and the extension studies, through one result
-# cache and one worker pool.  CI's figures-fresh job runs this and fails
-# if any table differs from the committed one.
+# cache.  Each target simulates its cells in one sweep, which starts its
+# own worker pool.  CI's figures-fresh job runs this and fails if any
+# table differs from the committed one.
 figures:
 	$(PYTHON) -m repro.harness.cli all --scale 0.05 --jobs 0 --out results/
 

@@ -27,7 +27,6 @@ from repro.config import (
     config_for_cores,
 )
 from repro.harness.runner import run_workload
-from repro.noc.faults import FaultInjector, FaultPlan
 from repro.protocols import make_protocol
 from repro.protocols.invariants import InvariantViolation
 from repro.sim.watchdog import HangError, SimulationStuck, Watchdog
@@ -57,6 +56,16 @@ __all__ = [
     "make_protocol",
     "run_workload",
 ]
+
+
+def __getattr__(name: str):
+    # The fault injector loads only when asked for (the runner imports it
+    # only for runs with a fault plan), so ``import repro`` skips it.
+    if name in ("FaultInjector", "FaultPlan"):
+        from repro.noc import faults
+
+        return getattr(faults, name)
+    raise AttributeError(f"module 'repro' has no attribute {name!r}")
 
 
 def make_kernel(*args, **kwargs):

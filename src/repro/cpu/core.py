@@ -27,12 +27,25 @@ instead of an ``isinstance`` chain, and every event the core schedules
 goes through :meth:`~repro.sim.engine.Simulator.call_after` /
 ``call_at`` with a method prebound in ``__init__`` — no closure per
 operation.  Calls into the protocol pass every argument positionally
-(keywords cost CPython extra on a call made once per access).  The state
-a retry needs (the op, the RMW operands, the spin re-probe cycle) lives
-in per-core fields, which is sound because an in-order blocking core has
-exactly one operation in flight.  The model checker's scheduling gate
-lives in a subclass, :class:`~repro.mc.controller.GatedCore`, which
-overrides :meth:`Core._dispatch`.
+(keywords cost CPython extra on a call made once per access).
+
+Retries and acquires: an access that comes back with ``retry`` set is
+re-issued, after its stall, through the same issue method — a load
+through :meth:`Core._finish_load`, a store through
+:meth:`Core._issue_store`, a spin probe through
+:meth:`Core._spin_probe_issue`, an RMW from its saved operands — so a
+re-issue skips hardware backoff and the model checker's scheduling gate.
+The re-issue carries no flag: a backend that reserves a place for the
+retried request (MESI's directory) records it itself.  After every
+completed acquire-marked load or RMW, and after the successful probe of
+an acquire-marked spin wait, the core calls
+:meth:`~repro.protocols.base.CoherenceProtocol.on_acquire` — the one
+acquire path into a protocol.  The state a retry needs (the RMW
+operands, the spin re-probe cycle) lives in per-core fields, which is
+sound because an in-order blocking core has exactly one operation in
+flight.  The model checker's scheduling gate lives in a subclass,
+:class:`~repro.mc.controller.GatedCore`, which overrides
+:meth:`Core._dispatch`.
 """
 
 from __future__ import annotations
@@ -94,12 +107,10 @@ class Core:
         # pairs instead of allocating a closure per operation.
         self._cb_step = self._step
         self._cb_finish_load = self._finish_load
-        self._cb_retry_load = self._retry_load
-        self._cb_retry_store = self._retry_store
+        self._cb_issue_store = self._issue_store
         self._cb_retry_rmw = self._retry_rmw
         self._cb_spin_probe = self._spin_probe
         self._cb_spin_probe_issue = self._spin_probe_issue
-        self._cb_spin_retry = self._retry_spin_probe
         self._cb_on_invalidated = self._on_invalidated
         self._cb_lease_tick = self._lease_tick
 
@@ -182,16 +193,14 @@ class Core:
             op.addr,
             lambda old: op.new if old == op.expected else None,
             op.release,
-            acquire=op.acquire,
+            op.acquire,
         )
 
     def _h_fai(self, op: isa.Fai) -> None:
-        self._issue_rmw(
-            op.addr, lambda old: old + op.delta, op.release, acquire=op.acquire
-        )
+        self._issue_rmw(op.addr, lambda old: old + op.delta, op.release, op.acquire)
 
     def _h_swap(self, op: isa.Swap) -> None:
-        self._issue_rmw(op.addr, lambda old: op.value, op.release, acquire=op.acquire)
+        self._issue_rmw(op.addr, lambda old: op.value, op.release, op.acquire)
 
     def _h_self_invalidate(self, op: isa.SelfInvalidate) -> None:
         self.wait_reason = "self-invalidate"
@@ -224,54 +233,50 @@ class Core:
                 return
         self._finish_load(op)
 
-    def _finish_load(self, op: isa.Load, ticketed: bool = False) -> None:
-        self.protocol.now = self.sim.now
-        access = self.protocol.load(self.core_id, op.addr, op.sync, ticketed, op.acquire)
+    def _finish_load(self, op: isa.Load) -> None:
+        protocol = self.protocol
+        protocol.now = self.sim.now
+        access = protocol.load(self.core_id, op.addr, op.sync)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_retry_load, op)
+            self.sim.call_after(access.latency, self._cb_finish_load, op)
             return
+        if op.acquire:
+            protocol.on_acquire(self.core_id, op.addr)
         self.wait_reason = "memory-access"
         self.sim.call_after(access.latency, self._cb_step, access.value)
 
-    def _retry_load(self, op: isa.Load) -> None:
-        self._finish_load(op, ticketed=True)
-
-    def _issue_store(self, op: isa.Store, ticketed: bool = False) -> None:
+    def _issue_store(self, op: isa.Store) -> None:
         self.protocol.now = self.sim.now
         access = self.protocol.store(
-            self.core_id, op.addr, op.value, op.sync, op.release, ticketed
+            self.core_id, op.addr, op.value, op.sync, op.release
         )
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_retry_store, op)
+            self.sim.call_after(access.latency, self._cb_issue_store, op)
             return
         self.wait_reason = "memory-access"
         self.sim.call_after(access.latency, self._cb_step, access.value)
 
-    def _retry_store(self, op: isa.Store) -> None:
-        self._issue_store(op, ticketed=True)
-
-    def _issue_rmw(
-        self, addr: int, fn, release: bool, ticketed: bool = False,
-        acquire: bool = False,
-    ) -> None:
-        self.protocol.now = self.sim.now
-        access = self.protocol.rmw(self.core_id, addr, fn, release, ticketed, acquire)
+    def _issue_rmw(self, addr: int, fn, release: bool, acquire: bool) -> None:
+        protocol = self.protocol
+        protocol.now = self.sim.now
+        access = protocol.rmw(self.core_id, addr, fn, release)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
             self._rmw_state = (addr, fn, release, acquire)
             self.sim.call_after(access.latency, self._cb_retry_rmw, None)
             return
+        if acquire:
+            protocol.on_acquire(self.core_id, addr)
         self.wait_reason = "memory-access"
         self.sim.call_after(access.latency, self._cb_step, access.value)
 
     def _retry_rmw(self, _unused) -> None:
-        addr, fn, release, acquire = self._rmw_state
-        self._issue_rmw(addr, fn, release, ticketed=True, acquire=acquire)
+        self._issue_rmw(*self._rmw_state)
 
     # -- spin-wait ------------------------------------------------------------------
 
@@ -286,13 +291,13 @@ class Core:
                 return
         self._spin_probe_issue(op)
 
-    def _spin_probe_issue(self, op: isa.WaitLoad, ticketed: bool = False) -> None:
+    def _spin_probe_issue(self, op: isa.WaitLoad) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.load(self.core_id, op.addr, op.sync, ticketed)
+        access = self.protocol.load(self.core_id, op.addr, op.sync)
         self._account_access(access)
         if access.retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_spin_retry, op)
+            self.sim.call_after(access.latency, self._cb_spin_probe_issue, op)
             return
         if op.pred(access.value):
             if op.acquire:
@@ -388,9 +393,6 @@ class Core:
             tc[cidx] += polls * cycles
         sim._spin_polls_elided += polls
         self._spin_probe(op)
-
-    def _retry_spin_probe(self, op: isa.WaitLoad) -> None:
-        self._spin_probe_issue(op, ticketed=True)
 
     def _on_invalidated(self, wake_time: int) -> None:
         retry_at = self._spin_retry_at

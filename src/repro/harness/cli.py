@@ -176,13 +176,15 @@ def _emit(figures: list, out, fmt: str) -> None:
 
 def _run_figures(names: tuple[str, ...], args) -> int:
     """The figure targets and ``all``: run each named figure sweep and
-    print it to stdout, or to ``<--out>/<name>.<txt|csv|json>``."""
+    print it to stdout, or to ``<--out>/<name>.<txt|csv|json>``.  The file
+    is opened only once the sweep has finished, so a failing or
+    interrupted sweep leaves the previous table in place."""
     cache = None if args.no_cache else default_cache(args.cache_dir)
     for name in names:
+        result = FIGURES[name][1](args, jobs=args.jobs, cache=cache)
+        figures = list(result.values()) if isinstance(result, dict) else [result]
         out = _open_out(args.out, name, args.format)
         try:
-            result = FIGURES[name][1](args, jobs=args.jobs, cache=cache)
-            figures = list(result.values()) if isinstance(result, dict) else [result]
             _emit(figures, out, args.format)
         finally:
             if out is not sys.stdout:

@@ -91,26 +91,19 @@ def _fill_rows(
         row.results[spec.protocol] = result
 
 
-def run_kernel_figure(
+def _kernel_cells(
     family: str,
+    cells: list[tuple[FigureRow, RunSpec]],
     core_counts: tuple[int, ...] = (16, 64),
     scale: float = 0.1,
     seed: int = 1,
     protocols: tuple[str, ...] = KERNEL_PROTOCOLS,
     names: list[str] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
     **kernel_kwargs,
 ) -> FigureResult:
-    """Reproduce one kernel figure (3, 4, 5 or 6).
-
-    ``jobs`` fans independent (workload, protocol, cores) cells out to
-    worker processes; the row/result ordering is identical for any value
-    (see :mod:`repro.harness.parallel`).  ``cache`` skips cells already
-    simulated with identical inputs and code.
-    """
+    """One kernel figure with empty rows; its ``(row, spec)`` cells are
+    appended to ``cells`` for the caller to simulate."""
     rows: list[FigureRow] = []
-    cells: list[tuple[FigureRow, RunSpec]] = []
     for cores in core_counts:
         config = config_for_cores(cores)
         for name in names or kernel_names(family):
@@ -118,21 +111,40 @@ def run_kernel_figure(
             rows.append(row)
             cell = kernel_cell(family, name, spec=KernelSpec(scale=scale), **kernel_kwargs)
             cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in protocols]
-    _fill_rows(cells, jobs, cache)
     return FigureResult(FIGURE_FOR_FAMILY[family], rows, scale)
 
 
-def run_apps_figure(
+def run_kernel_figure(
+    family: str,
+    *,
+    jobs: int = 1,
+    cache: ResultCache | None = None,
+    **arguments,
+) -> FigureResult:
+    """Reproduce one kernel figure (3, 4, 5 or 6).
+
+    ``arguments`` are :func:`_kernel_cells`'s: ``core_counts``, ``scale``,
+    ``seed``, ``protocols``, ``names`` and any kernel argument.  ``jobs``
+    fans independent (workload, protocol, cores) cells out to worker
+    processes; the row/result ordering is identical for any value (see
+    :mod:`repro.harness.parallel`).  ``cache`` skips cells already
+    simulated with identical inputs and code.
+    """
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    figure = _kernel_cells(family, cells, **arguments)
+    _fill_rows(cells, jobs, cache)
+    return figure
+
+
+def _app_cells(
+    cells: list[tuple[FigureRow, RunSpec]],
     scale: float = 0.5,
     seed: int = 1,
     protocols: tuple[str, ...] = APP_PROTOCOLS,
     names: list[str] | None = None,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
 ) -> FigureResult:
-    """Reproduce Figure 7 (applications)."""
+    """Figure 7 with empty rows; its cells are appended to ``cells``."""
     rows: list[FigureRow] = []
-    cells: list[tuple[FigureRow, RunSpec]] = []
     for name in names or APP_NAMES:
         cores = app_core_count(name)
         config = config_for_cores(cores)
@@ -140,28 +152,47 @@ def run_apps_figure(
         rows.append(row)
         cell = app_cell(name, scale=scale)
         cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in protocols]
-    _fill_rows(cells, jobs, cache)
     return FigureResult("Figure 7 (applications)", rows, scale)
+
+
+def run_apps_figure(
+    *, jobs: int = 1, cache: ResultCache | None = None, **arguments
+) -> FigureResult:
+    """Reproduce Figure 7 (applications); ``arguments`` are
+    :func:`_app_cells`'s (``scale``, ``seed``, ``protocols``, ``names``)."""
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    figure = _app_cells(cells, **arguments)
+    _fill_rows(cells, jobs, cache)
+    return figure
 
 
 # -- ablations (sections 7.1 and 3) -------------------------------------------
 
 
 def _kernel_variants(
-    subject: str, variants: dict[str, dict], **common
+    subject: str,
+    variants: dict[str, dict],
+    jobs: int,
+    cache: ResultCache | None,
+    **common,
 ) -> dict[str, FigureResult]:
-    """One kernel figure per ``{label: run_kernel_figure arguments}``
-    variant, titled ``<subject> (<label>)``; ``common`` goes to all.
+    """One kernel figure per ``{label: _kernel_cells arguments}`` variant,
+    titled ``<subject> (<label>)``; ``common`` goes to all.  Every
+    variant's cells are simulated in one sweep.
 
     A variant that passes no kernel argument at a figure's core counts
     and protocols is that figure's own cells (and hits its cache entries).
     """
-    return {
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    figures = {
         label: replace(
-            run_kernel_figure(**common, **arguments), figure=f"{subject} ({label})"
+            _kernel_cells(cells=cells, **common, **arguments),
+            figure=f"{subject} ({label})",
         )
         for label, arguments in variants.items()
     }
+    _fill_rows(cells, jobs, cache)
+    return figures
 
 
 def run_padding_ablation(
@@ -308,17 +339,19 @@ def run_signatures_study(
     victims of conservative regions, the 64-core array-lock heap (with
     the counter) and fluidanimate at ``app_scale``."""
     protocols = ("MESI", "DeNovoSync", "DeNovoSyncSig")
-    figures = _kernel_variants(
-        "Write signatures", {"array": {"family": "array"}},
-        core_counts=(64,), scale=scale, names=["heap", "counter"], protocols=protocols,
-        seed=seed, jobs=jobs, cache=cache,
+    cells: list[tuple[FigureRow, RunSpec]] = []
+    array = _kernel_cells(
+        "array", cells, core_counts=(64,), scale=scale, names=["heap", "counter"],
+        protocols=protocols, seed=seed,
     )
-    apps = run_apps_figure(
-        scale=app_scale, seed=seed, protocols=protocols, names=["fluidanimate"],
-        jobs=jobs, cache=cache,
+    apps = _app_cells(
+        cells, scale=app_scale, seed=seed, protocols=protocols, names=["fluidanimate"]
     )
-    figures["fluidanimate"] = replace(apps, figure="Write signatures (fluidanimate)")
-    return figures
+    _fill_rows(cells, jobs, cache)
+    return {
+        "array": replace(array, figure="Write signatures (array)"),
+        "fluidanimate": replace(apps, figure="Write signatures (fluidanimate)"),
+    }
 
 
 def run_scaling_study(

@@ -12,7 +12,10 @@ modelled hardware:
   every downstream race window;
 * **bounded reordering** — a first-issue access is randomly deferred and
   re-issued (as a directory retry would be), changing the commit order of
-  racing requests while each core's own program order is untouched;
+  racing requests while each core's own program order is untouched.  A
+  deferral takes no directory reservation, so its re-issue meets MESI's
+  admission check like any request arriving then, and a re-issue (after
+  a deferral or a real directory retry) is never deferred again;
 * **eviction storms** — periodic forced L1 evictions with full protocol
   bookkeeping (writeback, directory/registry update, waiter wake-up),
   simulating far higher capacity pressure than the footprint causes
@@ -86,6 +89,11 @@ class FaultInjector(ProtocolWrapper):
 
     ``injected_delay`` / ``deferrals`` / ``forced_evictions`` count what
     was actually injected (tests assert plans took effect).
+
+    The injector sees only the narrow protocol calls, so it tells a
+    re-issue from a first issue by remembering which cores' last access
+    came back as a retry — its own deferral or the inner protocol's —
+    and forwards their next access without a deferral draw.
     """
 
     def __init__(self, inner: CoherenceProtocol, plan: FaultPlan):
@@ -95,8 +103,9 @@ class FaultInjector(ProtocolWrapper):
         self.injected_delay = 0
         self.deferrals = 0
         self.forced_evictions = 0
-        #: Cores whose in-flight access was deferred (one op per core).
-        self._deferred: set[int] = set()
+        #: Cores whose last access came back as a retry: their next access
+        #: is its re-issue (one op in flight per core).
+        self._reissuing: set[int] = set()
         self._sim = None
         self._keep_running: Callable[[], bool] = lambda: True
 
@@ -140,31 +149,32 @@ class FaultInjector(ProtocolWrapper):
 
     # -- perturbation helpers ----------------------------------------------
 
-    def _defer(self, core_id: int, ticketed: bool) -> tuple[Access | None, bool]:
-        """Maybe turn a first-issue access into a forced retry; return it
-        (or None) and the ``ticketed`` flag to forward to ``inner``.
+    def _defer(self, core_id: int) -> Access | None:
+        """Maybe turn a first-issue access into a forced retry.
 
-        The core re-issues a deferred access with ``ticketed=True``, as
-        after a real directory retry, so it is never deferred twice and
-        commits at its *re-issue* time: a bounded reordering of racing
-        requests' service order.  But a deferral holds no directory
-        reservation, so that re-issue is forwarded unticketed and passes
-        the protocol's admission check; a real retry after it keeps its
-        ticket.
+        The core re-issues a deferred access, as after a real directory
+        retry; the re-issue is never deferred again and commits at its
+        *re-issue* time: a bounded reordering of racing requests' service
+        order.  A deferral holds no directory reservation, so that
+        re-issue passes through the protocol's admission check.
         """
-        if ticketed:
-            reserved = core_id not in self._deferred
-            self._deferred.discard(core_id)
-            return None, reserved
+        reissuing = self._reissuing
+        if core_id in reissuing:
+            reissuing.discard(core_id)
+            return None
         if not self.plan.reorder_prob or self.rng.random() >= self.plan.reorder_prob:
-            return None, False
+            return None
         self.deferrals += 1
-        self._deferred.add(core_id)
+        reissuing.add(core_id)
         delay = self.rng.randint(1, self.plan.reorder_delay)
-        return Access(0, delay, False, True), False
+        return Access(0, delay, False, True)
 
-    def _jitter(self, access: Access) -> Access:
-        if self.plan.delay_jitter and not access.retry:
+    def _finish(self, core_id: int, access: Access) -> Access:
+        """Remember an inner retry (its re-issue is not deferred), or add
+        delay jitter to a completed access."""
+        if access.retry:
+            self._reissuing.add(core_id)
+        elif self.plan.delay_jitter:
             extra = self.rng.randint(0, self.plan.delay_jitter)
             access.latency += extra
             self.injected_delay += extra
@@ -187,18 +197,11 @@ class FaultInjector(ProtocolWrapper):
 
     # -- perturbed operations ----------------------------------------------
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
-        deferred, ticketed = self._defer(core_id, ticketed)
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+        deferred = self._defer(core_id)
         if deferred is not None:
             return deferred
-        return self._jitter(self.inner.load(core_id, addr, sync, ticketed, acquire))
+        return self._finish(core_id, self.inner.load(core_id, addr, sync))
 
     def store(
         self,
@@ -207,13 +210,12 @@ class FaultInjector(ProtocolWrapper):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
-        deferred, ticketed = self._defer(core_id, ticketed)
+        deferred = self._defer(core_id)
         if deferred is not None:
             return deferred
-        return self._jitter(
-            self.inner.store(core_id, addr, value, sync, release, ticketed)
+        return self._finish(
+            core_id, self.inner.store(core_id, addr, value, sync, release)
         )
 
     def rmw(
@@ -222,12 +224,8 @@ class FaultInjector(ProtocolWrapper):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
-        deferred, ticketed = self._defer(core_id, ticketed)
+        deferred = self._defer(core_id)
         if deferred is not None:
             return deferred
-        return self._jitter(
-            self.inner.rmw(core_id, addr, fn, release, ticketed, acquire)
-        )
+        return self._finish(core_id, self.inner.rmw(core_id, addr, fn, release))

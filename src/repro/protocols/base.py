@@ -94,9 +94,12 @@ class Access:
     non-blocking store).  ``value`` is the loaded/old value.  ``hit`` is
     True when the access was served entirely from the private L1.
 
-    ``retry`` means the home directory was busy with another transaction
-    on this line (MESI's blocking directory): no state changed, no value
-    is valid, and the core must stall ``latency`` cycles and re-issue.
+    ``retry`` means the access was not performed (MESI's blocking
+    directory was busy with another transaction on this line, or the
+    fault injector deferred it): no value is valid, and the core must
+    stall ``latency`` cycles and re-issue the same operation through the
+    same call.  Any reservation a retry takes is the backend's own (MESI
+    records it at the directory entry); the re-issue carries nothing.
     Re-issuing (rather than folding the queue delay into one atomic
     transaction) makes values resolve at directory *service* time, which
     is what arbitrates racing requests realistically.
@@ -181,21 +184,15 @@ class CoherenceProtocol(ABC):
 
     # -- operations -----------------------------------------------------------
 
+    # The core calls these positionally, so an override must keep the
+    # parameter names and their order (tests/test_registry.py checks).
+
     @abstractmethod
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
         """A load; ``sync`` marks synchronization (volatile/atomic) reads.
 
-        ``ticketed`` marks the re-issue of a request that was told to retry
-        (it holds a directory reservation and must be serviced now);
-        ``acquire`` marks acquire semantics (consumed by signature-based
-        data consistency, a no-op otherwise)."""
+        An acquire-marked load reaches the protocol as this call followed,
+        once it completes, by :meth:`on_acquire`."""
 
     @abstractmethod
     def store(
@@ -205,10 +202,10 @@ class CoherenceProtocol(ABC):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
         """A store.  Data stores are non-blocking (latency 1); sync stores
-        block until ownership/registration is obtained."""
+        block until ownership/registration is obtained.  ``release`` marks
+        release semantics."""
 
     @abstractmethod
     def rmw(
@@ -217,12 +214,11 @@ class CoherenceProtocol(ABC):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
         """An atomic read-modify-write.  ``fn(old)`` returns the new value,
         or None to leave memory unchanged (a failed CAS).  Returns the old
-        value.  Always a synchronization access."""
+        value.  Always a synchronization access; an acquire-marked RMW is
+        followed by :meth:`on_acquire` as for a load."""
 
     @abstractmethod
     def self_invalidate(
@@ -233,9 +229,11 @@ class CoherenceProtocol(ABC):
         every non-registered word (the no-region-information fallback)."""
 
     def on_acquire(self, core_id: int, addr: int) -> None:
-        """Acquire-semantics hook (cores call it for acquire-marked ops,
-        including the successful probe of a spin wait).  Only the
-        signature-based DeNovo variant does anything with it."""
+        """Acquire-semantics hook, the only way an acquire reaches a
+        protocol: the core calls it right after every completed (not
+        retried) acquire-marked load or RMW and after the successful
+        probe of an acquire-marked spin wait, in the same cycle.  Only
+        the signature-based DeNovo variant does anything with it."""
 
     # -- spin-wait support -----------------------------------------------------
 

@@ -106,19 +106,9 @@ class DeNovoBaseProtocol(CoherenceProtocol):
 
     # -- data loads ----------------------------------------------------------
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
         if sync:
-            access = self.sync_load(core_id, addr)
-            if acquire:
-                self.on_acquire(core_id, addr)
-            return access
+            return self.sync_load(core_id, addr)
         l1 = self.l1s[core_id]
         value = l1.present_value(addr)
         if value is not None:
@@ -186,7 +176,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
         if sync:
             return self.sync_store(core_id, addr, value, release)
@@ -330,8 +319,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
         raise NotImplementedError
 

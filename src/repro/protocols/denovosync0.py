@@ -114,8 +114,6 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
         l1 = self.l1s[core_id]
         if l1.state_of(addr) is DeNovoState.REGISTERED:
@@ -141,7 +139,5 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self._mem_values[addr] = new
         if release:
             self.on_release(core_id, addr)
-        if acquire:
-            self.on_acquire(core_id, addr)
         self._counts["rmws"] += 1
         return Access(old, latency, hit)

@@ -62,6 +62,10 @@ class MesiProtocol(CoherenceProtocol):
         self._directory: dict[int, DirectoryEntry] = {}
         # line -> list of (core_id, callback) waiting for their copy to die
         self._waiters: dict[int, list[tuple[int, Callable[[int], None]]]] = {}
+        # core -> the directory entry it holds a reservation on (None: no
+        # reservation).  A core holds at most one: it took it with a
+        # retry, and its next access is the re-issue that consumes it.
+        self._reserved: list[DirectoryEntry | None] = [None] * config.num_cores
         # Hot-path constants and tables, bound once (see base.__init__):
         # per-operation code inlines the config lookups.
         self._l1_hit = config.l1_hit_latency
@@ -79,26 +83,33 @@ class MesiProtocol(CoherenceProtocol):
             self._directory[line] = entry
         return entry
 
-    def _reserve_or_retry(
-        self, entry: DirectoryEntry, core_id: int, bank: int, ticketed: bool
-    ) -> Access | None:
+    def _reserve_or_retry(self, entry: DirectoryEntry, core_id: int) -> Access | None:
         """Blocking-directory admission control.
 
         A request arriving while the entry is busy takes a FIFO reservation
-        (the busy window is extended by a nominal service slot) and is told
-        to retry at its reserved time; the re-issued request passes
-        ``ticketed=True`` and is serviced unconditionally.  This bounds a
-        request's wait to the queue length at its arrival and services the
-        line in arrival order, like a real blocking directory's message
-        queue — and resolves the value at service time, not arrival time.
+        (the busy window is extended by a nominal service slot, and the
+        directory records the requester) and is told to retry at its
+        reserved time; the re-issued request finds its reservation and is
+        serviced unconditionally.  This bounds a request's wait to the
+        queue length at its arrival and services the line in arrival
+        order, like a real blocking directory's message queue — and
+        resolves the value at service time, not arrival time.
+
+        The reservation is always consumed by the re-issue: an in-order
+        core's next access after a retry re-issues the same op to the
+        same line, and that re-issue misses again (only the core's own
+        fills add a line to its L1), so it comes back here.
         """
-        if ticketed:
+        reserved = self._reserved
+        if reserved[core_id] is entry:
+            reserved[core_id] = None
             return None
         queue = entry.busy_until - self.now
         if queue <= 0:
             return None
         self._counts["directory_retries"] += 1
         entry.busy_until += self._own_occ
+        reserved[core_id] = entry
         return Access(0, queue, False, True)
 
     def _insert_line(self, core_id: int, line: int, state: MesiState) -> None:
@@ -147,14 +158,7 @@ class MesiProtocol(CoherenceProtocol):
 
     # -- loads ------------------------------------------------------------
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
         line = addr // self._wpl
         state = self.l1s[core_id].state_of(line)
         if state is not None:
@@ -164,7 +168,7 @@ class MesiProtocol(CoherenceProtocol):
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
         bank = line % self._nbanks
-        retry = self._reserve_or_retry(entry, core_id, bank, ticketed)
+        retry = self._reserve_or_retry(entry, core_id)
         if retry is not None:
             return retry
         self.record_control(MessageClass.LOAD, core_id, bank)
@@ -228,9 +232,8 @@ class MesiProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
-        access = self._obtain_modified(core_id, addr, ticketed)
+        access = self._obtain_modified(core_id, addr)
         if access.retry:
             return access
         access.value = self._mem_get(addr, 0)
@@ -246,10 +249,8 @@ class MesiProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
-        access = self._obtain_modified(core_id, addr, ticketed)
+        access = self._obtain_modified(core_id, addr)
         if access.retry:
             return access
         old = access.value = self._mem_get(addr, 0)
@@ -259,7 +260,7 @@ class MesiProtocol(CoherenceProtocol):
         self._counts["rmws"] += 1
         return access
 
-    def _obtain_modified(self, core_id: int, addr: int, ticketed: bool = False) -> Access:
+    def _obtain_modified(self, core_id: int, addr: int) -> Access:
         """Bring ``addr``'s line to Modified.
 
         The returned Access's value is unset (0): the caller fills in the
@@ -279,7 +280,7 @@ class MesiProtocol(CoherenceProtocol):
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
         bank = line % self._nbanks
-        retry = self._reserve_or_retry(entry, core_id, bank, ticketed)
+        retry = self._reserve_or_retry(entry, core_id)
         if retry is not None:
             return retry
         self.record_control(MessageClass.STORE, core_id, bank)

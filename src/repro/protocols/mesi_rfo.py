@@ -40,19 +40,12 @@ from repro.protocols.registry import register_protocol
 class MesiRfoProtocol(MesiProtocol):
     name = "MESI-RFO"
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
         if not sync:
-            return super().load(core_id, addr, sync, ticketed, acquire)
+            return super().load(core_id, addr, sync)
         # Synchronization read: bring the line in Modified so the write
         # that usually follows an acquire hits locally.
-        access = self._obtain_modified(core_id, addr, ticketed)
+        access = self._obtain_modified(core_id, addr)
         if access.retry:
             return access
         self.counters.bump("rfo_sync_reads")

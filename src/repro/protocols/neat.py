@@ -102,19 +102,10 @@ class NeatProtocol(CoherenceProtocol):
 
     # -- data accesses -------------------------------------------------------
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
         if sync:
             self._counts["sync_read_misses"] += 1
             latency = self._sync_access(core_id, addr)
-            if acquire:
-                self.on_acquire(core_id, addr)
             return Access(self._mem_get(addr, 0), latency, False)
         l1 = self.l1s[core_id]
         value = l1.present_value(addr)
@@ -147,7 +138,6 @@ class NeatProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
         if sync:
             old = self._mem_get(addr, 0)
@@ -226,8 +216,6 @@ class NeatProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
         flush = self._flush_dirty(core_id) if release else 0
         latency = self._sync_access(core_id, addr)
@@ -236,8 +224,6 @@ class NeatProtocol(CoherenceProtocol):
         if new is not None:
             self._mem_values[addr] = new
         self._counts["rmws"] += 1
-        if acquire:
-            self.on_acquire(core_id, addr)
         return Access(old, latency + flush, False)
 
     def _flush_dirty(self, core_id: int) -> int:

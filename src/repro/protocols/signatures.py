@@ -100,11 +100,8 @@ class DeNovoSyncSigProtocol(DeNovoSyncProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
-        access = super().store(
-            core_id, addr, value, sync=sync, release=release, ticketed=ticketed
-        )
+        access = super().store(core_id, addr, value, sync, release)
         if not sync:
             self._record_write(core_id, addr)
         return access

@@ -177,8 +177,6 @@ class SynCronProtocol(DeNovoBaseProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
         latency = self._su_op(core_id, addr, carry_data=True)
         old = self._mem_get(addr, 0)
@@ -188,8 +186,6 @@ class SynCronProtocol(DeNovoBaseProtocol):
             if new != old:
                 self._notify_su_waiters(addr, self.now + latency)
         self._counts["rmws"] += 1
-        if acquire:
-            self.on_acquire(core_id, addr)
         return Access(old, latency, False)
 
     # -- data stores also wake parked spinners -------------------------------
@@ -201,7 +197,6 @@ class SynCronProtocol(DeNovoBaseProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
         if sync:
             return self.sync_store(core_id, addr, value, release)

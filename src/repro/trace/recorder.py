@@ -4,7 +4,10 @@
 around any :class:`~repro.protocols.base.CoherenceProtocol`: cores talk
 to it exactly as they would to the wrapped protocol, and every load,
 store, RMW and self-invalidation lands in the trace (directory retries
-are not recorded — they are re-issues of the same access).
+are not recorded — they are re-issues of the same access).  Accesses are
+recorded without acquire semantics: an acquire reaches a protocol only
+through :meth:`TracingProtocol.on_acquire`, which the core calls right
+after the completed access, and that call marks the access's record.
 """
 
 from __future__ import annotations
@@ -26,10 +29,11 @@ class TracingProtocol(ProtocolWrapper):
 
     def on_acquire(self, core_id: int, addr: int) -> None:
         self.inner.on_acquire(core_id, addr)
-        # Cores call this right after the access that won the acquire (a
-        # successful spin probe): stamp that record so replay preserves
-        # the acquire point.  Failed probes of the same spin stay plain
-        # loads — the acquire only happens once.
+        # Cores call this right after the access that won the acquire (an
+        # acquire-marked load or RMW, or a spin wait's successful probe):
+        # stamp that record so replay preserves the acquire point.  Failed
+        # probes of the same spin stay plain loads — the acquire only
+        # happens once.
         for i in range(len(self.records) - 1, -1, -1):
             record = self.records[i]
             if record.core != core_id:
@@ -41,19 +45,10 @@ class TracingProtocol(ProtocolWrapper):
 
     # -- recorded operations -------------------------------------------------
 
-    def load(
-        self,
-        core_id: int,
-        addr: int,
-        sync: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
-    ) -> Access:
-        access = self.inner.load(
-            core_id, addr, sync=sync, ticketed=ticketed, acquire=acquire
-        )
+    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+        access = self.inner.load(core_id, addr, sync)
         if not access.retry:
-            self._record("load", core_id, addr, sync, False, access, acquire=acquire)
+            self._record("load", core_id, addr, sync, False, access)
         return access
 
     def store(
@@ -63,11 +58,8 @@ class TracingProtocol(ProtocolWrapper):
         value: int,
         sync: bool = False,
         release: bool = False,
-        ticketed: bool = False,
     ) -> Access:
-        access = self.inner.store(
-            core_id, addr, value, sync=sync, release=release, ticketed=ticketed
-        )
+        access = self.inner.store(core_id, addr, value, sync, release)
         if not access.retry:
             self._record("store", core_id, addr, sync, release, access, value=value)
         return access
@@ -78,17 +70,13 @@ class TracingProtocol(ProtocolWrapper):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-        ticketed: bool = False,
-        acquire: bool = False,
     ) -> Access:
-        access = self.inner.rmw(
-            core_id, addr, fn, release=release, ticketed=ticketed, acquire=acquire
-        )
+        access = self.inner.rmw(core_id, addr, fn, release)
         if not access.retry:
             # Record the post-RMW value so replay can pin the outcome.
             self._record(
                 "rmw", core_id, addr, True, release, access,
-                value=self.inner.memory.read(addr), acquire=acquire,
+                value=self.inner.memory.read(addr),
             )
         return access
 
@@ -110,8 +98,7 @@ class TracingProtocol(ProtocolWrapper):
         return latency
 
     def _record(
-        self, kind, core_id, addr, sync, release, access: Access, value=None,
-        acquire=False,
+        self, kind, core_id, addr, sync, release, access: Access, value=None
     ) -> None:
         self.records.append(
             AccessRecord(
@@ -121,7 +108,6 @@ class TracingProtocol(ProtocolWrapper):
                 addr=addr,
                 sync=sync,
                 release=release,
-                acquire=acquire,
                 value=access.value if value is None else value,
                 latency=access.latency,
                 hit=access.hit,

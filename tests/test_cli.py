@@ -111,6 +111,22 @@ class TestFigureTargets:
                 assert not re.search(r"^-- ", text, re.M)
         assert {row["figure"] for row in rows} == titles
 
+    @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
+    def test_failing_sweep_leaves_the_table_in_place(self, monkeypatch, tmp_path, error):
+        """A sweep interrupted by Ctrl-C or a raising cell must leave the
+        table already in ``--out`` byte-identical, not truncated."""
+        table = tmp_path / "fig3.txt"
+        table.write_text("== Figure 3 (TATAS locks) (scale=0.05) ==\nkept\n")
+        before = table.read_bytes()
+
+        def runner(*args, **kwargs):
+            raise error("cell failed")
+
+        monkeypatch.setattr(cli, "run_kernel_figure", runner)
+        with pytest.raises(error):
+            cli_main(["fig3", "--out", str(tmp_path), "--no-cache"])
+        assert table.read_bytes() == before
+
     @pytest.mark.parametrize("target", sorted(ABLATION_RUNNERS))
     def test_ablations_read_seed(self, monkeypatch, target):
         assert seeds_seen(monkeypatch, target, ABLATION_RUNNERS[target]) == [2, 1]

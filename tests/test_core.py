@@ -19,6 +19,7 @@ from repro.cpu.isa import (
 from repro.protocols.denovosync import DeNovoSyncProtocol
 from repro.protocols.denovosync0 import DeNovoSync0Protocol
 from repro.protocols.mesi import MesiProtocol
+from repro.protocols.registry import iter_protocols
 from repro.sim.engine import Simulator
 from repro.stats.timeparts import TimeComponent
 
@@ -205,6 +206,68 @@ class TestWaitLoad:
         cores, _, _ = run_program(DeNovoSyncProtocol, *programs)
         assert sorted(woke) == list(range(6))
         assert all(core.done for core in cores)
+
+
+def recording_acquires(protocol_cls):
+    """``protocol_cls`` with ``on_acquire`` calls logged as (core, addr,
+    cycle) in the class attribute ``acquires``."""
+
+    def on_acquire(self, core_id, addr):
+        self.acquires.append((core_id, addr, self.now))
+        protocol_cls.on_acquire(self, core_id, addr)
+
+    return type(
+        f"Recording{protocol_cls.__name__}", (protocol_cls,),
+        {"on_acquire": on_acquire, "acquires": []},
+    )
+
+
+class TestAcquirePath:
+    """``on_acquire`` is the one way an acquire reaches a protocol: the
+    core calls it once per completed acquire-marked access, never for a
+    retried one or an op without ``acquire``."""
+
+    @pytest.mark.parametrize(
+        "protocol_cls", [info.cls for info in iter_protocols()],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_one_call_per_completed_acquire(self, protocol_cls):
+        lock, flag = ADDR, ADDR + 32
+
+        def program():
+            yield Load(lock, sync=True, acquire=True)
+            yield Cas(lock, 0, 1, acquire=True)
+            yield Fai(flag, acquire=True)
+            yield Swap(lock, 0, acquire=True)
+            yield WaitLoad(flag, lambda v: v == 1, acquire=True)
+            yield Load(lock, sync=True)
+            yield Cas(lock, 0, 1)
+            yield Store(lock, 0, sync=True, release=True)
+
+        recording = recording_acquires(protocol_cls)
+        run_program(recording, program())
+        assert [(core, addr) for core, addr, _ in recording.acquires] == [
+            (0, lock), (0, lock), (0, flag), (0, lock), (0, flag),
+        ]
+
+    @pytest.mark.parametrize(
+        "acquire_op", [Load(ADDR, sync=True, acquire=True), Swap(ADDR, 2, acquire=True)],
+        ids=["load", "rmw"],
+    )
+    def test_retried_acquire_is_acquired_once_when_served(self, acquire_op):
+        def owner():
+            yield Store(ADDR, 1, sync=True)  # leaves the directory busy
+
+        def acquirer():
+            yield acquire_op
+
+        recording = recording_acquires(MesiProtocol)
+        cores, _, protocol = run_program(recording, owner(), acquirer())
+        assert protocol.counters.get("directory_retries") == 1
+        # One acquire, at the re-issue that was served, not at the retry.
+        [(core, addr, cycle)] = recording.acquires
+        assert (core, addr) == (1, ADDR)
+        assert 0 < cycle < cores[1].finish_time
 
 
 class TestHardwareBackoffAccounting:

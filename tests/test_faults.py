@@ -8,6 +8,7 @@ runtime invariant checking armed — across every chaos-capable protocol
 the registry advertises.
 """
 
+import hashlib
 import pickle
 
 import pytest
@@ -127,7 +128,8 @@ class TestDeferredReissue:
     def test_reissue_of_a_deferred_access_passes_admission(self):
         """A deferral holds no directory reservation, so its re-issue waits
         for MESI's busy line like an unperturbed load arriving then; a real
-        retry after it keeps its ticket."""
+        retry after it keeps its directory reservation, and neither
+        re-issue is deferred again."""
         mesi = MesiProtocol(config_for_cores(4))
         injector = FaultInjector(mesi, FaultPlan(reorder_prob=1.0, reorder_delay=1))
         mesi.now = 100
@@ -136,10 +138,10 @@ class TestDeferredReissue:
         deferred = injector.load(2, 0)
         assert (deferred.retry, deferred.latency) == (True, 1)
         injector.now = 102
-        reissue = injector.load(2, 0, ticketed=True)
+        reissue = injector.load(2, 0)
         assert (reissue.retry, reissue.latency) == (True, 128 - 102)
         injector.now = 128
-        served = injector.load(2, 0, ticketed=True)
+        served = injector.load(2, 0)
         assert not served.retry and served.value == 1
         assert mesi.counters.get("directory_retries") == 1
         assert injector.deferrals == 1
@@ -161,6 +163,14 @@ class TestDiffMemory:
         assert not cell.ok and "[FAIL]" in cell.describe()
 
 
+#: SHA-256 of the chaos sweep's 45 ``describe()`` lines (newline-joined),
+#: recorded while a retried request still carried its directory
+#: reservation as a call argument: every cell's baseline and perturbed
+#: cycle counts and injected delay, deferral and eviction counts.  Do not regenerate this from the current code to make a
+#: failure pass: a mismatch means fault-path timing changed.
+CHAOS_SWEEP_DIGEST = "4c414f29f80de03b0a0937cb9bf8539fc20f8f39527653dd6143d9d0335b0461"
+
+
 class TestChaosDifferential:
     """Acceptance: >= 3 seeds x every chaos-capable protocol,
     byte-identical final memory."""
@@ -178,3 +188,6 @@ class TestChaosDifferential:
         assert {cell.seed for cell in cells} == {1, 2, 3}
         # The sweep must actually have perturbed something.
         assert any("0 forced evictions" not in cell.injected for cell in cells)
+        # Memory converging is not enough: the perturbed timing is pinned.
+        described = "\n".join(cell.describe() for cell in cells)
+        assert hashlib.sha256(described.encode()).hexdigest() == CHAOS_SWEEP_DIGEST

@@ -14,6 +14,7 @@ from repro.harness.experiments import (
     run_eqcheck_ablation,
     run_kernel_figure,
     run_lock_design_study,
+    run_padding_ablation,
     run_rfo_study,
     run_scaling_study,
     run_selfinv_ablation,
@@ -166,6 +167,34 @@ class TestAblations:
         run_study(scale=SCALE)
         assert len(keys) == len(set(keys)) == cells
         assert len(figure_keys.intersection(keys)) == shared
+
+    @pytest.mark.parametrize(
+        "run_target",
+        [
+            run_padding_ablation, run_sw_backoff_ablation, run_eqcheck_ablation,
+            run_selfinv_ablation, run_lock_design_study, run_rfo_study,
+            run_signatures_study, run_scaling_study, run_sensitivity_study,
+        ],
+        ids=lambda run_target: run_target.__name__,
+    )
+    def test_multi_variant_target_is_one_sweep(self, monkeypatch, run_target):
+        """Every variant's cells go to ``run_specs`` in one call, so with
+        ``--jobs N`` a target starts one worker pool, and every cell's
+        result is filed under its row.  Nothing is simulated."""
+        calls: list[int] = []
+
+        def record(specs, jobs=1, cache=None):
+            specs = list(specs)
+            calls.append(len(specs))
+            return [None] * len(specs)
+
+        monkeypatch.setattr(experiments, "run_specs", record)
+        figures = run_target(scale=SCALE)
+        assert len(figures) > 1
+        filed = sum(
+            len(row.results) for figure in figures.values() for row in figure.rows
+        )
+        assert calls == [filed]
 
     def test_sw_backoff_ablation_labels(self):
         results = run_sw_backoff_ablation(cores=16, scale=SCALE)

@@ -3,7 +3,8 @@
 ``benchmarks/e2e/run.py`` times a fresh interpreter importing its
 ``REPRO_IMPORTS`` as part of ``setup_s``.  The sweep harness it imports
 must not pull ``asyncio`` or any ``repro.service`` module into that
-import: the worker pool is loaded only when a sweep fans out.
+import: the worker pool is loaded only when a sweep fans out.  Nor may
+it load the fault injector, which only runs with a fault plan need.
 """
 
 from __future__ import annotations
@@ -28,13 +29,14 @@ def benchmark_imports() -> tuple[str, ...]:
     raise AssertionError("benchmarks/e2e/run.py defines no REPRO_IMPORTS")
 
 
-def test_benchmark_imports_load_neither_asyncio_nor_the_service():
+def modules_after_benchmark_imports() -> list[str]:
+    """Every module a fresh interpreter holds after importing the
+    benchmark's ``REPRO_IMPORTS``."""
     modules = benchmark_imports()
     assert "repro.harness.parallel" in modules
     code = (
         f"import json, sys; import {', '.join(modules)}; "
-        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'asyncio' "
-        "or m.startswith('repro.service'))))"
+        "print(json.dumps(sorted(sys.modules)))"
     )
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -44,4 +46,16 @@ def test_benchmark_imports_load_neither_asyncio_nor_the_service():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
         env=env, timeout=120,
     )
-    assert json.loads(out.stdout) == []
+    return json.loads(out.stdout)
+
+
+def test_benchmark_imports_load_neither_asyncio_nor_the_service():
+    loaded = modules_after_benchmark_imports()
+    assert [
+        m for m in loaded
+        if m.split(".")[0] == "asyncio" or m.startswith("repro.service")
+    ] == []
+
+
+def test_benchmark_imports_skip_the_fault_injector():
+    assert "repro.noc.faults" not in modules_after_benchmark_imports()

@@ -32,7 +32,7 @@ def _denovo(level="full"):
 def _two_modified_copies(protocol) -> None:
     """Core 0 owns line 0 in M; plant an illegal second M copy at core 1."""
     protocol.now = STEP
-    protocol.store(0, 0, 1, sync=True, ticketed=True)
+    protocol.store(0, 0, 1, sync=True)
     protocol.l1s[1].insert(0, MesiState.MODIFIED)
 
 
@@ -42,7 +42,7 @@ def _load_other_lines(protocol, count: int) -> int:
     done = 0
     try:
         for i in range(1, count + 1):
-            protocol.load(2, i * protocol.amap.words_per_line, ticketed=True)
+            protocol.load(2, i * protocol.amap.words_per_line)
             done += 1
     except InvariantViolation:
         pass
@@ -53,16 +53,16 @@ class TestMesiInvariants:
     def test_clean_state_has_no_violations(self):
         protocol = _mesi()
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
+        protocol.store(0, 0, 1, sync=True)
         protocol.now = 2 * STEP
-        protocol.load(1, 0, ticketed=True)
+        protocol.load(1, 0)
         assert protocol.invariant_violations() == []
         protocol.check_invariants()  # must not raise
 
     def test_two_modified_copies_detected(self):
         protocol = _mesi(level="off")
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)  # core 0: line 0 in M
+        protocol.store(0, 0, 1, sync=True)  # core 0: line 0 in M
         protocol.l1s[1].insert(0, MesiState.MODIFIED)  # illegal second M copy
         with pytest.raises(InvariantViolation) as excinfo:
             protocol.check_invariants()
@@ -74,9 +74,9 @@ class TestMesiInvariants:
     def test_sharer_unknown_to_directory_detected(self):
         protocol = _mesi(level="off")
         protocol.now = STEP
-        protocol.load(0, 0, ticketed=True)
+        protocol.load(0, 0)
         protocol.now = 2 * STEP
-        protocol.load(1, 0, ticketed=True)  # line 0 now unowned, sharers {0, 1}
+        protocol.load(1, 0)  # line 0 now unowned, sharers {0, 1}
         protocol.l1s[2].insert(0, MesiState.SHARED)  # directory never told
         violations = protocol.invariant_violations()
         assert any(
@@ -110,16 +110,16 @@ class TestDeNovoInvariants:
     def test_clean_state_has_no_violations(self):
         protocol = _denovo()
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
+        protocol.store(0, 0, 1, sync=True)
         protocol.now = 2 * STEP
-        protocol.load(1, 0, ticketed=True)
+        protocol.load(1, 0)
         assert protocol.invariant_violations() == []
         protocol.check_invariants()
 
     def test_stale_registry_pointer_detected(self):
         protocol = _denovo(level="off")
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)  # word 0 registered at 0
+        protocol.store(0, 0, 1, sync=True)  # word 0 registered at 0
         protocol.l1s[0].invalidate_word(0)  # copy gone, registry not updated
         with pytest.raises(InvariantViolation) as excinfo:
             protocol.check_invariants()
@@ -130,7 +130,7 @@ class TestDeNovoInvariants:
     def test_stale_registered_value_detected(self):
         protocol = _denovo(level="off")
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
+        protocol.store(0, 0, 1, sync=True)
         protocol.memory.write(0, 99)  # backing store diverges from the copy
         violations = protocol.invariant_violations()
         assert any(
@@ -140,7 +140,7 @@ class TestDeNovoInvariants:
     def test_second_registered_copy_detected(self):
         protocol = _denovo(level="off")
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
+        protocol.store(0, 0, 1, sync=True)
         protocol.l1s[1].fill_word(0, 7, DeNovoState.REGISTERED)
         violations = protocol.invariant_violations()
         assert any(
@@ -151,7 +151,7 @@ class TestDeNovoInvariants:
     def test_untracked_valid_word_detected(self):
         protocol = _denovo(level="off")
         protocol.now = STEP
-        protocol.load(1, 0, ticketed=True)  # core 1 caches word 0 Valid
+        protocol.load(1, 0)  # core 1 caches word 0 Valid
         assert protocol.l1s[1].state_of(0, touch=False) is DeNovoState.VALID
         protocol.l1s[1]._valid_by_region.clear()  # desync the tracking
         violations = protocol.invariant_violations()
@@ -163,7 +163,7 @@ class TestDeNovoInvariants:
     def test_violation_carries_structured_fields(self):
         protocol = _denovo(level="off")
         protocol.now = STEP
-        protocol.store(0, 0, 1, sync=True, ticketed=True)
+        protocol.store(0, 0, 1, sync=True)
         protocol.l1s[0].invalidate_word(0)
         with pytest.raises(InvariantViolation) as excinfo:
             protocol.check_invariants()

@@ -37,7 +37,7 @@ class TestRfoSemantics:
     def test_sync_readers_invalidate_each_other(self, proto):
         proto.load(0, ADDR, sync=True)
         proto.now = 1000
-        proto.load(1, ADDR, sync=True, ticketed=True)
+        proto.load(1, ADDR, sync=True)
         line = proto.amap.line_of(ADDR)
         assert proto.l1s[0].state_of(line) is None  # R-R ping-pong
         assert proto.l1s[1].state_of(line) is MesiState.MODIFIED
@@ -45,7 +45,7 @@ class TestRfoSemantics:
     def test_sync_read_sees_latest_value(self, proto):
         proto.store(0, ADDR, 7, sync=True)
         proto.now = 1000
-        assert proto.load(1, ADDR, sync=True, ticketed=True).value == 7
+        assert proto.load(1, ADDR, sync=True).value == 7
 
 
 class TestRfoEndToEnd:

@@ -192,18 +192,18 @@ class TestProtocolValueProperties:
             protocol.now = now
             addr = pool[word]
             if op == "load":
-                protocol.load(core, addr, ticketed=True)
+                protocol.load(core, addr)
             elif op == "sync_load":
-                access = protocol.load(core, addr, sync=True, ticketed=True)
+                access = protocol.load(core, addr, sync=True)
                 assert access.value == shadow.get(addr, 0)
             elif op == "store":
-                protocol.store(core, addr, core * 7 + word, ticketed=True)
+                protocol.store(core, addr, core * 7 + word)
                 shadow[addr] = core * 7 + word
             elif op == "sync_store":
-                protocol.store(core, addr, core * 9 + word, sync=True, ticketed=True)
+                protocol.store(core, addr, core * 9 + word, sync=True)
                 shadow[addr] = core * 9 + word
             else:
-                access = protocol.rmw(core, addr, lambda old: old + 1, ticketed=True)
+                access = protocol.rmw(core, addr, lambda old: old + 1)
                 assert access.value == shadow.get(addr, 0)
                 shadow[addr] = shadow.get(addr, 0) + 1
 

@@ -53,14 +53,14 @@ class TestLoads:
         proto.store(0, ADDR, 7, sync=True)
         before = proto.traffic.flit_crossings(MessageClass.WRITEBACK)
         proto.now = 1000
-        access = proto.load(1, ADDR, ticketed=True)
+        access = proto.load(1, ADDR)
         assert access.value == 7
         assert proto.traffic.flit_crossings(MessageClass.WRITEBACK) > before
 
     def test_loads_see_latest_value(self, proto):
         proto.store(0, ADDR, 41, sync=True)
         proto.now = 1000
-        assert proto.load(1, ADDR, ticketed=True).value == 41
+        assert proto.load(1, ADDR).value == 41
 
 
 class TestStores:
@@ -89,11 +89,11 @@ class TestStores:
     def test_store_invalidates_sharers(self, proto):
         proto.load(0, ADDR)
         proto.now = 500
-        proto.load(1, ADDR, ticketed=True)
+        proto.load(1, ADDR)
         proto.now = 1000
-        proto.load(2, ADDR, ticketed=True)
+        proto.load(2, ADDR)
         proto.now = 2000
-        proto.store(1, ADDR, 9, sync=True, ticketed=True)
+        proto.store(1, ADDR, 9, sync=True)
         line = proto.amap.line_of(ADDR)
         assert proto.l1s[0].state_of(line) is None
         assert proto.l1s[2].state_of(line) is None
@@ -103,19 +103,19 @@ class TestStores:
     def test_invalidation_traffic_counted(self, proto):
         proto.load(0, ADDR)
         proto.now = 500
-        proto.load(1, ADDR, ticketed=True)
+        proto.load(1, ADDR)
         proto.now = 1000
         assert proto.traffic.flit_crossings(MessageClass.INVALIDATION) == 0
-        proto.store(0, ADDR, 9, sync=True, ticketed=True)
+        proto.store(0, ADDR, 9, sync=True)
         assert proto.traffic.flit_crossings(MessageClass.INVALIDATION) > 0
 
     def test_upgrade_latency_covers_invalidation(self, proto):
         proto.load(0, ADDR)
         proto.now = 500
-        proto.load(1, ADDR, ticketed=True)
+        proto.load(1, ADDR)
         proto.now = 1000
         bank = proto.amap.home_bank_of_addr(ADDR)
-        access = proto.store(0, ADDR, 9, sync=True, ticketed=True)
+        access = proto.store(0, ADDR, 9, sync=True)
         inv_rtt = proto.mesh.invalidation_round_trip(bank, 1)
         assert access.latency >= inv_rtt
 
@@ -149,10 +149,22 @@ class TestBlockingDirectory:
         assert access.latency > 0
         assert proto.counters.get("directory_retries") == 1
 
-    def test_ticketed_request_serviced_despite_busy(self, proto):
-        proto.load(0, ADDR)
-        access = proto.load(1, ADDR, ticketed=True)
+    def test_reserved_reissue_serviced_despite_busy(self, proto):
+        proto.store(0, ADDR, 7, sync=True)  # the entry is busy briefly
+        retry = proto.load(1, ADDR)
+        assert retry.retry
+        line = proto.amap.line_of(ADDR)
+        # Re-issue at the reserved time, still inside the busy window
+        # (the retry extended it): the directory holds core 1's
+        # reservation, so the re-issue is served.
+        proto.now = retry.latency
+        assert proto._directory[line].busy_until > proto.now
+        access = proto.load(1, ADDR)
         assert not access.retry
+        assert access.value == 7
+        # A third core arriving in the same window still queues.
+        assert proto.load(2, ADDR).retry
+        assert proto.counters.get("directory_retries") == 2
 
     def test_retry_extends_reservation(self, proto):
         proto.load(0, ADDR)
@@ -176,26 +188,26 @@ class TestSubscriptions:
     def test_waiter_woken_by_invalidation(self, proto):
         proto.load(0, ADDR)
         proto.now = 500
-        proto.load(1, ADDR, ticketed=True)
+        proto.load(1, ADDR)
         wakes = []
         proto.subscribe_line_change(0, ADDR, wakes.append)
         proto.now = 1000
-        proto.store(1, ADDR, 1, sync=True, ticketed=True)
+        proto.store(1, ADDR, 1, sync=True)
         assert len(wakes) == 1
         assert wakes[0] >= 1000
 
     def test_other_cores_waiters_not_woken(self, proto):
         proto.load(0, ADDR)
         proto.now = 500
-        proto.load(1, ADDR, ticketed=True)
+        proto.load(1, ADDR)
         proto.now = 600
-        proto.load(2, ADDR, ticketed=True)
+        proto.load(2, ADDR)
         wakes0, wakes2 = [], []
         proto.subscribe_line_change(0, ADDR, wakes0.append)
         proto.subscribe_line_change(2, ADDR, wakes2.append)
         proto.now = 1000
         # Core 2 upgrades: invalidates 0 but keeps its own copy.
-        proto.store(2, ADDR, 1, sync=True, ticketed=True)
+        proto.store(2, ADDR, 1, sync=True)
         assert len(wakes0) == 1
         assert wakes2 == []
 
@@ -254,7 +266,7 @@ class TestWaiterEviction:
         addr_a, addr_b, addr_c = 0, words, 2 * words
         proto.load(0, addr_a)
         proto.now = 500
-        proto.load(1, addr_a, ticketed=True)
+        proto.load(1, addr_a)
         wakes0, wakes1 = [], []
         proto.subscribe_line_change(0, addr_a, wakes0.append)
         proto.subscribe_line_change(1, addr_a, wakes1.append)
@@ -278,7 +290,7 @@ class TestRemoteDowngradeLru:
         proto.now = 10
         proto.load(0, addr_b)
         proto.now = 2000
-        proto.load(1, addr_a, ticketed=True)  # owner forward, A -> Shared
+        proto.load(1, addr_a)  # owner forward, A -> Shared
         proto.now = 4000
         proto.load(0, addr_c)  # replacement: A is still core 0's LRU victim
         l1 = proto.l1s[0]
@@ -294,7 +306,7 @@ class TestEviction:
         lines = [i * num_sets + 1 for i in range(config.l1_assoc + 1)]
         for i, line in enumerate(lines):
             proto.now = i * 1000
-            proto.store(0, line * words_per_line, i, sync=True, ticketed=True)
+            proto.store(0, line * words_per_line, i, sync=True)
         victim_line = lines[0]
         assert proto.l1s[0].state_of(victim_line, touch=False) is None
         assert proto._directory[victim_line].exclusive_owner is None

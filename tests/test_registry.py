@@ -3,6 +3,7 @@ query helpers, the derived comparison sets the harness layers consume,
 and ``make_protocol``'s near-miss error path."""
 
 import gc
+import inspect
 import weakref
 
 import pytest
@@ -11,7 +12,9 @@ import repro.protocols as protocols_pkg
 from repro.config import config_for_cores
 from repro.mem.address import AddressMap
 from repro.mem.regions import RegionAllocator
+from repro.noc.faults import FaultInjector
 from repro.protocols import make_protocol
+from repro.protocols.base import CoherenceProtocol
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
@@ -23,6 +26,7 @@ from repro.protocols.registry import (
     registry_markdown_table,
     registry_table,
 )
+from repro.trace.recorder import TracingProtocol
 
 
 class TestDescriptors:
@@ -65,6 +69,42 @@ class TestDescriptors:
             protocol = make_protocol(info.name, config, allocator)
             assert type(protocol) is info.cls
             assert protocol.name == info.name
+
+
+class TestAccessBoundary:
+    """The core calls ``load``/``store``/``rmw`` positionally, so an
+    override whose parameters differ from the base's in name or order
+    would bind silently wrong.  ``InvariantAudit`` forwards ``*args``
+    and is exempt."""
+
+    @pytest.mark.parametrize(
+        "cls, method",
+        [
+            (cls, method)
+            for cls in [info.cls for info in iter_protocols()]
+            + [TracingProtocol, FaultInjector]
+            for method in ("load", "store", "rmw", "self_invalidate")
+            # A wrapper reads the calls it does not define from ``inner``.
+            if hasattr(cls, method)
+        ],
+        ids=lambda param: getattr(param, "__name__", param),
+    )
+    def test_parameters_match_the_base_in_order(self, cls, method):
+        def names(fn):
+            return list(inspect.signature(fn).parameters)
+
+        assert names(getattr(cls, method)) == names(getattr(CoherenceProtocol, method))
+
+    def test_accesses_take_no_retry_or_acquire_flag(self):
+        assert list(inspect.signature(CoherenceProtocol.load).parameters) == [
+            "self", "core_id", "addr", "sync",
+        ]
+        assert list(inspect.signature(CoherenceProtocol.store).parameters) == [
+            "self", "core_id", "addr", "value", "sync", "release",
+        ]
+        assert list(inspect.signature(CoherenceProtocol.rmw).parameters) == [
+            "self", "core_id", "addr", "fn", "release",
+        ]
 
 
 class TestCapabilityQueries:

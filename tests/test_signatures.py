@@ -71,7 +71,7 @@ class TestSignatureMechanics:
         from repro.mem.l1 import DeNovoState
 
         assert proto.l1s[1].state_of(ADDR_DATA) is DeNovoState.INVALID
-        assert proto.load(1, ADDR_DATA, ticketed=True).value == 9
+        assert proto.load(1, ADDR_DATA).value == 9
 
     def test_acquire_delivers_only_the_delta(self, proto):
         """A second acquire sees only releases after the first."""
@@ -81,7 +81,7 @@ class TestSignatureMechanics:
         _spaced(proto)
         proto.on_acquire(1, ADDR_LOCK)  # consumes the first delta
         # Core 1 re-caches the word.
-        proto.load(1, ADDR_DATA, ticketed=True)
+        proto.load(1, ADDR_DATA)
         _spaced(proto)
         proto.on_acquire(1, ADDR_LOCK)  # no new releases: no invalidation
         from repro.mem.l1 import DeNovoState
@@ -99,7 +99,7 @@ class TestSignatureMechanics:
         _spaced(proto)
         proto.store(1, lock2, 0, sync=True, release=True)
         # Core 2 cached the stale word, then acquires only L2.
-        proto.load(2, ADDR_DATA, ticketed=True)
+        proto.load(2, ADDR_DATA)
         _spaced(proto)
         proto.store(0, ADDR_DATA, 6)  # newer write, before core 2's acquire?
         # (core 0's write isn't ordered by L2 — reset to the released value)
@@ -136,7 +136,7 @@ class TestOverflowPaths:
         _spaced(proto)
         proto.store(0, ADDR_LOCK, 0, sync=True, release=True)
         # Core 1, having cached something, must flush on acquire.
-        proto.load(1, ADDR_DATA, ticketed=True)
+        proto.load(1, ADDR_DATA)
         _spaced(proto)
         proto.on_acquire(1, ADDR_LOCK)
         from repro.mem.l1 import DeNovoState
@@ -152,7 +152,7 @@ class TestOverflowPaths:
             _spaced(proto)
             proto.store(0, ADDR_LOCK, round_no, sync=True, release=True)
         assert proto.counters.get("signature_log_prunes") > 0
-        proto.load(1, ADDR_DATA, ticketed=True)
+        proto.load(1, ADDR_DATA)
         _spaced(proto)
         proto.on_acquire(1, ADDR_LOCK)  # first acquire: history incomplete
         assert proto.counters.get("signature_flushes") >= 1
