@@ -68,10 +68,10 @@ profile:
 		--protocol $(PROTO) --cores $(CORES) --top 25
 
 # Regenerate every committed table in results/<target>.txt: the paper's
-# figures, the ablations and the extension studies, through one result
-# cache.  Each target simulates its cells in one sweep, which starts its
-# own worker pool.  CI's figures-fresh job runs this and fails if any
-# table differs from the committed one.
+# figures, the ablations and the extension studies.  `all` builds every
+# target's cells and simulates each distinct cell once, in one sweep
+# (one worker pool) through one result cache.  CI's figures-fresh job
+# runs this and fails if any table differs from the committed one.
 figures:
 	$(PYTHON) -m repro.harness.cli all --scale 0.05 --jobs 0 --out results/
 

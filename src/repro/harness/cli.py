@@ -31,17 +31,18 @@ from dataclasses import dataclass, field
 from functools import partial
 
 from repro.harness.experiments import (
-    run_apps_figure,
-    run_eqcheck_ablation,
-    run_kernel_figure,
-    run_lock_design_study,
-    run_padding_ablation,
-    run_rfo_study,
-    run_scaling_study,
-    run_selfinv_ablation,
-    run_sensitivity_study,
-    run_signatures_study,
-    run_sw_backoff_ablation,
+    apps_figure,
+    eqcheck_ablation,
+    fill_rows,
+    kernel_figure,
+    lock_design_study,
+    padding_ablation,
+    rfo_study,
+    scaling_study,
+    selfinv_ablation,
+    sensitivity_study,
+    signatures_study,
+    sw_backoff_ablation,
 )
 from repro.harness.export import write_figure_csv, write_figure_json
 from repro.harness.parallel import default_cache
@@ -57,93 +58,73 @@ from repro.protocols.registry import (
 # -- figure targets -----------------------------------------------------------
 
 
-def _kernel_figure(family: str) -> Callable:
-    def run(args, **sweep):
-        return run_kernel_figure(
-            family,
-            core_counts=tuple(args.cores),
-            scale=args.scale,
-            seed=args.seed,
-            **sweep,
-        )
-
-    return run
+def _kernel_figure(family: str, args, cells):
+    return kernel_figure(
+        cells, family, core_counts=tuple(args.cores), scale=args.scale, seed=args.seed
+    )
 
 
-#: Figure targets, in ``all`` order: name -> (help, runner, flags beyond
-#: the sweep and output groups).  A runner takes ``(args, jobs=, cache=)``
-#: and returns one figure or a ``{label: figure}`` dict of variants.
+#: Figure targets, in ``all`` order: name -> (help, builder, flags beyond
+#: the sweep and output groups).  A builder takes ``(args, cells)``,
+#: appends the target's ``(row, spec)`` cells to ``cells`` and returns one
+#: figure or a ``{label: figure}`` dict of variants, with empty rows.
 FIGURES: dict[str, tuple[str, Callable, tuple[str, ...]]] = {
-    "fig3": ("Figure 3: TATAS-lock kernels", _kernel_figure("tatas"), ("machine",)),
-    "fig4": ("Figure 4: array-lock kernels", _kernel_figure("array"), ("machine",)),
+    "fig3": ("Figure 3: TATAS-lock kernels", partial(_kernel_figure, "tatas"), ("machine",)),
+    "fig4": ("Figure 4: array-lock kernels", partial(_kernel_figure, "array"), ("machine",)),
     "fig5": (
-        "Figure 5: non-blocking kernels", _kernel_figure("nonblocking"), ("machine",)
+        "Figure 5: non-blocking kernels", partial(_kernel_figure, "nonblocking"), ("machine",)
     ),
-    "fig6": ("Figure 6: barrier kernels", _kernel_figure("barrier"), ("machine",)),
+    "fig6": ("Figure 6: barrier kernels", partial(_kernel_figure, "barrier"), ("machine",)),
     "fig7": (
         "Figure 7: applications",
-        lambda args, **sweep: run_apps_figure(
-            scale=args.app_scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: apps_figure(cells, scale=args.app_scale, seed=args.seed),
         ("--app-scale", "--seed"),
     ),
     "ablation-padding": (
         "section 7.1.1 lock-padding study",
-        lambda args, **sweep: run_padding_ablation(
-            scale=args.scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: padding_ablation(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ablation-swbackoff": (
         "section 7.1.1 software-backoff study",
-        lambda args, **sweep: run_sw_backoff_ablation(
-            scale=args.scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: sw_backoff_ablation(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ablation-eqchecks": (
         "section 7.1.3 equality-check study",
-        lambda args, **sweep: run_eqcheck_ablation(
-            scale=args.scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: eqcheck_ablation(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ablation-selfinv": (
         "section 3 self-invalidation fallback",
-        lambda args, **sweep: run_selfinv_ablation(
-            scale=args.app_scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: selfinv_ablation(cells, scale=args.app_scale, seed=args.seed),
         ("--app-scale", "--seed"),
     ),
     "ext-lock-design": (
         "extension: TATAS, array and MCS locks (section 6)",
-        lambda args, **sweep: run_lock_design_study(
-            scale=args.scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: lock_design_study(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ext-rfo": (
         "extension: MESI read-for-ownership against DeNovoSync (section 8)",
-        lambda args, **sweep: run_rfo_study(scale=args.scale, seed=args.seed, **sweep),
+        lambda args, cells: rfo_study(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ext-signatures": (
         "extension: write signatures against static regions (section 7)",
-        lambda args, **sweep: run_signatures_study(
-            scale=args.scale, app_scale=args.app_scale, seed=args.seed, **sweep
+        lambda args, cells: signatures_study(
+            cells, scale=args.scale, app_scale=args.app_scale, seed=args.seed
         ),
         ("--scale", "--app-scale", "--seed"),
     ),
     "ext-scaling": (
         "extension: TATAS counter and tree barrier from 4 to 64 cores",
-        lambda args, **sweep: run_scaling_study(scale=args.scale, seed=args.seed, **sweep),
+        lambda args, cells: scaling_study(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
     "ext-sensitivity": (
         "extension: the orderings across unpublished calibration constants",
-        lambda args, **sweep: run_sensitivity_study(
-            scale=args.scale, seed=args.seed, **sweep
-        ),
+        lambda args, cells: sensitivity_study(cells, scale=args.scale, seed=args.seed),
         ("--scale", "--seed"),
     ),
 }
@@ -175,13 +156,15 @@ def _emit(figures: list, out, fmt: str) -> None:
 
 
 def _run_figures(names: tuple[str, ...], args) -> int:
-    """The figure targets and ``all``: run each named figure sweep and
-    print it to stdout, or to ``<--out>/<name>.<txt|csv|json>``.  The file
-    is opened only once the sweep has finished, so a failing or
-    interrupted sweep leaves the previous table in place."""
-    cache = None if args.no_cache else default_cache(args.cache_dir)
-    for name in names:
-        result = FIGURES[name][1](args, jobs=args.jobs, cache=cache)
+    """The figure targets and ``all``: build every named target's cells,
+    simulate each distinct cell once in one sweep, then print each target
+    to stdout, or to ``<--out>/<name>.<txt|csv|json>``.  No file is opened
+    before the sweep has finished, so a failing or interrupted sweep
+    leaves every previous table in place."""
+    cells: list = []
+    results = {name: FIGURES[name][1](args, cells) for name in names}
+    fill_rows(cells, args.jobs, None if args.no_cache else default_cache(args.cache_dir))
+    for name, result in results.items():
         figures = list(result.values()) if isinstance(result, dict) else [result]
         out = _open_out(args.out, name, args.format)
         try:
@@ -478,21 +461,15 @@ def _run_chaos_service(args) -> int:
 
 
 def _submit_cells(args) -> list:
-    """Build the RunSpec cells of a ``submit`` sweep: every requested
-    kernel x protocol x core count, mirroring :func:`run_kernel_figure`."""
-    from repro.config import config_for_cores
-    from repro.harness.parallel import RunSpec, kernel_cell
-    from repro.workloads.base import KernelSpec
-    from repro.workloads.registry import kernel_names
-
-    names = args.names if args.names else kernel_names(args.sweep_family)
-    spec = KernelSpec(scale=args.scale)
-    return [
-        RunSpec(kernel_cell(args.sweep_family, name, spec=spec), protocol, config, seed=args.seed)
-        for config in map(config_for_cores, args.cores)
-        for name in names
-        for protocol in args.protocols
-    ]
+    """The RunSpecs of a ``submit`` sweep: the kernel figure's cells for
+    the requested family, kernels, protocols and core counts, in its
+    order (cores, then kernel, then protocol)."""
+    cells: list = []
+    kernel_figure(
+        cells, args.sweep_family, core_counts=tuple(args.cores), scale=args.scale,
+        seed=args.seed, protocols=tuple(args.protocols), names=args.names,
+    )
+    return [spec for _, spec in cells]
 
 
 def _print_job_detail(status: dict) -> None:

@@ -17,6 +17,13 @@ Each experiment regenerates the rows/series of one figure:
   (section 8), write signatures (section 7), scaling from 4 to 64 cores,
   and sensitivity to the calibration constants.
 
+Each table is a *cell builder*: it appends one ``(FigureRow, RunSpec)``
+pair per simulation to ``cells`` and returns its figures with empty rows.
+:func:`fill_rows` then simulates each distinct spec once, in one sweep,
+and files every result under each row that asked for it, so a command
+that builds several tables (the CLI's ``all``) makes one sweep.
+``run_<builder>`` is one builder plus that sweep.
+
 ``scale`` shrinks the paper's iteration counts/inputs so a full figure
 sweep stays tractable in pure Python; the shapes are stable across scales
 (see EXPERIMENTS.md).
@@ -24,7 +31,9 @@ sweep stays tractable in pure Python; the shapes are stable across scales
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
+from functools import wraps
 
 from repro.config import BackoffConfig, ProtocolTuning, config_16, config_64, config_for_cores
 from repro.harness.parallel import (
@@ -81,19 +90,45 @@ class FigureResult:
     scale: float
 
 
-def _fill_rows(
-    cells: list[tuple[FigureRow, RunSpec]], jobs: int, cache: ResultCache | None
-) -> None:
-    """Simulate every ``(row, spec)`` cell in one sweep and file each
-    result under its row by protocol."""
-    results = run_specs([spec for _, spec in cells], jobs=jobs, cache=cache)
-    for (row, spec), result in zip(cells, results):
-        row.results[spec.protocol] = result
+#: ``(row, spec)`` pairs: the simulations a builder's rows wait for.
+Cells = list[tuple[FigureRow, RunSpec]]
 
 
-def _kernel_cells(
+def fill_rows(cells: Cells, jobs: int, cache: ResultCache | None) -> None:
+    """Simulate each distinct spec of ``cells`` once, in one sweep, and
+    file its result under every row that asked for it, by protocol.
+
+    ``jobs`` fans the specs out to worker processes and ``cache`` skips
+    the ones already simulated with identical inputs and code; the
+    results are identical for any ``jobs`` (see
+    :mod:`repro.harness.parallel`).  Rows may share a result object, so
+    readers must not mutate it.
+    """
+    specs = list(dict.fromkeys(spec for _, spec in cells))
+    results = dict(zip(specs, run_specs(specs, jobs=jobs, cache=cache)))
+    for row, spec in cells:
+        row.results[spec.protocol] = results[spec]
+
+
+def _runner(build: Callable) -> Callable:
+    """``run_<build>``: cell builder ``build`` plus one :func:`fill_rows`
+    sweep.  It takes the builder's arguments without ``cells``, and
+    ``jobs`` and ``cache`` for the sweep."""
+
+    @wraps(build)
+    def run(*args, jobs: int = 1, cache: ResultCache | None = None, **kwargs):
+        cells: Cells = []
+        figures = build(cells, *args, **kwargs)
+        fill_rows(cells, jobs, cache)
+        return figures
+
+    run.__name__ = run.__qualname__ = f"run_{build.__name__}"
+    return run
+
+
+def kernel_figure(
+    cells: Cells,
     family: str,
-    cells: list[tuple[FigureRow, RunSpec]],
     core_counts: tuple[int, ...] = (16, 64),
     scale: float = 0.1,
     seed: int = 1,
@@ -101,8 +136,9 @@ def _kernel_cells(
     names: list[str] | None = None,
     **kernel_kwargs,
 ) -> FigureResult:
-    """One kernel figure with empty rows; its ``(row, spec)`` cells are
-    appended to ``cells`` for the caller to simulate."""
+    """One kernel figure (3, 4, 5 or 6) with empty rows; its cells are
+    appended to ``cells``.  Each (workload, cores) row gets one cell per
+    protocol; ``kernel_kwargs`` go to every kernel."""
     rows: list[FigureRow] = []
     for cores in core_counts:
         config = config_for_cores(cores)
@@ -114,30 +150,8 @@ def _kernel_cells(
     return FigureResult(FIGURE_FOR_FAMILY[family], rows, scale)
 
 
-def run_kernel_figure(
-    family: str,
-    *,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
-    **arguments,
-) -> FigureResult:
-    """Reproduce one kernel figure (3, 4, 5 or 6).
-
-    ``arguments`` are :func:`_kernel_cells`'s: ``core_counts``, ``scale``,
-    ``seed``, ``protocols``, ``names`` and any kernel argument.  ``jobs``
-    fans independent (workload, protocol, cores) cells out to worker
-    processes; the row/result ordering is identical for any value (see
-    :mod:`repro.harness.parallel`).  ``cache`` skips cells already
-    simulated with identical inputs and code.
-    """
-    cells: list[tuple[FigureRow, RunSpec]] = []
-    figure = _kernel_cells(family, cells, **arguments)
-    _fill_rows(cells, jobs, cache)
-    return figure
-
-
-def _app_cells(
-    cells: list[tuple[FigureRow, RunSpec]],
+def apps_figure(
+    cells: Cells,
     scale: float = 0.5,
     seed: int = 1,
     protocols: tuple[str, ...] = APP_PROTOCOLS,
@@ -155,52 +169,28 @@ def _app_cells(
     return FigureResult("Figure 7 (applications)", rows, scale)
 
 
-def run_apps_figure(
-    *, jobs: int = 1, cache: ResultCache | None = None, **arguments
-) -> FigureResult:
-    """Reproduce Figure 7 (applications); ``arguments`` are
-    :func:`_app_cells`'s (``scale``, ``seed``, ``protocols``, ``names``)."""
-    cells: list[tuple[FigureRow, RunSpec]] = []
-    figure = _app_cells(cells, **arguments)
-    _fill_rows(cells, jobs, cache)
-    return figure
-
-
 # -- ablations (sections 7.1 and 3) -------------------------------------------
 
 
 def _kernel_variants(
-    subject: str,
-    variants: dict[str, dict],
-    jobs: int,
-    cache: ResultCache | None,
-    **common,
+    cells: Cells, subject: str, variants: dict[str, dict], **common
 ) -> dict[str, FigureResult]:
-    """One kernel figure per ``{label: _kernel_cells arguments}`` variant,
-    titled ``<subject> (<label>)``; ``common`` goes to all.  Every
-    variant's cells are simulated in one sweep.
+    """One kernel figure per ``{label: kernel_figure arguments}`` variant,
+    titled ``<subject> (<label>)``; ``common`` goes to all.
 
     A variant that passes no kernel argument at a figure's core counts
-    and protocols is that figure's own cells (and hits its cache entries).
+    and protocols is that figure's own cells (the same specs).
     """
-    cells: list[tuple[FigureRow, RunSpec]] = []
-    figures = {
+    return {
         label: replace(
-            _kernel_cells(cells=cells, **common, **arguments),
-            figure=f"{subject} ({label})",
+            kernel_figure(cells, **common, **arguments), figure=f"{subject} ({label})"
         )
         for label, arguments in variants.items()
     }
-    _fill_rows(cells, jobs, cache)
-    return figures
 
 
-def run_padding_ablation(
-    cores: int = 16,
-    scale: float = 0.1,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+def padding_ablation(
+    cells: Cells, cores: int = 16, scale: float = 0.1, seed: int = 1
 ) -> dict[str, FigureResult]:
     """Section 7.1.1: TATAS kernels with and without lock padding.
 
@@ -209,18 +199,13 @@ def run_padding_ablation(
     but loses the one-transfer-per-line benefit.
     """
     return _kernel_variants(
-        "TATAS locks", {"padded": {}, "unpadded": {"padded": False}},
-        family="tatas", core_counts=(cores,), scale=scale, seed=seed, jobs=jobs,
-        cache=cache,
+        cells, "TATAS locks", {"padded": {}, "unpadded": {"padded": False}},
+        family="tatas", core_counts=(cores,), scale=scale, seed=seed,
     )
 
 
-def run_sw_backoff_ablation(
-    cores: int = 64,
-    scale: float = 0.1,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+def sw_backoff_ablation(
+    cells: Cells, cores: int = 64, scale: float = 0.1, seed: int = 1
 ) -> dict[str, FigureResult]:
     """Section 7.1.1: TATAS kernels with software exponential backoff.
 
@@ -229,18 +214,13 @@ def run_sw_backoff_ablation(
     misses) but does nothing about MESI's invalidation latency.
     """
     return _kernel_variants(
-        "TATAS locks", {"no backoff": {}, "sw backoff": {"software_backoff": True}},
-        family="tatas", core_counts=(cores,), scale=scale, seed=seed, jobs=jobs,
-        cache=cache,
+        cells, "TATAS locks", {"no backoff": {}, "sw backoff": {"software_backoff": True}},
+        family="tatas", core_counts=(cores,), scale=scale, seed=seed,
     )
 
 
-def run_selfinv_ablation(
-    app: str = "water",
-    scale: float = 0.3,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+def selfinv_ablation(
+    cells: Cells, app: str = "water", scale: float = 0.3, seed: int = 1
 ) -> dict[str, FigureResult]:
     """Section 3's data-consistency spectrum on one application.
 
@@ -257,21 +237,15 @@ def run_selfinv_ablation(
         "flush-all": app_selfinv_cell(app, scale, flush_all=True),
     }
     figures = {}
-    cells: list[tuple[FigureRow, RunSpec]] = []
     for label, cell in variants.items():
         row = FigureRow(workload=app, num_cores=cores)
         cells += [(row, RunSpec(cell, protocol, config, seed=seed)) for protocol in APP_PROTOCOLS]
         figures[label] = FigureResult(f"{app} self-invalidation ({label})", [row], scale)
-    _fill_rows(cells, jobs, cache)
     return figures
 
 
-def run_eqcheck_ablation(
-    cores: int = 64,
-    scale: float = 0.1,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+def eqcheck_ablation(
+    cells: Cells, cores: int = 64, scale: float = 0.1, seed: int = 1
 ) -> dict[str, FigureResult]:
     """Section 7.1.3: Herlihy kernels, original vs reduced equality checks.
 
@@ -281,99 +255,83 @@ def run_eqcheck_ablation(
     DeNovo far more than MESI.
     """
     return _kernel_variants(
-        "Herlihy kernels",
+        cells, "Herlihy kernels",
         {"original checks": {"reduced_checks": False}, "reduced checks": {}},
         family="nonblocking", core_counts=(cores,), scale=scale,
-        names=["Herlihy stack", "Herlihy heap"], seed=seed, jobs=jobs, cache=cache,
+        names=["Herlihy stack", "Herlihy heap"], seed=seed,
     )
 
 
 # -- extension studies --------------------------------------------------------
 #
 # Claims beyond the figures, at fixed core counts and protocols.  Wherever
-# a study's cell is a figure's (same inputs), it is that figure's cache
-# entry, so ``all`` simulates it once.
+# a study's cell is a figure's (same inputs), it is that figure's spec, so
+# ``all`` simulates it once.
 
 
-def run_lock_design_study(
-    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
-) -> dict[str, FigureResult]:
+def lock_design_study(cells: Cells, scale: float = 0.1, seed: int = 1) -> dict[str, FigureResult]:
     """Section 6: TATAS (one hot word), Anderson array and MCS locks (one
     spinner per word) on the counter and stack kernels.  The analysis
     predicts the queuing locks separate the protocols less than TATAS."""
     return _kernel_variants(
-        "Lock design", {lock: {"family": lock} for lock in ("tatas", "array", "mcs")},
+        cells, "Lock design", {lock: {"family": lock} for lock in ("tatas", "array", "mcs")},
         core_counts=(16, 64), scale=scale, names=["counter", "stack"], seed=seed,
-        jobs=jobs, cache=cache,
     )
 
 
-def run_rfo_study(
-    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
-) -> dict[str, FigureResult]:
+def rfo_study(cells: Cells, scale: float = 0.1, seed: int = 1) -> dict[str, FigureResult]:
     """Section 8: is read registration "just" read-for-ownership?  MESI,
     MESI-RFO and DeNovoSync on the array lock's single waiter (the write
     miss RFO saves) and on the TATAS counter and CAS loops (where RFO adds
     read-read ping-pong to MESI's invalidations)."""
     return _kernel_variants(
-        "Read-for-ownership",
+        cells, "Read-for-ownership",
         {
             "array": {"family": "array", "names": ["counter", "stack"]},
             "tatas": {"family": "tatas", "names": ["counter"]},
             "nonblocking": {"family": "nonblocking", "names": ["M-S queue", "Treiber stack"]},
         },
         core_counts=(16, 64), scale=scale, protocols=("MESI", "MESI-RFO", "DeNovoSync"),
-        seed=seed, jobs=jobs, cache=cache,
+        seed=seed,
     )
 
 
-def run_signatures_study(
-    scale: float = 0.1,
-    app_scale: float = 0.5,
-    seed: int = 1,
-    jobs: int = 1,
-    cache: ResultCache | None = None,
+def signatures_study(
+    cells: Cells, scale: float = 0.1, app_scale: float = 0.5, seed: int = 1
 ) -> dict[str, FigureResult]:
     """Section 7's future work: write signatures (``DeNovoSyncSig``)
     against static regions on the two workloads the paper names as
     victims of conservative regions, the 64-core array-lock heap (with
     the counter) and fluidanimate at ``app_scale``."""
     protocols = ("MESI", "DeNovoSync", "DeNovoSyncSig")
-    cells: list[tuple[FigureRow, RunSpec]] = []
-    array = _kernel_cells(
-        "array", cells, core_counts=(64,), scale=scale, names=["heap", "counter"],
+    array = kernel_figure(
+        cells, "array", core_counts=(64,), scale=scale, names=["heap", "counter"],
         protocols=protocols, seed=seed,
     )
-    apps = _app_cells(
+    apps = apps_figure(
         cells, scale=app_scale, seed=seed, protocols=protocols, names=["fluidanimate"]
     )
-    _fill_rows(cells, jobs, cache)
     return {
         "array": replace(array, figure="Write signatures (array)"),
         "fluidanimate": replace(apps, figure="Write signatures (fluidanimate)"),
     }
 
 
-def run_scaling_study(
-    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
-) -> dict[str, FigureResult]:
+def scaling_study(cells: Cells, scale: float = 0.1, seed: int = 1) -> dict[str, FigureResult]:
     """4, 16 and 64 cores: the TATAS counter (MESI's invalidation cost
     grows with every spinner) and the tree barrier (the protocols tie)."""
     return _kernel_variants(
-        "Scaling",
+        cells, "Scaling",
         {
             "tatas": {"family": "tatas", "names": ["counter"]},
             "barrier": {"family": "barrier", "names": ["tree"]},
         },
         core_counts=(4, 16, 64), scale=scale,
-        protocols=("MESI", "DeNovoSync0", "DeNovoSync"), seed=seed, jobs=jobs,
-        cache=cache,
+        protocols=("MESI", "DeNovoSync0", "DeNovoSync"), seed=seed,
     )
 
 
-def run_sensitivity_study(
-    scale: float = 0.1, seed: int = 1, jobs: int = 1, cache: ResultCache | None = None
-) -> dict[str, FigureResult]:
+def sensitivity_study(cells: Cells, scale: float = 0.1, seed: int = 1) -> dict[str, FigureResult]:
     """The orderings across unpublished calibration constants, one row
     per setting: MESI's directory occupancy times DeNovo's chain link
     cost at 16 cores, on the TATAS counter (DeNovoSync wins) and the M-S
@@ -401,7 +359,6 @@ def run_sensitivity_study(
         "backoff": (counter, ("MESI", "DeNovoSync"), backoff),
     }
     figures = {}
-    cells: list[tuple[FigureRow, RunSpec]] = []
     for label, (workload, protocols, configs) in variants.items():
         rows = []
         for setting, config in configs.items():
@@ -409,5 +366,19 @@ def run_sensitivity_study(
             rows.append(row)
             cells += [(row, RunSpec(workload, p, config, seed=seed)) for p in protocols]
         figures[label] = FigureResult(f"Sensitivity ({label})", rows, scale)
-    _fill_rows(cells, jobs, cache)
     return figures
+
+
+# -- one sweep per table ------------------------------------------------------
+
+run_kernel_figure = _runner(kernel_figure)
+run_apps_figure = _runner(apps_figure)
+run_padding_ablation = _runner(padding_ablation)
+run_sw_backoff_ablation = _runner(sw_backoff_ablation)
+run_selfinv_ablation = _runner(selfinv_ablation)
+run_eqcheck_ablation = _runner(eqcheck_ablation)
+run_lock_design_study = _runner(lock_design_study)
+run_rfo_study = _runner(rfo_study)
+run_signatures_study = _runner(signatures_study)
+run_scaling_study = _runner(scaling_study)
+run_sensitivity_study = _runner(sensitivity_study)

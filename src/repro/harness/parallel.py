@@ -220,8 +220,8 @@ def cache_key_for(spec: RunSpec) -> str:
 class ResultCache:
     """Content-addressed store of :class:`RunResult` pickles.
 
-    ``hits`` / ``misses`` / ``stores`` count this instance's traffic (used
-    by tests and the CLI's cache reporting).  A corrupt or unreadable entry
+    ``hits`` / ``misses`` / ``stores`` count this instance's traffic (tests
+    read them; the CLI does not report them).  A corrupt or unreadable entry
     is treated as a miss, and a failed write is skipped silently: the cache
     is best-effort and must never fail a sweep.
     """

@@ -6,39 +6,39 @@ import re
 
 import pytest
 
-from repro.harness import cli
+from repro.harness import cli, experiments
 from repro.harness.cli import main as cli_main
 
-#: The ablation targets and the runner each one calls.
-ABLATION_RUNNERS = {
-    "ablation-padding": "run_padding_ablation",
-    "ablation-swbackoff": "run_sw_backoff_ablation",
-    "ablation-eqchecks": "run_eqcheck_ablation",
-    "ablation-selfinv": "run_selfinv_ablation",
-}
-#: The extension-study targets and the runner each one calls.
-EXTENSION_RUNNERS = {
-    "ext-lock-design": "run_lock_design_study",
-    "ext-rfo": "run_rfo_study",
-    "ext-signatures": "run_signatures_study",
-    "ext-scaling": "run_scaling_study",
-    "ext-sensitivity": "run_sensitivity_study",
-}
+ABLATIONS = [name for name in cli.FIGURES if name.startswith("ablation-")]
+EXTENSIONS = [name for name in cli.FIGURES if name.startswith("ext-")]
 
 
-def seeds_seen(monkeypatch, target: str, runner: str) -> list[int]:
-    """The seeds ``target`` hands its runner with ``--seed 2``, then with
-    no ``--seed``."""
-    seen = []
+class StopSweep(Exception):
+    """Raised by the stub sweep, so nothing is simulated."""
 
-    def record(**kwargs):
-        seen.append(kwargs["seed"])
-        return {}
 
-    monkeypatch.setattr(cli, runner, record)
-    assert cli_main([target, "--seed", "2", "--no-cache"]) == 0
-    assert cli_main([target, "--no-cache"]) == 0
-    return seen
+def swept_specs(monkeypatch, argv: list[str], error: type = StopSweep) -> list[list]:
+    """The spec list of every ``run_specs`` call ``argv`` makes.  The
+    stub sweep raises ``error`` once it has recorded the specs."""
+    calls = []
+
+    def record(specs, jobs=1, cache=None):
+        calls.append(list(specs))
+        raise error("cell failed")
+
+    monkeypatch.setattr(experiments, "run_specs", record)
+    with pytest.raises(error):
+        cli_main(argv)
+    return calls
+
+
+def seeds_seen(monkeypatch, target: str) -> list[set[int]]:
+    """The seeds on the specs ``target`` sweeps with ``--seed 2``, then
+    with no ``--seed``."""
+    return [
+        {spec.seed for specs in swept_specs(monkeypatch, argv) for spec in specs}
+        for argv in ([target, "--seed", "2", "--no-cache"], [target, "--no-cache"])
+    ]
 
 
 class TestFigureTargets:
@@ -113,40 +113,63 @@ class TestFigureTargets:
 
     @pytest.mark.parametrize("error", [KeyboardInterrupt, RuntimeError])
     def test_failing_sweep_leaves_the_table_in_place(self, monkeypatch, tmp_path, error):
-        """A sweep interrupted by Ctrl-C or a raising cell must leave the
-        table already in ``--out`` byte-identical, not truncated."""
-        table = tmp_path / "fig3.txt"
-        table.write_text("== Figure 3 (TATAS locks) (scale=0.05) ==\nkept\n")
-        before = table.read_bytes()
+        """A sweep interrupted by Ctrl-C or a raising cell must leave every
+        table already in ``--out`` byte-identical, not truncated, and
+        write no other: ``all`` writes nothing before its one sweep ends."""
+        tables = {
+            tmp_path / "fig3.txt": "== Figure 3 (TATAS locks) (scale=0.05) ==\nkept\n",
+            tmp_path / "ext-rfo.txt": "== Read-for-ownership (array) (scale=0.05) ==\nkept\n",
+        }
+        for path, text in tables.items():
+            path.write_text(text)
+        before = {path: path.read_bytes() for path in tables}
+        swept_specs(monkeypatch, ["all", "--out", str(tmp_path), "--no-cache"], error)
+        assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
 
-        def runner(*args, **kwargs):
-            raise error("cell failed")
-
-        monkeypatch.setattr(cli, "run_kernel_figure", runner)
-        with pytest.raises(error):
-            cli_main(["fig3", "--out", str(tmp_path), "--no-cache"])
-        assert table.read_bytes() == before
-
-    @pytest.mark.parametrize("target", sorted(ABLATION_RUNNERS))
+    @pytest.mark.parametrize("target", sorted(ABLATIONS))
     def test_ablations_read_seed(self, monkeypatch, target):
-        assert seeds_seen(monkeypatch, target, ABLATION_RUNNERS[target]) == [2, 1]
+        assert seeds_seen(monkeypatch, target) == [{2}, {1}]
 
-    @pytest.mark.parametrize("target", sorted(EXTENSION_RUNNERS))
+    @pytest.mark.parametrize("target", sorted(EXTENSIONS))
     def test_extension_studies_read_seed(self, monkeypatch, target):
-        assert seeds_seen(monkeypatch, target, EXTENSION_RUNNERS[target]) == [2, 1]
+        assert seeds_seen(monkeypatch, target) == [{2}, {1}]
 
     def test_all_runs_every_target_at_one_seed(self, monkeypatch):
-        seen = []
+        """``all`` sweeps every target's cells, each distinct cell once,
+        all at its one ``--seed``."""
+        argv = ["--seed", "3", "--no-cache"]
+        each = [
+            spec
+            for name in cli.FIGURES
+            for specs in swept_specs(monkeypatch, [name, *argv])
+            for spec in specs
+        ]
+        [swept] = swept_specs(monkeypatch, ["all", *argv])
+        assert swept == list(dict.fromkeys(each))
+        assert {spec.seed for spec in swept} == {3}
 
-        def runner(*args, **kwargs):
-            seen.append(kwargs["seed"])
-            return {}
+    def test_all_is_one_sweep_of_distinct_cells(self, monkeypatch):
+        """``all`` makes one ``run_specs`` call, so ``--jobs N`` starts one
+        worker pool, and a cell that several targets share (a figure's
+        cell in its ablation's baseline, say) is simulated once."""
+        calls = swept_specs(monkeypatch, ["all", "--scale", "0.05", "--seed", "3", "--no-cache"])
+        assert [len(specs) for specs in calls] == [443]
+        assert len(set(calls[0])) == 443
+        assert {spec.seed for spec in calls[0]} == {3}
 
-        runners = (*ABLATION_RUNNERS.values(), *EXTENSION_RUNNERS.values())
-        for name in ("run_kernel_figure", "run_apps_figure", *runners):
-            monkeypatch.setattr(cli, name, runner)
-        assert cli_main(["all", "--seed", "3", "--no-cache"]) == 0
-        assert seen == [3] * len(cli.FIGURES)
+
+class TestSubmitTarget:
+    @pytest.mark.parametrize(
+        "target, family",
+        [("fig3", "tatas"), ("fig4", "array"), ("fig5", "nonblocking"), ("fig6", "barrier")],
+    )
+    def test_submit_sweeps_the_kernel_figures_cells(self, monkeypatch, target, family):
+        """``submit`` sends the server the specs its family's figure sweeps
+        under the same flags, in the same order."""
+        flags = ["--cores", "4", "64", "--scale", "0.3", "--seed", "5"]
+        args = cli.build_parser().parse_args(["submit", "--sweep-family", family, *flags])
+        [swept] = swept_specs(monkeypatch, [target, *flags, "--no-cache"])
+        assert cli._submit_cells(args) == swept
 
 
 class TestRunTarget:
