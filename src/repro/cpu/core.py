@@ -55,7 +55,7 @@ from collections.abc import Generator
 from repro.cpu import isa
 from repro.protocols.base import Access, CoherenceProtocol
 from repro.sim.engine import Simulator
-from repro.stats.timeparts import TimeBreakdown, TimeComponent
+from repro.stats.timeparts import COMPUTE, HW_BACKOFF, TimeBreakdown, TimeComponent
 
 #: Cycles of loop overhead between consecutive spin probes (branch + test).
 SPIN_LOOP_OVERHEAD = 1
@@ -208,7 +208,7 @@ class Core:
         latency = self.protocol.self_invalidate(
             self.core_id, list(op.regions), op.flush_all
         )
-        self._account(TimeComponent.COMPUTE, latency)
+        self._account(COMPUTE, latency)
         self.sim.call_after(latency, self._cb_step, None)
 
     def _h_push_bucket(self, op: isa.PushBucket) -> None:
@@ -228,7 +228,7 @@ class Core:
             backoff = self.protocol.sync_read_backoff(self.core_id, op.addr)
             if backoff > 0:
                 self.wait_reason = "hw-backoff"
-                self._account(TimeComponent.HW_BACKOFF, backoff)
+                self._account(HW_BACKOFF, backoff)
                 self.sim.call_after(backoff, self._cb_finish_load, op)
                 return
         self._finish_load(op)
@@ -286,7 +286,7 @@ class Core:
             backoff = self.protocol.sync_read_backoff(self.core_id, op.addr, True)
             if backoff > 0:
                 self.wait_reason = "hw-backoff"
-                self._account(TimeComponent.HW_BACKOFF, backoff)
+                self._account(HW_BACKOFF, backoff)
                 self.sim.call_after(backoff, self._cb_spin_probe_issue, op)
                 return
         self._spin_probe_issue(op)
@@ -321,7 +321,7 @@ class Core:
             self.wait_reason = "spin-sleep (subscribed)"
             return
         self.wait_reason = "spin-poll"
-        self._account(TimeComponent.COMPUTE, SPIN_LOOP_OVERHEAD)
+        self._account(COMPUTE, SPIN_LOOP_OVERHEAD)
         sim = self.sim
         if self._lease_ok and op.sync:
             lease = self.protocol.spin_poll_lease(self.core_id, op.addr)
@@ -398,7 +398,7 @@ class Core:
         retry_at = self._spin_retry_at
         wake = wake_time if wake_time > retry_at else retry_at
         # The wait itself is local spinning on a cached copy: compute.
-        self._account(TimeComponent.COMPUTE, wake - retry_at)
+        self._account(COMPUTE, wake - retry_at)
         self.sim.call_at(wake, self._cb_spin_probe, self._spin_op)
 
 

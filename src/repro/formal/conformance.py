@@ -17,14 +17,17 @@ and diffs that summary against the formal model:
 State writes are recognized through a small vocabulary of L1 mutators
 (``set_state``/``insert``/``fill_word``/``downgrade`` with an explicit
 state argument, plus the model's ``mutator_aliases`` for calls that
-imply a fixed state, like ``invalidate``).  Summaries are computed under
-a constant-binding environment: a call like ``self._register(...,
-invalidate_prev=False)`` analyzes ``_register`` with that binding, so
-the ``INVALID if invalidate_prev else VALID`` downgrade target resolves
-to exactly the state that call site can write.  The analysis is
-flow-insensitive everywhere else, which is sound for this check:
-summaries over-approximate writes, and the diff only compares *sets* of
-writable states per event.
+imply a fixed state, like ``invalidate``).  A state argument is spelled
+``DeNovoState.VALID`` or as a bare name (``VALID``) that the method's
+defining module binds to a member of the model's enum; a bare name is
+resolved by value, so every module constant naming a member counts.
+Summaries are computed under a constant-binding environment: a call like
+``self._register(..., invalidate_prev=False)`` analyzes ``_register``
+with that binding, so the ``INVALID if invalidate_prev else VALID``
+downgrade target resolves to exactly the state that call site can
+write.  The analysis is flow-insensitive everywhere else, which is
+sound for this check: summaries over-approximate writes, and the diff
+only compares *sets* of writable states per event.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from __future__ import annotations
 import ast
 import sys
 from dataclasses import dataclass, field
+from enum import Enum
 from typing import TYPE_CHECKING
 
 from repro.formal.model import FormalModel, get_model
@@ -108,10 +112,10 @@ def _module_ast(module_name: str) -> ast.Module:
     return tree
 
 
-def _methods_of(cls: type) -> dict[str, ast.FunctionDef]:
-    """Method name -> FunctionDef over the class MRO (subclass wins),
-    restricted to classes defined in ``repro.*`` modules."""
-    methods: dict[str, ast.FunctionDef] = {}
+def _methods_of(cls: type) -> dict[str, tuple[ast.FunctionDef, str]]:
+    """Method name -> (FunctionDef, defining module) over the class MRO
+    (subclass wins), restricted to classes defined in ``repro.*`` modules."""
+    methods: dict[str, tuple[ast.FunctionDef, str]] = {}
     for klass in cls.__mro__:
         if not klass.__module__.startswith("repro."):
             continue
@@ -120,8 +124,21 @@ def _methods_of(cls: type) -> dict[str, ast.FunctionDef]:
                 continue
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and item.name not in methods:
-                    methods[item.name] = item
+                    methods[item.name] = (item, klass.__module__)
     return methods
+
+
+def _state_constants(module_name: str, model: FormalModel) -> dict[str, frozenset]:
+    """Global name -> model state, for every global of ``module_name``
+    bound to a member of the model's enum (such as the ``VALID`` that
+    ``repro.mem.l1`` exports, wherever it is imported)."""
+    constants: dict[str, frozenset] = {}
+    for name, value in vars(sys.modules[module_name]).items():
+        if isinstance(value, Enum) and type(value).__name__ == model.enum_class:
+            state = model.state_names.get(value.name)
+            if state is not None:
+                constants[name] = frozenset((state,))
+    return constants
 
 
 def _own_nodes(fn: ast.FunctionDef):
@@ -140,7 +157,13 @@ class _Analyzer:
 
     def __init__(self, cls: type, model: FormalModel) -> None:
         self.model = model
-        self.methods = _methods_of(cls)
+        defined = _methods_of(cls)
+        self.methods = {name: fn for name, (fn, _) in defined.items()}
+        #: method name -> the state constants of its defining module.
+        self._constants = {
+            name: _state_constants(module, model)
+            for name, (_, module) in defined.items()
+        }
         self._memo: dict[tuple, Summary] = {}
         self._in_progress: set = set()
 
@@ -205,8 +228,10 @@ class _Analyzer:
         return summary
 
     def _summarize_fn(self, fn: ast.FunctionDef, env: Env) -> Summary:
-        # Pass 1: local name -> states it may hold (flow-insensitive union).
-        local_states: dict = {}
+        # Pass 1: local name -> states it may hold (flow-insensitive union),
+        # starting from the module's state constants.
+        constants = self._constants[fn.name]
+        local_states: dict = dict(constants)
         for _ in range(2):  # one re-pass settles chained local aliases
             for node in _own_nodes(fn):
                 targets: list[ast.expr] = []
@@ -229,7 +254,7 @@ class _Analyzer:
         summary = Summary()
         for node in _own_nodes(fn):
             if isinstance(node, ast.Compare):
-                self._collect_compare(node, env, local_states, summary)
+                self._collect_compare(node, env, local_states, constants, summary)
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
@@ -281,10 +306,19 @@ class _Analyzer:
         summary.writes.update(states)
 
     def _collect_compare(
-        self, node: ast.Compare, env: Env, local_states: dict, summary: Summary
+        self,
+        node: ast.Compare,
+        env: Env,
+        local_states: dict,
+        constants: dict,
+        summary: Summary,
     ) -> None:
+        # Only a spelled member is a test: ``DeNovoState.VALID`` or a
+        # state constant, not a local that happens to hold a state.
         for side in (node.left, *node.comparators):
-            if isinstance(side, ast.Attribute):
+            if isinstance(side, ast.Attribute) or (
+                isinstance(side, ast.Name) and side.id in constants
+            ):
                 states = self._resolve_states(side, env, local_states)
                 if states is not None:
                     summary.tests.update(states)

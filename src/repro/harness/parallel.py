@@ -35,7 +35,7 @@ import tempfile
 from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 
 from repro.config import SystemConfig
 from repro.harness.runner import DEFAULT_MAX_EVENTS, run_workload
@@ -370,9 +370,10 @@ def run_specs_outcomes(
 
     Like :func:`run_specs` but never raises for a failing cell: each slot
     of the returned list is a :class:`CellOutcome` carrying either the
-    cell's :class:`RunResult` or a structured :class:`CellError`.  Every
-    completed cell is written back to ``cache`` even when siblings fail —
-    a poisoned cell costs only its own slot, not the sweep.
+    cell's :class:`RunResult` or a structured :class:`CellError`.  Each
+    cell is written to ``cache`` as soon as it completes, even when
+    siblings fail: a poisoned cell costs only its own slot, and an
+    interrupted sweep (Ctrl-C) keeps every cell that finished.
     """
     specs = list(specs)
     outcomes: list[CellOutcome | None] = [None] * len(specs)
@@ -384,16 +385,21 @@ def run_specs_outcomes(
         else:
             pending.append(index)
 
+    todo = [specs[i] for i in pending]
     slots = run_tasks(
-        execute_spec, [specs[i] for i in pending], jobs=jobs, return_exceptions=True
+        execute_spec,
+        todo,
+        jobs=jobs,
+        return_exceptions=True,
+        on_result=None if cache is None else (
+            lambda position, result: cache.store(todo[position], result)
+        ),
     )
     for index, slot in zip(pending, slots):
         if isinstance(slot, Exception):
             outcomes[index] = CellOutcome(specs[index], error=CellError.from_exception(slot))
-            continue
-        outcomes[index] = CellOutcome(specs[index], result=slot)
-        if cache is not None:
-            cache.store(specs[index], slot)
+        else:
+            outcomes[index] = CellOutcome(specs[index], result=slot)
     return outcomes  # type: ignore[return-value]
 
 
@@ -439,7 +445,12 @@ def run_specs(
 
 
 def run_tasks(
-    fn, calls: Iterable, *, jobs: int = 1, return_exceptions: bool = False
+    fn,
+    calls: Iterable,
+    *,
+    jobs: int = 1,
+    return_exceptions: bool = False,
+    on_result: Callable[[int, object], None] | None = None,
 ) -> list:
     """Generic fan-out: ``[fn(call) for call in calls]`` with the same
     execution contract as :func:`run_specs` — ``jobs=1`` runs in-process,
@@ -457,7 +468,9 @@ def run_tasks(
     Every call runs to completion even when a sibling raises.  With
     ``return_exceptions`` the failed slots hold the exception objects
     themselves (mirroring ``asyncio.gather``); otherwise the first error
-    is re-raised once all calls have finished.
+    is re-raised once all calls have finished.  ``on_result(index,
+    value)`` runs in this process as each call returns a value, before
+    its siblings finish, so work done by then survives an interrupt.
     """
     calls = list(calls)
     jobs = resolve_jobs(jobs)
@@ -469,10 +482,15 @@ def run_tasks(
 
         from repro.harness.supervisor import PoolSupervisor, RetryPolicy, call_with_marker
 
+        def settled(resolution) -> None:
+            if resolution.ok and on_result is not None:
+                on_result(int(resolution.key), resolution.result)
+
         supervisor = PoolSupervisor(
             workers=min(jobs, len(calls)),
             policy=RetryPolicy(max_attempts=1),
             worker_fn=partial(call_with_marker, fn),
+            on_settle=settled,
         )
         try:
             tasks = [supervisor.submit(call, str(i)) for i, call in enumerate(calls)]
@@ -486,11 +504,15 @@ def run_tasks(
         finally:
             supervisor.shutdown()
     else:
-        for call in calls:
+        for index, call in enumerate(calls):
             try:
-                slots.append(fn(call))
+                value = fn(call)
             except Exception as exc:
                 slots.append(exc)
+                continue
+            slots.append(value)
+            if on_result is not None:
+                on_result(index, value)
     if not return_exceptions:
         for slot in slots:
             if isinstance(slot, Exception):

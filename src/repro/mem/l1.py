@@ -41,10 +41,20 @@ class MesiState(Enum):
     SHARED = "S"
 
 
+#: The members as module constants, the spelling simulation code uses:
+#: CPython 3.11 never specializes an ``Enum.MEMBER`` load (``EnumType``
+#: defines ``__getattr__``), which costs about 100 ns more than a global.
+MODIFIED, EXCLUSIVE, SHARED = MesiState
+
+
 class DeNovoState(Enum):
     INVALID = "I"
     VALID = "V"
     REGISTERED = "R"
+
+
+#: Module constants, as for :class:`MesiState`.
+INVALID, VALID, REGISTERED = DeNovoState
 
 
 class _SetAssocDirectory:
@@ -159,7 +169,7 @@ class DeNovoFrame:
 
     def registered_offsets(self) -> list[int]:
         return [
-            off for off, st in self.states.items() if st is DeNovoState.REGISTERED
+            off for off, st in self.states.items() if st is REGISTERED
         ]
 
 
@@ -218,10 +228,10 @@ class DeNovoL1:
         group = self._dsets[line % self._dnsets]
         frame = group.get(line)
         if frame is None:
-            return DeNovoState.INVALID
+            return INVALID
         if touch:
             group.move_to_end(line)
-        return frame.states.get(off, DeNovoState.INVALID)
+        return frame.states.get(off, INVALID)
 
     def present_value(self, addr: int) -> int | None:
         """Value of ``addr`` if Valid or Registered here, else None.
@@ -256,7 +266,7 @@ class DeNovoL1:
         if frame is None:
             return None
         group.move_to_end(line)
-        if frame.states.get(off) is DeNovoState.REGISTERED:
+        if frame.states.get(off) is REGISTERED:
             return frame.values[off]
         return None
 
@@ -274,7 +284,7 @@ class DeNovoL1:
         if frame is None:
             return False
         group.move_to_end(line)
-        if frame.states.get(off) is not DeNovoState.REGISTERED:
+        if frame.states.get(off) is not REGISTERED:
             return False
         frame.values[off] = value
         return True
@@ -319,13 +329,12 @@ class DeNovoL1:
         else:
             group.move_to_end(line)
         states, stored = frame.states, frame.values
-        valid = DeNovoState.VALID
         get = values.get
         rmap = self._region_map
         by_region = self._valid_by_region
         for addr in fill:
             off = addr - base
-            states[off] = valid
+            states[off] = VALID
             stored[off] = get(addr, 0)
             region = rmap.get(addr)
             region_id = region.region_id if region is not None else None
@@ -337,7 +346,7 @@ class DeNovoL1:
 
     def fill_word(self, addr: int, value: int, state: DeNovoState) -> None:
         """Install ``addr`` with ``value`` in ``state`` (Valid or Registered)."""
-        if state is DeNovoState.INVALID:
+        if state is INVALID:
             raise ValueError("cannot fill a word in Invalid state")
         wpl = self._wpl
         line, off = addr // wpl, addr % wpl
@@ -356,13 +365,13 @@ class DeNovoL1:
         # Region tracking inlined: the common sync-path fill (Registered
         # over Registered/absent) takes neither branch and pays no region
         # lookup at all.
-        if old is DeNovoState.VALID:
+        if old is VALID:
             region = self._region_map.get(addr)
             region_id = region.region_id if region is not None else None
             bucket = self._valid_by_region.get(region_id)
             if bucket is not None:
                 bucket.discard(addr)
-        if state is DeNovoState.VALID:
+        if state is VALID:
             region = self._region_map.get(addr)
             region_id = region.region_id if region is not None else None
             self._valid_by_region.setdefault(region_id, set()).add(addr)
@@ -375,9 +384,9 @@ class DeNovoL1:
         if frame is None:
             return
         old = frame.states.get(off)
-        if old is not DeNovoState.REGISTERED:
+        if old is not REGISTERED:
             return
-        if to is DeNovoState.INVALID:
+        if to is INVALID:
             frame.states.pop(off, None)
             frame.values.pop(off, None)
             return
@@ -414,7 +423,6 @@ class DeNovoL1:
         wpl = self._wpl
         sets = self._dsets
         nsets = self._dnsets
-        valid = DeNovoState.VALID
         dropped = 0
         for addr in addrs:
             line, off = addr // wpl, addr % wpl
@@ -422,7 +430,7 @@ class DeNovoL1:
             if frame is None:
                 continue
             states = frame.states
-            if states.get(off) is valid:
+            if states.get(off) is VALID:
                 del states[off]
                 del frame.values[off]
                 dropped += 1
@@ -439,7 +447,7 @@ class DeNovoL1:
     # -- internals ----------------------------------------------------------
 
     def _untrack_valid(self, addr: int, old_state: DeNovoState | None) -> None:
-        if old_state is not DeNovoState.VALID:
+        if old_state is not VALID:
             return
         region = self._region_map.get(addr)
         region_id = region.region_id if region is not None else None
@@ -450,7 +458,7 @@ class DeNovoL1:
     def _evict_frame(self, line: int, frame: DeNovoFrame) -> None:
         for off, st in list(frame.states.items()):
             addr = self.amap.line_base(line) + off
-            if st is DeNovoState.REGISTERED and self._on_evict_registered:
+            if st is REGISTERED and self._on_evict_registered:
                 self._on_evict_registered(addr, frame.values[off])
             self._untrack_valid(addr, st)
 

@@ -38,6 +38,11 @@ class MessageClass(Enum):
     INVALIDATION = "Inv"
 
 
+#: The members as module constants, the spelling simulation code uses (an
+#: ``Enum.MEMBER`` load is never specialized on CPython 3.11).
+LOAD, STORE, SYNCH, WRITEBACK, INVALIDATION = MessageClass
+
+
 def control_flits() -> int:
     """Flit count of a control (payload-free) message."""
     return CONTROL_FLITS

@@ -26,9 +26,9 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable
 
-from repro.mem.l1 import DeNovoL1, DeNovoState
+from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
-from repro.noc.messages import MessageClass, data_flits
+from repro.noc.messages import LOAD, STORE, WRITEBACK, MessageClass, data_flits
 from repro.protocols.base import Access, CoherenceProtocol, _CONTROL_FLITS
 from repro.protocols.invariants import denovo_violations
 
@@ -85,7 +85,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
                 del proto.registry[addr]
             bank = proto.amap.home_bank_of_addr(addr)
             proto.record_data(
-                MessageClass.WRITEBACK, core_id, bank, proto.config.word_bytes
+                WRITEBACK, core_id, bank, proto.config.word_bytes
             )
             proto.counters.bump("writebacks")
 
@@ -119,7 +119,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         line = addr // self._wpl
         bank = line % self._nbanks
         owner = self.registry.get(addr)
-        self.record_control(MessageClass.LOAD, core_id, bank)
+        self.record_control(LOAD, core_id, bank)
 
         if owner is not None and owner != core_id:
             # The word is registered at a remote L1: three-hop fetch.  The
@@ -127,23 +127,19 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             # carries every word of the line it has registered — DeNovo
             # transfers lines but only their valid words.
             latency = self.mesh.remote_l1_latency(core_id, bank, owner)
-            self.record_control(MessageClass.LOAD, bank, owner)
+            self.record_control(LOAD, bank, owner)
             filled = self._fill_line_valid_words(
                 core_id, line, from_owner=owner
             )
-            self.record_data(
-                MessageClass.LOAD, owner, core_id, self._word_bytes * filled
-            )
+            self.record_data(LOAD, owner, core_id, self._word_bytes * filled)
             value = self._mem_get(addr, 0)
             return Access(value, latency, False)
 
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
-            self.record_memory_fill(MessageClass.LOAD, line)
+            self.record_memory_fill(LOAD, line)
         filled = self._fill_line_valid_words(core_id, line, from_owner=None)
-        self.record_data(
-            MessageClass.LOAD, bank, core_id, self._word_bytes * filled
-        )
+        self.record_data(LOAD, bank, core_id, self._word_bytes * filled)
         value = self._mem_get(addr, 0)
         return Access(value, latency, False)
 
@@ -197,8 +193,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self.registry[addr] = core_id
             self._counts["aggregated_store_registrations"] += 1
         else:
-            self._register(core_id, addr, MessageClass.STORE, invalidate_prev=True)
-        l1.fill_word(addr, value, DeNovoState.REGISTERED)
+            self._register(core_id, addr, STORE, invalidate_prev=True)
+        l1.fill_word(addr, value, REGISTERED)
         self._mem_values[addr] = value
         return Access(old, self._l1_hit, False)
 
@@ -277,7 +273,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             else:
                 tflits[idx] += _CONTROL_FLITS * hf[prev * n + core_id]
             tmsgs[idx] += 1
-            target = DeNovoState.INVALID if invalidate_prev else DeNovoState.VALID
+            target = INVALID if invalidate_prev else VALID
             self.l1s[prev].downgrade(addr, target)
             self.on_registration_stolen(prev, addr, not invalidate_prev)
         else:
@@ -334,7 +330,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         event that can change what it observes.  Any other state means each
         re-read is a real miss and the caller must poll.
         """
-        if self.l1s[core_id].state_of(addr, touch=False) is not DeNovoState.REGISTERED:
+        if self.l1s[core_id].state_of(addr, touch=False) is not REGISTERED:
             return False
         self._word_waiters.setdefault(addr, []).append((core_id, callback))
         return True
@@ -401,7 +397,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         copies = {
             core_id: l1.state_of(addr, touch=False).value
             for core_id, l1 in enumerate(self.l1s)
-            if l1.state_of(addr, touch=False) is not DeNovoState.INVALID
+            if l1.state_of(addr, touch=False) is not INVALID
         }
         waiters = sorted(core for core, _ in self._word_waiters.get(addr, []))
         chain = self._reg_chain.get(addr, 0)

@@ -13,7 +13,7 @@ The counter update rules live in :mod:`repro.protocols.backoff`.
 
 from __future__ import annotations
 
-from repro.mem.l1 import DeNovoState
+from repro.mem.l1 import VALID
 from repro.protocols.backoff import BackoffState
 from repro.protocols.denovosync0 import DeNovoSync0Protocol
 from repro.protocols.registry import register_protocol
@@ -59,7 +59,7 @@ class DeNovoSyncProtocol(DeNovoSync0Protocol):
         un-leasable; cores also disable leasing outright for any
         backoff-capable protocol.
         """
-        if self.l1s[core_id].state_of(addr, touch=False) is not DeNovoState.VALID:
+        if self.l1s[core_id].state_of(addr, touch=False) is not VALID:
             return 0
         stall = self.backoff_states[core_id].stall_cycles(spinning=spinning)
         if stall > 0:

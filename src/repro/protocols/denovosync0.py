@@ -24,8 +24,8 @@ from __future__ import annotations
 
 from collections.abc import Callable
 
-from repro.mem.l1 import DeNovoState
-from repro.noc.messages import MessageClass
+from repro.mem.l1 import REGISTERED
+from repro.noc.messages import SYNCH
 from repro.protocols.base import Access
 from repro.protocols.denovo_base import DeNovoBaseProtocol
 from repro.protocols.registry import register_protocol
@@ -74,12 +74,12 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         latency = self._register(
             core_id,
             addr,
-            MessageClass.SYNCH,
+            SYNCH,
             invalidate_prev=False,  # sync reads downgrade the victim to Valid
             carry_data_back=True,
         )
         value = self._mem_get(addr, 0)
-        l1.fill_word(addr, value, DeNovoState.REGISTERED)
+        l1.fill_word(addr, value, REGISTERED)
         return Access(value, latency, False)
 
     # -- sync stores -------------------------------------------------------------
@@ -97,10 +97,8 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             return Access(old, self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
-        latency = self._register(
-            core_id, addr, MessageClass.SYNCH, invalidate_prev=True
-        )
-        l1.fill_word(addr, value, DeNovoState.REGISTERED)
+        latency = self._register(core_id, addr, SYNCH, invalidate_prev=True)
+        l1.fill_word(addr, value, REGISTERED)
         self._mem_values[addr] = value
         if release:
             self.on_release(core_id, addr)
@@ -116,7 +114,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         release: bool = False,
     ) -> Access:
         l1 = self.l1s[core_id]
-        if l1.state_of(addr) is DeNovoState.REGISTERED:
+        if l1.state_of(addr) is REGISTERED:
             self._counts["l1_hits"] += 1
             latency = self._l1_hit
             hit = True
@@ -126,7 +124,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             latency = self._register(
                 core_id,
                 addr,
-                MessageClass.SYNCH,
+                SYNCH,
                 invalidate_prev=True,
                 carry_data_back=True,
             )
@@ -134,7 +132,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         old = self._mem_get(addr, 0)
         new = fn(old)
         written = old if new is None else new
-        l1.fill_word(addr, written, DeNovoState.REGISTERED)
+        l1.fill_word(addr, written, REGISTERED)
         if new is not None:
             self._mem_values[addr] = new
         if release:

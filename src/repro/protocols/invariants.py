@@ -54,7 +54,7 @@ Neat (word granularity, no global tracking):
 
 from __future__ import annotations
 
-from repro.mem.l1 import DeNovoState, MesiState
+from repro.mem.l1 import EXCLUSIVE, MODIFIED, REGISTERED, VALID
 from repro.protocols.base import ProtocolWrapper
 
 #: Calls between audits at ``invariant_level="sampled"``.
@@ -132,7 +132,7 @@ def mesi_violations(protocol) -> list[str]:
         owner = entry.exclusive_owner
         if owner is not None:
             owner_state = protocol.l1s[owner].state_of(line, touch=False)
-            if owner_state not in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
+            if owner_state not in (EXCLUSIVE, MODIFIED):
                 failures.append(
                     f"line {line}: directory owner core {owner} holds "
                     f"{owner_state} (expected E or M)"
@@ -160,7 +160,7 @@ def mesi_violations(protocol) -> list[str]:
     # the directory's recorded owner for that line.
     for core_id, l1 in enumerate(protocol.l1s):
         for line, state in l1.lines_and_states():
-            if state in (MesiState.EXCLUSIVE, MesiState.MODIFIED):
+            if state in (EXCLUSIVE, MODIFIED):
                 entry = protocol._directory.get(line)
                 owner = entry.exclusive_owner if entry is not None else None
                 if owner != core_id:
@@ -181,7 +181,7 @@ def denovo_violations(protocol) -> list[str]:
     for addr, owner in protocol.registry.items():
         l1 = protocol.l1s[owner]
         state = l1.state_of(addr, touch=False)
-        if state is not DeNovoState.REGISTERED:
+        if state is not REGISTERED:
             failures.append(
                 f"word {addr}: registry points at core {owner} but its L1 "
                 f"holds {state}"
@@ -197,14 +197,14 @@ def denovo_violations(protocol) -> list[str]:
     for core_id, l1 in enumerate(protocol.l1s):
         tracked = l1.tracked_valid_words()
         for addr, state in l1.words_and_states():
-            if state is DeNovoState.REGISTERED:
+            if state is REGISTERED:
                 recorded = protocol.registry.get(addr)
                 if recorded != core_id:
                     failures.append(
                         f"word {addr}: core {core_id} holds a Registered "
                         f"copy but the registry points at {recorded}"
                     )
-            elif state is DeNovoState.VALID and addr not in tracked:
+            elif state is VALID and addr not in tracked:
                 failures.append(
                     f"word {addr}: Valid at core {core_id} but missing from "
                     f"its self-invalidation region tracking"
@@ -223,7 +223,7 @@ def neat_violations(protocol) -> list[str]:
         dirty = protocol._dirty[core_id]
         tracked = l1.tracked_valid_words()
         for addr, state in l1.words_and_states():
-            if state is DeNovoState.REGISTERED:
+            if state is REGISTERED:
                 if addr not in dirty:
                     failures.append(
                         f"word {addr}: dirty at core {core_id} but missing "
@@ -235,13 +235,13 @@ def neat_violations(protocol) -> list[str]:
                         f"({l1.value_of(addr)} vs backing store "
                         f"{memory.read(addr)})"
                     )
-            elif state is DeNovoState.VALID and addr not in tracked:
+            elif state is VALID and addr not in tracked:
                 failures.append(
                     f"word {addr}: Valid at core {core_id} but missing from "
                     f"its self-invalidation region tracking"
                 )
         for addr in sorted(dirty):
-            if l1.state_of(addr, touch=False) is not DeNovoState.REGISTERED:
+            if l1.state_of(addr, touch=False) is not REGISTERED:
                 failures.append(
                     f"word {addr}: in core {core_id}'s dirty set but not "
                     f"held dirty in its L1"

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Callable
 
-from repro.mem.l1 import MesiL1, MesiState
+from repro.mem.l1 import EXCLUSIVE, MODIFIED, SHARED, MesiL1, MesiState
 from repro.mem.regions import Region
-from repro.noc.messages import MessageClass
+from repro.noc.messages import INVALIDATION, LOAD, STORE, WRITEBACK
 from repro.protocols.base import Access, CoherenceProtocol
 from repro.protocols.invariants import mesi_violations
 from repro.protocols.registry import register_protocol
@@ -122,11 +122,11 @@ class MesiProtocol(CoherenceProtocol):
         """Directory bookkeeping for a line evicted from ``core_id``'s L1."""
         ventry = self._entry(vline)
         bank = self.amap.home_bank(vline)
-        if vstate is MesiState.MODIFIED:
-            self.record_data(MessageClass.WRITEBACK, core_id, bank, self._line_bytes)
+        if vstate is MODIFIED:
+            self.record_data(WRITEBACK, core_id, bank, self._line_bytes)
             self._counts["writebacks"] += 1
             ventry.exclusive_owner = None
-        elif vstate is MesiState.EXCLUSIVE:
+        elif vstate is EXCLUSIVE:
             ventry.exclusive_owner = None
         else:
             ventry.sharers.discard(core_id)
@@ -171,7 +171,7 @@ class MesiProtocol(CoherenceProtocol):
         retry = self._reserve_or_retry(entry, core_id)
         if retry is not None:
             return retry
-        self.record_control(MessageClass.LOAD, core_id, bank)
+        self.record_control(LOAD, core_id, bank)
 
         owner = entry.exclusive_owner
         if owner is not None and owner != core_id:
@@ -184,14 +184,12 @@ class MesiProtocol(CoherenceProtocol):
                 # directory heard about it; fall back to an LLC fetch.
                 entry.exclusive_owner = None
                 return self._load_from_llc(core_id, line, addr, entry, bank)
-            self.l1s[owner].set_state(line, MesiState.SHARED)
-            if owner_state is MesiState.MODIFIED:
-                self.record_data(
-                    MessageClass.WRITEBACK, owner, bank, self._line_bytes
-                )
+            self.l1s[owner].set_state(line, SHARED)
+            if owner_state is MODIFIED:
+                self.record_data(WRITEBACK, owner, bank, self._line_bytes)
                 self._counts["writebacks"] += 1
-            self.record_control(MessageClass.LOAD, bank, owner)
-            self.record_data(MessageClass.LOAD, owner, core_id, self._line_bytes)
+            self.record_control(LOAD, bank, owner)
+            self.record_data(LOAD, owner, core_id, self._line_bytes)
             entry.exclusive_owner = None
             entry.sharers.update({owner, core_id})
             # Ownership transfers hold the entry only for the protocol-race
@@ -200,7 +198,7 @@ class MesiProtocol(CoherenceProtocol):
                 entry.busy_until,
                 self.now + self._own_occ,
             )
-            self._insert_line(core_id, line, MesiState.SHARED)
+            self._insert_line(core_id, line, SHARED)
             return Access(self._mem_get(addr, 0), latency, False)
 
         return self._load_from_llc(core_id, line, addr, entry, bank)
@@ -211,15 +209,15 @@ class MesiProtocol(CoherenceProtocol):
         fetch, cold = self.llc_fetch_latency(core_id, line)
         latency = fetch
         if cold:
-            self.record_memory_fill(MessageClass.LOAD, line)
-        self.record_data(MessageClass.LOAD, bank, core_id, self._line_bytes)
+            self.record_memory_fill(LOAD, line)
+        self.record_data(LOAD, bank, core_id, self._line_bytes)
         if not entry.sharers and entry.exclusive_owner is None:
             # Exclusive-clean grant: a later write by this core is silent.
             entry.exclusive_owner = core_id
-            self._insert_line(core_id, line, MesiState.EXCLUSIVE)
+            self._insert_line(core_id, line, EXCLUSIVE)
         else:
             entry.sharers.add(core_id)
-            self._insert_line(core_id, line, MesiState.SHARED)
+            self._insert_line(core_id, line, SHARED)
         entry.busy_until = max(entry.busy_until, self.now + self._bank_occ)
         return Access(self._mem_get(addr, 0), latency, False)
 
@@ -268,13 +266,13 @@ class MesiProtocol(CoherenceProtocol):
         line = addr // self._wpl
         l1 = self.l1s[core_id]
         state = l1.state_of(line)
-        if state is MesiState.MODIFIED:
+        if state is MODIFIED:
             self._counts["l1_hits"] += 1
             return Access(0, self._l1_hit, True)
-        if state is MesiState.EXCLUSIVE:
+        if state is EXCLUSIVE:
             # Silent E -> M upgrade.
             self._counts["l1_hits"] += 1
-            l1.set_state(line, MesiState.MODIFIED)
+            l1.set_state(line, MODIFIED)
             return Access(0, self._l1_hit, True)
 
         self._counts["l1_misses"] += 1
@@ -283,7 +281,7 @@ class MesiProtocol(CoherenceProtocol):
         retry = self._reserve_or_retry(entry, core_id)
         if retry is not None:
             return retry
-        self.record_control(MessageClass.STORE, core_id, bank)
+        self.record_control(STORE, core_id, bank)
 
         latency = 0
         owner = entry.exclusive_owner
@@ -294,32 +292,28 @@ class MesiProtocol(CoherenceProtocol):
                 fetch, cold = self.llc_fetch_latency(core_id, line)
                 latency += fetch
                 if cold:
-                    self.record_memory_fill(MessageClass.STORE, line)
-                self.record_data(MessageClass.STORE, bank, core_id, self._line_bytes)
+                    self.record_memory_fill(STORE, line)
+                self.record_data(STORE, bank, core_id, self._line_bytes)
             else:
                 latency += self.mesh.remote_l1_latency(core_id, bank, owner)
-                if owner_state is MesiState.MODIFIED:
-                    self.record_data(
-                        MessageClass.WRITEBACK, owner, bank, self._line_bytes
-                    )
+                if owner_state is MODIFIED:
+                    self.record_data(WRITEBACK, owner, bank, self._line_bytes)
                     self._counts["writebacks"] += 1
-                self.record_control(MessageClass.INVALIDATION, bank, owner)
-                self.record_data(
-                    MessageClass.STORE, owner, core_id, self._line_bytes
-                )
+                self.record_control(INVALIDATION, bank, owner)
+                self.record_data(STORE, owner, core_id, self._line_bytes)
                 self._invalidate_sharer(line, owner, self.now + latency)
                 self._counts["invalidations_sent"] += 1
         else:
             targets = entry.sharers - {core_id}
-            if state is MesiState.SHARED:
+            if state is SHARED:
                 # Upgrade: no data transfer needed, just the directory visit.
                 latency += self._l2_flat[core_id * self._ntiles + bank]
             else:
                 fetch, cold = self.llc_fetch_latency(core_id, line)
                 latency += fetch
                 if cold:
-                    self.record_memory_fill(MessageClass.STORE, line)
-                self.record_data(MessageClass.STORE, bank, core_id, self._line_bytes)
+                    self.record_memory_fill(STORE, line)
+                self.record_data(STORE, bank, core_id, self._line_bytes)
             if targets:
                 # Writer-initiated invalidations: the write completes only
                 # once the farthest ack arrives (write atomicity), but ack
@@ -333,8 +327,8 @@ class MesiProtocol(CoherenceProtocol):
                 # Pin the fan-out order: set iteration order would leak
                 # into the NoC event sequence (unordered-iteration lint).
                 for target in sorted(targets):
-                    self.record_control(MessageClass.INVALIDATION, bank, target)
-                    self.record_control(MessageClass.INVALIDATION, target, bank)
+                    self.record_control(INVALIDATION, bank, target)
+                    self.record_control(INVALIDATION, target, bank)
                     self._invalidate_sharer(line, target, self.now + latency)
                     self._counts["invalidations_sent"] += 1
 
@@ -346,10 +340,10 @@ class MesiProtocol(CoherenceProtocol):
             entry.busy_until,
             self.now + self._l2_flat[core_id * self._ntiles + bank],
         )
-        if state is MesiState.SHARED:
-            l1.set_state(line, MesiState.MODIFIED)
+        if state is SHARED:
+            l1.set_state(line, MODIFIED)
         else:
-            self._insert_line(core_id, line, MesiState.MODIFIED)
+            self._insert_line(core_id, line, MODIFIED)
         return Access(0, latency, False)
 
     # -- misc ----------------------------------------------------------------

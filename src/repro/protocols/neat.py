@@ -36,9 +36,9 @@ from __future__ import annotations
 import weakref
 from collections.abc import Callable
 
-from repro.mem.l1 import DeNovoL1, DeNovoState
+from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
-from repro.noc.messages import MessageClass
+from repro.noc.messages import LOAD, SYNCH, WRITEBACK
 from repro.protocols.base import (
     _CONTROL_FLITS,
     _data_flits,
@@ -93,9 +93,7 @@ class NeatProtocol(CoherenceProtocol):
             # at the next release (ordinary write-back cache behaviour).
             proto._dirty[core_id].discard(addr)
             bank = proto.amap.home_bank_of_addr(addr)
-            proto.record_data(
-                MessageClass.WRITEBACK, core_id, bank, proto._word_bytes
-            )
+            proto.record_data(WRITEBACK, core_id, bank, proto._word_bytes)
             proto.counters.bump("writebacks")
 
         return on_evict_registered
@@ -121,14 +119,12 @@ class NeatProtocol(CoherenceProtocol):
         bank = line % self._nbanks
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
-            self.record_memory_fill(MessageClass.LOAD, line)
-        self.record_control(MessageClass.LOAD, core_id, bank)
+            self.record_memory_fill(LOAD, line)
+        self.record_control(LOAD, core_id, bank)
         filled = l1.fill_line_valid(
             line, self.amap.words_of_line(line), self._mem_values
         )
-        self.record_data(
-            MessageClass.LOAD, bank, core_id, self._word_bytes * filled
-        )
+        self.record_data(LOAD, bank, core_id, self._word_bytes * filled)
         return Access(self._mem_get(addr, 0), latency, False)
 
     def store(
@@ -155,7 +151,7 @@ class NeatProtocol(CoherenceProtocol):
             self._mem_values[addr] = value
             return Access(old, self._l1_hit, True)
         self._counts["l1_misses"] += 1
-        l1.fill_word(addr, value, DeNovoState.REGISTERED)
+        l1.fill_word(addr, value, REGISTERED)
         self._dirty[core_id].add(addr)
         self._mem_values[addr] = value
         return Access(old, self._l1_hit, False)
@@ -169,7 +165,7 @@ class NeatProtocol(CoherenceProtocol):
         satisfy later spin probes with a stale value forever — Neat has
         no one to wake a spinner, so probes must reach the LLC)."""
         l1 = self.l1s[core_id]
-        if l1.state_of(addr, touch=False) is not DeNovoState.INVALID:
+        if l1.state_of(addr, touch=False) is not INVALID:
             self._dirty[core_id].discard(addr)
             l1.invalidate_word(addr)
         self._counts["l1_misses"] += 1
@@ -177,9 +173,9 @@ class NeatProtocol(CoherenceProtocol):
         bank = line % self._nbanks
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
-            self.record_memory_fill(MessageClass.SYNCH, line)
-        self.record_control(MessageClass.SYNCH, core_id, bank)
-        self.record_data(MessageClass.SYNCH, bank, core_id, self._word_bytes)
+            self.record_memory_fill(SYNCH, line)
+        self.record_control(SYNCH, core_id, bank)
+        self.record_data(SYNCH, bank, core_id, self._word_bytes)
         return latency
 
     def spin_poll_lease(self, core_id: int, addr: int) -> SpinLease | None:
@@ -205,7 +201,7 @@ class NeatProtocol(CoherenceProtocol):
         return SpinLease(
             latency=self._l2_flat[core_id * self._ntiles + bank],
             counts=("sync_read_misses", "l1_misses"),
-            traffic_idx=MessageClass.SYNCH.idx,
+            traffic_idx=SYNCH.idx,
             flits=(_CONTROL_FLITS + _data_flits(self._word_bytes)) * hops,
             messages=2,
         )
@@ -239,11 +235,11 @@ class NeatProtocol(CoherenceProtocol):
         for addr in sorted(dirty):
             line = addr // wpl
             by_line[line] = by_line.get(line, 0) + 1
-            l1.downgrade(addr, DeNovoState.VALID)
+            l1.downgrade(addr, VALID)
         for line, nwords in by_line.items():
             bank = line % self._nbanks
             self.record_data(
-                MessageClass.WRITEBACK, core_id, bank,
+                WRITEBACK, core_id, bank,
                 self._word_bytes * nwords,
             )
         self.counters.bump("self_downgraded_words", len(dirty))
@@ -283,7 +279,7 @@ class NeatProtocol(CoherenceProtocol):
         copies = {
             core_id: l1.state_of(addr, touch=False).value
             for core_id, l1 in enumerate(self.l1s)
-            if l1.state_of(addr, touch=False) is not DeNovoState.INVALID
+            if l1.state_of(addr, touch=False) is not INVALID
         }
         dirty_at = sorted(
             core_id

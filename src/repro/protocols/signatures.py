@@ -43,9 +43,9 @@ from __future__ import annotations
 
 from collections import deque
 
-from repro.mem.l1 import DeNovoState
+from repro.mem.l1 import VALID
 from repro.mem.regions import Region
-from repro.noc.messages import MessageClass
+from repro.noc.messages import SYNCH
 from repro.protocols.base import Access
 from repro.protocols.denovosync import DeNovoSyncProtocol
 from repro.protocols.registry import register_protocol
@@ -154,7 +154,7 @@ class DeNovoSyncSigProtocol(DeNovoSyncProtocol):
             return  # nothing ever released through this variable
         self.counters.bump("signature_acquires")
         bank = self.amap.home_bank_of_addr(addr)
-        self.record_data(MessageClass.SYNCH, bank, core_id, SIGNATURE_PAYLOAD_BYTES)
+        self.record_data(SYNCH, bank, core_id, SIGNATURE_PAYLOAD_BYTES)
 
         last_seen = self._acq_epoch.get((core_id, addr), 0)
         self._acq_epoch[(core_id, addr)] = self._epoch
@@ -174,7 +174,7 @@ class DeNovoSyncSigProtocol(DeNovoSyncProtocol):
                 delta.update(words)
         dropped = 0
         for word in delta:
-            if l1.state_of(word, touch=False) is DeNovoState.VALID:
+            if l1.state_of(word, touch=False) is VALID:
                 l1.invalidate_word(word)
                 dropped += 1
         self.counters.bump("self_invalidated_words", dropped)

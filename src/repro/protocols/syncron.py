@@ -36,8 +36,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from collections.abc import Callable
 
-from repro.mem.l1 import DeNovoState
-from repro.noc.messages import MessageClass
+from repro.mem.l1 import INVALID
+from repro.noc.messages import SYNCH, WRITEBACK
 from repro.protocols.base import Access
 from repro.protocols.denovo_base import DeNovoBaseProtocol
 from repro.protocols.registry import register_protocol
@@ -105,7 +105,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         else:
             transfer, cold = self.llc_fetch_latency(core_id, line)
             if cold:
-                self.record_memory_fill(MessageClass.SYNCH, line)
+                self.record_memory_fill(SYNCH, line)
             if len(buf) >= self._su_entries:
                 # Bounded buffer full: spill the LRU entry to memory
                 # (SynCron's overflow fallback) before indexing this one.
@@ -113,17 +113,15 @@ class SynCronProtocol(DeNovoBaseProtocol):
                 counts["sync_unit_overflows"] += 1
                 transfer += self._memlat_flat[bank * self._ntiles + bank]
                 controller = self.mesh.nearest_controller(bank)
-                self.record_control(MessageClass.WRITEBACK, bank, controller)
+                self.record_control(WRITEBACK, bank, controller)
             buf[addr] = True
 
         self._su_busy[bank] = self.now + wait + self._su_occupancy
-        self.record_control(MessageClass.SYNCH, core_id, bank)
+        self.record_control(SYNCH, core_id, bank)
         if carry_data:
-            self.record_data(
-                MessageClass.SYNCH, bank, core_id, self._word_bytes
-            )
+            self.record_data(SYNCH, bank, core_id, self._word_bytes)
         else:
-            self.record_control(MessageClass.SYNCH, bank, core_id)
+            self.record_control(SYNCH, bank, core_id)
         return wait + transfer + extra
 
     def _recall_registration(self, core_id: int, addr: int, bank: int) -> int:
@@ -133,11 +131,9 @@ class SynCronProtocol(DeNovoBaseProtocol):
         owner = self.registry.pop(addr, None)
         if owner is None:
             return 0
-        self.record_control(MessageClass.SYNCH, bank, owner)
-        self.record_data(
-            MessageClass.WRITEBACK, owner, bank, self._word_bytes
-        )
-        self.l1s[owner].downgrade(addr, DeNovoState.INVALID)
+        self.record_control(SYNCH, bank, owner)
+        self.record_data(WRITEBACK, owner, bank, self._word_bytes)
+        self.l1s[owner].downgrade(addr, INVALID)
         # A spinner asleep on its (now gone) Registered copy re-probes.
         self._notify_word_waiters(addr, owner, self.now)
         self._counts["sync_unit_recalls"] += 1

@@ -28,6 +28,11 @@ class TimeComponent(Enum):
     BARRIER_STALL = "barrier"
 
 
+#: The members as module constants, the spelling simulation code uses (an
+#: ``Enum.MEMBER`` load is never specialized on CPython 3.11).
+NON_SYNCH, COMPUTE, MEMORY_STALL, SW_BACKOFF, HW_BACKOFF, BARRIER_STALL = TimeComponent
+
+
 #: Dense ordinal used to index the per-component arrays.
 for _i, _component in enumerate(TimeComponent):
     _component.idx = _i

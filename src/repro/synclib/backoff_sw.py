@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 
 from repro.cpu.isa import Compute
-from repro.stats.timeparts import TimeComponent
+from repro.stats.timeparts import SW_BACKOFF
 
 #: The paper's backoff window bounds, in cycles.
 BACKOFF_MIN = 128
@@ -36,4 +36,4 @@ def exponential_backoff(
     """
     window = backoff_window(attempt, lo, hi)
     delay = rng.randrange(lo, window + 1) if window > lo else lo
-    yield Compute(delay, TimeComponent.SW_BACKOFF)
+    yield Compute(delay, SW_BACKOFF)

@@ -24,7 +24,7 @@ from repro.config import SystemConfig
 from repro.cpu.isa import Compute, Load, PopBucket, PushBucket, SelfInvalidate, Store, WaitLoad
 from repro.cpu.thread import ThreadCtx
 from repro.mem.regions import RegionAllocator
-from repro.stats.timeparts import TimeComponent
+from repro.stats.timeparts import BARRIER_STALL
 from repro.synclib.barriers import TreeBarrier
 from repro.synclib.tatas import TatasLock
 from repro.workloads.base import Workload, WorkloadInstance
@@ -193,7 +193,7 @@ class AppWorkload(Workload):
                     yield SelfInvalidate(flush_all=True)
                 else:
                     yield SelfInvalidate((app.shared_region,))
-        yield PushBucket(TimeComponent.BARRIER_STALL)
+        yield PushBucket(BARRIER_STALL)
         yield from end_barrier.wait(ctx, episode=10_000_000)
         yield PopBucket()
 

@@ -22,7 +22,7 @@ from repro.config import SystemConfig
 from repro.cpu.isa import Compute, PopBucket, PushBucket
 from repro.cpu.thread import ThreadCtx
 from repro.mem.regions import RegionAllocator
-from repro.stats.timeparts import TimeComponent
+from repro.stats.timeparts import BARRIER_STALL, NON_SYNCH
 
 #: The paper's dummy-computation windows between kernel iterations.
 NON_SYNCH_RANGE_16 = (1400, 1800)
@@ -137,8 +137,8 @@ class KernelWorkload(Workload):
 
     def _program(self, ctx: ThreadCtx, iterations, window, end_barrier):
         for iteration in range(iterations):
-            yield Compute(ctx.uniform_cycles(*window), TimeComponent.NON_SYNCH)
+            yield Compute(ctx.uniform_cycles(*window), NON_SYNCH)
             yield from self.body(ctx, iteration)
-        yield PushBucket(TimeComponent.BARRIER_STALL)
+        yield PushBucket(BARRIER_STALL)
         yield from end_barrier.wait(ctx, episode=1)
         yield PopBucket()

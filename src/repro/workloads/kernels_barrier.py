@@ -17,7 +17,7 @@ from repro.config import SystemConfig
 from repro.cpu.isa import Compute
 from repro.cpu.thread import ThreadCtx
 from repro.mem.regions import RegionAllocator
-from repro.stats.timeparts import TimeComponent
+from repro.stats.timeparts import NON_SYNCH
 from repro.synclib.barriers import CentralBarrier, TreeBarrier
 from repro.workloads.base import KernelSpec, KernelWorkload, non_synch_range
 
@@ -59,9 +59,7 @@ class BarrierKernel(KernelWorkload):
 
     def body(self, ctx: ThreadCtx, iteration: int) -> Iterable:
         yield from self.barrier.wait(ctx, episode=2 * iteration + 1)
-        yield Compute(
-            ctx.uniform_cycles(*self._window), TimeComponent.NON_SYNCH
-        )
+        yield Compute(ctx.uniform_cycles(*self._window), NON_SYNCH)
         yield from self.barrier.wait(ctx, episode=2 * iteration + 2)
 
 

@@ -21,10 +21,13 @@ Structure:
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
+from repro.formal import conformance
 from repro.formal.conformance import check_protocol
 from repro.formal.explore import ExploreScope, explore_model
 from repro.formal.model import (
@@ -41,6 +44,7 @@ from repro.sanitize.findings import (
     KIND_FORBIDDEN_TRANSITION,
     KIND_MODEL_DIVERGENCE,
     KIND_MODEL_INVARIANT,
+    KIND_UNHANDLED_TRANSITION,
     SEVERITY_ERROR,
 )
 
@@ -161,6 +165,59 @@ class TestMutationsAreCaught:
         first = divergences[0]
         assert first.site.startswith("mc/")
         assert "schedule" in first.details
+
+    @pytest.fixture
+    def sync_load_filling(self, tmp_path, monkeypatch):
+        """Loads a DeNovoSync0 subclass, from its own ``repro.*`` module,
+        whose sync read fills the word in the state spelled ``state`` and
+        imports ``names`` from ``repro.mem.l1``."""
+        monkeypatch.setattr(conformance, "_MODULE_CACHE", {})
+
+        def load(names: str, state: str) -> type:
+            name = f"repro._mutant_{state.replace('.', '_').lower()}"
+            path = tmp_path / f"{name.rpartition('.')[2]}.py"
+            path.write_text(
+                f"from repro.mem.l1 import {names}\n"
+                "from repro.noc.messages import SYNCH\n"
+                "from repro.protocols.base import Access\n"
+                "from repro.protocols.denovosync0 import DeNovoSync0Protocol\n"
+                "\n"
+                "class Mutant(DeNovoSync0Protocol):\n"
+                "    def sync_load(self, core_id, addr):\n"
+                "        latency = self._register(\n"
+                "            core_id, addr, SYNCH, invalidate_prev=False,\n"
+                "            carry_data_back=True,\n"
+                "        )\n"
+                "        value = self._mem_get(addr, 0)\n"
+                f"        self.l1s[core_id].fill_word(addr, value, {state})\n"
+                "        return Access(value, latency, False)\n"
+            )
+            spec = importlib.util.spec_from_file_location(name, path)
+            module = importlib.util.module_from_spec(spec)
+            monkeypatch.setitem(sys.modules, name, module)
+            spec.loader.exec_module(module)
+            return module.Mutant
+
+        return load
+
+    @staticmethod
+    def _findings(cls: type) -> list[tuple[str, str]]:
+        info = dataclasses.replace(get_info("DeNovoSync0"), cls=cls)
+        return [(f.kind, f.message) for f in check_protocol(info).findings]
+
+    def test_conformance_reads_a_state_constant_like_the_enum_member(
+        self, sync_load_filling
+    ):
+        # A sync read that fills Valid instead of Registered never writes
+        # R, whether the state is a module constant or spelled through
+        # the enum: both must report the same finding.
+        bare = self._findings(sync_load_filling("VALID", "VALID"))
+        spelled = self._findings(sync_load_filling("DeNovoState", "DeNovoState.VALID"))
+        assert bare == spelled
+        assert [kind for kind, _ in bare] == [KIND_UNHANDLED_TRANSITION]
+        assert "SyncRead handlers (sync_load) never write state 'R'" in bare[0][1]
+        # The same subclass filling Registered conforms.
+        assert self._findings(sync_load_filling("REGISTERED", "REGISTERED")) == []
 
     def test_explorer_catches_missing_invalidations(self):
         # MESI minus writer-initiated invalidations: a write from I or S

@@ -210,6 +210,27 @@ class TestResultCache:
         assert code_version() == code_version()
         assert len(code_version()) == 64
 
+    def test_interrupted_sweep_keeps_its_finished_cells(self, tmp_path, monkeypatch):
+        # Ctrl-C at the third cell of a serial sweep: the two cells that
+        # finished are already in the cache, so a re-run resumes there.
+        cell = kernel_cell("tatas", "counter", KernelSpec(scale=SCALE))
+        specs = [RunSpec(cell, "MESI", config_16(), seed=seed) for seed in (1, 2, 3, 4)]
+        calls = []
+
+        def interrupt_third(spec):
+            calls.append(spec)
+            if len(calls) == 3:
+                raise KeyboardInterrupt
+            return execute_spec(spec)
+
+        monkeypatch.setattr(parallel, "execute_spec", interrupt_third)
+        with pytest.raises(KeyboardInterrupt):
+            run_specs(specs, cache=ResultCache(tmp_path))
+        fresh = ResultCache(tmp_path)
+        assert [fresh.load(spec) is not None for spec in specs] == [
+            True, True, False, False
+        ]
+
 
 class TestSpecsAndPickling:
     def test_kernel_cell_kwargs_order_insensitive(self):
@@ -333,8 +354,9 @@ def square_or_die(value):
     return value * value
 
 
-def legacy_run_tasks(fn, calls, *, jobs=1, return_exceptions=False):
-    """The bare-pool fan-out parallel sweeps used before the supervisor."""
+def legacy_run_tasks(fn, calls, *, jobs=1, return_exceptions=False, on_result=None):
+    """The bare-pool fan-out parallel sweeps used before the supervisor
+    (which reported no result before the whole sweep returned)."""
     calls = list(calls)
     slots: list = [None] * len(calls)
     with ProcessPoolExecutor(max_workers=min(jobs, len(calls))) as pool:
