@@ -2,9 +2,10 @@
 
 The paper evaluates 16- and 64-core tiled chip multiprocessors: private
 32KB L1 data caches, a shared NUCA L2 (one bank per tile), four on-chip
-memory controllers, and a 2D mesh with 16-bit flits.  Latencies are given
-as ranges (min at zero mesh hops, max at the farthest tile); the latency
-model in :mod:`repro.noc.mesh` interpolates linearly over round-trip hops.
+memory controllers, and a 2D mesh with 16-bit flits (the flit width is
+``repro.noc.messages.BYTES_PER_FLIT``).  Latencies are given as ranges
+(min at zero mesh hops, max at the farthest tile); the latency model in
+:mod:`repro.noc.mesh` interpolates linearly over round-trip hops.
 """
 
 from __future__ import annotations
@@ -135,7 +136,6 @@ class SystemConfig:
     l1_bytes: int = 32 * 1024
     l1_assoc: int = 8
     l2_banks: int = 16
-    flit_bits: int = 16
     l1_hit_latency: int = 1
     l2_hit_latency: LatencyRange = field(default_factory=lambda: LatencyRange(28, 68))
     remote_l1_latency: LatencyRange = field(default_factory=lambda: LatencyRange(37, 97))
@@ -154,8 +154,22 @@ class SystemConfig:
             raise ValueError(
                 f"num_cores must be a perfect square for a 2D mesh, got {self.num_cores}"
             )
-        if self.line_bytes % self.word_bytes:
-            raise ValueError("line_bytes must be a multiple of word_bytes")
+        # The mesh tables index banks as tiles (one bank per tile at
+        # most), and the L1 and address arithmetic divide by these.
+        if not 1 <= self.l2_banks <= self.num_cores:
+            raise ValueError(
+                f"l2_banks must be between 1 and num_cores ({self.num_cores}), "
+                f"got {self.l2_banks}"
+            )
+        if self.l1_assoc < 1:
+            raise ValueError(f"l1_assoc must be >= 1, got {self.l1_assoc}")
+        if self.word_bytes < 1:
+            raise ValueError(f"word_bytes must be >= 1, got {self.word_bytes}")
+        if self.line_bytes < 1 or self.line_bytes % self.word_bytes:
+            raise ValueError(
+                "line_bytes must be a positive multiple of word_bytes, "
+                f"got {self.line_bytes}"
+            )
         if self.invariant_level not in INVARIANT_LEVELS:
             raise ValueError(
                 f"invariant_level must be one of {INVARIANT_LEVELS}, "

@@ -366,11 +366,11 @@ class Core:
         A→B→A flip exact — so the tick only reschedules itself.  The
         tick that sees a change *settles* the lease: ticks are strictly
         periodic from the first one, so the clock gives the number of
-        elided polls, and their constant counter, traffic and time
-        deltas are added at once.  The full probe then runs *inside
-        this same event*, which re-evaluates the predicate, resumes or
-        re-arms, and keeps the schedule byte-identical to the reference
-        engine's.  Until that settle the deltas lag, which nothing
+        elided polls, and the protocol's ``settle_lease`` charges their
+        counter and traffic deltas while the core adds their time.  The
+        full probe then runs *inside this same event*, which
+        re-evaluates the predicate, resumes or re-arms, and keeps the
+        schedule byte-identical to the reference engine's.  Until that settle the deltas lag, which nothing
         observes (see the ``spin_poll_lease`` contract).
         """
         lease = self._lease
@@ -382,12 +382,7 @@ class Core:
         _, period, first_tick, grant, acct = lease
         sim = self.sim
         polls = (sim.now - first_tick) // period
-        counts = protocol._counts
-        for key in grant.counts:
-            counts[key] += polls
-        idx = grant.traffic_idx
-        protocol._tflits[idx] += polls * grant.flits
-        protocol._tmsgs[idx] += polls * grant.messages
+        protocol.settle_lease(grant, polls)
         tc = self._tc
         for cidx, cycles in acct:
             tc[cidx] += polls * cycles

@@ -5,8 +5,12 @@ a message of F flits traversing H links contributes F * H units.  Messages
 between co-located units (a core and its own LLC bank) cross zero links
 and contribute nothing.
 
-``record`` runs once per protocol message, so the per-class counts are
-fixed-size int lists indexed by ``MessageClass.<member>.idx`` instead of
+The ledger only holds the counts.  Every protocol message is sized and
+charged into them by one of two calls,
+:meth:`~repro.protocols.base.CoherenceProtocol.record_control` and
+:meth:`~repro.protocols.base.CoherenceProtocol.record_data`.  They run
+once per message, so the per-class counts are fixed-size int lists
+indexed by ``MessageClass.<member>.idx`` instead of
 ``Counter[MessageClass]`` (enum hashing is slow Python-level code).  Keys
 are :class:`MessageClass` members only (anything else has no ``idx`` and
 raises ``AttributeError``), so :meth:`breakdown` lists every member, zero
@@ -32,14 +36,6 @@ class TrafficLedger:
         self._flits: list[int] = [0] * _NUM_CLASSES
         self._messages: list[int] = [0] * _NUM_CLASSES
 
-    def record(self, klass: MessageClass, flits: int, hops: int) -> None:
-        """Record one message of ``flits`` flits crossing ``hops`` links."""
-        if flits < 0 or hops < 0:
-            raise ValueError("flits and hops must be non-negative")
-        idx = klass.idx
-        self._flits[idx] += flits * hops
-        self._messages[idx] += 1
-
     def flit_crossings(self, klass: MessageClass | None = None) -> int:
         """Total flit crossings, optionally restricted to one class."""
         if klass is None:
@@ -56,11 +52,3 @@ class TrafficLedger:
         (every :class:`MessageClass` member, zero counts included)."""
         flits = self._flits
         return {klass.value: flits[klass.idx] for klass in MessageClass}
-
-    def merged_with(self, other: "TrafficLedger") -> "TrafficLedger":
-        # Fixed-size arrays make the merge trivially total: every class
-        # either side has seen survives, zero-count classes included.
-        merged = TrafficLedger()
-        merged._flits = [a + b for a, b in zip(self._flits, other._flits)]
-        merged._messages = [a + b for a, b in zip(self._messages, other._messages)]
-        return merged

@@ -25,19 +25,12 @@ from repro.noc.messages import MessageClass, control_flits, data_flits
 from repro.noc.traffic import TrafficLedger
 from repro.stats.collector import ProtocolCounters
 
-#: Flit sizing is static, so the per-message helpers are hoisted out of
-#: the traffic-recording hot path: one module constant for control
-#: messages and a payload-size memo for data messages (real payloads are
-#: almost always one word or one line).
+#: Flit sizing is static, so it is hoisted out of ``record_control`` and
+#: ``record_data``: one module constant for control messages and a
+#: payload-size memo for data messages (real payloads are almost always
+#: one word or one line).
 _CONTROL_FLITS = control_flits()
 _DATA_FLITS: dict[int, int] = {}
-
-
-def _data_flits(payload_bytes: int) -> int:
-    flits = _DATA_FLITS.get(payload_bytes)
-    if flits is None:
-        flits = _DATA_FLITS[payload_bytes] = data_flits(payload_bytes)
-    return flits
 
 
 @dataclass(frozen=True, slots=True)
@@ -53,10 +46,11 @@ class SpinLease:
     the tick schedules its successor exactly where the real probe
     would, the same event sequence number): the tick re-reads the
     value and reschedules itself.  The tick that sees a change
-    *settles* the lease: it adds the deltas once for every elided poll
-    (ticks are strictly periodic, so the clock gives their number) and
-    then runs the full probe in the very same event.  While a lease is
-    open the deltas therefore lag behind a polled run;
+    *settles* the lease: :meth:`CoherenceProtocol.settle_lease` charges
+    the deltas once for every elided poll (ticks are strictly periodic,
+    so the clock gives their number) and the core then runs the full
+    probe in the very same event.  While a lease is open the deltas
+    therefore lag behind a polled run;
     :meth:`CoherenceProtocol.spin_poll_lease` says why nothing can
     observe that.  Results are byte-identical to probing; only the
     Python work per poll shrinks.
@@ -69,12 +63,11 @@ class SpinLease:
     #: that earned the lease bumped them too, so settling (even after
     #: zero elided polls) never creates a key a polled run lacks.
     counts: tuple[str, ...]
-    #: Traffic ledger row (message-class index) the poll charges.
-    traffic_idx: int
-    #: Flit·hops added to that row per poll.
-    flits: int
-    #: Messages added to that row per poll.
-    messages: int
+    #: The messages one poll sends, as ``(class, src, dst,
+    #: payload_bytes)``; a payload of 0 is a control message.
+    #: :meth:`CoherenceProtocol.settle_lease` charges each of them once
+    #: per elided poll through :meth:`CoherenceProtocol.record_data`.
+    messages: tuple[tuple[MessageClass, int, int, int], ...]
 
 
 @dataclass(slots=True)
@@ -285,14 +278,15 @@ class CoherenceProtocol(ABC):
           this) — so re-reading it each tick observes exactly what the
           full probe would.
 
-        The core charges the lease's deltas at settle time, once per
-        elided poll, so while the lease is open they lag behind a
-        polled run.  That is unobservable: a lease ends only by
-        settling, and its ticks keep the event queue non-empty until
-        it does; nothing reads counters, traffic or per-core time
-        before the run ends (hang diagnostics read none); and every
-        :class:`ProtocolWrapper` (the layers that watch individual
-        accesses) restores this default, so wrapped runs never lease.
+        :meth:`settle_lease` charges the lease's deltas when the core
+        settles it, once per elided poll, so while the lease is open
+        they lag behind a polled run.  That is unobservable: a lease
+        ends only by settling, and its ticks keep the event queue
+        non-empty until it does; nothing reads counters, traffic or
+        per-core time before the run ends (hang diagnostics read none);
+        and every :class:`ProtocolWrapper` (the layers that watch
+        individual accesses) restores this default, so wrapped runs
+        never lease.
 
         Return None (the default) when any of this fails to hold; the
         core then keeps issuing full probes.  Only polling protocols
@@ -302,11 +296,22 @@ class CoherenceProtocol(ABC):
         """
         return None
 
-    # -- traffic helpers --------------------------------------------------------
+    def settle_lease(self, lease: SpinLease, polls: int) -> None:
+        """Charge ``polls`` elided polls of ``lease``: its counter keys
+        and its messages, each as often as a polled run would have."""
+        counts = self._counts
+        for key in lease.counts:
+            counts[key] += polls
+        for klass, src, dst, payload_bytes in lease.messages:
+            self.record_data(klass, src, dst, payload_bytes, polls)
+
+    # -- traffic ------------------------------------------------------------------
+
+    # The only code that turns a message into flit crossings: every
+    # message a protocol sends is charged through one of these two calls.
 
     def record_control(self, klass: MessageClass, src: int, dst: int) -> None:
-        # Ledger accounting is inlined: traffic.record would be one more
-        # call per protocol message.
+        """Charge one control message from tile ``src`` to tile ``dst``."""
         idx = klass.idx
         self._tflits[idx] += (
             _CONTROL_FLITS * self._hops_flat[src * self._ntiles + dst]
@@ -314,14 +319,16 @@ class CoherenceProtocol(ABC):
         self._tmsgs[idx] += 1
 
     def record_data(
-        self, klass: MessageClass, src: int, dst: int, payload_bytes: int
+        self, klass: MessageClass, src: int, dst: int, payload_bytes: int, times: int = 1
     ) -> None:
+        """Charge ``times`` messages carrying ``payload_bytes`` of data
+        from tile ``src`` to tile ``dst``."""
         flits = _DATA_FLITS.get(payload_bytes)
         if flits is None:
             flits = _DATA_FLITS[payload_bytes] = data_flits(payload_bytes)
         idx = klass.idx
-        self._tflits[idx] += flits * self._hops_flat[src * self._ntiles + dst]
-        self._tmsgs[idx] += 1
+        self._tflits[idx] += times * flits * self._hops_flat[src * self._ntiles + dst]
+        self._tmsgs[idx] += times
 
     # -- shared latency helpers ---------------------------------------------------
 
@@ -340,12 +347,12 @@ class CoherenceProtocol(ABC):
         return self._memlat_flat[core_id * self._ntiles + bank], True
 
     def record_memory_fill(self, klass: MessageClass, line: int) -> None:
-        """Traffic of a cold-miss line fill between controller and bank."""
+        """Traffic of a cold-miss line fill: the home bank's request to
+        its nearest memory controller, and the line sent back."""
         bank = self.amap.home_bank(line)
         controller = self.mesh.nearest_controller(bank)
-        hops = self.mesh.hops(bank, controller)
-        self.traffic.record(klass, _CONTROL_FLITS, hops)
-        self.traffic.record(klass, _data_flits(self.config.line_bytes), hops)
+        self.record_control(klass, bank, controller)
+        self.record_data(klass, controller, bank, self.config.line_bytes)
 
 
 class ProtocolWrapper:

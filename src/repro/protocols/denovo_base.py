@@ -28,8 +28,8 @@ from collections.abc import Callable
 
 from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
-from repro.noc.messages import LOAD, STORE, WRITEBACK, MessageClass, data_flits
-from repro.protocols.base import Access, CoherenceProtocol, _CONTROL_FLITS
+from repro.noc.messages import LOAD, STORE, WRITEBACK, MessageClass
+from repro.protocols.base import Access, CoherenceProtocol
 from repro.protocols.invariants import denovo_violations
 
 
@@ -68,8 +68,6 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         self._agg_window = config.tuning.store_aggregation_window
         self._l1_hit = config.l1_hit_latency
         self._word_bytes = config.word_bytes
-        self._word_flits = data_flits(config.word_bytes)
-        self._remote_by_leg = self.mesh._remote_by_leg
 
     def _make_evict_handler(self, core_id: int):
         # The L1 holds this handler, so it reaches the protocol through a
@@ -240,16 +238,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         line = addr // self._wpl
         bank = line % self._nbanks
         prev = self.registry.get(addr)
-        # Traffic recording is inlined with locals bound once: a
-        # registration sends two or three messages and this is the
-        # hottest path in the DeNovo family.
-        idx = klass.idx
-        tflits = self._tflits
-        tmsgs = self._tmsgs
-        hf = self._hops_flat
-        n = self._ntiles
-        tflits[idx] += _CONTROL_FLITS * hf[core_id * n + bank]
-        tmsgs[idx] += 1
+        stolen = prev is not None and prev != core_id
+        self.record_control(klass, core_id, bank)
         self._counts["registration_transfers"] += 1
 
         # Concurrent registrations of one word chain through the L1 MSHRs
@@ -261,18 +251,10 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         # legs of consecutive forwards overlap, so only the L1's servicing
         # of its stored request (the MSHR processing) serializes.
         chain_end = self._reg_chain.get(addr, 0)
-        link = self._chain_link
-        if prev is not None and prev != core_id:
-            a = hf[core_id * n + bank]
-            b = hf[bank * n + prev]
-            transfer = self._remote_by_leg[a if a > b else b]
-            tflits[idx] += _CONTROL_FLITS * b
-            tmsgs[idx] += 1
-            if carry_data_back:
-                tflits[idx] += self._word_flits * hf[prev * n + core_id]
-            else:
-                tflits[idx] += _CONTROL_FLITS * hf[prev * n + core_id]
-            tmsgs[idx] += 1
+        if stolen:
+            transfer = self.mesh.remote_l1_latency(core_id, bank, prev)
+            self.record_control(klass, bank, prev)
+            responder = prev
             target = INVALID if invalidate_prev else VALID
             self.l1s[prev].downgrade(addr, target)
             self.on_registration_stolen(prev, addr, not invalidate_prev)
@@ -280,20 +262,20 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             transfer, cold = self.llc_fetch_latency(core_id, line)
             if cold:
                 self.record_memory_fill(klass, line)
-            if carry_data_back:
-                tflits[idx] += self._word_flits * hf[bank * n + core_id]
-            else:
-                tflits[idx] += _CONTROL_FLITS * hf[bank * n + core_id]
-            tmsgs[idx] += 1
+            responder = bank
+        if carry_data_back:
+            self.record_data(klass, responder, core_id, self._word_bytes)
+        else:
+            self.record_control(klass, responder, core_id)
 
         arrival = self.now + transfer
-        completion = chain_end + link
+        completion = chain_end + self._chain_link
         if completion > arrival:
             self._counts["registration_chain_waits"] += 1
         else:
             completion = arrival
         latency = completion - self.now
-        if prev is not None and prev != core_id:
+        if stolen:
             self._notify_word_waiters(addr, prev, completion)
         self.registry[addr] = core_id
         self._reg_chain[addr] = completion

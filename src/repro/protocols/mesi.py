@@ -72,7 +72,6 @@ class MesiProtocol(CoherenceProtocol):
         self._line_bytes = config.line_bytes
         self._own_occ = config.tuning.ownership_occupancy
         self._bank_occ = config.tuning.bank_occupancy
-        self._l2_flat = self.mesh._l2_latency
 
     # -- helpers ----------------------------------------------------------
 

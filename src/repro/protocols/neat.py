@@ -39,13 +39,7 @@ from collections.abc import Callable
 from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
 from repro.noc.messages import LOAD, SYNCH, WRITEBACK
-from repro.protocols.base import (
-    _CONTROL_FLITS,
-    _data_flits,
-    Access,
-    CoherenceProtocol,
-    SpinLease,
-)
+from repro.protocols.base import Access, CoherenceProtocol, SpinLease
 from repro.protocols.invariants import neat_violations
 from repro.protocols.registry import register_protocol
 
@@ -197,13 +191,13 @@ class NeatProtocol(CoherenceProtocol):
             # The next poll would be a cold miss (can only happen if no
             # probe ran yet); let the full probes handle it.
             return None
-        hops = self._hops_flat[core_id * self._ntiles + bank]
         return SpinLease(
             latency=self._l2_flat[core_id * self._ntiles + bank],
             counts=("sync_read_misses", "l1_misses"),
-            traffic_idx=SYNCH.idx,
-            flits=(_CONTROL_FLITS + _data_flits(self._word_bytes)) * hops,
-            messages=2,
+            messages=(
+                (SYNCH, core_id, bank, 0),
+                (SYNCH, bank, core_id, self._word_bytes),
+            ),
         )
 
     def rmw(

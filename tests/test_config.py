@@ -91,7 +91,6 @@ class TestTable1Presets:
             assert config.line_bytes == 64
             assert config.word_bytes == 4
             assert config.l1_bytes == 32 * 1024
-            assert config.flit_bits == 16
             assert config.l1_hit_latency == 1
 
     def test_derived_geometry_16(self):
@@ -116,6 +115,27 @@ class TestValidation:
     def test_line_must_be_word_multiple(self):
         with pytest.raises(ValueError, match="multiple"):
             SystemConfig(line_bytes=63)
+
+    @pytest.mark.parametrize(
+        "overrides,field",
+        [
+            # The mesh tables index banks as tiles: at most one per tile.
+            (dict(l2_banks=17), "l2_banks"),
+            (dict(l2_banks=64), "l2_banks"),
+            (dict(l2_banks=0), "l2_banks"),
+            (dict(l1_assoc=0), "l1_assoc"),
+            (dict(word_bytes=0), "word_bytes"),
+            (dict(line_bytes=0), "line_bytes"),
+            (dict(line_bytes=-64), "line_bytes"),
+        ],
+    )
+    def test_unrunnable_geometry_rejected(self, overrides, field):
+        with pytest.raises(ValueError, match=field):
+            config_16(**overrides)
+
+    def test_fewer_banks_than_tiles_accepted(self):
+        assert config_16(l2_banks=1).l2_banks == 1
+        assert config_16(l2_banks=16).l2_banks == 16
 
     def test_overrides(self):
         config = config_16(l1_bytes=16 * 1024)

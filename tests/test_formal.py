@@ -12,9 +12,9 @@ Structure:
   invalidations trips the explorer's SWMR invariant with a replayable
   counterexample trace;
 * divergence oracle — clean litmus replays for the modelled protocols;
-* golden TLA+ pinning — the export is byte-stable against
-  ``tests/golden/*.tla`` (regenerate with ``denovosync-bench formal``
-  and copy from ``results/formal/`` after a deliberate model change);
+* golden TLA+ pinning — the export is byte-stable against the
+  committed ``results/formal/*.tla`` (regenerate them with
+  ``denovosync-bench formal`` after a deliberate model change);
 * the ``formal`` cell/CLI plumbing.
 """
 
@@ -48,7 +48,7 @@ from repro.sanitize.findings import (
     SEVERITY_ERROR,
 )
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN_DIR = Path(__file__).resolve().parents[1] / "results" / "formal"
 
 MODELLED = formal_model_set()
 
@@ -262,8 +262,8 @@ class TestGoldenTla:
         expected = golden.read_text(encoding="utf-8")
         assert export_tla(model) == expected, (
             f"TLA+ export for {name} drifted from {golden}; if the model "
-            f"change is deliberate, run `denovosync-bench formal` and copy "
-            f"results/formal/{module_name(model)}.tla over the golden file"
+            f"change is deliberate, run `denovosync-bench formal` to "
+            f"rewrite results/formal/"
         )
 
     def test_export_is_deterministic(self, name):

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.config import LatencyRange, ProtocolTuning, config_16, config_64, config_for_cores
+from repro.harness.runner import run_workload
 from repro.noc.mesh import Mesh
 from repro.noc.messages import (
     BYTES_PER_FLIT,
@@ -13,6 +14,11 @@ from repro.noc.messages import (
 )
 from repro.noc.traffic import TrafficLedger
 from repro.protocols import make_protocol
+from repro.protocols.base import CoherenceProtocol
+from repro.protocols.registry import protocol_names
+from repro.workloads.apps import make_app
+from repro.workloads.base import KernelSpec
+from repro.workloads.registry import make_kernel
 
 
 class TestMeshTopology:
@@ -193,60 +199,39 @@ class TestMessageSizing:
 
 
 class TestTrafficLedger:
+    """The ledger as the protocols fill it: through ``record_control`` and
+    ``record_data`` on a bare protocol (16 tiles, hops(0, 3) == 3)."""
+
     def test_flit_crossings_multiply_hops(self):
-        ledger = TrafficLedger()
-        ledger.record(MessageClass.LOAD, flits=10, hops=3)
+        protocol = make_protocol("MESI", config_16())
+        protocol.record_data(MessageClass.LOAD, 0, 3, 10)  # 10 flits
+        ledger = protocol.traffic
         assert ledger.flit_crossings() == 30
         assert ledger.flit_crossings(MessageClass.LOAD) == 30
         assert ledger.flit_crossings(MessageClass.STORE) == 0
 
     def test_zero_hop_messages_are_free(self):
-        ledger = TrafficLedger()
-        ledger.record(MessageClass.LOAD, flits=10, hops=0)
-        assert ledger.flit_crossings() == 0
-        assert ledger.message_count() == 1
+        protocol = make_protocol("MESI", config_16())
+        protocol.record_data(MessageClass.LOAD, 5, 5, 10)
+        assert protocol.traffic.flit_crossings() == 0
+        assert protocol.traffic.message_count() == 1
 
     def test_breakdown_covers_all_classes(self):
-        ledger = TrafficLedger()
-        ledger.record(MessageClass.INVALIDATION, 5, 2)
-        breakdown = ledger.breakdown()
+        protocol = make_protocol("MESI", config_16())
+        protocol.record_control(MessageClass.INVALIDATION, 0, 2)
+        breakdown = protocol.traffic.breakdown()
         assert breakdown["Inv"] == 10
         assert set(breakdown) == {"LD", "ST", "SYNCH", "WB", "Inv"}
 
-    def test_merged_with(self):
-        a, b = TrafficLedger(), TrafficLedger()
-        a.record(MessageClass.LOAD, 5, 1)
-        b.record(MessageClass.LOAD, 5, 2)
-        b.record(MessageClass.WRITEBACK, 2, 2)
-        merged = a.merged_with(b)
-        assert merged.flit_crossings(MessageClass.LOAD) == 15
-        assert merged.flit_crossings(MessageClass.WRITEBACK) == 4
-        # originals untouched
-        assert a.flit_crossings() == 5
-
     def test_negative_rejected(self):
-        ledger = TrafficLedger()
+        protocol = make_protocol("MESI", config_16())
         with pytest.raises(ValueError):
-            ledger.record(MessageClass.LOAD, -1, 2)
-
-    def test_merged_with_preserves_zero_count_keys(self):
-        # A zero-hop message records 0 flit crossings but 1 message; the
-        # merge must not drop the key (Counter.__add__ would).
-        a, b = TrafficLedger(), TrafficLedger()
-        a.record(MessageClass.WRITEBACK, 5, 0)  # co-located: zero crossings
-        b.record(MessageClass.LOAD, 3, 2)
-        merged = a.merged_with(b)
-        assert MessageClass.WRITEBACK.value in merged.breakdown()
-        assert merged.flit_crossings(MessageClass.WRITEBACK) == 0
-        assert merged.message_count(MessageClass.WRITEBACK) == 1
-        assert merged.message_count() == 2
+            protocol.record_data(MessageClass.LOAD, 0, 2, -1)
 
     def test_non_message_class_key_raises(self):
         # Keys are MessageClass members only; a foreign key is a caller
         # bug, not a side-table entry.
         ledger = TrafficLedger()
-        with pytest.raises(AttributeError):
-            ledger.record("ext-probe", 4, 3)
         with pytest.raises(AttributeError):
             ledger.flit_crossings("ext-probe")
         with pytest.raises(AttributeError):
@@ -258,12 +243,50 @@ class TestTrafficLedger:
             protocol.record_data("ext-probe", 0, 5, 4)
         assert ledger.message_count() == protocol.traffic.message_count() == 0
 
-    def test_merged_with_zero_keys_from_both_sides(self):
-        a, b = TrafficLedger(), TrafficLedger()
-        a.record(MessageClass.LOAD, 2, 0)
-        b.record(MessageClass.STORE, 4, 0)
-        merged = a.merged_with(b)
-        assert MessageClass.LOAD.value in merged.breakdown()
-        assert MessageClass.STORE.value in merged.breakdown()
-        assert merged.flit_crossings() == 0
-        assert merged.message_count() == 2
+
+class TestOneMessagePath:
+    """Every message any protocol charges goes through ``record_control``
+    or ``record_data``: wrappers around the two calls, sizing each
+    message on their own, see exactly the traffic the ledger ends with.
+    The runs include cold LLC fills, DeNovo registrations and Neat's
+    settled spin leases."""
+
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_ledger_is_the_sum_of_the_two_calls(self, protocol, monkeypatch):
+        seen: dict[MessageClass, list[int]] = {}
+
+        def charge(proto, klass, flits, src, dst, times):
+            row = seen.setdefault(klass, [0, 0])
+            row[0] += flits * proto.mesh.hops(src, dst) * times
+            row[1] += times
+
+        record_control = CoherenceProtocol.record_control
+        record_data = CoherenceProtocol.record_data
+
+        def seen_control(proto, klass, src, dst):
+            charge(proto, klass, CONTROL_FLITS, src, dst, 1)
+            record_control(proto, klass, src, dst)
+
+        def seen_data(proto, klass, src, dst, payload_bytes, times=1):
+            charge(proto, klass, data_flits(payload_bytes), src, dst, times)
+            record_data(proto, klass, src, dst, payload_bytes, times)
+
+        monkeypatch.setattr(CoherenceProtocol, "record_control", seen_control)
+        monkeypatch.setattr(CoherenceProtocol, "record_data", seen_data)
+        workloads = (
+            make_kernel("tatas", "counter", spec=KernelSpec(scale=0.05)),
+            make_app("LU", scale=0.05),
+        )
+        for workload in workloads:
+            seen.clear()
+            result = run_workload(workload, protocol, config_16(), seed=1)
+            ledger = result.traffic
+            assert ledger.message_count() > 0
+            for klass in MessageClass:
+                assert seen.get(klass, [0, 0]) == [
+                    ledger.flit_crossings(klass),
+                    ledger.message_count(klass),
+                ], (workload.name, klass)
+            if protocol == "Neat":
+                # The leased polls are settled, not probed: cover them.
+                assert result.meta["epoch"]["spin_polls_elided"] > 0

@@ -12,7 +12,7 @@ from repro.mem.l1 import DeNovoState
 from repro.mem.regions import RegionAllocator
 from repro.noc.mesh import Mesh
 from repro.noc.messages import MessageClass, control_flits, data_flits
-from repro.noc.traffic import TrafficLedger
+from repro.protocols import make_protocol
 from repro.protocols.backoff import BackoffState
 from repro.sim.engine import Simulator
 
@@ -79,22 +79,25 @@ class TestTrafficLedgerProperties:
         records=st.lists(
             st.tuples(
                 st.sampled_from(list(MessageClass)),
-                st.integers(0, 100),
-                st.integers(0, 20),
+                st.integers(0, 15),
+                st.integers(0, 15),
+                st.integers(0, 200),
             ),
             max_size=50,
         )
     )
     def test_total_equals_sum_of_classes(self, records):
-        ledger = TrafficLedger()
-        for klass, flits, hops in records:
-            ledger.record(klass, flits, hops)
+        protocol = make_protocol("MESI", config_16())
+        for klass, src, dst, payload in records:
+            protocol.record_data(klass, src, dst, payload)
+        ledger = protocol.traffic
         assert ledger.flit_crossings() == sum(
             ledger.flit_crossings(k) for k in MessageClass
         )
         assert ledger.flit_crossings() == sum(
-            f * h for _, f, h in records
+            data_flits(p) * protocol.mesh.hops(s, d) for _, s, d, p in records
         )
+        assert ledger.message_count() == len(records)
 
 
 class TestAddressMapProperties:

@@ -43,6 +43,24 @@ def poisoned_spec(seed=1):
     )
 
 
+#: Config overrides that name a geometry the simulator cannot run.
+UNRUNNABLE_GEOMETRY = (
+    {"l2_banks": 17},
+    {"l2_banks": 0},
+    {"l1_assoc": 0},
+    {"word_bytes": 0},
+    {"line_bytes": 0},
+)
+
+
+def unrunnable_cells():
+    """One wire-format cell per :data:`UNRUNNABLE_GEOMETRY` override."""
+    cell = spec_to_dict(sweep_specs(protocols=("MESI",))[0])
+    return [
+        {**cell, "config": {**cell["config"], **bad}} for bad in UNRUNNABLE_GEOMETRY
+    ]
+
+
 class ServiceHarness:
     """A running service + the thread its event loop lives on."""
 
@@ -188,6 +206,12 @@ class TestEndToEnd:
         assert excinfo.value.status == 400
         assert "workload" in str(excinfo.value)
 
+        for cell in unrunnable_cells():
+            with pytest.raises(ServiceError) as excinfo:
+                client.submit_cells([cell])
+            assert excinfo.value.status == 400
+            assert "malformed" in str(excinfo.value)
+
     @pytest.mark.parametrize("deadline", [float("nan"), float("inf"), 0.0])
     def test_unusable_cell_deadline_is_rejected(self, harness, deadline):
         # NaN never fires and zero always does; JSON carries both.
@@ -232,6 +256,10 @@ class TestWireFormat:
             )
         with pytest.raises(ValueError, match="object"):
             spec_from_dict(["not", "a", "dict"])
+        # Rejected on arrival, not by a worker on every retry.
+        for cell in unrunnable_cells():
+            with pytest.raises(ValueError, match="malformed"):
+                spec_from_dict(cell)
 
     def test_describe_workload(self):
         assert describe_workload(("kernel", "tatas", "counter", (), (), True)) == (

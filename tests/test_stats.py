@@ -2,8 +2,9 @@
 
 import pytest
 
+from repro.config import config_16
 from repro.noc.messages import MessageClass
-from repro.noc.traffic import TrafficLedger
+from repro.protocols import make_protocol
 from repro.stats.collector import ProtocolCounters, RunResult
 from repro.stats.timeparts import TimeBreakdown, TimeComponent
 
@@ -77,15 +78,15 @@ def _result(cycles=100):
     tb = TimeBreakdown()
     tb.add(TimeComponent.COMPUTE, 40)
     tb.add(TimeComponent.MEMORY_STALL, 60)
-    ledger = TrafficLedger()
-    ledger.record(MessageClass.LOAD, 10, 2)
+    protocol = make_protocol("MESI", config_16())
+    protocol.record_data(MessageClass.LOAD, 0, 2, 10)  # 10 flits, 2 hops
     return RunResult(
         workload="w",
         protocol="MESI",
         num_cores=1,
         cycles=cycles,
         per_core_time=[tb],
-        traffic=ledger,
+        traffic=protocol.traffic,
         counters=ProtocolCounters(),
     )
 
