@@ -23,13 +23,17 @@ Each scenario reports two things:
 The scenarios stress the event queue's distinct regimes: a serial
 hand-off chain (one event in flight), a fan-out mixing near deltas with
 multi-thousand-cycle ones (a deep heap), one real kernel run,
-independent per-core chains (many events per cycle), and a 64-core Neat
-spin-heavy kernel (the spin fast-forward's lease ticks).  One more scenario covers the data path
-rather than the engine: the LU application model at 64 cores under Neat
-(DeNovo L1 line fills and region self-invalidation), counted in
-simulated cycles.  ``--compare --strict-counts`` additionally fails when
-any scenario lacks a baseline entry, so count gating covers new and
-existing scenarios alike.
+independent per-core chains (many events per cycle), engine watches on
+unchanged cells (``watch_at`` polls, which spin leases use), and a
+64-core Neat spin-heavy kernel (the spin fast-forward's leases).
+The watch scenario also runs as a self-rescheduling ``call_after``
+poll and fails unless both fire the same number of events.  One more
+scenario covers the data path rather than the engine: the LU
+application model at 64 cores under Neat (DeNovo L1 line fills and
+region self-invalidation), counted in simulated cycles.
+``--compare --strict-counts`` additionally fails when any scenario lacks
+a baseline entry, so count gating covers new and existing scenarios
+alike.
 """
 
 from __future__ import annotations
@@ -37,6 +41,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import partial
 from time import perf_counter
 
 from repro.sim.engine import Simulator
@@ -114,6 +119,64 @@ def _uncontended_stretch(cores: int = 32, steps: int = 4_000):
     return fired, perf_counter() - start
 
 
+def _watched_cells(watch: bool, cells: int = 64, rounds: int = 20):
+    """``cells`` spinners each poll their own cell every 49 cycles; one
+    writer bumps the cells in turn, 97 cycles apart, and each spinner
+    re-arms on the new value until it has seen ``rounds`` changes.
+    ``watch`` polls through ``watch_at``; otherwise each poll is a
+    callback that reschedules itself with ``call_after``."""
+    period, stride = 49, 97
+    sim = Simulator()
+    values = [0] * cells
+    expected = [0] * cells
+    seen = [0] * cells
+
+    def write(k):
+        values[k % cells] += 1
+        if k + 1 < cells * rounds:
+            sim.call_after(stride, write, k + 1)
+
+    def poll(cell):
+        if values[cell] == expected[cell]:
+            sim.call_after(period, poll, cell)
+        else:
+            changed(cell)
+
+    def arm(cell):
+        if watch:
+            sim.watch_at(
+                sim.now + period, period, partial(values.__getitem__, cell),
+                values[cell], changed, cell,
+            )
+        else:
+            expected[cell] = values[cell]
+            sim.call_after(period, poll, cell)
+
+    def changed(cell):
+        seen[cell] += 1
+        if seen[cell] < rounds:
+            arm(cell)
+
+    for cell in range(cells):
+        arm(cell)
+    sim.call_after(stride, write, 0)
+    start = perf_counter()
+    fired = sim.run()
+    return fired, perf_counter() - start
+
+
+def _watch():
+    """Engine watches on unchanged cells; the count must equal the
+    same scenario polled by self-rescheduling callbacks."""
+    fired, seconds = _watched_cells(watch=True)
+    polled, _ = _watched_cells(watch=False)
+    if fired != polled:
+        raise RuntimeError(
+            f"watch fired {fired} events, its call_after twin {polled}"
+        )
+    return fired, seconds
+
+
 def _spin_heavy():
     """Neat's 64-core unbounded central barrier: 90%+ of its events are
     failed spin polls of LLC-resident flags, the spin fast-forward's
@@ -148,6 +211,7 @@ SCENARIOS = {
     "fanout_mix": (_fanout_mix, "events"),
     "kernel_tatas_16c": (_kernel_ops, "cycles"),
     "uncontended_stretch": (_uncontended_stretch, "events"),
+    "watch": (_watch, "events"),
     "spin_heavy_64c": (_spin_heavy, "cycles"),
     "app_lu_64c": (_data_path, "cycles"),
 }

@@ -170,6 +170,12 @@ class SystemConfig:
                 "line_bytes must be a positive multiple of word_bytes, "
                 f"got {self.line_bytes}"
             )
+        # The L1 indexes sets by line % l1_sets, so it needs one set.
+        if self.l1_bytes < self.line_bytes * self.l1_assoc:
+            raise ValueError(
+                "l1_bytes must hold at least one set of l1_assoc lines "
+                f"({self.line_bytes * self.l1_assoc}), got {self.l1_bytes}"
+            )
         if self.invariant_level not in INVARIANT_LEVELS:
             raise ValueError(
                 f"invariant_level must be one of {INVARIANT_LEVELS}, "

@@ -20,14 +20,22 @@ Spin-wait execution (:class:`~repro.cpu.isa.WaitLoad`):
 * under DeNovo the core re-probes in a loop; every probe is a registering
   sync-read miss, preceded by whatever hardware backoff the protocol asks
   for.  This is where DeNovoSync0's ping-ponging and DeNovoSync's adaptive
-  delays emerge.
+  delays emerge;
+* under Neat the failed probes are stateless repeats, so the core takes a
+  lease (:meth:`~repro.protocols.base.CoherenceProtocol.spin_poll_lease`)
+  and arms an engine watch (:meth:`~repro.sim.engine.Simulator.watch_at`)
+  on the polled word: the engine polls it at every would-be probe
+  cycle, and the first poll that sees a change calls
+  :meth:`Core._settle_lease`, which charges the elided probes and runs
+  the full one.
 
 Hot-path structure: operations dispatch through a per-class handler table
 instead of an ``isinstance`` chain, and every event the core schedules
 goes through :meth:`~repro.sim.engine.Simulator.call_after` /
-``call_at`` with a method prebound in ``__init__`` — no closure per
-operation.  Calls into the protocol pass every argument positionally
-(keywords cost CPython extra on a call made once per access).
+``call_at`` (or, for a lease, ``watch_at``) with a method prebound in
+``__init__`` — no closure per operation.  Calls into the protocol pass
+every argument positionally (keywords cost CPython extra on a call made
+once per access).
 
 Retries and acquires: an access that comes back with ``retry`` set is
 re-issued, after its stall, through the same issue method — a load
@@ -51,6 +59,7 @@ flight.  The model checker's scheduling gate lives in a subclass,
 from __future__ import annotations
 
 from collections.abc import Generator
+from functools import partial
 
 from repro.cpu import isa
 from repro.protocols.base import Access, CoherenceProtocol
@@ -91,14 +100,14 @@ class Core:
         self._rmw_state: tuple | None = None
         self._spin_op: isa.WaitLoad | None = None
         self._spin_retry_at = 0
-        # Spin fast-forward: an open lease, as (expected value, re-poll
-        # period, first tick's cycle, SpinLease, ((time-component idx,
-        # cycles), ...)).  Armed in _spin_probe_issue; a tick needs only
-        # the first two fields, and the settling tick charges the rest
-        # once for every poll the lease elided.  Eligibility is static
-        # per run: backoff-capable protocols and protocol wrappers
-        # (tracing, fault injection, runtime audits, which restore the
-        # base spin_poll_lease) never lease.
+        # Spin fast-forward: an open lease, as (re-poll period, first
+        # poll's cycle, SpinLease, ((time-component idx, cycles), ...)).
+        # Armed in _spin_probe_issue as an engine watch on the polled
+        # word; _settle_lease charges it once for every poll the lease
+        # elided.  Eligibility is static per run: backoff-capable
+        # protocols and protocol wrappers (tracing, fault injection,
+        # runtime audits, which restore the base spin_poll_lease) never
+        # lease.
         self._lease: tuple | None = None
         self._lease_ok = not self._has_backoff and _overrides(
             protocol, "spin_poll_lease"
@@ -112,7 +121,7 @@ class Core:
         self._cb_spin_probe = self._spin_probe
         self._cb_spin_probe_issue = self._spin_probe_issue
         self._cb_on_invalidated = self._on_invalidated
-        self._cb_lease_tick = self._lease_tick
+        self._cb_settle_lease = self._settle_lease
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -345,44 +354,44 @@ class Core:
                     acct = (
                         (_IDX_COMPUTE, max(lat, 0) + SPIN_LOOP_OVERHEAD),
                     )
-                first_tick = retry_at + SPIN_LOOP_OVERHEAD
-                self._lease = (
-                    access.value, lat + SPIN_LOOP_OVERHEAD, first_tick, lease, acct
-                )
+                first_poll = retry_at + SPIN_LOOP_OVERHEAD
+                period = lat + SPIN_LOOP_OVERHEAD
+                self._lease = (period, first_poll, lease, acct)
                 self.wait_reason = "spin-poll (leased)"
-                sim.call_at(first_tick, self._cb_lease_tick, op)
+                sim.watch_at(
+                    first_poll,
+                    period,
+                    partial(self.protocol._mem_get, op.addr, 0),
+                    access.value,
+                    self._cb_settle_lease,
+                    op,
+                )
                 return
         sim.call_at(retry_at + SPIN_LOOP_OVERHEAD, self._cb_spin_probe, op)
 
-    def _lease_tick(self, op: isa.WaitLoad) -> None:
-        """One fast-forwarded spin poll under an open lease.
+    def _settle_lease(self, op: isa.WaitLoad) -> None:
+        """Settle the open lease once its watched word has changed.
 
-        Fires at exactly the cycle (and, because the successor is
-        scheduled from inside the same event, the sequence number) the
-        full probe would have occupied.  While the polled value is
-        unchanged the probe's outcome is a stateless repeat (the
+        The engine polls the word at exactly the cycles (and sequence
+        numbers) the full probes would have occupied: while the value
+        is unchanged the probe's outcome is a stateless repeat (the
         :meth:`~repro.protocols.base.CoherenceProtocol.spin_poll_lease`
-        contract) — re-reading the value each tick keeps even an
-        A→B→A flip exact — so the tick only reschedules itself.  The
-        tick that sees a change *settles* the lease: ticks are strictly
-        periodic from the first one, so the clock gives the number of
-        elided polls, and the protocol's ``settle_lease`` charges their
-        counter and traffic deltas while the core adds their time.  The
-        full probe then runs *inside this same event*, which
-        re-evaluates the predicate, resumes or re-arms, and keeps the
-        schedule byte-identical to the reference engine's.  Until that settle the deltas lag, which nothing
-        observes (see the ``spin_poll_lease`` contract).
+        contract), and polling every period keeps even an A→B→A flip
+        exact.  The first poll that sees a change calls this method in
+        that same event.  Polls are strictly periodic from the first
+        one, so the clock gives the number of elided polls: the
+        protocol's ``settle_lease`` charges their counter and traffic
+        deltas and the core adds their time.  The full probe then runs
+        *inside this same event*, which re-evaluates the predicate,
+        resumes or re-arms, and keeps the schedule byte-identical to a
+        run that probes every time.  Until this settle the deltas lag,
+        which nothing observes (see the ``spin_poll_lease`` contract).
         """
-        lease = self._lease
-        protocol = self.protocol
-        if protocol._mem_get(op.addr, 0) == lease[0]:
-            self.sim.call_after(lease[1], self._cb_lease_tick, op)
-            return
+        period, first_poll, grant, acct = self._lease
         self._lease = None
-        _, period, first_tick, grant, acct = lease
         sim = self.sim
-        polls = (sim.now - first_tick) // period
-        protocol.settle_lease(grant, polls)
+        polls = (sim.now - first_poll) // period
+        self.protocol.settle_lease(grant, polls)
         tc = self._tc
         for cidx, cycles in acct:
             tc[cidx] += polls * cycles

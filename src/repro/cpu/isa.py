@@ -12,11 +12,18 @@ core executes protocol-appropriately — sleeping on the cached copy until
 invalidated under MESI, re-registering (with hardware backoff) under the
 DeNovo protocols.
 
-Ops are plain slotted records, not frozen ones: every op a thread yields
-is constructed on the hot path, and a frozen dataclass's ``__init__``
+Ops are plain slotted records, not frozen ones: most ops a thread yields
+are constructed on the hot path, and a frozen dataclass's ``__init__``
 sets each field through ``object.__setattr__``, which made construction
-2–4× slower.  Nothing mutates or hashes an op once it is yielded, so
-freezing bought nothing; ops are unhashable.
+2–4× slower.  Freezing would buy nothing, because nothing mutates or
+hashes an op once it is yielded; ops are unhashable.
+
+Nothing may mutate a yielded op: the core, the protocol wrappers and
+the tracers only read its fields.  Locks rely on this.  A
+:class:`~repro.synclib.tatas.TatasLock` or
+:class:`~repro.synclib.arraylock.ArrayLock` builds its ops once and
+yields the same op object from every thread and every attempt, so a
+write to one op's field would reach every thread that later yields it.
 """
 
 from __future__ import annotations

@@ -61,7 +61,7 @@ class _SetAssocDirectory:
     """Shared LRU machinery: maps line -> entry within set-indexed ways."""
 
     def __init__(self, config: SystemConfig) -> None:
-        self.num_sets = max(1, config.l1_sets)
+        self.num_sets = config.l1_sets
         self.assoc = config.l1_assoc
         self._sets: list[OrderedDict] = [OrderedDict() for _ in range(self.num_sets)]
 

@@ -41,13 +41,15 @@ class SpinLease:
     failed polls of one spinner are *stateless repeats*: each poll
     leaves every piece of protocol state exactly as it found it and
     contributes only the constant deltas below.  While the polled
-    word's architectural value is unchanged the core then replaces each
-    full probe with a cheap *lease tick* at the same cycle (and, since
-    the tick schedules its successor exactly where the real probe
-    would, the same event sequence number): the tick re-reads the
-    value and reschedules itself.  The tick that sees a change
-    *settles* the lease: :meth:`CoherenceProtocol.settle_lease` charges
-    the deltas once for every elided poll (ticks are strictly periodic,
+    word's architectural value is unchanged the core then replaces the
+    full probes with an engine watch
+    (:meth:`~repro.sim.engine.Simulator.watch_at`): the engine
+    re-reads ``memory._values[addr]`` at the cycle and event sequence
+    number each full probe would have had, and reschedules the poll
+    without calling into the core or the protocol.  The first poll that
+    sees a change *settles* the lease:
+    :meth:`CoherenceProtocol.settle_lease` charges
+    the deltas once for every elided poll (polls are strictly periodic,
     so the clock gives their number) and the core then runs the full
     probe in the very same event.  While a lease is open the deltas
     therefore lag behind a polled run;
@@ -275,13 +277,13 @@ class CoherenceProtocol(ABC):
           declared mutation points (``load``/``store``/``rmw``/
           ``sync_load``/``sync_store`` or a ``wake_hooks`` override;
           the ``undeclared-wake-mutation`` sanitize rule enforces
-          this) — so re-reading it each tick observes exactly what the
-          full probe would.
+          this) — so the engine watch that re-reads it at every
+          would-be probe observes exactly what the full probe would.
 
         :meth:`settle_lease` charges the lease's deltas when the core
         settles it, once per elided poll, so while the lease is open
         they lag behind a polled run.  That is unobservable: a lease
-        ends only by settling, and its ticks keep the event queue
+        ends only by settling, and its watch keeps the event queue
         non-empty until it does; nothing reads counters, traffic or
         per-core time before the run ends (hang diagnostics read none);
         and every :class:`ProtocolWrapper` (the layers that watch
@@ -367,7 +369,7 @@ class ProtocolWrapper:
     on the bare protocol at the bottom of the stack.
     """
 
-    #: Never lease: a lease tick replays a poll without calling the
+    #: Never lease: a lease poll replays a probe without calling the
     #: protocol, so it would skip this wrapper's per-access work.
     spin_poll_lease = CoherenceProtocol.spin_poll_lease
 

@@ -54,6 +54,13 @@ sources and enforces:
     ``sorted`` over a comprehension, or building another set) are not
     flagged.  This rule runs over the simulator sources
     (:func:`simulator_lint_targets`), not the kernel corpus.
+
+The three yield-site rules (``discarded-result``,
+``cas-success-unchecked``, ``waitload-result-discarded``) also see a
+prebuilt op: ``yield self.<name>`` resolves to the op the class's
+``__init__`` assigns as ``self.<name> = Op(...)``, and
+``yield self.<name>[...]`` to one assigned as a list comprehension of
+such an op.
 """
 
 from __future__ import annotations
@@ -117,11 +124,48 @@ def _call_op(node: ast.AST) -> tuple[str, ast.Call] | None:
     return None
 
 
-def _yielded_call(node: ast.AST) -> tuple[str, ast.Call] | None:
-    """(op name, call) when ``node`` is a ``yield <ISA op>(...)``."""
-    if isinstance(node, ast.Yield) and node.value is not None:
-        return _call_op(node.value)
-    return None
+def _yielded_call(node: ast.AST, prebuilt: dict) -> tuple[str, ast.Call] | None:
+    """(op name, call) when ``node`` is a ``yield <ISA op>(...)``, or a
+    ``yield self.<name>`` / ``yield self.<name>[...]`` of an op in
+    ``prebuilt`` (see :func:`_prebuilt_ops`)."""
+    if not isinstance(node, ast.Yield) or node.value is None:
+        return None
+    value = node.value
+    indexed = isinstance(value, ast.Subscript)
+    if indexed:
+        value = value.value
+    if isinstance(value, ast.Attribute) and _is_self(value.value):
+        found = prebuilt.get(value.attr)
+        if found is not None and found[2] == indexed:
+            return found[0], found[1]
+        return None
+    return None if indexed else _call_op(value)
+
+
+def _is_self(node: ast.expr) -> bool:
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _prebuilt_ops(cls: ast.ClassDef) -> dict[str, tuple[str, ast.Call, bool]]:
+    """``name -> (op name, call, indexed)`` for each ISA op the class's
+    ``__init__`` assigns to ``self.<name>``: directly (``indexed`` False)
+    or as a list comprehension of one (``indexed`` True)."""
+    ops: dict[str, tuple[str, ast.Call, bool]] = {}
+    for method in cls.body:
+        if not (isinstance(method, ast.FunctionDef) and method.name == "__init__"):
+            continue
+        for node in ast.walk(method):
+            if not isinstance(node, ast.Assign):
+                continue
+            value = node.value
+            indexed = isinstance(value, ast.ListComp)
+            found = _call_op(value.elt if indexed else value)
+            if found is None:
+                continue
+            for target in node.targets:
+                if isinstance(target, ast.Attribute) and _is_self(target.value):
+                    ops[target.attr] = (found[0], found[1], indexed)
+    return ops
 
 
 def _keyword(call: ast.Call, name: str) -> ast.expr | None:
@@ -155,12 +199,18 @@ def _predicate_pins_value(call: ast.Call) -> bool:
 
 
 class _FunctionLinter:
-    """Lints one function body (nested defs are linted separately)."""
+    """Lints one function body (nested defs are linted separately).
 
-    def __init__(self, path: str, func: ast.AST, findings: list[Finding]):
+    ``prebuilt`` holds the ops of the enclosing class's ``__init__``
+    (:func:`_prebuilt_ops`)."""
+
+    def __init__(
+        self, path: str, func: ast.AST, findings: list[Finding], prebuilt: dict
+    ):
         self.path = path
         self.func = func
         self.findings = findings
+        self.prebuilt = prebuilt
 
     def _emit(self, kind: str, severity: str, node: ast.AST, message: str) -> None:
         line = getattr(node, "lineno", 0)
@@ -187,7 +237,7 @@ class _FunctionLinter:
 
             yielded = None
             if isinstance(node, ast.Expr):
-                yielded = _yielded_call(node.value)
+                yielded = _yielded_call(node.value, self.prebuilt)
                 if yielded is not None:
                     name, call = yielded
                     if name in RESULT_OPS:
@@ -205,7 +255,7 @@ class _FunctionLinter:
                         )
             elif isinstance(node, ast.Assign) and len(node.targets) == 1:
                 target = node.targets[0]
-                yielded = _yielded_call(node.value)
+                yielded = _yielded_call(node.value, self.prebuilt)
                 if (
                     yielded is not None
                     and yielded[0] == "Cas"
@@ -405,9 +455,10 @@ class _WakeMutationLinter:
     each method may mutate ``_mem_values`` / ``memory._values`` only if
     it is a default wake hook or named in the class's ``wake_hooks``
     tuple.  This is the one invariant the engine's spin
-    fast-forward depends on: a lease tick re-checks the polled value at
-    every would-be poll, which is sound only if the value cannot change
-    between a wake hook's execution and the next tick.
+    fast-forward depends on: a lease's engine watch re-checks the
+    polled value at every would-be poll, which is sound only if the
+    value cannot change between a wake hook's execution and the next
+    poll.
     """
 
     def __init__(self, path: str, tree: ast.Module, findings: list[Finding]):
@@ -529,9 +580,18 @@ def lint_source(
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
     ]
     scopes = functions + [tree]  # module-level code participates too
+    # Each function sees the prebuilt ops of its innermost enclosing
+    # class (ast.walk visits outer classes first).
+    prebuilt_of: dict[int, dict] = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            ops = _prebuilt_ops(node)
+            for inner in ast.walk(node):
+                if isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    prebuilt_of[id(inner)] = ops
     for scope in scopes:
         if rules & KERNEL_RULES:
-            _FunctionLinter(path, scope, findings).run()
+            _FunctionLinter(path, scope, findings, prebuilt_of.get(id(scope), {})).run()
         if KIND_UNORDERED_ITERATION in rules:
             _OrderLinter(path, scope, findings).run()
     if KIND_UNDECLARED_WAKE_MUTATION in rules:

@@ -28,7 +28,7 @@ COUNTERS = {
     "cells_deadline_exceeded": "Cells settled as failed after exceeding their execution deadline",
     "epoch_epochs": "Simulated cycles the engine clock advanced to, across cells",
     "epoch_events_batched": "Events fired by the engine across simulated cells",
-    "epoch_spin_polls_elided": "Spin polls replaced by fast-forward lease ticks",
+    "epoch_spin_polls_elided": "Spin polls elided by spin fast-forward leases",
 }
 
 

@@ -7,6 +7,12 @@ deterministic: events due in the same cycle fire in the order they were
 scheduled.  (time, seq) is unique, so the heap's C-speed tuple comparison
 never reaches the other fields and yields (cycle, seq) order by
 construction.  Nothing cancels an entry, so every queued entry is live.
+
+A *watch* (:meth:`Simulator.watch_at`) is an ordinary entry whose
+callback is the simulator's own :meth:`Simulator._poll_watch`: it polls,
+and either reschedules itself one period on or calls the watch's
+callback, exactly as a callback that polls and reschedules itself
+through :meth:`Simulator.call_after` would.
 """
 
 from __future__ import annotations
@@ -29,7 +35,8 @@ def _note(entry: tuple) -> str:
 
 class Simulator:
     """A minimal deterministic discrete-event simulator: ``call_at`` and
-    ``call_after`` schedule ``callback(arg)``; :meth:`run` fires them."""
+    ``call_after`` schedule ``callback(arg)``, ``watch_at`` schedules a
+    periodic poll that ends in one; :meth:`run` fires them."""
 
     def __init__(self) -> None:
         self._heap: list[tuple] = []
@@ -44,6 +51,7 @@ class Simulator:
         self._epochs = 0
         self._fired = 0
         self._spin_polls_elided = 0
+        self._cb_poll_watch = self._poll_watch
 
     def call_at(self, time: int, callback: Callable, arg=None) -> None:
         """Schedule ``callback(arg)`` at absolute cycle ``time``."""
@@ -64,12 +72,51 @@ class Simulator:
         self._seq = seq + 1
         heappush(self._heap, (now + delay, seq, callback, arg, now))
 
+    def watch_at(
+        self,
+        time: int,
+        period: int,
+        poll: Callable[[], object],
+        expected,
+        callback: Callable,
+        arg=None,
+    ) -> None:
+        """From cycle ``time``, every ``period`` cycles, call ``poll()``
+        until its result differs from ``expected``; then call
+        ``callback(arg)`` in that same event.
+
+        Each poll is one fired event.  ``poll`` must have no side effect
+        on the simulation; a builtin-backed one (such as
+        ``functools.partial(dict.get, ...)``) keeps an unchanged poll to
+        one Python frame, :meth:`_poll_watch`.
+        """
+        if period < 1:
+            raise ValueError(f"watch period must be positive, got {period}")
+        self.call_at(
+            time, self._cb_poll_watch, (poll, expected, period, callback, arg)
+        )
+
+    def _poll_watch(self, watch: tuple) -> None:
+        """One poll of a :meth:`watch_at` watch, ``(poll, expected,
+        period, callback, arg)``."""
+        if watch[0]() == watch[1]:
+            # call_after, inlined: an elided spin poll runs this one frame.
+            now = self.now
+            seq = self._seq
+            self._seq = seq + 1
+            heappush(
+                self._heap, (now + watch[2], seq, self._cb_poll_watch, watch, now)
+            )
+        else:
+            watch[3](watch[4])
+
     def run(self, max_events: int | None = None) -> int:
         """Run events until the queue drains; return the event count.
 
-        Past ``max_events`` fired, a still-queued event raises without
-        touching the clock.  A callback exception propagates with a PEP 678
-        note naming the event.  Either way, the queued events stay pending.
+        Each watch poll counts as one event.  Past ``max_events`` fired, a
+        still-queued event raises without touching the clock.  A callback
+        exception propagates with a PEP 678 note naming the event.  Either
+        way, the queued events stay pending.
         """
         watchdog = self.watchdog
         poll_at = _NEVER if watchdog is None else CHECK_INTERVAL
@@ -115,8 +162,9 @@ class Simulator:
     @property
     def epoch_stats(self) -> dict:
         """Counters over every run: ``epochs``, cycles the clock advanced to;
-        ``events_batched``, events fired; ``spin_polls_elided``, spin probes
-        replaced by lease ticks; ``fallbacks``, always empty (legacy key)."""
+        ``events_batched``, events fired (watch polls included);
+        ``spin_polls_elided``, spin probes replaced by lease polls;
+        ``fallbacks``, always empty (legacy key)."""
         return {
             "epochs": self._epochs,
             "events_batched": self._fired,

@@ -10,6 +10,10 @@ registered the word) but a separate ownership request under MESI.
 
 Flag words are padded to distinct cache lines (the distributed layout is
 the entire point of the algorithm).
+
+The lock builds every op once, per slot where the op names a flag, and
+every thread yields the same objects (see :mod:`repro.cpu.isa`: nothing
+mutates a yielded op).
 """
 
 from __future__ import annotations
@@ -30,9 +34,20 @@ class ArrayLock:
             raise ValueError("nslots must be >= 1")
         self.nslots = nslots
         self.tail = allocator.alloc_sync(f"{name}.tail").base
-        self.flags = [
+        self.flags = flags = [
             allocator.alloc(f"{name}.flag{i}", 1, line_align=True).base
             for i in range(nslots)
+        ]
+        self._ticket = Fai(self.tail)
+        self._wait = [
+            WaitLoad(flag, lambda v: v == FLAG_GO, sync=True, acquire=True)
+            for flag in flags
+        ]
+        self._reset = [Store(flag, FLAG_WAIT, sync=True) for flag in flags]
+        # Slot i's release opens slot i + 1.
+        self._pass = [
+            Store(flags[(slot + 1) % nslots], FLAG_GO, sync=True, release=True)
+            for slot in range(nslots)
         ]
 
     def initial_values(self) -> dict[int, int]:
@@ -41,18 +56,15 @@ class ArrayLock:
 
     def acquire(self, ctx: ThreadCtx | None = None):
         """Generator: returns the acquired slot index (pass to release)."""
-        ticket = yield Fai(self.tail)
+        ticket = yield self._ticket
         slot = ticket % self.nslots
-        yield WaitLoad(
-            self.flags[slot], lambda v: v == FLAG_GO, sync=True, acquire=True
-        )
+        yield self._wait[slot]
         # Reset our flag so the slot can be reused on the next wrap-around.
         # Under DeNovo the acquire read registered the word, so this hits;
         # MESI needs a separate ownership request (section 6.1.2).
-        yield Store(self.flags[slot], FLAG_WAIT, sync=True)
+        yield self._reset[slot]
         return slot
 
     def release(self, slot: int):
         """Generator: hand the lock to the next slot."""
-        nxt = self.flags[(slot + 1) % self.nslots]
-        yield Store(nxt, FLAG_GO, sync=True, release=True)
+        yield self._pass[slot]

@@ -8,6 +8,10 @@ store of zero, marked with release semantics.
 
 An optional software exponential backoff after a failed Test-and-Set
 supports the paper's section 7.1.1 sensitivity study.
+
+The lock builds its three ops once and every thread yields the same
+objects (see :mod:`repro.cpu.isa`: nothing mutates a yielded op), so an
+attempt costs no op construction.
 """
 
 from __future__ import annotations
@@ -30,18 +34,21 @@ class TatasLock:
         name: str = "tatas",
         software_backoff: bool = False,
     ):
-        self.addr = allocator.alloc_sync(name).base
+        self.addr = addr = allocator.alloc_sync(name).base
         self.software_backoff = software_backoff
+        self._test = WaitLoad(addr, lambda v: v == LOCK_FREE, sync=True)
+        self._grab = Swap(addr, LOCK_HELD, acquire=True)
+        self._free = Store(addr, LOCK_FREE, sync=True, release=True)
 
     def acquire(self, ctx: ThreadCtx | None = None):
         """Generator: spin until the lock is acquired."""
         attempt = 0
         while True:
             # Test: spin (reads only) until the lock appears free.
-            yield WaitLoad(self.addr, lambda v: v == LOCK_FREE, sync=True)
+            yield self._test
             # Test-and-Set: the linearization (and acquire) point on
             # success; firing acquire on a failed TAS too is conservative.
-            old = yield Swap(self.addr, LOCK_HELD, acquire=True)
+            old = yield self._grab
             if old == LOCK_FREE:
                 return
             if self.software_backoff and ctx is not None:
@@ -55,4 +62,4 @@ class TatasLock:
         ``token = yield from acquire(...)`` / ``yield from release(token)``
         calling convention.
         """
-        yield Store(self.addr, LOCK_FREE, sync=True, release=True)
+        yield self._free

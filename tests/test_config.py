@@ -127,6 +127,7 @@ class TestValidation:
             (dict(word_bytes=0), "word_bytes"),
             (dict(line_bytes=0), "line_bytes"),
             (dict(line_bytes=-64), "line_bytes"),
+            (dict(l1_bytes=0), "l1_bytes"),
         ],
     )
     def test_unrunnable_geometry_rejected(self, overrides, field):

@@ -513,6 +513,47 @@ def test_lint_unbalanced_buckets():
     assert lint_source(balanced) == []
 
 
+def test_lint_resolves_a_prebuilt_op():
+    """``yield self._grab`` is the Fai its class's ``__init__`` built."""
+    source = (
+        "class Lock:\n"
+        "    def __init__(self, addr):\n"
+        "        self._grab = Fai(addr)\n"
+        "    def acquire(self):\n"
+        "        yield self._grab\n"
+    )
+    findings = lint_source(source)
+    assert _kinds(findings) == [KIND_DISCARDED_RESULT]
+    assert findings[0].details["line"] == 5
+
+    bound = source.replace(
+        "        yield self._grab", "        t = yield self._grab\n        return t"
+    )
+    assert lint_source(bound) == []
+
+
+def test_lint_resolves_prebuilt_per_slot_ops():
+    source = (
+        "class Lock:\n"
+        "    def __init__(self, flags):\n"
+        "        self._cas = [Cas(f, 0, 1) for f in flags]\n"
+        "        self._go = [\n"
+        "            WaitLoad(f, lambda v: v == 1, sync=True) for f in flags\n"
+        "        ]\n"
+        "        self._set = [\n"
+        "            WaitLoad(f, lambda v: v >= 1, sync=True) for f in flags\n"
+        "        ]\n"
+        "    def acquire(self, slot):\n"
+        "        old = yield self._cas[slot]\n"
+        "        yield self._go[slot]\n"
+        "        yield self._set[slot]\n"
+    )
+    assert _kinds(lint_source(source)) == [KIND_CAS_UNCHECKED, KIND_WAITLOAD_DISCARDED]
+    # The same names unindexed are lists, not ops.
+    unindexed = source.replace("[slot]", "")
+    assert lint_source(unindexed) == []
+
+
 def test_shipped_lint_corpus_has_no_errors():
     findings, linted = lint_paths(default_lint_targets())
     errors = [f for f in findings if f.severity == SEVERITY_ERROR]

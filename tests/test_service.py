@@ -50,6 +50,7 @@ UNRUNNABLE_GEOMETRY = (
     {"l1_assoc": 0},
     {"word_bytes": 0},
     {"line_bytes": 0},
+    {"l1_bytes": 0},
 )
 
 

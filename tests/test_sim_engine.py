@@ -1,6 +1,7 @@
 """Tests for the discrete-event engine."""
 
 import inspect
+from functools import partial
 
 import pytest
 
@@ -214,9 +215,111 @@ class TestEpochStats:
         assert sim.epoch_stats["epochs"] == 5
 
 
+class TestWatches:
+    """``watch_at`` polls in the run loop; each poll is one event."""
+
+    @staticmethod
+    def _watch(sim, cell, time=5, period=10, callback=None):
+        fired = []
+        sim.watch_at(
+            time, period, partial(cell.get, "x"), 0,
+            callback or (lambda arg: fired.append((sim.now, arg))), "arg",
+        )
+        return fired
+
+    def test_the_first_changed_poll_fires_the_callback(self):
+        sim = Simulator()
+        cell = {"x": 0}
+        fired = self._watch(sim, cell)
+        sim.call_at(32, lambda _: cell.update(x=1))
+        # Polls at 5, 15, 25 and 35; the last one sees the change.
+        assert sim.run() == 5
+        assert fired == [(35, "arg")]
+
+    def test_a_flip_and_back_between_polls_is_not_seen(self):
+        sim = Simulator()
+        cell = {"x": 0}
+        fired = self._watch(sim, cell)
+        sim.call_at(16, lambda _: cell.update(x=1))
+        sim.call_at(24, lambda _: cell.update(x=0))
+        sim.call_at(47, lambda _: cell.update(x=2))
+        sim.run()
+        assert fired == [(55, "arg")]
+
+    def test_a_poll_fires_after_same_cycle_events_queued_before_it(self):
+        """A requeued poll takes a fresh sequence number when its
+        predecessor fires, exactly as a self-rescheduling callback."""
+        sim = Simulator()
+        cell = {"x": 0}
+        fired = self._watch(sim, cell)
+        sim.call_at(15, lambda _: cell.update(x=1))  # queued before the poll at 15
+        sim.run()
+        assert fired == [(15, "arg")]
+
+        sim = Simulator()
+        cell = {"x": 0}
+        fired = self._watch(sim, cell)
+        # Queued at cycle 6, after the poll for cycle 15 was queued at 5.
+        sim.call_at(6, lambda _: sim.call_at(15, lambda _: cell.update(x=1)))
+        sim.run()
+        assert fired == [(25, "arg")]
+
+    def test_each_poll_counts_as_a_fired_event(self):
+        sim = Simulator()
+        cell = {"x": 0}
+        self._watch(sim, cell, time=0, period=1)
+        sim.call_at(99, lambda _: cell.update(x=1))
+        # Polls at 0..99 (100 events, the last one firing the callback)
+        # plus the flip at 99, which was queued before the poll at 99.
+        assert sim.run() == 101
+        stats = sim.epoch_stats
+        assert stats["events_batched"] == 101
+        assert stats["epochs"] == 99
+
+    def test_each_poll_counts_against_max_events(self):
+        sim = Simulator()
+        cell = {"x": 0}
+        fired = self._watch(sim, cell, time=0, period=1)
+        with pytest.raises(RuntimeError, match="max_events"):
+            sim.run(max_events=50)
+        assert sim.now == 49
+        assert sim.pending_events == 1
+        assert sim.epoch_stats["events_batched"] == 50
+        cell["x"] = 1
+        assert sim.run() == 1
+        assert fired == [(50, "arg")]
+
+    def test_a_callback_exception_carries_the_event_note(self):
+        sim = Simulator()
+        cell = {"x": 0}
+
+        def boom(_arg):
+            raise KeyError("boom")
+
+        self._watch(sim, cell, time=3, period=4, callback=boom)
+        sim.call_at(5, lambda _: cell.update(x=1))
+        with pytest.raises(KeyError) as excinfo:
+            sim.run()
+        (note,) = excinfo.value.__notes__
+        assert "at cycle 7" in note
+        assert "scheduled at cycle 3" in note
+        assert sim.pending_events == 0
+
+    def test_watch_rejects_the_past_and_a_non_positive_period(self):
+        sim = Simulator()
+        sim.call_at(10, lambda _: None)
+        sim.run()
+        with pytest.raises(ValueError, match="past"):
+            sim.watch_at(5, 1, int, 0, print)
+        with pytest.raises(ValueError, match="period"):
+            sim.watch_at(10, 0, int, 0, print)
+        assert sim.pending_events == 0
+
+
 class TestApiSurface:
-    """Scheduling is ``call_at``/``call_after`` firing ``callback(arg)``:
-    no event handles, no run horizon, no scheduling hook on the engine."""
+    """Scheduling is ``call_at``/``call_after`` (and ``watch_at``)
+    firing ``callback(arg)``: no event handles, no run horizon, no
+    scheduling hook on the engine."""
 
     def test_package_exports_no_event_type(self):
         assert "Event" not in repro.sim.__all__
@@ -229,3 +332,4 @@ class TestApiSurface:
         sim = Simulator()
         assert sim.call_at(1, lambda _: None) is None
         assert sim.call_after(1, lambda _: None) is None
+        assert sim.watch_at(1, 1, int, 1, lambda _: None) is None

@@ -2,12 +2,13 @@
 
 A polling spinner whose failed probes are stateless repeats (Neat's, see
 ``CoherenceProtocol.spin_poll_lease``) holds a lease instead of probing:
-each tick compares the polled word and reschedules itself, and the tick
-that sees a change settles the lease, adding the deltas of every elided
-poll at once before it runs the full probe.  These tests drive one
-``WaitLoad`` through leases that settle after zero, one and many elided
-polls, inside and outside a time bucket, and check the leased run against
-the same run with leasing disabled.
+the core arms an engine watch (``Simulator.watch_at``) whose polls
+compare the polled word inside the run loop, and the first poll that
+sees a change calls ``Core._settle_lease``, which adds the deltas of
+every elided poll at once before it runs the full probe.  These tests
+drive one ``WaitLoad`` through leases that settle after zero, one and
+many elided polls, inside and outside a time bucket, and check the
+leased run against the same run with leasing disabled.
 """
 
 import pytest
@@ -17,12 +18,13 @@ from repro.cpu.isa import Compute, PopBucket, PushBucket, Store, WaitLoad
 from repro.noc.messages import MessageClass
 from repro.protocols.neat import NeatProtocol
 from repro.protocols.registry import protocol_names
+from repro.sim.engine import Simulator
 from repro.stats.timeparts import TimeComponent
 
 #: Writer delay before the release store, in cycles -> polls the lease
-#: elides.  The spinner's first probe is a cold miss, so its first tick
+#: elides.  The spinner's first probe is a cold miss, so its first poll
 #: fires at cycle 238 and the next ones 49 cycles apart: a store issued
-#: by cycle 238 settles the lease on its first tick, with nothing elided.
+#: by cycle 238 settles the lease on its first poll, with nothing elided.
 ELIDED_POLLS = {0: 0, 230: 0, 240: 1, 300: 2, 1000: 16, 5000: 98}
 
 
@@ -44,32 +46,45 @@ def _state(machine):
 
 
 class Recorder:
-    """Counts lease grants and ticks through wrapping patches."""
+    """Counts lease grants, watch polls and settles through wrapping
+    patches."""
 
     def __init__(self, monkeypatch):
         self.grants = 0
-        self.ticks = []
+        self.polls = []
+        self.settles = 0
         grant_lease = NeatProtocol.spin_poll_lease
-        lease_tick = Core._lease_tick
+        watch_at = Simulator.watch_at
+        settle_lease = Core._settle_lease
 
         def counted_grant(protocol, core_id, addr):
             lease = grant_lease(protocol, core_id, addr)
             self.grants += lease is not None
             return lease
 
-        def counted_tick(core, op):
-            # What the run has charged so far, before this tick runs.
-            self.ticks.append(
-                (
-                    core.sim.epoch_stats["spin_polls_elided"],
-                    core.protocol.counters.as_dict(),
-                    core.time.as_dict(),
+        def counted_watch(sim, time, period, poll, expected, callback, arg=None):
+            core = callback.__self__
+
+            def counted_poll():
+                # What the run has charged so far, before this poll.
+                self.polls.append(
+                    (
+                        sim.epoch_stats["spin_polls_elided"],
+                        core.protocol.counters.as_dict(),
+                        core.time.as_dict(),
+                    )
                 )
-            )
-            lease_tick(core, op)
+                return poll()
+
+            watch_at(sim, time, period, counted_poll, expected, callback, arg)
+
+        def counted_settle(core, op):
+            self.settles += 1
+            settle_lease(core, op)
 
         monkeypatch.setattr(NeatProtocol, "spin_poll_lease", counted_grant)
-        monkeypatch.setattr(Core, "_lease_tick", counted_tick)
+        monkeypatch.setattr(Simulator, "watch_at", counted_watch)
+        monkeypatch.setattr(Core, "_settle_lease", counted_settle)
 
 
 def _spin_run(machine_factory, delay, spinners=1, protocol="Neat", bucket=None):
@@ -109,28 +124,29 @@ def test_a_settled_lease_matches_polling(machine_factory, monkeypatch, delay):
         machine_factory, monkeypatch, delay=delay
     )
     assert recorder.grants == 1
+    assert recorder.settles == 1
     assert _state(leased) == _state(polled)
 
 
 @pytest.mark.parametrize("delay,polls", ELIDED_POLLS.items())
-def test_every_tick_but_the_settling_one_is_an_elided_poll(
+def test_every_poll_but_the_settling_one_is_an_elided_poll(
     machine_factory, monkeypatch, delay, polls
 ):
     """The settle derives its poll count from the clock; it must equal
-    the ticks that fired and found the word unchanged."""
+    the polls that fired and found the word unchanged."""
     leased, _, recorder = _leased_and_polled(machine_factory, monkeypatch, delay=delay)
-    assert len(recorder.ticks) == polls + 1
+    assert len(recorder.polls) == polls + 1
     assert leased.sim.epoch_stats["spin_polls_elided"] == polls
 
 
 def test_an_open_lease_charges_nothing_until_it_settles(machine_factory, monkeypatch):
     leased, _, recorder = _leased_and_polled(machine_factory, monkeypatch, delay=1000)
-    open_ticks = recorder.ticks[:-1]
-    assert len(open_ticks) == 16
-    # No tick before the settle saw anything the grant had not left
+    open_polls = recorder.polls[:-1]
+    assert len(open_polls) == 16
+    # No poll before the settle saw anything the grant had not left
     # behind: not an elided poll, a counter or a spinner cycle.
-    assert open_ticks[0][0] == 0
-    assert all(snapshot == open_ticks[0] for snapshot in open_ticks)
+    assert open_polls[0][0] == 0
+    assert all(snapshot == open_polls[0] for snapshot in open_polls)
     assert leased.sim.epoch_stats["spin_polls_elided"] == 16
 
 
@@ -140,6 +156,7 @@ def test_each_spinner_settles_its_own_lease(machine_factory, monkeypatch, spinne
         machine_factory, monkeypatch, delay=1000, spinners=spinners
     )
     assert recorder.grants == spinners
+    assert recorder.settles == spinners
     assert leased.sim.epoch_stats["spin_polls_elided"] >= 16 * spinners
     assert _state(leased) == _state(polled)
 

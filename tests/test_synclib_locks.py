@@ -6,11 +6,20 @@ the critical section; any mutual-exclusion violation or stale read loses
 increments and the final count comes up short.
 """
 
+import copy
+from dataclasses import fields
+
 import pytest
 
+from repro.config import config_for_cores
+from repro.cpu.core import Core
 from repro.cpu.isa import Compute, Load, SelfInvalidate, Store
+from repro.harness.runner import run_workload
+from repro.protocols.registry import protocol_names
 from repro.synclib.arraylock import ArrayLock
 from repro.synclib.tatas import TatasLock
+from repro.workloads.base import KernelSpec
+from repro.workloads.registry import kernel_names, make_kernel
 
 
 def locked_increment_program(machine, lock, region, counter_addr, ctx, iterations):
@@ -126,3 +135,34 @@ class TestArrayLockDetails:
         machine = machine_factory("MESI", 4)
         with pytest.raises(ValueError):
             ArrayLock(machine.allocator, nslots=0)
+
+
+def _field_copies(op) -> tuple:
+    return tuple(copy.copy(getattr(op, f.name)) for f in fields(op))
+
+
+@pytest.mark.parametrize("protocol", protocol_names())
+@pytest.mark.parametrize(
+    "figure,kernel",
+    [(figure, kernel) for figure in ("tatas", "array") for kernel in kernel_names(figure)],
+)
+def test_no_yielded_op_is_mutated(monkeypatch, figure, kernel, protocol):
+    """TATAS and array locks yield one prebuilt op object from every
+    thread and attempt, which is sound only while nothing mutates a
+    yielded op: every op must end the run with the fields it was
+    yielded with."""
+    yielded = []
+    dispatch = Core._dispatch
+
+    def recording_dispatch(core, op):
+        yielded.append((op, _field_copies(op)))
+        dispatch(core, op)
+
+    monkeypatch.setattr(Core, "_dispatch", recording_dispatch)
+    workload = make_kernel(figure, kernel, spec=KernelSpec(scale=0.02))
+    run_workload(workload, protocol, config_for_cores(4), seed=1)
+    # The locks' ops are shared, so some op object was yielded twice.
+    assert len({id(op) for op, _ in yielded}) < len(yielded)
+    changed = [op for op, snapshot in yielded if _field_copies(op) != snapshot]
+    assert changed == []
+
