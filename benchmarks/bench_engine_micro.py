@@ -24,8 +24,10 @@ The scenarios stress the event queue's distinct regimes: a serial
 hand-off chain (one event in flight), a fan-out mixing near deltas with
 multi-thousand-cycle ones (a deep heap), one real kernel run,
 independent per-core chains (many events per cycle), engine watches on
-unchanged cells (``watch_at`` polls, which spin leases use), and a
-64-core Neat spin-heavy kernel (the spin fast-forward's leases).
+unchanged cells (``watch_at`` polls, which spin leases use), a 64-core
+Neat spin-heavy kernel (the spin fast-forward's leases), and a 64-core
+M-S queue under DeNovoSync (CAS-retry loops: op dispatch and protocol
+results).
 The watch scenario also runs as a self-rescheduling ``call_after``
 poll and fails unless both fire the same number of events.  One more
 scenario covers the data path rather than the engine: the LU
@@ -87,17 +89,22 @@ def _fanout_mix(n: int = 120_000):
     return fired, perf_counter() - start
 
 
-def _kernel_ops():
-    """One real kernel run: the end-to-end rate the engine work targets."""
+def _run_kernel(figure: str, name: str, scale: float, protocol: str, cores: int):
+    """Simulated cycles and host seconds of one seed-1 kernel run."""
     from repro.config import config_for_cores
     from repro.harness.runner import run_workload
     from repro.workloads.base import KernelSpec
     from repro.workloads.registry import make_kernel
 
-    workload = make_kernel("tatas", "counter", spec=KernelSpec(scale=0.05))
+    workload = make_kernel(figure, name, spec=KernelSpec(scale=scale))
     start = perf_counter()
-    result = run_workload(workload, "DeNovoSync", config_for_cores(16), seed=1)
+    result = run_workload(workload, protocol, config_for_cores(cores), seed=1)
     return result.cycles, perf_counter() - start
+
+
+def _kernel_ops():
+    """One real kernel run: the end-to-end rate the engine work targets."""
+    return _run_kernel("tatas", "counter", 0.05, "DeNovoSync", 16)
 
 
 def _uncontended_stretch(cores: int = 32, steps: int = 4_000):
@@ -181,15 +188,14 @@ def _spin_heavy():
     """Neat's 64-core unbounded central barrier: 90%+ of its events are
     failed spin polls of LLC-resident flags, the spin fast-forward's
     target regime."""
-    from repro.config import config_for_cores
-    from repro.harness.runner import run_workload
-    from repro.workloads.base import KernelSpec
-    from repro.workloads.registry import make_kernel
+    return _run_kernel("barrier", "central (UB)", 0.02, "Neat", 64)
 
-    workload = make_kernel("barrier", "central (UB)", spec=KernelSpec(scale=0.02))
-    start = perf_counter()
-    result = run_workload(workload, "Neat", config_for_cores(64), seed=1)
-    return result.cycles, perf_counter() - start
+
+def _cas_retry():
+    """The M-S queue at 64 cores under DeNovoSync: CAS-retry loops with
+    several synchronization reads per attempt (Figure 5's pattern), where
+    op dispatch and the protocol calls' results are the host's work."""
+    return _run_kernel("nonblocking", "M-S queue", 0.02, "DeNovoSync", 64)
 
 
 def _data_path():
@@ -213,6 +219,7 @@ SCENARIOS = {
     "uncontended_stretch": (_uncontended_stretch, "events"),
     "watch": (_watch, "events"),
     "spin_heavy_64c": (_spin_heavy, "cycles"),
+    "cas_retry_64c": (_cas_retry, "cycles"),
     "app_lu_64c": (_data_path, "cycles"),
 }
 

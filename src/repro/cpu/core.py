@@ -29,31 +29,33 @@ Spin-wait execution (:class:`~repro.cpu.isa.WaitLoad`):
   :meth:`Core._settle_lease`, which charges the elided probes and runs
   the full one.
 
-Hot-path structure: operations dispatch through a per-class handler table
-instead of an ``isinstance`` chain, and every event the core schedules
-goes through :meth:`~repro.sim.engine.Simulator.call_after` /
-``call_at`` (or, for a lease, ``watch_at``) with a method prebound in
-``__init__`` — no closure per operation.  Calls into the protocol pass
-every argument positionally (keywords cost CPython extra on a call made
-once per access).
+Hot-path structure: :meth:`Core._step` calls the op's issuing method
+straight from a per-core table keyed by the op's class (without hardware
+backoff a ``Load`` maps to :meth:`Core._finish_load`), and an RMW op is
+itself the ``fn`` :meth:`Core._issue_rmw` hands the protocol, so no
+closure is built.  Every event the core schedules goes through
+:meth:`~repro.sim.engine.Simulator.call_after` / ``call_at`` (or, for a
+lease, ``watch_at``) with a method prebound in ``__init__``.  Protocol
+calls pass every argument positionally (keywords cost CPython extra on a
+call made once per access) and return the plain tuple described in
+:mod:`repro.protocols.base`, which the core unpacks.
 
 Retries and acquires: an access that comes back with ``retry`` set is
-re-issued, after its stall, through the same issue method — a load
-through :meth:`Core._finish_load`, a store through
-:meth:`Core._issue_store`, a spin probe through
-:meth:`Core._spin_probe_issue`, an RMW from its saved operands — so a
-re-issue skips hardware backoff and the model checker's scheduling gate.
-The re-issue carries no flag: a backend that reserves a place for the
-retried request (MESI's directory) records it itself.  After every
-completed acquire-marked load or RMW, and after the successful probe of
-an acquire-marked spin wait, the core calls
+re-issued, after its stall, through the same issue method with the same
+op — a load through :meth:`Core._finish_load`, a store through
+:meth:`Core._issue_store`, an RMW through :meth:`Core._issue_rmw`, a
+spin probe through :meth:`Core._spin_probe_issue` — so a re-issue skips
+hardware backoff and the model checker's scheduling gate.  The re-issue
+carries no flag: a backend that reserves a place for the retried request
+(MESI's directory) records it itself.  After every completed
+acquire-marked load or RMW, and after the successful probe of an
+acquire-marked spin wait, the core calls
 :meth:`~repro.protocols.base.CoherenceProtocol.on_acquire` — the one
-acquire path into a protocol.  The state a retry needs (the RMW
-operands, the spin re-probe cycle) lives in per-core fields, which is
-sound because an in-order blocking core has exactly one operation in
-flight.  The model checker's scheduling gate lives in a subclass,
-:class:`~repro.mc.controller.GatedCore`, which overrides
-:meth:`Core._dispatch`.
+acquire path into a protocol.  A spin's state (its op, re-probe cycle
+and open lease) lives in per-core fields, which is sound because an
+in-order blocking core has one operation in flight.  The model checker's
+scheduling gate lives in the handler table of a
+:class:`~repro.mc.controller.GatedCore`.
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ from collections.abc import Generator
 from functools import partial
 
 from repro.cpu import isa
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol
 from repro.sim.engine import Simulator
 from repro.stats.timeparts import COMPUTE, HW_BACKOFF, TimeBreakdown, TimeComponent
 
@@ -96,8 +98,7 @@ class Core:
         self.pending_op = None
         self.wait_reason: str | None = None
         self.blocked_since = 0
-        # In-flight retry state (one op in flight on an in-order core).
-        self._rmw_state: tuple | None = None
+        # In-flight spin state (one op in flight on an in-order core).
         self._spin_op: isa.WaitLoad | None = None
         self._spin_retry_at = 0
         # Spin fast-forward: an open lease, as (re-poll period, first
@@ -117,11 +118,25 @@ class Core:
         self._cb_step = self._step
         self._cb_finish_load = self._finish_load
         self._cb_issue_store = self._issue_store
-        self._cb_retry_rmw = self._retry_rmw
+        self._cb_issue_rmw = self._issue_rmw
         self._cb_spin_probe = self._spin_probe
         self._cb_spin_probe_issue = self._spin_probe_issue
         self._cb_on_invalidated = self._on_invalidated
         self._cb_settle_lease = self._settle_lease
+        # Operation dispatch: the op's exact class selects the bound
+        # method that issues it (one dict lookup, no isinstance chain).
+        self._handlers = {
+            isa.Compute: self._h_compute,
+            isa.Load: self._issue_load if self._has_backoff else self._finish_load,
+            isa.Store: self._issue_store,
+            isa.Cas: self._issue_rmw,
+            isa.Fai: self._issue_rmw,
+            isa.Swap: self._issue_rmw,
+            isa.WaitLoad: self._spin_probe,
+            isa.SelfInvalidate: self._h_self_invalidate,
+            isa.PushBucket: self._h_push_bucket,
+            isa.PopBucket: self._h_pop_bucket,
+        }
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -145,14 +160,13 @@ class Core:
         stack = self._bucket_stack
         self._tc[(stack[-1] if stack else component).idx] += cycles
 
-    def _account_access(self, access: Access) -> None:
+    def _account_access(self, lat: int, retry: bool) -> None:
         """One compute cycle to issue, the rest of the latency as stall."""
-        lat = access.latency
         if lat <= 0:
             return
         tc = self._tc
         stack = self._bucket_stack
-        if access.retry:
+        if retry:
             # Waiting out a busy directory is pure memory stall.
             tc[stack[-1].idx if stack else _IDX_MEMORY_STALL] += lat
             return
@@ -182,34 +196,17 @@ class Core:
             return
         self.pending_op = op
         self.blocked_since = sim.now
-        self._dispatch(op)
-
-    def _dispatch(self, op) -> None:
-        handler = _HANDLERS.get(op.__class__)
+        handler = self._handlers.get(op.__class__)
         if handler is None:
             raise TypeError(f"core {self.core_id}: unknown operation {op!r}")
-        handler(self, op)
+        handler(op)
 
-    # -- per-class handlers (wired into _HANDLERS below) ----------------------
+    # -- per-class handlers (wired into _handlers in __init__) ---------------
 
     def _h_compute(self, op: isa.Compute) -> None:
         self.wait_reason = "compute"
         self._account(op.component, op.cycles)
         self.sim.call_after(op.cycles, self._cb_step, None)
-
-    def _h_cas(self, op: isa.Cas) -> None:
-        self._issue_rmw(
-            op.addr,
-            lambda old: op.new if old == op.expected else None,
-            op.release,
-            op.acquire,
-        )
-
-    def _h_fai(self, op: isa.Fai) -> None:
-        self._issue_rmw(op.addr, lambda old: old + op.delta, op.release, op.acquire)
-
-    def _h_swap(self, op: isa.Swap) -> None:
-        self._issue_rmw(op.addr, lambda old: op.value, op.release, op.acquire)
 
     def _h_self_invalidate(self, op: isa.SelfInvalidate) -> None:
         self.wait_reason = "self-invalidate"
@@ -233,7 +230,7 @@ class Core:
     # -- loads (with hardware backoff) ------------------------------------------
 
     def _issue_load(self, op: isa.Load) -> None:
-        if op.sync and self._has_backoff:
+        if op.sync:
             backoff = self.protocol.sync_read_backoff(self.core_id, op.addr)
             if backoff > 0:
                 self.wait_reason = "hw-backoff"
@@ -245,47 +242,45 @@ class Core:
     def _finish_load(self, op: isa.Load) -> None:
         protocol = self.protocol
         protocol.now = self.sim.now
-        access = protocol.load(self.core_id, op.addr, op.sync)
-        self._account_access(access)
-        if access.retry:
+        value, latency, _, retry = protocol.load(self.core_id, op.addr, op.sync)
+        self._account_access(latency, retry)
+        if retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_finish_load, op)
+            self.sim.call_after(latency, self._cb_finish_load, op)
             return
         if op.acquire:
             protocol.on_acquire(self.core_id, op.addr)
         self.wait_reason = "memory-access"
-        self.sim.call_after(access.latency, self._cb_step, access.value)
+        self.sim.call_after(latency, self._cb_step, value)
 
     def _issue_store(self, op: isa.Store) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.store(
+        value, latency, _, retry = self.protocol.store(
             self.core_id, op.addr, op.value, op.sync, op.release
         )
-        self._account_access(access)
-        if access.retry:
+        self._account_access(latency, retry)
+        if retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_issue_store, op)
+            self.sim.call_after(latency, self._cb_issue_store, op)
             return
         self.wait_reason = "memory-access"
-        self.sim.call_after(access.latency, self._cb_step, access.value)
+        self.sim.call_after(latency, self._cb_step, value)
 
-    def _issue_rmw(self, addr: int, fn, release: bool, acquire: bool) -> None:
+    def _issue_rmw(self, op: isa.Cas | isa.Fai | isa.Swap) -> None:
+        """Issue an RMW op; the op itself is the ``fn`` the protocol
+        applies to the old value."""
         protocol = self.protocol
         protocol.now = self.sim.now
-        access = protocol.rmw(self.core_id, addr, fn, release)
-        self._account_access(access)
-        if access.retry:
+        value, latency, _, retry = protocol.rmw(self.core_id, op.addr, op, op.release)
+        self._account_access(latency, retry)
+        if retry:
             self.wait_reason = "directory-retry"
-            self._rmw_state = (addr, fn, release, acquire)
-            self.sim.call_after(access.latency, self._cb_retry_rmw, None)
+            self.sim.call_after(latency, self._cb_issue_rmw, op)
             return
-        if acquire:
-            protocol.on_acquire(self.core_id, addr)
+        if op.acquire:
+            protocol.on_acquire(self.core_id, op.addr)
         self.wait_reason = "memory-access"
-        self.sim.call_after(access.latency, self._cb_step, access.value)
-
-    def _retry_rmw(self, _unused) -> None:
-        self._issue_rmw(*self._rmw_state)
+        self.sim.call_after(latency, self._cb_step, value)
 
     # -- spin-wait ------------------------------------------------------------------
 
@@ -302,22 +297,22 @@ class Core:
 
     def _spin_probe_issue(self, op: isa.WaitLoad) -> None:
         self.protocol.now = self.sim.now
-        access = self.protocol.load(self.core_id, op.addr, op.sync)
-        self._account_access(access)
-        if access.retry:
+        value, latency, _, retry = self.protocol.load(self.core_id, op.addr, op.sync)
+        self._account_access(latency, retry)
+        if retry:
             self.wait_reason = "directory-retry"
-            self.sim.call_after(access.latency, self._cb_spin_probe_issue, op)
+            self.sim.call_after(latency, self._cb_spin_probe_issue, op)
             return
-        if op.pred(access.value):
+        if op.pred(value):
             if op.acquire:
                 # The successful probe is the acquire point.
                 self.protocol.on_acquire(self.core_id, op.addr)
             self.wait_reason = "memory-access"
-            self.sim.call_after(access.latency, self._cb_step, access.value)
+            self.sim.call_after(latency, self._cb_step, value)
             return
         # Failed probe: wait for our copy to change if the protocol can tell
         # us (MESI), otherwise poll again after the probe completes.
-        retry_at = self.sim.now + access.latency
+        retry_at = self.sim.now + latency
         self._spin_op = op
         self._spin_retry_at = retry_at
         subscribed = self.protocol.subscribe_line_change(
@@ -362,7 +357,7 @@ class Core:
                     first_poll,
                     period,
                     partial(self.protocol._mem_get, op.addr, 0),
-                    access.value,
+                    value,
                     self._cb_settle_lease,
                     op,
                 )
@@ -411,18 +406,3 @@ def _overrides(protocol, name: str) -> bool:
     wrappers, is not the :class:`CoherenceProtocol` default."""
     return getattr(protocol, name).__func__ is not getattr(CoherenceProtocol, name)
 
-
-#: Operation dispatch: one dict lookup on the op's exact class instead of
-#: a nine-way isinstance chain per operation.
-_HANDLERS = {
-    isa.Compute: Core._h_compute,
-    isa.Load: Core._issue_load,
-    isa.Store: Core._issue_store,
-    isa.Cas: Core._h_cas,
-    isa.Fai: Core._h_fai,
-    isa.Swap: Core._h_swap,
-    isa.WaitLoad: Core._spin_probe,
-    isa.SelfInvalidate: Core._h_self_invalidate,
-    isa.PushBucket: Core._h_push_bucket,
-    isa.PopBucket: Core._h_pop_bucket,
-}

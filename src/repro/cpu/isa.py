@@ -6,7 +6,9 @@ the computed latency, and resumes the generator with the operation's
 result (the loaded value, or the old value for read-modify-writes).
 
 The RMW flavours (:class:`Cas`, :class:`Fai`, :class:`Swap`) are always
-synchronization accesses.  :class:`WaitLoad` is the spin-wait primitive:
+synchronization accesses, and each is the ``fn`` the core hands to the
+protocol's ``rmw``: ``op(old)`` returns the value to write (None leaves
+memory unchanged).  :class:`WaitLoad` is the spin-wait primitive:
 semantically a loop of (sync) loads until a predicate holds, which the
 core executes protocol-appropriately — sleeping on the cached copy until
 invalidated under MESI, re-registering (with hardware backoff) under the
@@ -19,11 +21,12 @@ sets each field through ``object.__setattr__``, which made construction
 hashes an op once it is yielded; ops are unhashable.
 
 Nothing may mutate a yielded op: the core, the protocol wrappers and
-the tracers only read its fields.  Locks rely on this.  A
-:class:`~repro.synclib.tatas.TatasLock` or
-:class:`~repro.synclib.arraylock.ArrayLock` builds its ops once and
-yields the same op object from every thread and every attempt, so a
-write to one op's field would reach every thread that later yields it.
+the tracers only read its fields.  :mod:`repro.synclib` relies on this:
+its TATAS and array locks and its non-blocking structures build each op
+whose fields never change once and yield the same object from every
+thread and attempt (an op whose address or operands change per attempt
+is built at its yield), so a write to one op's field would reach every
+thread that later yields it.
 """
 
 from __future__ import annotations
@@ -80,6 +83,9 @@ class Cas:
     release: bool = False
     acquire: bool = False
 
+    def __call__(self, old: int) -> int | None:
+        return self.new if old == self.expected else None
+
 
 @dataclass(slots=True)
 class Fai:
@@ -90,6 +96,9 @@ class Fai:
     release: bool = False
     acquire: bool = False
 
+    def __call__(self, old: int) -> int:
+        return old + self.delta
+
 
 @dataclass(slots=True)
 class Swap:
@@ -99,6 +108,9 @@ class Swap:
     value: int
     release: bool = False
     acquire: bool = False
+
+    def __call__(self, old: int) -> int:
+        return self.value
 
 
 @dataclass(slots=True)

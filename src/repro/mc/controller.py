@@ -4,6 +4,8 @@ A :class:`GatedCore` *gates* before issuing a visible memory operation
 (loads, stores, RMWs, self-invalidations, and every individual spin
 probe): instead of touching the protocol it calls
 :meth:`ScheduleController.arrive` with a continuation and goes quiet.
+The gate is :meth:`GatedCore._gated`, installed in the core's handler
+table, so a retry's re-issue (a direct call) never gates.
 Draining the event queue then reaches quiescence with every unfinished
 core either parked here or asleep on a protocol subscription — at which
 point the caller picks one parked core, :meth:`~ScheduleController.release`\\ s
@@ -45,6 +47,10 @@ class GatedCore(Core):
         # One-shot token set by ScheduleController.release: lets the
         # parked continuation pass the gate exactly once.
         self._release_granted = False
+        # The issuing method of each gated op class, behind the gate.
+        self._ungated = {klass: self._handlers[klass] for klass in self.GATED_OPS}
+        for klass in self.GATED_OPS:
+            self._handlers[klass] = self._gated
 
     def _gate(self, op, cont: Callable[[object], None]) -> bool:
         """Park at a scheduling decision point; True if parked.
@@ -60,13 +66,9 @@ class GatedCore(Core):
         self.controller.arrive(self, op, cont)
         return True
 
-    def _dispatch(self, op) -> None:
-        if op.__class__ is isa.WaitLoad:
-            # The handler table maps WaitLoad to the unbound
-            # Core._spin_probe, which would skip the gate below.
-            self._spin_probe(op)
-        elif not (isinstance(op, self.GATED_OPS) and self._gate(op, self._dispatch)):
-            super()._dispatch(op)
+    def _gated(self, op) -> None:
+        if not self._gate(op, self._gated):
+            self._ungated[op.__class__](op)
 
     def _spin_probe(self, op: isa.WaitLoad) -> None:
         if not self._gate(op, self._spin_probe):

@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass
 from collections.abc import Callable
 
-from repro.protocols.base import Access, CoherenceProtocol, ProtocolWrapper
+from repro.protocols.base import CoherenceProtocol, ProtocolWrapper
 
 
 @dataclass(frozen=True)
@@ -149,7 +149,7 @@ class FaultInjector(ProtocolWrapper):
 
     # -- perturbation helpers ----------------------------------------------
 
-    def _defer(self, core_id: int) -> Access | None:
+    def _defer(self, core_id: int) -> tuple | None:
         """Maybe turn a first-issue access into a forced retry.
 
         The core re-issues a deferred access, as after a real directory
@@ -167,17 +167,18 @@ class FaultInjector(ProtocolWrapper):
         self.deferrals += 1
         reissuing.add(core_id)
         delay = self.rng.randint(1, self.plan.reorder_delay)
-        return Access(0, delay, False, True)
+        return (0, delay, False, True)
 
-    def _finish(self, core_id: int, access: Access) -> Access:
+    def _finish(self, core_id: int, access: tuple) -> tuple:
         """Remember an inner retry (its re-issue is not deferred), or add
         delay jitter to a completed access."""
-        if access.retry:
+        value, latency, hit, retry = access
+        if retry:
             self._reissuing.add(core_id)
         elif self.plan.delay_jitter:
             extra = self.rng.randint(0, self.plan.delay_jitter)
-            access.latency += extra
             self.injected_delay += extra
+            return (value, latency + extra, hit, False)
         return access
 
     def debug_transients(self) -> list[str]:
@@ -197,7 +198,7 @@ class FaultInjector(ProtocolWrapper):
 
     # -- perturbed operations ----------------------------------------------
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         deferred = self._defer(core_id)
         if deferred is not None:
             return deferred
@@ -210,7 +211,7 @@ class FaultInjector(ProtocolWrapper):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         deferred = self._defer(core_id)
         if deferred is not None:
             return deferred
@@ -224,7 +225,7 @@ class FaultInjector(ProtocolWrapper):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         deferred = self._defer(core_id)
         if deferred is not None:
             return deferred

@@ -10,7 +10,7 @@ labels and comparison sets (:func:`protocol_names`, :func:`get_info`,
 :func:`default_comparison_set`, ...).
 """
 
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol
 from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit
 from repro.protocols.registry import (
     ProtocolInfo,
@@ -54,7 +54,6 @@ def make_protocol(name: str, *args, **kwargs) -> CoherenceProtocol:
 
 
 __all__ = [
-    "Access",
     "CoherenceProtocol",
     "MesiProtocol",
     "DeNovoSync0Protocol",

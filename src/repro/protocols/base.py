@@ -8,6 +8,29 @@ returned latency tells the issuing core how long to stall.  Because every
 operation goes through the deterministic global event queue, simulated
 CAS/FAI operations are linearizable and the synchronization algorithms
 built on top behave exactly as they would on coherent hardware.
+
+Every ``load``, ``store`` and ``rmw`` (of a backend or a
+:class:`ProtocolWrapper`) returns the plain tuple
+``(value, latency, hit, retry)``, not an object: this runs once per
+simulated access, and a slotted dataclass's generated ``__init__`` cost
+about 130 ns against 27 ns for the tuple (Python 3.11.7).
+
+* ``value``: the loaded word, or the old value of a store or RMW.
+* ``latency``: the stall the issuing core must take (1 for a hit or a
+  non-blocking store).
+* ``hit``: the access was served entirely from the private L1.
+* ``retry``: the access was not performed (MESI's blocking directory was
+  busy with another transaction on this line, or the fault injector
+  deferred it), so ``value`` is meaningless; the core stalls
+  ``latency`` cycles and re-issues the same operation through the same
+  call, carrying nothing (a reservation is the backend's own, as at
+  MESI's directory).  Re-issuing, rather than folding the queue delay
+  into one atomic transaction, resolves values at directory *service*
+  time, which is what arbitrates racing requests realistically.
+
+Internal helpers return latencies, except MESI's ``_obtain_modified``
+and ``_reserve_or_retry``, which return the same shape.  A wrapper that
+adjusts a result (the fault injector's jitter) returns a new tuple.
 """
 
 from __future__ import annotations
@@ -70,40 +93,6 @@ class SpinLease:
     #: :meth:`CoherenceProtocol.settle_lease` charges each of them once
     #: per elided poll through :meth:`CoherenceProtocol.record_data`.
     messages: tuple[tuple[MessageClass, int, int, int], ...]
-
-
-@dataclass(slots=True)
-class Access:
-    """Outcome of one memory operation.
-
-    Each public protocol call (``load``/``store``/``rmw``) builds exactly
-    one ``Access``, passing every field positionally: a class call with
-    keywords costs CPython about twice as much, and this runs once per
-    simulated access.  Internal helpers return latencies, not ``Access``
-    objects, except MESI's ``_obtain_modified`` and ``_reserve_or_retry``,
-    which return the call's single ``Access`` (the caller completes or
-    forwards it).  Wrappers may adjust the result in place (the fault
-    injector adds jitter to ``latency``).
-
-    ``latency`` is the stall the issuing core must take (1 for a hit or a
-    non-blocking store).  ``value`` is the loaded/old value.  ``hit`` is
-    True when the access was served entirely from the private L1.
-
-    ``retry`` means the access was not performed (MESI's blocking
-    directory was busy with another transaction on this line, or the
-    fault injector deferred it): no value is valid, and the core must
-    stall ``latency`` cycles and re-issue the same operation through the
-    same call.  Any reservation a retry takes is the backend's own (MESI
-    records it at the directory entry); the re-issue carries nothing.
-    Re-issuing (rather than folding the queue delay into one atomic
-    transaction) makes values resolve at directory *service* time, which
-    is what arbitrates racing requests realistically.
-    """
-
-    value: int
-    latency: int
-    hit: bool
-    retry: bool = False
 
 
 class CoherenceProtocol(ABC):
@@ -183,7 +172,7 @@ class CoherenceProtocol(ABC):
     # parameter names and their order (tests/test_registry.py checks).
 
     @abstractmethod
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         """A load; ``sync`` marks synchronization (volatile/atomic) reads.
 
         An acquire-marked load reaches the protocol as this call followed,
@@ -197,7 +186,7 @@ class CoherenceProtocol(ABC):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         """A store.  Data stores are non-blocking (latency 1); sync stores
         block until ownership/registration is obtained.  ``release`` marks
         release semantics."""
@@ -209,7 +198,7 @@ class CoherenceProtocol(ABC):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         """An atomic read-modify-write.  ``fn(old)`` returns the new value,
         or None to leave memory unchanged (a failed CAS).  Returns the old
         value.  Always a synchronization access; an acquire-marked RMW is

@@ -29,7 +29,7 @@ from collections.abc import Callable
 from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
 from repro.noc.messages import LOAD, STORE, WRITEBACK, MessageClass
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol
 from repro.protocols.invariants import denovo_violations
 
 
@@ -104,14 +104,14 @@ class DeNovoBaseProtocol(CoherenceProtocol):
 
     # -- data loads ----------------------------------------------------------
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         if sync:
             return self.sync_load(core_id, addr)
         l1 = self.l1s[core_id]
         value = l1.present_value(addr)
         if value is not None:
             self._counts["l1_hits"] += 1
-            return Access(value, self._l1_hit, True)
+            return (value, self._l1_hit, True, False)
 
         self._counts["l1_misses"] += 1
         line = addr // self._wpl
@@ -130,16 +130,14 @@ class DeNovoBaseProtocol(CoherenceProtocol):
                 core_id, line, from_owner=owner
             )
             self.record_data(LOAD, owner, core_id, self._word_bytes * filled)
-            value = self._mem_get(addr, 0)
-            return Access(value, latency, False)
+            return (self._mem_get(addr, 0), latency, False, False)
 
         latency, cold = self.llc_fetch_latency(core_id, line)
         if cold:
             self.record_memory_fill(LOAD, line)
         filled = self._fill_line_valid_words(core_id, line, from_owner=None)
         self.record_data(LOAD, bank, core_id, self._word_bytes * filled)
-        value = self._mem_get(addr, 0)
-        return Access(value, latency, False)
+        return (self._mem_get(addr, 0), latency, False, False)
 
     def _fill_line_valid_words(
         self, core_id: int, line: int, from_owner: int | None
@@ -170,7 +168,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         if sync:
             return self.sync_store(core_id, addr, value, release)
         l1 = self.l1s[core_id]
@@ -178,7 +176,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         if l1.try_write_registered(addr, value):
             self._counts["l1_hits"] += 1
             self._mem_values[addr] = value
-            return Access(old, self._l1_hit, True)
+            return (old, self._l1_hit, True, False)
 
         # Immediate transition to Registered, registration request in the
         # background: data writes never block the core.
@@ -194,7 +192,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self._register(core_id, addr, STORE, invalidate_prev=True)
         l1.fill_word(addr, value, REGISTERED)
         self._mem_values[addr] = value
-        return Access(old, self._l1_hit, False)
+        return (old, self._l1_hit, False, False)
 
     def _store_aggregates(self, core_id: int, addr: int) -> bool:
         """True when this data-store registration can ride along a recent
@@ -283,12 +281,12 @@ class DeNovoBaseProtocol(CoherenceProtocol):
 
     # -- synchronization accesses: defined by subclasses ----------------------
 
-    def sync_load(self, core_id: int, addr: int) -> Access:
+    def sync_load(self, core_id: int, addr: int) -> tuple:
         raise NotImplementedError
 
     def sync_store(
         self, core_id: int, addr: int, value: int, release: bool = False
-    ) -> Access:
+    ) -> tuple:
         raise NotImplementedError
 
     def rmw(
@@ -297,7 +295,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         raise NotImplementedError
 
     # -- spin-wait subscriptions ---------------------------------------------------

@@ -26,7 +26,6 @@ from collections.abc import Callable
 
 from repro.mem.l1 import REGISTERED
 from repro.noc.messages import SYNCH
-from repro.protocols.base import Access
 from repro.protocols.denovo_base import DeNovoBaseProtocol
 from repro.protocols.registry import register_protocol
 
@@ -50,7 +49,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
 
     # -- sync loads -----------------------------------------------------------
 
-    def sync_load(self, core_id: int, addr: int) -> Access:
+    def sync_load(self, core_id: int, addr: int) -> tuple:
         # Quiescence declaration (spin leases): DeNovoSync polls are
         # never leasable — a failed poll either hits a Registered copy
         # (touches L1 LRU) or re-registers the word at the directory,
@@ -64,7 +63,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             counts["l1_hits"] += 1
             counts["sync_read_hits"] += 1
             self.on_sync_hit(core_id, addr)
-            return Access(value, self._l1_hit, True)
+            return (value, self._l1_hit, True, False)
 
         counts["l1_misses"] += 1
         counts["sync_read_misses"] += 1
@@ -80,13 +79,13 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         )
         value = self._mem_get(addr, 0)
         l1.fill_word(addr, value, REGISTERED)
-        return Access(value, latency, False)
+        return (value, latency, False, False)
 
     # -- sync stores -------------------------------------------------------------
 
     def sync_store(
         self, core_id: int, addr: int, value: int, release: bool = False
-    ) -> Access:
+    ) -> tuple:
         l1 = self.l1s[core_id]
         old = self._mem_get(addr, 0)
         if l1.try_write_registered(addr, value):
@@ -94,7 +93,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
             self._mem_values[addr] = value
             if release:
                 self.on_release(core_id, addr)
-            return Access(old, self._l1_hit, True)
+            return (old, self._l1_hit, True, False)
 
         self._counts["l1_misses"] += 1
         latency = self._register(core_id, addr, SYNCH, invalidate_prev=True)
@@ -102,7 +101,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         self._mem_values[addr] = value
         if release:
             self.on_release(core_id, addr)
-        return Access(old, latency, False)
+        return (old, latency, False, False)
 
     # -- RMWs ---------------------------------------------------------------------
 
@@ -112,7 +111,7 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         l1 = self.l1s[core_id]
         if l1.state_of(addr) is REGISTERED:
             self._counts["l1_hits"] += 1
@@ -138,4 +137,4 @@ class DeNovoSync0Protocol(DeNovoBaseProtocol):
         if release:
             self.on_release(core_id, addr)
         self._counts["rmws"] += 1
-        return Access(old, latency, hit)
+        return (old, latency, hit, False)

@@ -25,7 +25,7 @@ from collections.abc import Callable
 from repro.mem.l1 import EXCLUSIVE, MODIFIED, SHARED, MesiL1, MesiState
 from repro.mem.regions import Region
 from repro.noc.messages import INVALIDATION, LOAD, STORE, WRITEBACK
-from repro.protocols.base import Access, CoherenceProtocol
+from repro.protocols.base import CoherenceProtocol
 from repro.protocols.invariants import mesi_violations
 from repro.protocols.registry import register_protocol
 
@@ -82,7 +82,7 @@ class MesiProtocol(CoherenceProtocol):
             self._directory[line] = entry
         return entry
 
-    def _reserve_or_retry(self, entry: DirectoryEntry, core_id: int) -> Access | None:
+    def _reserve_or_retry(self, entry: DirectoryEntry, core_id: int) -> tuple | None:
         """Blocking-directory admission control.
 
         A request arriving while the entry is busy takes a FIFO reservation
@@ -109,7 +109,7 @@ class MesiProtocol(CoherenceProtocol):
         self._counts["directory_retries"] += 1
         entry.busy_until += self._own_occ
         reserved[core_id] = entry
-        return Access(0, queue, False, True)
+        return (0, queue, False, True)
 
     def _insert_line(self, core_id: int, line: int, state: MesiState) -> None:
         """Fill ``line`` into the L1, handling any replacement victim."""
@@ -157,12 +157,12 @@ class MesiProtocol(CoherenceProtocol):
 
     # -- loads ------------------------------------------------------------
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         line = addr // self._wpl
         state = self.l1s[core_id].state_of(line)
         if state is not None:
             self._counts["l1_hits"] += 1
-            return Access(self._mem_get(addr, 0), self._l1_hit, True)
+            return (self._mem_get(addr, 0), self._l1_hit, True, False)
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
@@ -198,13 +198,13 @@ class MesiProtocol(CoherenceProtocol):
                 self.now + self._own_occ,
             )
             self._insert_line(core_id, line, SHARED)
-            return Access(self._mem_get(addr, 0), latency, False)
+            return (self._mem_get(addr, 0), latency, False, False)
 
         return self._load_from_llc(core_id, line, addr, entry, bank)
 
     def _load_from_llc(
         self, core_id: int, line: int, addr: int, entry: DirectoryEntry, bank: int
-    ) -> Access:
+    ) -> tuple:
         fetch, cold = self.llc_fetch_latency(core_id, line)
         latency = fetch
         if cold:
@@ -218,7 +218,7 @@ class MesiProtocol(CoherenceProtocol):
             entry.sharers.add(core_id)
             self._insert_line(core_id, line, SHARED)
         entry.busy_until = max(entry.busy_until, self.now + self._bank_occ)
-        return Access(self._mem_get(addr, 0), latency, False)
+        return (self._mem_get(addr, 0), latency, False, False)
 
     # -- stores and RMWs ------------------------------------------------------
 
@@ -229,16 +229,17 @@ class MesiProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         access = self._obtain_modified(core_id, addr)
-        if access.retry:
+        _, latency, hit, retry = access
+        if retry:
             return access
-        access.value = self._mem_get(addr, 0)
+        old = self._mem_get(addr, 0)
         self._mem_values[addr] = value
         if not sync:
             # Non-blocking data store: the core retires it in one cycle.
-            access.latency = self._l1_hit
-        return access
+            latency = self._l1_hit
+        return (old, latency, hit, False)
 
     def rmw(
         self,
@@ -246,33 +247,34 @@ class MesiProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         access = self._obtain_modified(core_id, addr)
-        if access.retry:
+        _, latency, hit, retry = access
+        if retry:
             return access
-        old = access.value = self._mem_get(addr, 0)
+        old = self._mem_get(addr, 0)
         new = fn(old)
         if new is not None:
             self._mem_values[addr] = new
         self._counts["rmws"] += 1
-        return access
+        return (old, latency, hit, False)
 
-    def _obtain_modified(self, core_id: int, addr: int) -> Access:
+    def _obtain_modified(self, core_id: int, addr: int) -> tuple:
         """Bring ``addr``'s line to Modified.
 
-        The returned Access's value is unset (0): the caller fills in the
-        word it reads, so a store or RMW builds one Access, not two."""
+        The returned result's value is unset (0): the caller reads the
+        word itself and returns its own result."""
         line = addr // self._wpl
         l1 = self.l1s[core_id]
         state = l1.state_of(line)
         if state is MODIFIED:
             self._counts["l1_hits"] += 1
-            return Access(0, self._l1_hit, True)
+            return (0, self._l1_hit, True, False)
         if state is EXCLUSIVE:
             # Silent E -> M upgrade.
             self._counts["l1_hits"] += 1
             l1.set_state(line, MODIFIED)
-            return Access(0, self._l1_hit, True)
+            return (0, self._l1_hit, True, False)
 
         self._counts["l1_misses"] += 1
         entry = self._entry(line)
@@ -343,7 +345,7 @@ class MesiProtocol(CoherenceProtocol):
             l1.set_state(line, MODIFIED)
         else:
             self._insert_line(core_id, line, MODIFIED)
-        return Access(0, latency, False)
+        return (0, latency, False, False)
 
     # -- misc ----------------------------------------------------------------
 

@@ -21,7 +21,6 @@ adds on top of the bare RFO idea.
 
 from __future__ import annotations
 
-from repro.protocols.base import Access
 from repro.protocols.mesi import MesiProtocol
 from repro.protocols.registry import register_protocol
 
@@ -40,14 +39,14 @@ from repro.protocols.registry import register_protocol
 class MesiRfoProtocol(MesiProtocol):
     name = "MESI-RFO"
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         if not sync:
             return super().load(core_id, addr, sync)
         # Synchronization read: bring the line in Modified so the write
         # that usually follows an acquire hits locally.
         access = self._obtain_modified(core_id, addr)
-        if access.retry:
+        _, latency, hit, retry = access
+        if retry:
             return access
         self.counters.bump("rfo_sync_reads")
-        access.value = self.memory.read(addr)
-        return access
+        return (self.memory.read(addr), latency, hit, False)

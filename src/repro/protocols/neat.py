@@ -39,7 +39,7 @@ from collections.abc import Callable
 from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
 from repro.mem.regions import Region
 from repro.noc.messages import LOAD, SYNCH, WRITEBACK
-from repro.protocols.base import Access, CoherenceProtocol, SpinLease
+from repro.protocols.base import CoherenceProtocol, SpinLease
 from repro.protocols.invariants import neat_violations
 from repro.protocols.registry import register_protocol
 
@@ -94,16 +94,16 @@ class NeatProtocol(CoherenceProtocol):
 
     # -- data accesses -------------------------------------------------------
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         if sync:
             self._counts["sync_read_misses"] += 1
             latency = self._sync_access(core_id, addr)
-            return Access(self._mem_get(addr, 0), latency, False)
+            return (self._mem_get(addr, 0), latency, False, False)
         l1 = self.l1s[core_id]
         value = l1.present_value(addr)
         if value is not None:
             self._counts["l1_hits"] += 1
-            return Access(value, self._l1_hit, True)
+            return (value, self._l1_hit, True, False)
 
         # Miss: the LLC always owns a usable copy (dirty words elsewhere
         # only diverge from it until their release, and reading them
@@ -119,7 +119,7 @@ class NeatProtocol(CoherenceProtocol):
             line, self.amap.words_of_line(line), self._mem_values
         )
         self.record_data(LOAD, bank, core_id, self._word_bytes * filled)
-        return Access(self._mem_get(addr, 0), latency, False)
+        return (self._mem_get(addr, 0), latency, False, False)
 
     def store(
         self,
@@ -128,14 +128,14 @@ class NeatProtocol(CoherenceProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         if sync:
             old = self._mem_get(addr, 0)
             # Sd: the release write publishes every dirty word first.
             flush = self._flush_dirty(core_id) if release else 0
             latency = self._sync_access(core_id, addr)
             self._mem_values[addr] = value
-            return Access(old, latency + flush, False)
+            return (old, latency + flush, False, False)
         # Data write: completes locally, marked dirty, zero traffic now —
         # the cost is deferred to the release flush (or replacement).
         l1 = self.l1s[core_id]
@@ -143,12 +143,12 @@ class NeatProtocol(CoherenceProtocol):
         if l1.try_write_registered(addr, value):
             self._counts["l1_hits"] += 1
             self._mem_values[addr] = value
-            return Access(old, self._l1_hit, True)
+            return (old, self._l1_hit, True, False)
         self._counts["l1_misses"] += 1
         l1.fill_word(addr, value, REGISTERED)
         self._dirty[core_id].add(addr)
         self._mem_values[addr] = value
-        return Access(old, self._l1_hit, False)
+        return (old, self._l1_hit, False, False)
 
     # -- synchronization accesses --------------------------------------------
 
@@ -206,7 +206,7 @@ class NeatProtocol(CoherenceProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         flush = self._flush_dirty(core_id) if release else 0
         latency = self._sync_access(core_id, addr)
         old = self._mem_get(addr, 0)
@@ -214,7 +214,7 @@ class NeatProtocol(CoherenceProtocol):
         if new is not None:
             self._mem_values[addr] = new
         self._counts["rmws"] += 1
-        return Access(old, latency + flush, False)
+        return (old, latency + flush, False, False)
 
     def _flush_dirty(self, core_id: int) -> int:
         """Self-downgrade: write every dirty word back to its LLC home

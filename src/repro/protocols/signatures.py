@@ -46,7 +46,6 @@ from collections import deque
 from repro.mem.l1 import VALID
 from repro.mem.regions import Region
 from repro.noc.messages import SYNCH
-from repro.protocols.base import Access
 from repro.protocols.denovosync import DeNovoSyncProtocol
 from repro.protocols.registry import register_protocol
 
@@ -100,7 +99,7 @@ class DeNovoSyncSigProtocol(DeNovoSyncProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         access = super().store(core_id, addr, value, sync, release)
         if not sync:
             self._record_write(core_id, addr)

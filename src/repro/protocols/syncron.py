@@ -38,7 +38,6 @@ from collections.abc import Callable
 
 from repro.mem.l1 import INVALID
 from repro.noc.messages import SYNCH, WRITEBACK
-from repro.protocols.base import Access
 from repro.protocols.denovo_base import DeNovoBaseProtocol
 from repro.protocols.registry import register_protocol
 
@@ -152,20 +151,20 @@ class SynCronProtocol(DeNovoBaseProtocol):
 
     # -- synchronization accesses --------------------------------------------
 
-    def sync_load(self, core_id: int, addr: int) -> Access:
+    def sync_load(self, core_id: int, addr: int) -> tuple:
         self._counts["sync_read_misses"] += 1
         latency = self._su_op(core_id, addr, carry_data=True)
-        return Access(self._mem_get(addr, 0), latency, False)
+        return (self._mem_get(addr, 0), latency, False, False)
 
     def sync_store(
         self, core_id: int, addr: int, value: int, release: bool = False
-    ) -> Access:
+    ) -> tuple:
         old = self._mem_get(addr, 0)
         latency = self._su_op(core_id, addr, carry_data=False)
         self._mem_values[addr] = value
         if value != old:
             self._notify_su_waiters(addr, self.now + latency)
-        return Access(old, latency, False)
+        return (old, latency, False, False)
 
     def rmw(
         self,
@@ -173,7 +172,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         latency = self._su_op(core_id, addr, carry_data=True)
         old = self._mem_get(addr, 0)
         new = fn(old)
@@ -182,7 +181,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
             if new != old:
                 self._notify_su_waiters(addr, self.now + latency)
         self._counts["rmws"] += 1
-        return Access(old, latency, False)
+        return (old, latency, False, False)
 
     # -- data stores also wake parked spinners -------------------------------
 
@@ -193,7 +192,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         if sync:
             return self.sync_store(core_id, addr, value, release)
         old = self._mem_get(addr, 0)
@@ -203,7 +202,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         # reorder things this way); the SU observes the home bank, so the
         # value change wakes it.
         if value != old and addr in self._su_waiters:
-            self._notify_su_waiters(addr, self.now + access.latency)
+            self._notify_su_waiters(addr, self.now + access[1])  # its latency
         return access
 
     # -- spin-wait subscriptions ---------------------------------------------

@@ -36,8 +36,9 @@ class FaiCounter:
 
     def __init__(self, allocator: RegionAllocator, name: str = "fai"):
         self.addr = allocator.alloc_sync(name).base
+        self._increment = Fai(self.addr)  # shared by every thread
 
     def increment(self, ctx: ThreadCtx):
         """Generator: returns the pre-increment value."""
-        old = yield Fai(self.addr)
+        old = yield self._increment
         return old

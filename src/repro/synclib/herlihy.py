@@ -57,6 +57,10 @@ class _VersionedObject:
             ]
             self._pools.append(pool)
         self._next_block = [0] * nthreads
+        # Ops built once and yielded by every thread (see repro.cpu.isa).
+        self._acquire_ptr = Load(self.ptr, sync=True, acquire=True)
+        self._check_ptr = Load(self.ptr, sync=True)
+        self._invalidate_versions = SelfInvalidate((self.versions,))
 
     def initial_values(self) -> dict[int, int]:
         return {self.ptr: self.initial_block}
@@ -73,14 +77,14 @@ class _VersionedObject:
         """Read (and optionally re-validate) the current version pointer."""
         # The pointer read is the acquire: it synchronizes with the
         # release-CAS that published the current version block.
-        current = yield Load(self.ptr, sync=True, acquire=True)
+        current = yield self._acquire_ptr
         if not self.reduced_checks:
             # Equality checks: re-read the pointer to filter doomed attempts
             # early (cheap under MESI, a registration miss under DeNovo).
-            check = yield Load(self.ptr, sync=True)
+            check = yield self._check_ptr
             if check != current:
                 return None
-            check = yield Load(self.ptr, sync=True)
+            check = yield self._check_ptr
             if check != current:
                 return None
         return current
@@ -96,13 +100,13 @@ class _VersionedObject:
         while True:
             current = yield from self._read_current(ctx)
             if current is not None:
-                yield SelfInvalidate((self.versions,))
+                yield self._invalidate_versions
                 new_block = self._peek_block(ctx.core_id)
                 result, proceed = yield from transform(current, new_block)
                 if not proceed:
                     return result
                 if not self.reduced_checks:
-                    check = yield Load(self.ptr, sync=True)
+                    check = yield self._check_ptr
                     if check != current:
                         current = None  # doomed; skip the CAS
                 if current is not None:

@@ -56,6 +56,10 @@ class MichaelScottQueue:
             ]
             self._pools.append(pool)
         self._next_node = [0] * nthreads
+        # Ops built once and yielded by every thread (see repro.cpu.isa).
+        self._read_head = Load(self.head, sync=True)
+        self._read_tail = Load(self.tail, sync=True)
+        self._invalidate_values = SelfInvalidate((self.values,))
 
     def initial_values(self) -> dict[int, int]:
         return {self.head: self.dummy, self.tail: self.dummy}
@@ -71,9 +75,9 @@ class MichaelScottQueue:
         yield Store(node + 1, NULL, sync=True)  # node.next: sync (CAS target)
         attempt = 0
         while True:
-            tail = yield Load(self.tail, sync=True)  # (1) pt := tail
+            tail = yield self._read_tail  # (1) pt := tail
             nxt = yield Load(tail + 1, sync=True)  # (2) pn := pt->next
-            tail2 = yield Load(self.tail, sync=True)  # (3) if pt == tail
+            tail2 = yield self._read_tail  # (3) if pt == tail
             if tail == tail2:
                 if nxt == NULL:
                     # (5) linearization; release publishes node.value to
@@ -92,19 +96,19 @@ class MichaelScottQueue:
         """Generator: returns the value, or None when empty."""
         attempt = 0
         while True:
-            head = yield Load(self.head, sync=True)
-            tail = yield Load(self.tail, sync=True)
+            head = yield self._read_head
+            tail = yield self._read_tail
             # The link read is the dequeue's acquire: it synchronizes with
             # the enqueuer's linearizing release-CAS on this word.
             nxt = yield Load(head + 1, sync=True, acquire=True)
-            head2 = yield Load(self.head, sync=True)
+            head2 = yield self._read_head
             if head == head2:
                 if head == tail:
                     if nxt == NULL:
                         return None  # empty
                     _ = yield Cas(self.tail, tail, nxt)  # help a lagging tail
                 else:
-                    yield SelfInvalidate((self.values,))
+                    yield self._invalidate_values
                     value = yield Load(nxt)  # pn->val: data
                     old = yield Cas(self.head, head, nxt, release=True)
                     if old == head:

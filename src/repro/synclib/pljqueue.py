@@ -43,15 +43,18 @@ class PLJQueue:
         self.head = allocator.alloc_sync(f"{name}.head").base
         self.tail = allocator.alloc_sync(f"{name}.tail").base
         self.slots = allocator.alloc(f"{name}.slots", self.capacity).base
+        # Ops built once and yielded by every thread (see repro.cpu.isa).
+        self._read_head = Load(self.head, sync=True)
+        self._read_tail = Load(self.tail, sync=True)
 
     def enqueue(self, ctx: ThreadCtx, value: int):
         if value <= 0:
             raise ValueError("PLJQueue values must be positive")
         attempt = 0
         while True:
-            tail = yield Load(self.tail, sync=True)
+            tail = yield self._read_tail
             slot = yield Load(self.slots + tail, sync=True)
-            tail2 = yield Load(self.tail, sync=True)  # snapshot validation
+            tail2 = yield self._read_tail  # snapshot validation
             if tail == tail2:
                 if slot == EMPTY_SLOT:
                     old = yield Cas(self.slots + tail, EMPTY_SLOT, value)
@@ -69,10 +72,10 @@ class PLJQueue:
         """Generator: returns the value, or None when empty."""
         attempt = 0
         while True:
-            head = yield Load(self.head, sync=True)
-            tail = yield Load(self.tail, sync=True)
+            head = yield self._read_head
+            tail = yield self._read_tail
             slot = yield Load(self.slots + head, sync=True)
-            head2 = yield Load(self.head, sync=True)  # snapshot validation
+            head2 = yield self._read_head  # snapshot validation
             if head == head2:
                 if head == tail and slot == EMPTY_SLOT:
                     return None  # empty

@@ -44,6 +44,10 @@ class TreiberStack:
             ]
             self._pools.append(pool)
         self._next_node = [0] * nthreads
+        # Ops built once and yielded by every thread (see repro.cpu.isa).
+        self._read_top = Load(self.top, sync=True)
+        self._acquire_top = Load(self.top, sync=True, acquire=True)
+        self._invalidate_nodes = SelfInvalidate((self.nodes,))
 
     def _alloc_node(self, thread: int) -> int:
         index = self._next_node[thread]
@@ -55,7 +59,7 @@ class TreiberStack:
         yield Store(node, value)  # node.value: data
         attempt = 0
         while True:
-            top = yield Load(self.top, sync=True)
+            top = yield self._read_top
             yield Store(node + 1, top)  # node.next: data, published by the CAS
             old = yield Cas(self.top, top, node, release=True)
             if old == top:
@@ -70,10 +74,10 @@ class TreiberStack:
         while True:
             # The successful read of top is the pop's acquire: it
             # synchronizes with the release-CAS that published the node.
-            top = yield Load(self.top, sync=True, acquire=True)
+            top = yield self._acquire_top
             if top == NULL:
                 return None
-            yield SelfInvalidate((self.nodes,))
+            yield self._invalidate_nodes
             nxt = yield Load(top + 1)  # node.next: data
             old = yield Cas(self.top, top, nxt, release=True)
             if old == top:

@@ -16,7 +16,7 @@ from dataclasses import replace
 from collections.abc import Callable
 
 from repro.mem.regions import Region
-from repro.protocols.base import Access, CoherenceProtocol, ProtocolWrapper
+from repro.protocols.base import CoherenceProtocol, ProtocolWrapper
 from repro.trace.events import AccessRecord
 
 
@@ -45,10 +45,9 @@ class TracingProtocol(ProtocolWrapper):
 
     # -- recorded operations -------------------------------------------------
 
-    def load(self, core_id: int, addr: int, sync: bool = False) -> Access:
+    def load(self, core_id: int, addr: int, sync: bool = False) -> tuple:
         access = self.inner.load(core_id, addr, sync)
-        if not access.retry:
-            self._record("load", core_id, addr, sync, False, access)
+        self._record("load", core_id, addr, sync, False, access)
         return access
 
     def store(
@@ -58,10 +57,9 @@ class TracingProtocol(ProtocolWrapper):
         value: int,
         sync: bool = False,
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         access = self.inner.store(core_id, addr, value, sync, release)
-        if not access.retry:
-            self._record("store", core_id, addr, sync, release, access, value=value)
+        self._record("store", core_id, addr, sync, release, access, value=value)
         return access
 
     def rmw(
@@ -70,14 +68,11 @@ class TracingProtocol(ProtocolWrapper):
         addr: int,
         fn: Callable[[int], int | None],
         release: bool = False,
-    ) -> Access:
+    ) -> tuple:
         access = self.inner.rmw(core_id, addr, fn, release)
-        if not access.retry:
-            # Record the post-RMW value so replay can pin the outcome.
-            self._record(
-                "rmw", core_id, addr, True, release, access,
-                value=self.inner.memory.read(addr),
-            )
+        # Record the post-RMW value so replay can pin the outcome.
+        value = self.inner.memory.read(addr)
+        self._record("rmw", core_id, addr, True, release, access, value=value)
         return access
 
     def self_invalidate(
@@ -98,8 +93,11 @@ class TracingProtocol(ProtocolWrapper):
         return latency
 
     def _record(
-        self, kind, core_id, addr, sync, release, access: Access, value=None
+        self, kind, core_id, addr, sync, release, access: tuple, value=None
     ) -> None:
+        loaded, latency, hit, retry = access
+        if retry:  # only the re-issue is recorded
+            return
         self.records.append(
             AccessRecord(
                 cycle=self.inner.now,
@@ -108,8 +106,8 @@ class TracingProtocol(ProtocolWrapper):
                 addr=addr,
                 sync=sync,
                 release=release,
-                value=access.value if value is None else value,
-                latency=access.latency,
-                hit=access.hit,
+                value=loaded if value is None else value,
+                latency=latency,
+                hit=hit,
             )
         )

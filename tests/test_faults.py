@@ -135,14 +135,14 @@ class TestDeferredReissue:
         mesi.now = 100
         mesi.store(0, 0, 1, sync=True)  # line 0's entry is busy until 128
         injector.now = 101
-        deferred = injector.load(2, 0)
-        assert (deferred.retry, deferred.latency) == (True, 1)
+        _, latency, _, retry = injector.load(2, 0)
+        assert (retry, latency) == (True, 1)
         injector.now = 102
-        reissue = injector.load(2, 0)
-        assert (reissue.retry, reissue.latency) == (True, 128 - 102)
+        _, latency, _, retry = injector.load(2, 0)
+        assert (retry, latency) == (True, 128 - 102)
         injector.now = 128
-        served = injector.load(2, 0)
-        assert not served.retry and served.value == 1
+        value, _, _, retry = injector.load(2, 0)
+        assert not retry and value == 1
         assert mesi.counters.get("directory_retries") == 1
         assert injector.deferrals == 1
 

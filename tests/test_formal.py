@@ -179,7 +179,6 @@ class TestMutationsAreCaught:
             path.write_text(
                 f"from repro.mem.l1 import {names}\n"
                 "from repro.noc.messages import SYNCH\n"
-                "from repro.protocols.base import Access\n"
                 "from repro.protocols.denovosync0 import DeNovoSync0Protocol\n"
                 "\n"
                 "class Mutant(DeNovoSync0Protocol):\n"
@@ -190,7 +189,7 @@ class TestMutationsAreCaught:
                 "        )\n"
                 "        value = self._mem_get(addr, 0)\n"
                 f"        self.l1s[core_id].fill_word(addr, value, {state})\n"
-                "        return Access(value, latency, False)\n"
+                "        return (value, latency, False, False)\n"
             )
             spec = importlib.util.spec_from_file_location(name, path)
             module = importlib.util.module_from_spec(spec)

@@ -187,14 +187,14 @@ def _apply(machine: Machine, op, now: int):
     proto.now = now
     kind, core, target, arg = op
     if kind == "load":
-        access = proto.load(core, target)
-        return access.value, access.latency, access.hit
+        value, latency, hit, _ = proto.load(core, target)
+        return value, latency, hit
     if kind == "store":
-        access = proto.store(core, target, arg)
-        return access.value, access.latency, access.hit
+        value, latency, hit, _ = proto.store(core, target, arg)
+        return value, latency, hit
     if kind == "sync":
-        access = proto.load(core, target, sync=True)
-        return access.value, access.latency, access.hit
+        value, latency, hit, _ = proto.load(core, target, sync=True)
+        return value, latency, hit
     if kind == "fill":
         return machine.fill(core, target, arg)
     if kind == "selfinv":

@@ -173,9 +173,8 @@ def test_planted_stale_sync_read_is_a_conformance_violation(monkeypatch):
     original = ds0mod.DeNovoSync0Protocol.sync_load
 
     def broken(self, core_id, addr):
-        access = original(self, core_id, addr)
-        access.value = 999_999
-        return access
+        _, latency, hit, retry = original(self, core_id, addr)
+        return (999_999, latency, hit, retry)
 
     monkeypatch.setattr(ds0mod.DeNovoSync0Protocol, "sync_load", broken)
     result, _ = explore_outcomes("corr", "DeNovoSync0")

@@ -31,8 +31,8 @@ class TestRfoSemantics:
 
     def test_write_after_sync_read_hits(self, proto):
         proto.load(0, ADDR, sync=True)
-        access = proto.store(0, ADDR, 1, sync=True)
-        assert access.hit  # the array-lock flag-reset effect
+        _, _, hit, _ = proto.store(0, ADDR, 1, sync=True)
+        assert hit  # the array-lock flag-reset effect
 
     def test_sync_readers_invalidate_each_other(self, proto):
         proto.load(0, ADDR, sync=True)
@@ -45,7 +45,7 @@ class TestRfoSemantics:
     def test_sync_read_sees_latest_value(self, proto):
         proto.store(0, ADDR, 7, sync=True)
         proto.now = 1000
-        assert proto.load(1, ADDR, sync=True).value == 7
+        assert proto.load(1, ADDR, sync=True)[0] == 7
 
 
 class TestRfoEndToEnd:

@@ -197,8 +197,8 @@ class TestProtocolValueProperties:
             if op == "load":
                 protocol.load(core, addr)
             elif op == "sync_load":
-                access = protocol.load(core, addr, sync=True)
-                assert access.value == shadow.get(addr, 0)
+                value, _, _, _ = protocol.load(core, addr, sync=True)
+                assert value == shadow.get(addr, 0)
             elif op == "store":
                 protocol.store(core, addr, core * 7 + word)
                 shadow[addr] = core * 7 + word
@@ -206,8 +206,8 @@ class TestProtocolValueProperties:
                 protocol.store(core, addr, core * 9 + word, sync=True)
                 shadow[addr] = core * 9 + word
             else:
-                access = protocol.rmw(core, addr, lambda old: old + 1)
-                assert access.value == shadow.get(addr, 0)
+                old, _, _, _ = protocol.rmw(core, addr, lambda old: old + 1)
+                assert old == shadow.get(addr, 0)
                 shadow[addr] = shadow.get(addr, 0) + 1
 
     @given(seed=st.integers(0, 2**16))

@@ -38,14 +38,14 @@ class TestDataLoads:
 
     def test_hit_after_fill(self, proto):
         proto.load(0, ADDR)
-        access = proto.load(0, ADDR)
-        assert access.hit and access.latency == 1
+        _, latency, hit, _ = proto.load(0, ADDR)
+        assert hit and latency == 1
 
     def test_remote_owner_serves_data_and_stays_registered(self, proto):
         proto.store(0, ADDR, 5)  # core 0 registers the word
         proto.now = 1000
-        access = proto.load(1, ADDR)
-        assert access.value == 5
+        value, _, _, _ = proto.load(1, ADDR)
+        assert value == 5
         assert proto.registry[ADDR] == 0  # reads do not revoke
         assert proto.l1s[1].state_of(ADDR) is DeNovoState.VALID
 
@@ -65,15 +65,15 @@ class TestDataLoads:
         proto.now = 500
         proto.store(0, ADDR, 9)  # core 0 writes through registration
         proto.now = 1000
-        assert proto.load(1, ADDR).value == 0  # stale Valid hit (legal: DRF)
+        assert proto.load(1, ADDR)[0] == 0  # stale Valid hit (legal: DRF)
         proto.self_invalidate(1, [region])
-        assert proto.load(1, ADDR).value == 9  # fresh after self-invalidate
+        assert proto.load(1, ADDR)[0] == 9  # fresh after self-invalidate
 
 
 class TestDataStores:
     def test_store_is_non_blocking_and_registers(self, proto):
-        access = proto.store(0, ADDR, 5)
-        assert access.latency == 1
+        _, latency, _, _ = proto.store(0, ADDR, 5)
+        assert latency == 1
         assert proto.registry[ADDR] == 0
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.REGISTERED
         assert proto.memory.read(ADDR) == 5
@@ -88,8 +88,8 @@ class TestDataStores:
     def test_registered_store_hits_silently(self, proto):
         proto.store(0, ADDR, 5)
         before = proto.traffic.flit_crossings()
-        access = proto.store(0, ADDR, 6)
-        assert access.hit
+        _, _, hit, _ = proto.store(0, ADDR, 6)
+        assert hit
         assert proto.traffic.flit_crossings() == before
 
     def test_store_aggregation_combines_line_burst(self, proto):
@@ -120,16 +120,16 @@ class TestDataStores:
 
 class TestSyncLoads:
     def test_sync_read_registers(self, proto):
-        access = proto.load(0, ADDR, sync=True)
-        assert not access.hit
+        _, _, hit, _ = proto.load(0, ADDR, sync=True)
+        assert not hit
         assert proto.registry[ADDR] == 0
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.REGISTERED
         assert proto.counters.get("sync_read_misses") == 1
 
     def test_sync_read_hit_only_when_registered(self, proto):
         proto.load(0, ADDR, sync=True)
-        access = proto.load(0, ADDR, sync=True)
-        assert access.hit
+        _, _, hit, _ = proto.load(0, ADDR, sync=True)
+        assert hit
         assert proto.counters.get("sync_read_hits") == 1
 
     def test_sync_read_steals_and_downgrades_to_valid(self, proto):
@@ -145,13 +145,13 @@ class TestSyncLoads:
         proto.now = 1000
         proto.load(1, ADDR, sync=True)  # steal: core 0 now Valid
         proto.now = 2000
-        access = proto.load(0, ADDR, sync=True)  # Valid is not usable
-        assert not access.hit
+        _, _, hit, _ = proto.load(0, ADDR, sync=True)  # Valid is not usable
+        assert not hit
 
     def test_sync_read_sees_latest_write(self, proto):
         proto.store(0, ADDR, 7, sync=True)
         proto.now = 1000
-        assert proto.load(1, ADDR, sync=True).value == 7
+        assert proto.load(1, ADDR, sync=True)[0] == 7
 
     def test_sync_traffic_classified_synch(self, proto):
         proto.load(0, ADDR, sync=True)
@@ -170,31 +170,31 @@ class TestSyncStoresAndRmw:
     def test_rmw_returns_old_and_writes(self, proto):
         proto.store(0, ADDR, 10, sync=True)
         proto.now = 100
-        access = proto.rmw(0, ADDR, lambda old: old + 5)
-        assert access.value == 10
+        old, _, _, _ = proto.rmw(0, ADDR, lambda old: old + 5)
+        assert old == 10
         assert proto.memory.read(ADDR) == 15
 
     def test_failed_cas_keeps_registration(self, proto):
         proto.now = 100
-        access = proto.rmw(0, ADDR, lambda old: None)
-        assert access.value == 0
+        old, _, _, _ = proto.rmw(0, ADDR, lambda old: None)
+        assert old == 0
         assert proto.registry[ADDR] == 0
         assert proto.l1s[0].state_of(ADDR) is DeNovoState.REGISTERED
 
     def test_rmw_hit_when_registered(self, proto):
         proto.rmw(0, ADDR, lambda old: 1)
         proto.now = 10
-        access = proto.rmw(0, ADDR, lambda old: 2)
-        assert access.hit and access.latency == 1
+        _, latency, hit, _ = proto.rmw(0, ADDR, lambda old: 2)
+        assert hit and latency == 1
 
 
 class TestRegistrationChain:
     def test_concurrent_registrations_serialize(self, proto):
         proto.load(0, ADDR, sync=True)
         proto.now = 1000
-        first = proto.load(1, ADDR, sync=True)
-        second = proto.load(2, ADDR, sync=True)  # same cycle: chains behind
-        assert second.latency > first.latency
+        _, first, _, _ = proto.load(1, ADDR, sync=True)
+        _, second, _, _ = proto.load(2, ADDR, sync=True)  # same cycle: chains behind
+        assert second > first
         assert proto.counters.get("registration_chain_waits") == 1
 
     def test_chain_drains_over_time(self, proto):
@@ -202,8 +202,8 @@ class TestRegistrationChain:
         proto.now = 1000
         proto.load(1, ADDR, sync=True)
         proto.now = 100000
-        access = proto.load(2, ADDR, sync=True)
-        assert access.latency <= proto.config.remote_l1_latency.max
+        _, latency, _, _ = proto.load(2, ADDR, sync=True)
+        assert latency <= proto.config.remote_l1_latency.max
 
 
 class TestSubscriptions:
@@ -244,7 +244,7 @@ class TestEviction:
         assert proto.counters.get("writebacks") >= 1
         # The value survives at the LLC.
         proto.now = 10**6
-        assert proto.load(1, victim_addr).value == 0
+        assert proto.load(1, victim_addr)[0] == 0
 
 
 class TestDeNovoSyncBackoff:

@@ -18,23 +18,23 @@ ADDR = 100  # line 6, not at the requester's tile for most cores
 
 class TestLoads:
     def test_cold_load_pays_memory_latency(self, proto):
-        access = proto.load(0, ADDR)
-        assert not access.hit
-        assert access.latency >= proto.config.memory_latency.min
+        _, latency, hit, _ = proto.load(0, ADDR)
+        assert not hit
+        assert latency >= proto.config.memory_latency.min
         assert proto.counters.get("cold_misses") == 1
 
     def test_warm_load_from_llc(self, proto):
         proto.load(0, ADDR)
         proto.l1s[0].invalidate(proto.amap.line_of(ADDR))
-        access = proto.load(0, ADDR)
-        assert not access.hit
-        assert access.latency <= proto.config.l2_hit_latency.max
+        _, latency, hit, _ = proto.load(0, ADDR)
+        assert not hit
+        assert latency <= proto.config.l2_hit_latency.max
 
     def test_second_load_hits(self, proto):
         proto.load(0, ADDR)
-        access = proto.load(0, ADDR)
-        assert access.hit
-        assert access.latency == 1
+        _, latency, hit, _ = proto.load(0, ADDR)
+        assert hit
+        assert latency == 1
 
     def test_first_reader_gets_exclusive(self, proto):
         proto.load(0, ADDR)
@@ -53,37 +53,37 @@ class TestLoads:
         proto.store(0, ADDR, 7, sync=True)
         before = proto.traffic.flit_crossings(MessageClass.WRITEBACK)
         proto.now = 1000
-        access = proto.load(1, ADDR)
-        assert access.value == 7
+        value, _, _, _ = proto.load(1, ADDR)
+        assert value == 7
         assert proto.traffic.flit_crossings(MessageClass.WRITEBACK) > before
 
     def test_loads_see_latest_value(self, proto):
         proto.store(0, ADDR, 41, sync=True)
         proto.now = 1000
-        assert proto.load(1, ADDR).value == 41
+        assert proto.load(1, ADDR)[0] == 41
 
 
 class TestStores:
     def test_data_store_is_non_blocking(self, proto):
-        access = proto.store(0, ADDR, 5)
-        assert access.latency == 1
+        _, latency, _, _ = proto.store(0, ADDR, 5)
+        assert latency == 1
         assert proto.memory.read(ADDR) == 5
 
     def test_sync_store_blocks_for_miss_latency(self, proto):
-        access = proto.store(0, ADDR, 5, sync=True)
-        assert access.latency > 1
+        _, latency, _, _ = proto.store(0, ADDR, 5, sync=True)
+        assert latency > 1
 
     def test_store_hit_in_modified(self, proto):
         proto.store(0, ADDR, 5, sync=True)
-        access = proto.store(0, ADDR, 6, sync=True)
-        assert access.hit
-        assert access.latency == 1
+        _, latency, hit, _ = proto.store(0, ADDR, 6, sync=True)
+        assert hit
+        assert latency == 1
 
     def test_silent_upgrade_from_exclusive(self, proto):
         proto.load(0, ADDR)  # E grant
         before = proto.traffic.flit_crossings()
-        access = proto.store(0, ADDR, 5, sync=True)
-        assert access.hit
+        _, _, hit, _ = proto.store(0, ADDR, 5, sync=True)
+        assert hit
         assert proto.traffic.flit_crossings() == before
 
     def test_store_invalidates_sharers(self, proto):
@@ -115,24 +115,24 @@ class TestStores:
         proto.load(1, ADDR)
         proto.now = 1000
         bank = proto.amap.home_bank_of_addr(ADDR)
-        access = proto.store(0, ADDR, 9, sync=True)
+        _, latency, _, _ = proto.store(0, ADDR, 9, sync=True)
         inv_rtt = proto.mesh.invalidation_round_trip(bank, 1)
-        assert access.latency >= inv_rtt
+        assert latency >= inv_rtt
 
 
 class TestRmw:
     def test_rmw_returns_old_applies_new(self, proto):
         proto.store(0, ADDR, 10)
         proto.now = 100
-        access = proto.rmw(0, ADDR, lambda old: old + 1)
-        assert access.value == 10
+        old, _, _, _ = proto.rmw(0, ADDR, lambda old: old + 1)
+        assert old == 10
         assert proto.memory.read(ADDR) == 11
 
     def test_failed_cas_leaves_memory(self, proto):
         proto.store(0, ADDR, 10)
         proto.now = 100
-        access = proto.rmw(0, ADDR, lambda old: None)
-        assert access.value == 10
+        old, _, _, _ = proto.rmw(0, ADDR, lambda old: None)
+        assert old == 10
         assert proto.memory.read(ADDR) == 10
 
     def test_rmw_takes_ownership(self, proto):
@@ -144,26 +144,26 @@ class TestRmw:
 class TestBlockingDirectory:
     def test_busy_entry_returns_retry(self, proto):
         proto.load(0, ADDR)  # cold fetch leaves the entry busy briefly
-        access = proto.load(1, ADDR)
-        assert access.retry
-        assert access.latency > 0
+        _, latency, _, retry = proto.load(1, ADDR)
+        assert retry
+        assert latency > 0
         assert proto.counters.get("directory_retries") == 1
 
     def test_reserved_reissue_serviced_despite_busy(self, proto):
         proto.store(0, ADDR, 7, sync=True)  # the entry is busy briefly
-        retry = proto.load(1, ADDR)
-        assert retry.retry
+        _, queue, _, retry = proto.load(1, ADDR)
+        assert retry
         line = proto.amap.line_of(ADDR)
         # Re-issue at the reserved time, still inside the busy window
         # (the retry extended it): the directory holds core 1's
         # reservation, so the re-issue is served.
-        proto.now = retry.latency
+        proto.now = queue
         assert proto._directory[line].busy_until > proto.now
-        access = proto.load(1, ADDR)
-        assert not access.retry
-        assert access.value == 7
+        value, _, _, retry = proto.load(1, ADDR)
+        assert not retry
+        assert value == 7
         # A third core arriving in the same window still queues.
-        assert proto.load(2, ADDR).retry
+        assert proto.load(2, ADDR)[3]
         assert proto.counters.get("directory_retries") == 2
 
     def test_retry_extends_reservation(self, proto):
@@ -175,8 +175,8 @@ class TestBlockingDirectory:
 
     def test_hits_never_retry(self, proto):
         proto.load(0, ADDR)
-        access = proto.load(0, ADDR)  # own hit, directory not consulted
-        assert not access.retry
+        _, _, _, retry = proto.load(0, ADDR)  # own hit, directory not consulted
+        assert not retry
 
 
 class TestSubscriptions:

@@ -12,9 +12,11 @@ import repro.protocols as protocols_pkg
 from repro.config import config_for_cores
 from repro.mem.address import AddressMap
 from repro.mem.regions import RegionAllocator
-from repro.noc.faults import FaultInjector
+from repro.harness.runner import run_workload
+from repro.noc.faults import FaultInjector, FaultPlan
 from repro.protocols import make_protocol
 from repro.protocols.base import CoherenceProtocol
+from repro.protocols.invariants import InvariantAudit
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
@@ -27,6 +29,21 @@ from repro.protocols.registry import (
     registry_table,
 )
 from repro.trace.recorder import TracingProtocol
+from repro.workloads.base import KernelSpec
+from repro.workloads.registry import make_kernel
+
+#: Each layer a core can issue to: (wrapper class, ``run_workload``
+#: keywords, config overrides); ``bare`` is the backend alone.
+RESULT_LAYERS = {
+    "bare": (None, {}, {}),
+    "tracing": (TracingProtocol, {"trace": True}, {}),
+    "faults": (
+        FaultInjector,
+        {"fault_plan": FaultPlan(seed=3, delay_jitter=4, reorder_prob=0.2)},
+        {},
+    ),
+    "audit": (InvariantAudit, {}, {"invariant_level": "full"}),
+}
 
 
 class TestDescriptors:
@@ -94,6 +111,47 @@ class TestAccessBoundary:
             return list(inspect.signature(fn).parameters)
 
         assert names(getattr(cls, method)) == names(getattr(CoherenceProtocol, method))
+
+    @pytest.mark.parametrize("figure, kernel", [("tatas", "counter"), ("nonblocking", "M-S queue")])
+    @pytest.mark.parametrize("layer", list(RESULT_LAYERS))
+    @pytest.mark.parametrize("name", protocol_names())
+    def test_every_access_returns_a_four_tuple(self, monkeypatch, name, layer, figure, kernel):
+        """Every ``load``/``store``/``rmw`` the run reaches, at each level
+        of the backend's class hierarchy and in the wrapper, returns the
+        plain ``(value, latency, hit, retry)`` tuple the core unpacks."""
+        wrapper, run_kwargs, overrides = RESULT_LAYERS[layer]
+        classes = [cls for cls in get_info(name).cls.__mro__ if cls is not object]
+        if wrapper is not None:
+            classes.append(wrapper)
+        results: dict[tuple[str, str], list] = {}
+        for cls in classes:
+            for method in ("load", "store", "rmw"):
+                fn = cls.__dict__.get(method)
+                if fn is None or getattr(fn, "__isabstractmethod__", False):
+                    continue
+
+                def checked(self, *args, _fn=fn, _key=(cls.__name__, method), **kwargs):
+                    result = _fn(self, *args, **kwargs)
+                    results.setdefault(_key, []).append(result)
+                    return result
+
+                monkeypatch.setattr(cls, method, checked)
+        workload = make_kernel(figure, kernel, spec=KernelSpec(scale=0.02))
+        run_workload(
+            workload, name, config_for_cores(4, **overrides), seed=1, **run_kwargs
+        )
+        assert {method for _, method in results} == {"load", "store", "rmw"}
+        if wrapper is not None:
+            assert {m for cls, m in results if cls == wrapper.__name__} == {
+                "load", "store", "rmw",
+            }
+        malformed = [
+            (key, result)
+            for key, seen in results.items()
+            for result in seen
+            if type(result) is not tuple or len(result) != 4
+        ]
+        assert malformed == []
 
     def test_accesses_take_no_retry_or_acquire_flag(self):
         assert list(inspect.signature(CoherenceProtocol.load).parameters) == [

@@ -85,6 +85,15 @@ class ServiceHarness:
         self.loop.close()
 
 
+def submit_one_cell(harness) -> str:
+    """Submit a one-cell job, wait until it is done, and return its id:
+    a test that reads jobs submits its own instead of relying on jobs
+    that other tests left in the module-scoped harness."""
+    job = harness.client.submit_specs(sweep_specs(protocols=("MESI",)))["job"]
+    assert harness.client.wait(job, timeout=300)["status"] == "done"
+    return job
+
+
 @pytest.fixture(scope="module")
 def harness(tmp_path_factory):
     harness = ServiceHarness(tmp_path_factory.mktemp("service-cache"))
@@ -162,6 +171,7 @@ class TestEndToEnd:
         assert [c["source"] for c in settled["cell_details"]] == ["cache", "cache"]
 
     def test_healthz_and_metrics_sanity(self, harness):
+        submit_one_cell(harness)
         health = harness.client.healthz()
         assert health["status"] == "ok"
         assert health["workers"]["configured"] == 2
@@ -190,8 +200,10 @@ class TestEndToEnd:
 
     def test_job_listing_and_errors(self, harness):
         client = harness.client
+        job = submit_one_cell(harness)
         listed = client.jobs()["jobs"]
-        assert listed, "earlier tests submitted jobs"
+        assert listed, "this test submitted a job"
+        assert job in {j["job"] for j in listed}
         assert all({"job", "status", "cells", "counts"} <= set(j) for j in listed)
 
         with pytest.raises(ServiceError) as excinfo:

@@ -71,7 +71,7 @@ class TestSignatureMechanics:
         from repro.mem.l1 import DeNovoState
 
         assert proto.l1s[1].state_of(ADDR_DATA) is DeNovoState.INVALID
-        assert proto.load(1, ADDR_DATA).value == 9
+        assert proto.load(1, ADDR_DATA)[0] == 9
 
     def test_acquire_delivers_only_the_delta(self, proto):
         """A second acquire sees only releases after the first."""

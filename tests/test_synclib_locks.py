@@ -141,27 +141,41 @@ def _field_copies(op) -> tuple:
     return tuple(copy.copy(getattr(op, f.name)) for f in fields(op))
 
 
+def _recording(program, yielded: list):
+    """Run ``program``, appending each op it yields, with a copy of its
+    fields, to ``yielded``."""
+    result = None
+    while True:
+        try:
+            op = program.send(result)
+        except StopIteration:
+            return
+        yielded.append((op, _field_copies(op)))
+        result = yield op
+
+
 @pytest.mark.parametrize("protocol", protocol_names())
 @pytest.mark.parametrize(
     "figure,kernel",
-    [(figure, kernel) for figure in ("tatas", "array") for kernel in kernel_names(figure)],
+    [
+        (figure, kernel)
+        for figure in ("tatas", "array", "nonblocking")
+        for kernel in kernel_names(figure)
+    ],
 )
 def test_no_yielded_op_is_mutated(monkeypatch, figure, kernel, protocol):
-    """TATAS and array locks yield one prebuilt op object from every
-    thread and attempt, which is sound only while nothing mutates a
-    yielded op: every op must end the run with the fields it was
-    yielded with."""
+    """The locks and the non-blocking structures yield prebuilt op
+    objects from every thread and attempt, which is sound only while
+    nothing mutates a yielded op: every op must end the run with the
+    fields it was yielded with."""
     yielded = []
-    dispatch = Core._dispatch
-
-    def recording_dispatch(core, op):
-        yielded.append((op, _field_copies(op)))
-        dispatch(core, op)
-
-    monkeypatch.setattr(Core, "_dispatch", recording_dispatch)
+    start = Core.start
+    monkeypatch.setattr(
+        Core, "start", lambda core, program: start(core, _recording(program, yielded))
+    )
     workload = make_kernel(figure, kernel, spec=KernelSpec(scale=0.02))
     run_workload(workload, protocol, config_for_cores(4), seed=1)
-    # The locks' ops are shared, so some op object was yielded twice.
+    # The kernels' ops are shared, so some op object was yielded twice.
     assert len({id(op) for op, _ in yielded}) < len(yielded)
     changed = [op for op, snapshot in yielded if _field_copies(op) != snapshot]
     assert changed == []
