@@ -26,7 +26,6 @@ or closed-formed.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from enum import Enum
 from collections.abc import Callable, Sequence
 
@@ -160,12 +159,18 @@ class MesiL1:
         return len(self._dir)
 
 
-@dataclass
 class DeNovoFrame:
-    """One line frame: per-word state and value (keyed by word-in-line)."""
+    """One line frame: per-word state and value (keyed by word-in-line).
 
-    states: dict[int, DeNovoState] = field(default_factory=dict)
-    values: dict[int, int] = field(default_factory=dict)
+    A plain slotted class: one is built per line fill, and a dataclass
+    would add a ``__dict__`` and a ``default_factory`` call per field.
+    """
+
+    __slots__ = ("states", "values")
+
+    def __init__(self) -> None:
+        self.states: dict[int, DeNovoState] = {}
+        self.values: dict[int, int] = {}
 
     def registered_offsets(self) -> list[int]:
         return [
@@ -181,7 +186,10 @@ class DeNovoL1:
     fills: :meth:`fill_line_valid` installs every still-Invalid word of a
     line's candidates with one frame lookup and changes nothing when no
     candidate is Invalid.  Valid words are also indexed by region id, so
-    :meth:`self_invalidate_region` visits only the words it may drop.
+    :meth:`self_invalidate_region` visits only the words it may drop.  The
+    index is word-granular, but regions are looked up the way the
+    allocator records them (:meth:`set_region_lookup`): a fill of a line
+    one allocation covers resolves its region once for the whole line.
 
     ``on_evict_registered(addr, value)`` is called for every Registered word
     lost to replacement so the protocol can write the value back to the
@@ -211,14 +219,25 @@ class DeNovoL1:
         # selective self-invalidation (addresses outside every region
         # live under None).
         self._valid_by_region: dict[int | None, set[int]] = {}
-        # Live view of the allocator's addr -> Region dict (empty without
-        # an allocator).  The allocator mutates it in place, so the
-        # reference never goes stale.
-        self._region_map: dict[int, Region] = {}
+        # Live views of the allocator's split word -> Region and covered
+        # line -> Region maps (empty without an allocator).  The allocator
+        # updates them in place, so the references never go stale.
+        self._word_regions: dict[int, Region] = {}
+        self._line_regions: dict[int, Region] = {}
 
-    def set_region_lookup(self, region_map: dict[int, Region]) -> None:
-        """Install the allocator's address -> :class:`Region` mapping."""
-        self._region_map = region_map
+    def set_region_lookup(
+        self, word_regions: dict[int, Region], line_regions: dict[int, Region]
+    ) -> None:
+        """Install the allocator's region maps (see
+        :class:`~repro.mem.regions.RegionAllocator`).
+
+        A word's region is ``word_regions[addr]`` if present, else
+        ``line_regions[addr // words_per_line]``; no line may have entries
+        in both.  The per-word sites inline that lookup, split-word map
+        first, so a padded sync word costs one dict read.
+        """
+        self._word_regions = word_regions
+        self._line_regions = line_regions
 
     # -- state queries ----------------------------------------------------
 
@@ -330,13 +349,27 @@ class DeNovoL1:
             group.move_to_end(line)
         states, stored = frame.states, frame.values
         get = values.get
-        rmap = self._region_map
         by_region = self._valid_by_region
+        region = self._line_regions.get(line)
+        if region is not None:
+            # One allocation covers the line: one region for every word.
+            for addr in fill:
+                off = addr - base
+                states[off] = VALID
+                stored[off] = get(addr, 0)
+            bucket = by_region.get(region.region_id)
+            if bucket is None:
+                bucket = by_region[region.region_id] = set()
+            bucket.update(fill)
+            return len(fill)
+        # A split (or never-allocated) line: no line entry, so each word's
+        # region is in the split-word map or is None.
+        wmap = self._word_regions
         for addr in fill:
             off = addr - base
             states[off] = VALID
             stored[off] = get(addr, 0)
-            region = rmap.get(addr)
+            region = wmap.get(addr)
             region_id = region.region_id if region is not None else None
             bucket = by_region.get(region_id)
             if bucket is None:
@@ -366,13 +399,17 @@ class DeNovoL1:
         # over Registered/absent) takes neither branch and pays no region
         # lookup at all.
         if old is VALID:
-            region = self._region_map.get(addr)
+            region = self._word_regions.get(addr)
+            if region is None:
+                region = self._line_regions.get(line)
             region_id = region.region_id if region is not None else None
             bucket = self._valid_by_region.get(region_id)
             if bucket is not None:
                 bucket.discard(addr)
         if state is VALID:
-            region = self._region_map.get(addr)
+            region = self._word_regions.get(addr)
+            if region is None:
+                region = self._line_regions.get(line)
             region_id = region.region_id if region is not None else None
             self._valid_by_region.setdefault(region_id, set()).add(addr)
 
@@ -391,7 +428,9 @@ class DeNovoL1:
             frame.values.pop(off, None)
             return
         frame.states[off] = to
-        region = self._region_map.get(addr)
+        region = self._word_regions.get(addr)
+        if region is None:
+            region = self._line_regions.get(line)
         region_id = region.region_id if region is not None else None
         bucket = self._valid_by_region.get(region_id)
         if bucket is None:
@@ -449,7 +488,9 @@ class DeNovoL1:
     def _untrack_valid(self, addr: int, old_state: DeNovoState | None) -> None:
         if old_state is not VALID:
             return
-        region = self._region_map.get(addr)
+        region = self._word_regions.get(addr)
+        if region is None:
+            region = self._line_regions.get(addr // self._wpl)
         region_id = region.region_id if region is not None else None
         bucket = self._valid_by_region.get(region_id)
         if bucket is not None:

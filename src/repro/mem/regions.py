@@ -13,6 +13,7 @@ ablation turns this off.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from repro.mem.address import AddressMap
 
@@ -49,14 +50,26 @@ class RegionAllocator:
 
     Also the authority on which region owns each address, which the DeNovo
     L1s consult when tracking valid words for selective self-invalidation.
+    A region is recorded once for each line that a single allocation
+    covers entirely (the line map), and per word only on the lines an
+    allocation boundary splits: an allocation's head and tail lines, and
+    a padded sync variable's line (the split-word map).  No line has
+    entries in both maps, so a lookup reads the split-word map and, on a
+    miss, the line map.  :meth:`region_of` is that lookup; the DeNovo L1
+    inlines it on the two live maps (see
+    :meth:`repro.mem.l1.DeNovoL1.set_region_lookup`).
     """
 
     def __init__(self, amap: AddressMap, pad_sync_vars: bool = True) -> None:
         self.amap = amap
         self.pad_sync_vars = pad_sync_vars
-        self._next_addr = amap.words_per_line  # keep address 0 unused
+        self._wpl = amap.words_per_line
+        self._next_addr = self._wpl  # keep address 0 unused
         self._regions: dict[str, Region] = {}
-        self._region_of_addr: dict[int, Region] = {}
+        # Split word address -> Region, and covered line -> Region.  Both
+        # are only ever updated in place: the L1s hold live references.
+        self._word_regions: dict[int, Region] = {}
+        self._line_regions: dict[int, Region] = {}
         self._allocations: list[Allocation] = []
 
     def region(self, name: str) -> Region:
@@ -79,8 +92,19 @@ class RegionAllocator:
             # ever shares these lines.
             self._next_addr = self.amap.align_up_to_line(self._next_addr)
         alloc = Allocation(base=base, nwords=nwords, region=region)
-        for addr in alloc:
-            self._region_of_addr[addr] = region
+        wpl = self._wpl
+        end = base + nwords
+        # Lines first .. last-1 lie wholly inside [base, end).  The other
+        # words share their lines with other allocations or with
+        # unallocated words.
+        first, last = -(-base // wpl), end // wpl
+        if first < last:
+            self._line_regions.update(dict.fromkeys(range(first, last), region))
+            split = chain(range(base, first * wpl), range(last * wpl, end))
+        else:
+            split = range(base, end)
+        for addr in split:
+            self._word_regions[addr] = region
         self._allocations.append(alloc)
         return alloc
 
@@ -90,7 +114,10 @@ class RegionAllocator:
 
     def region_of(self, addr: int) -> Region | None:
         """Region owning ``addr`` (None for never-allocated addresses)."""
-        return self._region_of_addr.get(addr)
+        region = self._word_regions.get(addr)
+        if region is None:
+            region = self._line_regions.get(addr // self._wpl)
+        return region
 
     @property
     def allocations(self) -> list[Allocation]:

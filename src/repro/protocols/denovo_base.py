@@ -46,7 +46,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         ]
         if allocator is not None:
             for l1 in self.l1s:
-                l1.set_region_lookup(allocator._region_of_addr)
+                l1.set_region_lookup(allocator._word_regions, allocator._line_regions)
         # word address -> core id currently registered (absent: value at LLC)
         self.registry: dict[int, int] = {}
         # word address -> [(core_id, callback)] spin-waiters asleep on their

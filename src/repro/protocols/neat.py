@@ -70,7 +70,7 @@ class NeatProtocol(CoherenceProtocol):
         ]
         if allocator is not None:
             for l1 in self.l1s:
-                l1.set_region_lookup(allocator._region_of_addr)
+                l1.set_region_lookup(allocator._word_regions, allocator._line_regions)
         #: Per-core set of dirty word addresses (held Registered in the
         #: L1) awaiting their self-downgrade writeback.
         self._dirty: list[set[int]] = [set() for _ in range(config.num_cores)]

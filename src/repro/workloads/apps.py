@@ -233,12 +233,13 @@ def _phase_work(ctx: ThreadCtx, app: _AppShared, accesses: int):
     stride = app.private_stride
     private_idx = 0
     shared_idx = 0
+    gap = Compute(profile.compute_gap)  # yielded as is: nothing mutates an op
     for i in range(accesses):
         if cs_every and i % cs_every == cs_every - 1:
             yield from _one_critical_section(ctx, app)
         if swap_every and i % swap_every == swap_every - 1:
             yield from _one_cas_swap(ctx, app)
-        yield Compute(profile.compute_gap)
+        yield gap
         roll = ctx.rng.random()
         if roll < profile.private_frac:
             addr = base + (private_idx % profile.private_words) * stride
@@ -372,6 +373,7 @@ def _pipeline_program(ctx: ThreadCtx, app: _AppShared, scale: float):
     left = me - 1
     work = max(1, round(profile.accesses_per_phase * scale / 8))
     private = app.private_bases[me]
+    gap = Compute(profile.compute_gap)
 
     for seq in range(1, items + 1):
         if left >= 0:
@@ -386,7 +388,7 @@ def _pipeline_program(ctx: ThreadCtx, app: _AppShared, scale: float):
                 yield Load(pipe.payloads[left] + w)
         # Stage work on private data.
         for i in range(work):
-            yield Compute(profile.compute_gap)
+            yield gap
             addr = private + (seq * work + i) % profile.private_words
             if i % 3 == 0:
                 yield Store(addr, i)

@@ -166,8 +166,9 @@ class TestDiffMemory:
 #: SHA-256 of the chaos sweep's 45 ``describe()`` lines (newline-joined),
 #: recorded while a retried request still carried its directory
 #: reservation as a call argument: every cell's baseline and perturbed
-#: cycle counts and injected delay, deferral and eviction counts.  Do not regenerate this from the current code to make a
-#: failure pass: a mismatch means fault-path timing changed.
+#: cycle counts and injected delay, deferral and eviction counts.  Do not
+#: regenerate this from the current code to make a failure pass: a
+#: mismatch means fault-path timing changed.
 CHAOS_SWEEP_DIGEST = "4c414f29f80de03b0a0937cb9bf8539fc20f8f39527653dd6143d9d0335b0461"
 
 

@@ -153,7 +153,7 @@ class TestDeNovoL1:
     def test_self_invalidate_region_drops_only_valid(self, config, amap):
         l1 = self.make(config, amap)
         one, two = Region("one", 1), Region("two", 2)
-        l1.set_region_lookup({100: one, 101: one, 102: two})
+        l1.set_region_lookup({100: one, 101: one, 102: two}, {})
         l1.fill_word(100, 1, DeNovoState.VALID)
         l1.fill_word(101, 2, DeNovoState.REGISTERED)
         l1.fill_word(102, 3, DeNovoState.VALID)
@@ -165,7 +165,7 @@ class TestDeNovoL1:
 
     def test_self_invalidate_all(self, config, amap):
         l1 = self.make(config, amap)
-        l1.set_region_lookup({100: Region("one", 1), 200: Region("two", 2)})
+        l1.set_region_lookup({100: Region("one", 1), 200: Region("two", 2)}, {})
         l1.fill_word(100, 1, DeNovoState.VALID)
         l1.fill_word(200, 2, DeNovoState.VALID)
         l1.fill_word(300, 3, DeNovoState.VALID)  # no region
@@ -173,7 +173,7 @@ class TestDeNovoL1:
 
     def test_self_invalidate_after_downgrade_tracks_region(self, config, amap):
         l1 = self.make(config, amap)
-        l1.set_region_lookup({100: Region("one", 1)})
+        l1.set_region_lookup({100: Region("one", 1)}, {})
         l1.fill_word(100, 1, DeNovoState.REGISTERED)
         l1.downgrade(100, DeNovoState.VALID)
         assert l1.self_invalidate_region(1) == 1

@@ -16,11 +16,18 @@ LRU order, the region-indexed Valid tracking, the eviction callbacks
 (arguments and order), the returned counts, and the protocol's registry,
 backing store, counters and traffic.  Each case runs on a 4-core machine
 and on a 9-core one, whose 9 LLC banks are not a power of two.
+
+The allocator records a region per line where one allocation covers the
+line and per word where an allocation boundary splits it, and
+``fill_line_valid`` has a branch for each.  The reference's ``fill_word``
+reads both maps word by word, so the split-line case below checks the
+line fill's two branches against it.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from types import MethodType
 
 import pytest
@@ -92,9 +99,15 @@ def per_word_fill_line_valid_words(self, core_id, line, from_owner):
 
 
 class Machine:
-    """One protocol over a small address pool whose lines crowd two sets."""
+    """One protocol over a small address pool whose lines crowd two sets.
 
-    def __init__(self, protocol: str, reference: bool, cores: int) -> None:
+    With ``split``, the pool is instead the two lines an allocation ends
+    in the middle of, each with ``assoc + 2`` more lines of its set.
+    """
+
+    def __init__(
+        self, protocol: str, reference: bool, cores: int, split: bool = False
+    ) -> None:
         config = config_for_cores(cores)
         amap = AddressMap(config)
         allocator = RegionAllocator(amap)
@@ -105,15 +118,26 @@ class Machine:
         # Three regions cover the lower lines; the top ones have none
         # (their Valid words are tracked under region id None).
         top = max(self.lines) * self.words
-        for name in ("a", "b", "c"):
-            allocator.alloc(name, top // 4)
+        allocs = [allocator.alloc(name, top // 4) for name in ("a", "b", "c")]
         self.regions = [allocator.region(name) for name in ("a", "b", "c")]
+        #: Lines 177 (the end of region a, the start of b) and 530 (the
+        #: end of c, then unallocated words).
+        self.split_lines = [a.end // self.words for a in allocs if a.end % self.words]
+        if split:
+            self.lines = [
+                line + k * sets for line in self.split_lines for k in range(-2, assoc + 1)
+            ]
         self.protocol = make_protocol(protocol, config, allocator)
         self.evictions: list[tuple[int, int, int]] = []
+        #: Line fills that filled a word, by the branch of fill_line_valid
+        #: that ran ("covered" or "per-word"), and the lines they filled.
+        self.fills: Counter[str] = Counter()
+        self.filled_lines: set[int] = set()
         for core, l1 in enumerate(self.protocol.l1s):
             if reference:
                 l1.__class__ = PerWordL1
             l1._on_evict_registered = self._logged(core, l1._on_evict_registered)
+            l1.fill_line_valid = self._counted(l1, l1.fill_line_valid)
         if reference and isinstance(self.protocol, DeNovoBaseProtocol):
             self.protocol._fill_line_valid_words = MethodType(
                 per_word_fill_line_valid_words, self.protocol
@@ -125,6 +149,16 @@ class Machine:
             handler(addr, value)
 
         return on_evict
+
+    def _counted(self, l1, fill_line_valid):
+        def counted(line, addrs, values):
+            filled = fill_line_valid(line, addrs, values)
+            if filled:
+                self.fills["covered" if line in l1._line_regions else "per-word"] += 1
+                self.filled_lines.add(line)
+            return filled
+
+        return counted
 
     def fill(self, core: int, line: int, from_owner: int | None) -> int:
         """One line fill the way the protocol's load miss makes it."""
@@ -158,10 +192,10 @@ class Machine:
         )
 
 
-def twins(protocol: str, cores: int) -> tuple[Machine, Machine]:
+def twins(protocol: str, cores: int, split: bool = False) -> tuple[Machine, Machine]:
     return (
-        Machine(protocol, reference=False, cores=cores),
-        Machine(protocol, reference=True, cores=cores),
+        Machine(protocol, reference=False, cores=cores, split=split),
+        Machine(protocol, reference=True, cores=cores, split=split),
     )
 
 
@@ -215,6 +249,10 @@ def test_random_streams_match_per_word_reference(protocol, seed, cores):
     and self-invalidations over lines that overflow their sets."""
     new, ref = twins(protocol, cores)
     assert new.protocol.amap.num_banks == cores
+    _replay_random_stream(new, ref, seed)
+
+
+def _replay_random_stream(new: Machine, ref: Machine, seed: int) -> None:
     assert new.snapshot() == ref.snapshot()
     rng = random.Random(seed)
     now = 0
@@ -224,10 +262,43 @@ def test_random_streams_match_per_word_reference(protocol, seed, cores):
         got, want = _apply(new, op, now), _apply(ref, op, now)
         assert got == want, (step, op)
         assert new.snapshot() == ref.snapshot(), (step, op)
+        assert not _misindexed_words(new), (step, op)
     # The stream exercised what it is meant to.
     assert new.evictions, "no replacement happened"
     assert any(state is DeNovoState.VALID
                for l1 in new.protocol.l1s for _, state in l1.words_and_states())
+
+
+def _misindexed_words(machine: Machine) -> list[tuple[int, int | None]]:
+    """(word, id) pairs the Valid index holds under an id that is not the
+    word's ``region_of`` (the reference's lookups are the L1's own)."""
+    region_of = machine.protocol.allocator.region_of
+    out = []
+    for l1 in machine.protocol.l1s:
+        for rid, bucket in l1._valid_by_region.items():
+            for addr in bucket:
+                region = region_of(addr)
+                if (region.region_id if region is not None else None) != rid:
+                    out.append((addr, rid))
+    return out
+
+
+@pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)
+@pytest.mark.parametrize("seed", range(3))
+def test_split_lines_match_per_word_reference(protocol, seed, cores):
+    """The random streams over a line shared by two regions, a line shared
+    by a region and unallocated words, and covered and unallocated lines
+    of their sets: line fills take both branches of fill_line_valid."""
+    new, ref = twins(protocol, cores, split=True)
+    allocator = new.protocol.allocator
+    a, b, c = new.regions
+    assert [
+        {allocator.region_of(addr) for addr in range(line * new.words, (line + 1) * new.words)}
+        for line in new.split_lines
+    ] == [{a, b}, {c, None}]
+    _replay_random_stream(new, ref, seed)
+    assert new.fills["covered"] and new.fills["per-word"], new.fills
+    assert set(new.split_lines) <= new.filled_lines
 
 
 @pytest.mark.parametrize("protocol", DENOVO_L1_PROTOCOLS)

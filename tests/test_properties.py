@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from repro.config import BackoffConfig, LatencyRange, config_16, config_for_cores
 from repro.mem.address import AddressMap
 from repro.mem.l1 import DeNovoState
-from repro.mem.regions import RegionAllocator
+from repro.mem.regions import Region, RegionAllocator
 from repro.noc.mesh import Mesh
 from repro.noc.messages import MessageClass, control_flits, data_flits
 from repro.protocols import make_protocol
@@ -132,6 +132,36 @@ class TestRegionAllocatorProperties:
                 assert addr not in seen
                 seen.add(addr)
                 assert allocator.region_of(addr) is allocator.region(f"r{i % 5}")
+
+    @given(
+        pad_sync=st.booleans(),
+        steps=st.lists(
+            st.tuples(st.sampled_from(["alloc", "alloc_sync"]), st.integers(1, 40),
+                      st.booleans()),
+            max_size=25,
+        ),
+    )
+    def test_line_and_word_maps_match_a_per_word_reference(self, pad_sync, steps):
+        """Regions recorded per covered line plus per split word answer
+        ``region_of`` as a dict filled with every allocated word would."""
+        amap = AddressMap(config_16())
+        wpl = amap.words_per_line
+        allocator = RegionAllocator(amap, pad_sync_vars=pad_sync)
+        reference: dict[int, Region] = {}
+        for i, (kind, nwords, align) in enumerate(steps):
+            if kind == "alloc":
+                alloc = allocator.alloc(f"r{i % 5}", nwords, line_align=align)
+            else:
+                alloc = allocator.alloc_sync(f"r{i % 5}", nwords)
+            for addr in alloc:
+                reference[addr] = alloc.region
+            for addr in range(allocator.words_allocated + 2 * wpl):
+                assert allocator.region_of(addr) is reference.get(addr), addr
+            # One entry per line the allocation covers, none per word there.
+            for line in range(-(-alloc.base // wpl), alloc.end // wpl):
+                assert allocator._line_regions[line] is alloc.region
+            split_lines = {addr // wpl for addr in allocator._word_regions}
+            assert not split_lines & allocator._line_regions.keys()
 
 
 class TestBackoffProperties:

@@ -59,8 +59,10 @@ class TestDataLoads:
         assert proto.l1s[1].state_of(ADDR + 1) is DeNovoState.VALID
 
     def test_valid_hit_may_be_stale_until_self_invalidated(self, proto, allocator):
+        # Allocate words up to and including ADDR in region "shared".
+        allocator.alloc("shared", ADDR + 1 - allocator.words_allocated)
         region = allocator.region("shared")
-        allocator._region_of_addr[ADDR] = region  # register addr's region
+        assert allocator.region_of(ADDR) is region
         proto.load(1, ADDR)  # fills Valid copy of value 0
         proto.now = 500
         proto.store(0, ADDR, 9)  # core 0 writes through registration
