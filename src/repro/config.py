@@ -114,7 +114,7 @@ class ProtocolTuning:
 
 
 #: Valid settings for :attr:`SystemConfig.invariant_level`.
-INVARIANT_LEVELS = ("off", "sampled", "full")
+INVARIANT_LEVELS = ("off", "full")
 
 
 @dataclass(frozen=True)
@@ -126,8 +126,8 @@ class SystemConfig:
 
     ``invariant_level`` arms the runtime coherence invariant checker
     (:class:`~repro.protocols.invariants.InvariantAudit`): ``off``
-    disables it, ``sampled`` audits the full protocol state before every
-    ``SAMPLE_PERIOD``-th protocol call, ``full`` before every call.
+    disables it, ``full`` audits the full protocol state before every
+    state-changing protocol call.
     """
 
     num_cores: int = 16

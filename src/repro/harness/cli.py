@@ -30,6 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 
+from repro.config import INVARIANT_LEVELS
 from repro.harness.experiments import (
     apps_figure,
     eqcheck_ablation,
@@ -784,7 +785,7 @@ FLAGS: dict[str, dict] = {
         "family/name, e.g. tatas/counter, nonblocking/'M-S queue', app/LU, micro/pingpong")),
     "--protocol": dict(default="DeNovoSync", choices=PROTOCOL_NAMES, metavar="NAME", help=(
         f"{', '.join(PROTOCOL_NAMES)} (default: DeNovoSync)")),
-    "--invariant-level": dict(choices=["off", "sampled", "full"], default="off", help=(
+    "--invariant-level": dict(choices=INVARIANT_LEVELS, default="off", help=(
         "arm the runtime coherence invariant checker (default: %(default)s)")),
     "--trace": dict(help="write a JSONL access trace to this path"),
     "--max-cycles": dict(type=int, help=(

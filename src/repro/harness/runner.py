@@ -91,8 +91,8 @@ def run_workload(
 
     watchdog.check_quiescent()
     if config.invariant_level != "off":
-        # Whole-run invariant net: even with sampling, no run ends without
-        # one full audit of the final protocol state.
+        # The audit runs before each call, so check the state the last
+        # call left too.
         protocol.check_invariants()
 
     cycles = max(core.finish_time for core in cores)

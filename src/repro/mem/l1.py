@@ -13,11 +13,8 @@ Two flavours, matching the two protocol families:
 
 Both caches are set-associative with LRU replacement within each set.
 
-Spin-lease contract: every L1 mutation happens inside a protocol
-access method (a declared wake hook — see
-:meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease` and the
-``undeclared-wake-mutation`` sanitize rule).  A fast-forwarded spin poll
-never touches the L1: leases are only granted for polls that bypass it
+Spin leases (:meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease`)
+never touch the L1: a lease is only granted for polls that bypass it
 (Neat sync reads drop any cached copy and never refill it), so LRU order
 and line state are byte-identical whether the poll was simulated in full
 or closed-formed.

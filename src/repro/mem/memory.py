@@ -10,8 +10,11 @@ Protocol invariants keep it coherent with the caches:
   from the store; Valid copies may be stale, which is exactly the DeNovo
   semantics for data-race-free data.
 
-The store also tracks which lines are LLC-resident so the first touch of a
-line pays the memory (DRAM) latency.
+The store also holds the set of LLC-resident lines.  Only
+:meth:`~repro.protocols.base.CoherenceProtocol.llc_fetch_latency` grows
+it, on a line's first touch (the cold miss that pays the memory latency
+and charges the fill), and nothing removes a line: the modelled LLC
+holds every footprint.
 """
 
 from __future__ import annotations
@@ -35,23 +38,3 @@ class BackingStore:
         """Copy of every written word (addr -> value), for final-state
         comparison between runs (the chaos differential tests)."""
         return dict(self._values)
-
-    def is_resident(self, line: int) -> bool:
-        """True if ``line`` has been brought on-chip already."""
-        return line in self._resident_lines
-
-    def touch_line(self, line: int) -> bool:
-        """Mark ``line`` LLC-resident; return True if this was a cold miss."""
-        if line in self._resident_lines:
-            return False
-        self._resident_lines.add(line)
-        return True
-
-    def evict_line(self, line: int) -> None:
-        """Drop ``line`` from the LLC (used by the app models to emulate
-        footprints larger than the LLC)."""
-        self._resident_lines.discard(line)
-
-    @property
-    def resident_line_count(self) -> int:
-        return len(self._resident_lines)

@@ -11,7 +11,7 @@ labels and comparison sets (:func:`protocol_names`, :func:`get_info`,
 """
 
 from repro.protocols.base import CoherenceProtocol
-from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit
+from repro.protocols.invariants import InvariantAudit
 from repro.protocols.registry import (
     ProtocolInfo,
     app_comparison_set,
@@ -41,16 +41,15 @@ from repro.protocols.syncron import SynCronProtocol
 def make_protocol(name: str, *args, **kwargs) -> CoherenceProtocol:
     """Instantiate a protocol by its registered paper name.
 
-    With ``config.invariant_level`` other than ``off`` the protocol comes
-    wrapped in an :class:`InvariantAudit`; with ``off`` it is returned
-    bare.  Unknown names raise :class:`ValueError` listing the
-    registered names plus near-miss suggestions (``mesi`` -> ``MESI``).
+    With ``config.invariant_level`` ``full`` the protocol comes wrapped
+    in an :class:`InvariantAudit`; with ``off`` it is returned bare.
+    Unknown names raise :class:`ValueError` listing the registered names
+    plus near-miss suggestions (``mesi`` -> ``MESI``).
     """
     protocol = get_info(name).cls(*args, **kwargs)
-    level = protocol.config.invariant_level
-    if level == "off":
+    if protocol.config.invariant_level == "off":
         return protocol
-    return InvariantAudit(protocol, SAMPLE_PERIOD if level == "sampled" else 1)
+    return InvariantAudit(protocol)
 
 
 __all__ = [

@@ -126,6 +126,10 @@ class CoherenceProtocol(ABC):
         # line = addr // _wpl, offset = addr % _wpl, bank = line % _nbanks.
         self._wpl = self.amap.words_per_line
         self._nbanks = self.amap.num_banks
+        # key -> [(core_id, callback)] spin-waiters asleep on a cached
+        # copy (see subscribe_line_change), woken by :meth:`_wake`.  MESI
+        # keys it by line, the DeNovo registry by word.
+        self._waiters: dict[int, list[tuple[int, Callable[[int], None]]]] = {}
         self.now = 0  # stored by the cores right before each operation
 
     # -- runtime invariants & diagnostics -----------------------------------
@@ -247,6 +251,24 @@ class CoherenceProtocol(ABC):
         """
         return False
 
+    def _wake(self, key: int, core_id: int, wake_time: int) -> None:
+        """Wake, at ``wake_time``, every spin-waiter ``core_id`` has
+        asleep on ``key`` in :attr:`_waiters`: its copy is gone (stolen,
+        invalidated or evicted), so only a re-probe can observe change."""
+        waiters = self._waiters.get(key)
+        if not waiters:
+            return
+        remaining = []
+        for waiter_core, callback in waiters:
+            if waiter_core == core_id:
+                callback(wake_time)
+            else:
+                remaining.append((waiter_core, callback))
+        if remaining:
+            self._waiters[key] = remaining
+        else:
+            del self._waiters[key]
+
     def spin_poll_lease(self, core_id: int, addr: int) -> SpinLease | None:
         """Declare ``core_id``'s failed spin polls of ``addr`` quiescent.
 
@@ -261,13 +283,10 @@ class CoherenceProtocol(ABC):
           traffic, and latency deltas;
         * its latency is constant (e.g. the word's home-bank round trip
           with the line already LLC-resident);
-        * the polled value is ``memory._values[addr]``, and that entry
-          changes only through the protocol's *wake hooks* — the
-          declared mutation points (``load``/``store``/``rmw``/
-          ``sync_load``/``sync_store`` or a ``wake_hooks`` override;
-          the ``undeclared-wake-mutation`` sanitize rule enforces
-          this) — so the engine watch that re-reads it at every
-          would-be probe observes exactly what the full probe would.
+        * the polled value is ``memory._values[addr]``.  The engine
+          watch re-reads that entry at the (cycle, seq) of every
+          would-be probe, so it sees a write at the same point as the
+          full probe would, whichever protocol method made the write.
 
         :meth:`settle_lease` charges the lease's deltas when the core
         settles it, once per elided poll, so while the lease is open
@@ -323,27 +342,29 @@ class CoherenceProtocol(ABC):
 
     # -- shared latency helpers ---------------------------------------------------
 
-    def llc_fetch_latency(self, core_id: int, line: int) -> tuple[int, bool]:
-        """Latency to fetch ``line`` at its home bank, touching it in.
+    def llc_fetch_latency(self, core_id: int, line: int, klass: MessageClass) -> int:
+        """Latency for ``core_id`` to fetch ``line`` at its home bank.
 
-        Returns (latency, cold): cold misses pay the memory latency and the
-        extra controller traffic is charged by the caller.
+        A warm line costs the LLC round trip.  The line's first touch (a
+        cold miss) makes it LLC-resident, costs the memory latency, bumps
+        ``cold_misses`` and charges the fill to ``klass``: the bank's
+        control message to its nearest memory controller and the line
+        sent back.
         """
         bank = line % self._nbanks
         resident = self._resident
         if line in resident:
-            return self._l2_flat[core_id * self._ntiles + bank], False
+            return self._l2_flat[core_id * self._ntiles + bank]
         resident.add(line)
         self._counts["cold_misses"] += 1
-        return self._memlat_flat[core_id * self._ntiles + bank], True
-
-    def record_memory_fill(self, klass: MessageClass, line: int) -> None:
-        """Traffic of a cold-miss line fill: the home bank's request to
-        its nearest memory controller, and the line sent back."""
-        bank = self.amap.home_bank(line)
         controller = self.mesh.nearest_controller(bank)
         self.record_control(klass, bank, controller)
+        # Read through config, not a bound alias: on CPython 3.11 an
+        # instance with 30 or more attributes loads each ``self.`` name
+        # about 1.5 ns slower, and one more alias here would take
+        # DeNovoSync0 from 29 attributes to 30.
         self.record_data(klass, controller, bank, self.config.line_bytes)
+        return self._memlat_flat[core_id * self._ntiles + bank]
 
 
 class ProtocolWrapper:

@@ -1,21 +1,26 @@
-"""Shared DeNovo machinery: word-granularity registration protocol.
+"""Shared DeNovo machinery, in two layers.
 
-DeNovo keeps exactly three states per *word* — Invalid, Valid, Registered —
-and replaces the sharer-list directory with a *registry*: the LLC data bank
-holds either the word's value or a pointer to the core that registered it.
-There are no writer-initiated invalidations and no sharer lists; writes
-(and, in DeNovoSync0/DeNovoSync, synchronization reads) serialize through
-point-to-point registration transfers.  The registry is non-blocking:
-unlike the MESI directory there is never a queuing delay at the LLC.
+:class:`SelfInvalidatingProtocol` is the L1 side every
+``invalidation="self"`` backend shares (the DeNovo family, SynCron and
+Neat): per-word Invalid/Valid/Registered L1s wired to the allocator's
+region maps, a word writeback when replacement evicts a Registered word
+(the backend forgets the owner in
+:meth:`~SelfInvalidatingProtocol._drop_owned`), and software
+self-invalidation of the Valid words of the named regions at acquires,
+leaving Registered words in place.
 
-This module implements the *data* access behaviour from the original
+:class:`DeNovoBaseProtocol` adds DeNovo's *registry*: the LLC data bank
+holds either the word's value or a pointer to the core that registered
+it.  There are no writer-initiated invalidations and no sharer lists;
+writes (and, in DeNovoSync0/DeNovoSync, synchronization reads) serialize
+through point-to-point registration transfers.  The registry is
+non-blocking: unlike the MESI directory there is never a queuing delay
+at the LLC.  It implements the *data* access behaviour of the original
 DeNovo (PACT'11), which both synchronization protocols inherit:
 
 * data read hit on Valid or Registered; misses fill every word of the line
   available at the LLC (only valid words travel, a big traffic saving);
-* data writes register immediately and are non-blocking;
-* software self-invalidation instructions drop the Valid words of the
-  named regions at acquires, leaving Registered words in place.
+* data writes register immediately and are non-blocking.
 
 Subclasses add the synchronization-access policy (registration of sync
 reads; hardware backoff).
@@ -24,6 +29,7 @@ reads; hardware backoff).
 from __future__ import annotations
 
 import weakref
+from abc import abstractmethod
 from collections.abc import Callable
 
 from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
@@ -33,10 +39,12 @@ from repro.protocols.base import CoherenceProtocol
 from repro.protocols.invariants import denovo_violations
 
 
-class DeNovoBaseProtocol(CoherenceProtocol):
-    """Data-access behaviour common to DeNovoSync0 and DeNovoSync."""
+class SelfInvalidatingProtocol(CoherenceProtocol):
+    """Word-granular L1s that self-invalidate at acquires.
 
-    name = "DeNovoBase"
+    A subclass implements the accesses and :meth:`_drop_owned`, the
+    owner bookkeeping a Registered word's eviction must undo.
+    """
 
     def __init__(self, config, allocator=None):
         super().__init__(config, allocator)
@@ -47,11 +55,78 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         if allocator is not None:
             for l1 in self.l1s:
                 l1.set_region_lookup(allocator._word_regions, allocator._line_regions)
+        self._l1_hit = config.l1_hit_latency
+        self._word_bytes = config.word_bytes
+
+    def _make_evict_handler(self, core_id: int):
+        # The L1 holds this handler, so it reaches the protocol through a
+        # weak proxy: with no reference cycle, a dropped protocol (and its
+        # L1 frames) is freed at once instead of waiting for the cycle
+        # collector, which keeps peak memory independent of GC timing.
+        proto = weakref.proxy(self)
+
+        def on_evict_registered(addr: int, value: int) -> None:
+            # A replaced Registered word goes back to the LLC: a
+            # word-granularity writeback.
+            proto._drop_owned(core_id, addr)
+            bank = proto.amap.home_bank_of_addr(addr)
+            proto.record_data(WRITEBACK, core_id, bank, proto._word_bytes)
+            proto.counters.bump("writebacks")
+
+        return on_evict_registered
+
+    @abstractmethod
+    def _drop_owned(self, core_id: int, addr: int) -> None:
+        """Forget that ``core_id`` holds ``addr`` Registered: replacement
+        just evicted the word, and its writeback is being charged."""
+
+    # -- self-invalidation -------------------------------------------------------
+
+    def self_invalidate(
+        self, core_id: int, regions: list[Region], flush_all: bool = False
+    ) -> int:
+        """Flash-invalidate the Valid words of ``regions`` in this core's L1.
+
+        ``flush_all`` drops every Valid word regardless of region — the
+        always-correct fallback when the program supplies no region
+        information (paper section 3).  Registered words stay either way:
+        they are this core's own registrations (Neat: its own unpublished
+        writes).
+        """
+        l1 = self.l1s[core_id]
+        if flush_all:
+            dropped = l1.self_invalidate_all()
+        else:
+            dropped = 0
+            for region in regions:
+                dropped += l1.self_invalidate_region(region.region_id)
+        self.counters.bump("self_invalidated_words", dropped)
+        return self.config.tuning.self_invalidate_latency
+
+    # -- diagnostics ---------------------------------------------------------------
+
+    def debug_resident_lines(self, core_id: int) -> list[int]:
+        return self.l1s[core_id].resident_lines()
+
+    def _l1_states(self, addr: int) -> str:
+        """The non-Invalid copies of ``addr``, for ``debug_addr_state``."""
+        copies = {
+            core_id: l1.state_of(addr, touch=False).value
+            for core_id, l1 in enumerate(self.l1s)
+            if l1.state_of(addr, touch=False) is not INVALID
+        }
+        return f"L1 states={copies or '{}'}"
+
+
+class DeNovoBaseProtocol(SelfInvalidatingProtocol):
+    """The registry data path common to the DeNovo family and SynCron."""
+
+    name = "DeNovoBase"
+
+    def __init__(self, config, allocator=None):
+        super().__init__(config, allocator)
         # word address -> core id currently registered (absent: value at LLC)
         self.registry: dict[int, int] = {}
-        # word address -> [(core_id, callback)] spin-waiters asleep on their
-        # Registered copy, woken when a remote request steals it.
-        self._word_waiters: dict[int, list[tuple[int, Callable[[int], None]]]] = {}
         # word address -> cycle at which the last pending registration
         # transfer completes.  The registry itself never blocks, but
         # concurrent registrations to one word chain through the L1 MSHRs
@@ -66,28 +141,11 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         # Hot-path constants (the address math is bound in base.__init__).
         self._chain_link = config.tuning.chain_link_cost
         self._agg_window = config.tuning.store_aggregation_window
-        self._l1_hit = config.l1_hit_latency
-        self._word_bytes = config.word_bytes
 
-    def _make_evict_handler(self, core_id: int):
-        # The L1 holds this handler, so it reaches the protocol through a
-        # weak proxy: with no reference cycle, a dropped protocol (and its
-        # L1 frames) is freed at once instead of waiting for the cycle
-        # collector, which keeps peak memory independent of GC timing.
-        proto = weakref.proxy(self)
-
-        def on_evict_registered(addr: int, value: int) -> None:
-            # A replaced Registered word returns its registration (and value)
-            # to the LLC: a word-granularity writeback.
-            if proto.registry.get(addr) == core_id:
-                del proto.registry[addr]
-            bank = proto.amap.home_bank_of_addr(addr)
-            proto.record_data(
-                WRITEBACK, core_id, bank, proto.config.word_bytes
-            )
-            proto.counters.bump("writebacks")
-
-        return on_evict_registered
+    def _drop_owned(self, core_id: int, addr: int) -> None:
+        # The evicted registration returns to the LLC.
+        if self.registry.get(addr) == core_id:
+            del self.registry[addr]
 
     # -- hooks the DeNovoSync subclass overrides ---------------------------
 
@@ -132,9 +190,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self.record_data(LOAD, owner, core_id, self._word_bytes * filled)
             return (self._mem_get(addr, 0), latency, False, False)
 
-        latency, cold = self.llc_fetch_latency(core_id, line)
-        if cold:
-            self.record_memory_fill(LOAD, line)
+        latency = self.llc_fetch_latency(core_id, line, LOAD)
         filled = self._fill_line_valid_words(core_id, line, from_owner=None)
         self.record_data(LOAD, bank, core_id, self._word_bytes * filled)
         return (self._mem_get(addr, 0), latency, False, False)
@@ -257,9 +313,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             self.l1s[prev].downgrade(addr, target)
             self.on_registration_stolen(prev, addr, not invalidate_prev)
         else:
-            transfer, cold = self.llc_fetch_latency(core_id, line)
-            if cold:
-                self.record_memory_fill(klass, line)
+            transfer = self.llc_fetch_latency(core_id, line, klass)
             responder = bank
         if carry_data_back:
             self.record_data(klass, responder, core_id, self._word_bytes)
@@ -274,7 +328,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             completion = arrival
         latency = completion - self.now
         if stolen:
-            self._notify_word_waiters(addr, prev, completion)
+            self._wake(addr, prev, completion)
         self.registry[addr] = core_id
         self._reg_chain[addr] = completion
         return latency
@@ -312,44 +366,8 @@ class DeNovoBaseProtocol(CoherenceProtocol):
         """
         if self.l1s[core_id].state_of(addr, touch=False) is not REGISTERED:
             return False
-        self._word_waiters.setdefault(addr, []).append((core_id, callback))
+        self._waiters.setdefault(addr, []).append((core_id, callback))
         return True
-
-    def _notify_word_waiters(self, addr: int, core_id: int, wake_time: int) -> None:
-        waiters = self._word_waiters.get(addr)
-        if not waiters:
-            return
-        remaining = []
-        for waiter_core, callback in waiters:
-            if waiter_core == core_id:
-                callback(wake_time)
-            else:
-                remaining.append((waiter_core, callback))
-        if remaining:
-            self._word_waiters[addr] = remaining
-        else:
-            del self._word_waiters[addr]
-
-    # -- self-invalidation -------------------------------------------------------
-
-    def self_invalidate(
-        self, core_id: int, regions: list[Region], flush_all: bool = False
-    ) -> int:
-        """Flash-invalidate the Valid words of ``regions`` in this core's L1.
-
-        ``flush_all`` drops every Valid word regardless of region — the
-        always-correct fallback when the program supplies no region
-        information (paper section 3).  Registered words stay either way.
-        """
-        l1 = self.l1s[core_id]
-        if flush_all:
-            dropped = l1.self_invalidate_all()
-        else:
-            dropped = 0
-            for region in regions:
-                dropped += l1.self_invalidate_region(region.region_id)
-        self.counters.bump("self_invalidated_words", dropped)
-        return self.config.tuning.self_invalidate_latency
 
     # -- runtime invariants & diagnostics -------------------------------------
 
@@ -366,23 +384,15 @@ class DeNovoBaseProtocol(CoherenceProtocol):
             return False
         for off in frame.registered_offsets():
             addr = self.amap.line_base(line) + off
-            self._notify_word_waiters(addr, core_id, self.now)
+            self._wake(addr, core_id, self.now)
         return True
-
-    def debug_resident_lines(self, core_id: int) -> list[int]:
-        return self.l1s[core_id].resident_lines()
 
     def debug_addr_state(self, addr: int) -> str:
         owner = self.registry.get(addr)
-        copies = {
-            core_id: l1.state_of(addr, touch=False).value
-            for core_id, l1 in enumerate(self.l1s)
-            if l1.state_of(addr, touch=False) is not INVALID
-        }
-        waiters = sorted(core for core, _ in self._word_waiters.get(addr, []))
+        waiters = sorted(core for core, _ in self._waiters.get(addr, []))
         chain = self._reg_chain.get(addr, 0)
         return (
-            f"word {addr}: registry owner={owner} L1 states={copies or '{}'} "
+            f"word {addr}: registry owner={owner} {self._l1_states(addr)} "
             f"reg-chain end={chain} subscribed waiters={waiters}"
         )
 
@@ -394,7 +404,7 @@ class DeNovoBaseProtocol(CoherenceProtocol):
                     f"word {addr}: registration chain busy until cycle "
                     f"{end} (owner={self.registry.get(addr)})"
                 )
-        for addr, waiters in sorted(self._word_waiters.items()):
+        for addr, waiters in sorted(self._waiters.items()):
             cores = sorted(core for core, _ in waiters)
             out.append(
                 f"word {addr}: cores {cores} sleeping on registration steal"

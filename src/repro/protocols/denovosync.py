@@ -33,6 +33,9 @@ from repro.protocols.registry import register_protocol
     requires_annotations=True,
     default_comparison=True,
     app_comparison=True,
+    # Same states and transitions as DeNovoSync0: the backoff hooks only
+    # add stall cycles, so DeNovoSync0's model covers this protocol.
+    formal_model="denovosync0",
 )
 class DeNovoSyncProtocol(DeNovoSync0Protocol):
     name = "DeNovoSync"

@@ -10,9 +10,8 @@ audits just before each state-changing call (load, store, RMW,
 self-invalidation, forced eviction), when all state is architecturally
 settled:
 
-* ``off``      — never: no wrapper at all (the default),
-* ``sampled``  — before every :data:`SAMPLE_PERIOD`-th call,
-* ``full``     — before every call.
+* ``off``  — never: no wrapper at all (the default),
+* ``full`` — before every call.
 
 A failed check raises :class:`InvariantViolation` (an ``AssertionError``:
 the simulator itself is wrong, not the workload), whose message names
@@ -57,9 +56,6 @@ from __future__ import annotations
 from repro.mem.l1 import EXCLUSIVE, MODIFIED, REGISTERED, VALID
 from repro.protocols.base import ProtocolWrapper
 
-#: Calls between audits at ``invariant_level="sampled"``.
-SAMPLE_PERIOD = 64
-
 
 class InvariantViolation(AssertionError):
     """Protocol state violates a coherence invariant (a simulator bug).
@@ -81,39 +77,27 @@ class InvariantViolation(AssertionError):
 
 
 class InvariantAudit(ProtocolWrapper):
-    """Audit ``inner``'s invariants before every ``period``-th
-    state-changing call; a violation raises :class:`InvariantViolation`
-    before the call runs."""
-
-    def __init__(self, inner, period: int = 1):
-        super().__init__(inner)
-        self.period = period
-        self._calls = 0
-
-    def _audit(self) -> None:
-        self._calls += 1
-        if self._calls >= self.period:
-            self._calls = 0
-            self.inner.check_invariants()
+    """Audit ``inner``'s invariants before every state-changing call; a
+    violation raises :class:`InvariantViolation` before the call runs."""
 
     def load(self, *args, **kwargs):
-        self._audit()
+        self.inner.check_invariants()
         return self.inner.load(*args, **kwargs)
 
     def store(self, *args, **kwargs):
-        self._audit()
+        self.inner.check_invariants()
         return self.inner.store(*args, **kwargs)
 
     def rmw(self, *args, **kwargs):
-        self._audit()
+        self.inner.check_invariants()
         return self.inner.rmw(*args, **kwargs)
 
     def self_invalidate(self, *args, **kwargs):
-        self._audit()
+        self.inner.check_invariants()
         return self.inner.self_invalidate(*args, **kwargs)
 
     def force_evict(self, *args, **kwargs):
-        self._audit()
+        self.inner.check_invariants()
         return self.inner.force_evict(*args, **kwargs)
 
 

@@ -60,8 +60,6 @@ class MesiProtocol(CoherenceProtocol):
         super().__init__(config, allocator)
         self.l1s = [MesiL1(core, config) for core in range(config.num_cores)]
         self._directory: dict[int, DirectoryEntry] = {}
-        # line -> list of (core_id, callback) waiting for their copy to die
-        self._waiters: dict[int, list[tuple[int, Callable[[int], None]]]] = {}
         # core -> the directory entry it holds a reservation on (None: no
         # reservation).  A core holds at most one: it took it with a
         # retry, and its next access is the re-issue that consumes it.
@@ -132,28 +130,13 @@ class MesiProtocol(CoherenceProtocol):
         # The victim's copy is gone, so a future writer's invalidation will
         # never reach this core: wake any spin-waiter subscribed to the
         # victim now (it re-probes and misses), else it sleeps forever.
-        self._notify_waiters(vline, core_id, self.now)
+        self._wake(vline, core_id, self.now)
 
     def _invalidate_sharer(self, line: int, sharer: int, notify_time: int) -> None:
         """Drop ``sharer``'s copy and wake any spin-waiters it had on it."""
         old = self.l1s[sharer].invalidate(line)
         if old is not None:
-            self._notify_waiters(line, sharer, notify_time)
-
-    def _notify_waiters(self, line: int, core_id: int, wake_time: int) -> None:
-        waiters = self._waiters.get(line)
-        if not waiters:
-            return
-        remaining = []
-        for waiter_core, callback in waiters:
-            if waiter_core == core_id:
-                callback(wake_time)
-            else:
-                remaining.append((waiter_core, callback))
-        if remaining:
-            self._waiters[line] = remaining
-        else:
-            del self._waiters[line]
+            self._wake(line, sharer, notify_time)
 
     # -- loads ------------------------------------------------------------
 
@@ -205,10 +188,7 @@ class MesiProtocol(CoherenceProtocol):
     def _load_from_llc(
         self, core_id: int, line: int, addr: int, entry: DirectoryEntry, bank: int
     ) -> tuple:
-        fetch, cold = self.llc_fetch_latency(core_id, line)
-        latency = fetch
-        if cold:
-            self.record_memory_fill(LOAD, line)
+        latency = self.llc_fetch_latency(core_id, line, LOAD)
         self.record_data(LOAD, bank, core_id, self._line_bytes)
         if not entry.sharers and entry.exclusive_owner is None:
             # Exclusive-clean grant: a later write by this core is silent.
@@ -290,10 +270,7 @@ class MesiProtocol(CoherenceProtocol):
             owner_state = self.l1s[owner].state_of(line, touch=False)
             if owner_state is None:
                 entry.exclusive_owner = None
-                fetch, cold = self.llc_fetch_latency(core_id, line)
-                latency += fetch
-                if cold:
-                    self.record_memory_fill(STORE, line)
+                latency += self.llc_fetch_latency(core_id, line, STORE)
                 self.record_data(STORE, bank, core_id, self._line_bytes)
             else:
                 latency += self.mesh.remote_l1_latency(core_id, bank, owner)
@@ -310,10 +287,7 @@ class MesiProtocol(CoherenceProtocol):
                 # Upgrade: no data transfer needed, just the directory visit.
                 latency += self._l2_flat[core_id * self._ntiles + bank]
             else:
-                fetch, cold = self.llc_fetch_latency(core_id, line)
-                latency += fetch
-                if cold:
-                    self.record_memory_fill(STORE, line)
+                latency += self.llc_fetch_latency(core_id, line, STORE)
                 self.record_data(STORE, bank, core_id, self._line_bytes)
             if targets:
                 # Writer-initiated invalidations: the write completes only

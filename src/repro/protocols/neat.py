@@ -24,22 +24,23 @@ Spinners therefore *poll*; there is no wake-up subscription (the
 ``subscribe_line_change`` hook stays False), matching Neat's
 atomics-at-LLC treatment.
 
-Storage-wise the model reuses :class:`~repro.mem.l1.DeNovoL1`:
+Storage-wise the model shares the DeNovo family's L1 side
+(:class:`~repro.protocols.denovo_base.SelfInvalidatingProtocol`):
 ``Registered`` plays "dirty", ``Valid`` plays "clean"; the per-core
 ``_dirty`` sets are the write-back lists a real Neat L1 keeps as
 per-line dirty bits.  Replacement of a dirty word writes it back (the
-``on_evict_registered`` handler), exactly like a write-back cache.
+shared eviction handler, which drops it from ``_dirty``), exactly like a
+write-back cache.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Callable
 
-from repro.mem.l1 import INVALID, REGISTERED, VALID, DeNovoL1
-from repro.mem.regions import Region
+from repro.mem.l1 import INVALID, REGISTERED, VALID
 from repro.noc.messages import LOAD, SYNCH, WRITEBACK
-from repro.protocols.base import CoherenceProtocol, SpinLease
+from repro.protocols.base import SpinLease
+from repro.protocols.denovo_base import SelfInvalidatingProtocol
 from repro.protocols.invariants import neat_violations
 from repro.protocols.registry import register_protocol
 
@@ -59,38 +60,19 @@ from repro.protocols.registry import register_protocol
     default_comparison=True,
     app_comparison=True,
 )
-class NeatProtocol(CoherenceProtocol):
+class NeatProtocol(SelfInvalidatingProtocol):
     name = "Neat"
 
     def __init__(self, config, allocator=None):
         super().__init__(config, allocator)
-        self.l1s = [
-            DeNovoL1(core, config, self.amap, self._make_evict_handler(core))
-            for core in range(config.num_cores)
-        ]
-        if allocator is not None:
-            for l1 in self.l1s:
-                l1.set_region_lookup(allocator._word_regions, allocator._line_regions)
         #: Per-core set of dirty word addresses (held Registered in the
         #: L1) awaiting their self-downgrade writeback.
         self._dirty: list[set[int]] = [set() for _ in range(config.num_cores)]
-        self._l1_hit = config.l1_hit_latency
-        self._word_bytes = config.word_bytes
         self._flush_line_cost = config.tuning.neat_flush_line_cost
 
-    def _make_evict_handler(self, core_id: int):
-        # A weak proxy, as in DeNovoBaseProtocol: no reference cycle.
-        proto = weakref.proxy(self)
-
-        def on_evict_registered(addr: int, value: int) -> None:
-            # Replacement of a dirty word: write it back now instead of
-            # at the next release (ordinary write-back cache behaviour).
-            proto._dirty[core_id].discard(addr)
-            bank = proto.amap.home_bank_of_addr(addr)
-            proto.record_data(WRITEBACK, core_id, bank, proto._word_bytes)
-            proto.counters.bump("writebacks")
-
-        return on_evict_registered
+    def _drop_owned(self, core_id: int, addr: int) -> None:
+        # Replacement wrote the dirty word back before the next release.
+        self._dirty[core_id].discard(addr)
 
     # -- data accesses -------------------------------------------------------
 
@@ -111,9 +93,7 @@ class NeatProtocol(CoherenceProtocol):
         self._counts["l1_misses"] += 1
         line = addr // self._wpl
         bank = line % self._nbanks
-        latency, cold = self.llc_fetch_latency(core_id, line)
-        if cold:
-            self.record_memory_fill(LOAD, line)
+        latency = self.llc_fetch_latency(core_id, line, LOAD)
         self.record_control(LOAD, core_id, bank)
         filled = l1.fill_line_valid(
             line, self.amap.words_of_line(line), self._mem_values
@@ -165,9 +145,7 @@ class NeatProtocol(CoherenceProtocol):
         self._counts["l1_misses"] += 1
         line = addr // self._wpl
         bank = line % self._nbanks
-        latency, cold = self.llc_fetch_latency(core_id, line)
-        if cold:
-            self.record_memory_fill(SYNCH, line)
+        latency = self.llc_fetch_latency(core_id, line, SYNCH)
         self.record_control(SYNCH, core_id, bank)
         self.record_data(SYNCH, bank, core_id, self._word_bytes)
         return latency
@@ -240,23 +218,6 @@ class NeatProtocol(CoherenceProtocol):
         dirty.clear()
         return self._flush_line_cost * len(by_line)
 
-    # -- self-invalidation ---------------------------------------------------
-
-    def self_invalidate(
-        self, core_id: int, regions: list[Region], flush_all: bool = False
-    ) -> int:
-        """Si: flash-invalidate the Valid words of ``regions``; dirty
-        words stay (they are this core's own unpublished writes)."""
-        l1 = self.l1s[core_id]
-        if flush_all:
-            dropped = l1.self_invalidate_all()
-        else:
-            dropped = 0
-            for region in regions:
-                dropped += l1.self_invalidate_region(region.region_id)
-        self.counters.bump("self_invalidated_words", dropped)
-        return self.config.tuning.self_invalidate_latency
-
     # -- runtime invariants & diagnostics ------------------------------------
 
     def invariant_violations(self) -> list[str]:
@@ -266,22 +227,14 @@ class NeatProtocol(CoherenceProtocol):
         # No subscriptions exist to notify: Neat spinners always poll.
         return self.l1s[core_id].evict_line(line) is not None
 
-    def debug_resident_lines(self, core_id: int) -> list[int]:
-        return self.l1s[core_id].resident_lines()
-
     def debug_addr_state(self, addr: int) -> str:
-        copies = {
-            core_id: l1.state_of(addr, touch=False).value
-            for core_id, l1 in enumerate(self.l1s)
-            if l1.state_of(addr, touch=False) is not INVALID
-        }
         dirty_at = sorted(
             core_id
             for core_id, dirty in enumerate(self._dirty)
             if addr in dirty
         )
         return (
-            f"word {addr}: L1 states={copies or '{}'} dirty at={dirty_at} "
+            f"word {addr}: {self._l1_states(addr)} dirty at={dirty_at} "
             f"(no global tracking)"
         )
 

@@ -102,9 +102,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
             buf.move_to_end(addr)
             transfer = self._l2_flat[core_id * self._ntiles + bank]
         else:
-            transfer, cold = self.llc_fetch_latency(core_id, line)
-            if cold:
-                self.record_memory_fill(SYNCH, line)
+            transfer = self.llc_fetch_latency(core_id, line, SYNCH)
             if len(buf) >= self._su_entries:
                 # Bounded buffer full: spill the LRU entry to memory
                 # (SynCron's overflow fallback) before indexing this one.
@@ -134,7 +132,7 @@ class SynCronProtocol(DeNovoBaseProtocol):
         self.record_data(WRITEBACK, owner, bank, self._word_bytes)
         self.l1s[owner].downgrade(addr, INVALID)
         # A spinner asleep on its (now gone) Registered copy re-probes.
-        self._notify_word_waiters(addr, owner, self.now)
+        self._wake(addr, owner, self.now)
         self._counts["sync_unit_recalls"] += 1
         # The recall adds the bank->owner->bank detour beyond the plain
         # core<->bank trip the caller already pays.
@@ -214,9 +212,10 @@ class SynCronProtocol(DeNovoBaseProtocol):
         # other spinner parks at the word's sync unit and is woken when
         # the value changes — SynCron holds waiting requests at the
         # engine instead of letting cores poll.  That is also its spin
-        # lease quiescence declaration: with no poll stream there is nothing
-        # to lease (spin_poll_lease stays the base None), and parked
-        # cores are woken only by the _notify_su_waiters wake hook.
+        # lease quiescence declaration: with no poll stream there is
+        # nothing to lease (spin_poll_lease stays the base None).  A
+        # parked core sits in _su_waiters, not the base _waiters list,
+        # because every value change wakes all of them at once.
         if super().subscribe_line_change(core_id, addr, callback):
             return True
         self._su_waiters.setdefault(addr, []).append((core_id, callback))

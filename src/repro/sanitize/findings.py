@@ -31,7 +31,6 @@ KIND_UNBALANCED_BUCKETS = "unbalanced-buckets"
 KIND_RELEASE_ON_DATA_STORE = "release-on-data-store"
 KIND_RAW_ADDRESS = "raw-address"
 KIND_UNORDERED_ITERATION = "unordered-iteration"
-KIND_UNDECLARED_WAKE_MUTATION = "undeclared-wake-mutation"
 
 #: Formal-mode finding kinds (repro.formal.* checkers; same report shape).
 KIND_MISSING_HANDLER = "missing-handler"

@@ -33,16 +33,6 @@ sources and enforces:
     A bare ``yield WaitLoad(...)`` whose predicate does not pin the
     value with an equality test discards information (the observed
     value is not implied by the predicate passing).  Non-gating.
-``undeclared-wake-mutation`` (error, simulator sources only)
-    A protocol class mutates the cross-core-visible polled value store
-    (``_mem_values`` / ``memory._values``) outside a declared wake hook.
-    The spin fast-forward (spin leases) assumes the polled value can
-    only change inside the access methods a spinning core is woken
-    through (``load``/``store``/``rmw``/``sync_load``/``sync_store``, or
-    names listed in a class-level ``wake_hooks`` tuple) — a mutation
-    anywhere else could flip a value under an active lease without
-    settling it, silently diverging from the reference engine.  See
-    :meth:`repro.protocols.base.CoherenceProtocol.spin_poll_lease`.
 ``unordered-iteration`` (error, simulator sources only)
     A ``for`` loop or order-sensitive comprehension iterates a provably
     set-typed expression without ``sorted(...)``.  Set iteration order
@@ -75,7 +65,6 @@ from repro.sanitize.findings import (
     KIND_RAW_ADDRESS,
     KIND_RELEASE_ON_DATA_STORE,
     KIND_UNBALANCED_BUCKETS,
-    KIND_UNDECLARED_WAKE_MUTATION,
     KIND_UNORDERED_ITERATION,
     KIND_WAITLOAD_NOT_SYNC,
     SEVERITY_ERROR,
@@ -98,9 +87,7 @@ KERNEL_RULES = frozenset(
     }
 )
 #: The simulator-source rules (determinism idioms).
-SIMULATOR_RULES = frozenset(
-    {KIND_UNORDERED_ITERATION, KIND_UNDECLARED_WAKE_MUTATION}
-)
+SIMULATOR_RULES = frozenset({KIND_UNORDERED_ITERATION})
 
 #: Ops whose result carries information the program normally needs.
 RESULT_OPS = {"Cas", "Fai", "Swap"}
@@ -421,135 +408,6 @@ class _OrderLinter:
         return False
 
 
-#: Access methods through which a spinning core can be woken; protocol
-#: classes extend the set with a class-level ``wake_hooks`` tuple of
-#: method names.  ``__init__``/``reset`` run before any lease can exist.
-DEFAULT_WAKE_HOOKS = frozenset(
-    {"load", "store", "rmw", "sync_load", "sync_store",
-     "__init__", "reset"}
-)
-#: Mutating dict methods (beyond subscript stores) on the value store.
-_DICT_MUTATORS = {"pop", "popitem", "update", "setdefault", "clear",
-                  "__setitem__", "__delitem__"}
-
-
-def _is_value_store(node: ast.expr) -> bool:
-    """True for ``<expr>._mem_values`` and ``<expr>.memory._values``,
-    the cross-core-visible polled value store in either spelling."""
-    if not isinstance(node, ast.Attribute):
-        return False
-    if node.attr == "_mem_values":
-        return True
-    return (
-        node.attr == "_values"
-        and isinstance(node.value, ast.Attribute)
-        and node.value.attr == "memory"
-    )
-
-
-class _WakeMutationLinter:
-    """Flags polled-value-store mutations outside declared wake hooks.
-
-    Runs over a whole module: for every class that is recognizably a
-    protocol (its own name, or a base class name, ends in ``Protocol``),
-    each method may mutate ``_mem_values`` / ``memory._values`` only if
-    it is a default wake hook or named in the class's ``wake_hooks``
-    tuple.  This is the one invariant the engine's spin
-    fast-forward depends on: a lease's engine watch re-checks the
-    polled value at every would-be poll, which is sound only if the
-    value cannot change between a wake hook's execution and the next
-    poll.
-    """
-
-    def __init__(self, path: str, tree: ast.Module, findings: list[Finding]):
-        self.path = path
-        self.tree = tree
-        self.findings = findings
-
-    def run(self) -> None:
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.ClassDef) and self._is_protocol(node):
-                self._check_class(node)
-
-    @staticmethod
-    def _is_protocol(cls: ast.ClassDef) -> bool:
-        if cls.name.endswith("Protocol"):
-            return True
-        for base in cls.bases:
-            name = base.attr if isinstance(base, ast.Attribute) else (
-                base.id if isinstance(base, ast.Name) else ""
-            )
-            if name.endswith("Protocol"):
-                return True
-        return False
-
-    @staticmethod
-    def _declared_hooks(cls: ast.ClassDef) -> frozenset:
-        """Default hooks plus the class's literal ``wake_hooks`` names."""
-        extra: set[str] = set()
-        for stmt in cls.body:
-            if (
-                isinstance(stmt, ast.Assign)
-                and len(stmt.targets) == 1
-                and isinstance(stmt.targets[0], ast.Name)
-                and stmt.targets[0].id == "wake_hooks"
-                and isinstance(stmt.value, (ast.Tuple, ast.List, ast.Set))
-            ):
-                for element in stmt.value.elts:
-                    if isinstance(element, ast.Constant) and isinstance(
-                        element.value, str
-                    ):
-                        extra.add(element.value)
-        return DEFAULT_WAKE_HOOKS | extra
-
-    def _check_class(self, cls: ast.ClassDef) -> None:
-        hooks = self._declared_hooks(cls)
-        for method in cls.body:
-            if not isinstance(method, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if method.name in hooks:
-                continue
-            for site in self._mutations(method):
-                line = getattr(site, "lineno", 0)
-                self.findings.append(
-                    Finding(
-                        kind=KIND_UNDECLARED_WAKE_MUTATION,
-                        severity=SEVERITY_ERROR,
-                        message=(
-                            f"{cls.name}.{method.name} mutates the polled "
-                            "value store outside a declared wake hook: the "
-                            "engine's spin fast-forward only observes "
-                            "value changes made inside "
-                            "load/store/rmw/sync_load/sync_store (or a "
-                            "method named in the class's wake_hooks tuple) "
-                            "— move the mutation, or declare the hook"
-                        ),
-                        site=f"{self.path}:{line}",
-                        details={"file": self.path, "line": line,
-                                 "function": f"{cls.name}.{method.name}"},
-                    )
-                )
-
-    @staticmethod
-    def _mutations(method: ast.AST):
-        """Yield mutation sites of the value store in one method body
-        (nested defs included: a closure mutating it is just as unsound)."""
-        for node in ast.walk(method):
-            if isinstance(node, ast.Subscript) and isinstance(
-                node.ctx, (ast.Store, ast.Del)
-            ):
-                if _is_value_store(node.value):
-                    yield node
-            elif isinstance(node, ast.Call):
-                func = node.func
-                if (
-                    isinstance(func, ast.Attribute)
-                    and func.attr in _DICT_MUTATORS
-                    and _is_value_store(func.value)
-                ):
-                    yield node
-
-
 def _own_nodes(func: ast.AST):
     """Walk a function's body without descending into nested defs
     (lambdas are kept: predicates live there)."""
@@ -594,8 +452,6 @@ def lint_source(
             _FunctionLinter(path, scope, findings, prebuilt_of.get(id(scope), {})).run()
         if KIND_UNORDERED_ITERATION in rules:
             _OrderLinter(path, scope, findings).run()
-    if KIND_UNDECLARED_WAKE_MUTATION in rules:
-        _WakeMutationLinter(path, tree, findings).run()
     return [f for f in findings if f.kind in rules]
 
 

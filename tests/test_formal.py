@@ -10,7 +10,9 @@ Structure:
   DeNovoSync0's sync-read steal rules trips the conformance diff and
   the litmus divergence oracle, and deleting MESI's writer-initiated
   invalidations trips the explorer's SWMR invariant with a replayable
-  counterexample trace;
+  counterexample trace; a wrong implementation must fail too, including
+  a DeNovoSync whose own hook breaks the model it shares with
+  DeNovoSync0;
 * divergence oracle — clean litmus replays for the modelled protocols;
 * golden TLA+ pinning — the export is byte-stable against the
   committed ``results/formal/*.tla`` (regenerate them with
@@ -55,11 +57,14 @@ MODELLED = formal_model_set()
 
 class TestRegistryWiring:
     def test_formal_model_set_names_real_models(self):
+        # A backend may declare the model of a protocol it extends, but
+        # never one written for an unrelated protocol.
         assert MODELLED, "no protocol declares a formal model"
         for protocol in MODELLED:
             info = get_info(protocol)
             assert info.formal_model in MODELS
-            assert get_model(info.formal_model).protocol == protocol
+            modelled = get_info(get_model(info.formal_model).protocol).cls
+            assert issubclass(info.cls, modelled), (protocol, modelled)
 
     def test_unknown_model_name_rejected(self):
         with pytest.raises(ValueError, match="unknown formal model"):
@@ -218,6 +223,47 @@ class TestMutationsAreCaught:
         # The same subclass filling Registered conforms.
         assert self._findings(sync_load_filling("REGISTERED", "REGISTERED")) == []
 
+    @pytest.fixture
+    def denovosync_invalidating_victim(self, tmp_path, monkeypatch):
+        """A DeNovoSync subclass, from its own ``repro.*`` module, whose
+        ``on_registration_stolen`` also moves the victim's copy to
+        Invalid after a sync-read steal (the steal itself leaves it
+        Valid)."""
+        monkeypatch.setattr(conformance, "_MODULE_CACHE", {})
+        name = "repro._mutant_denovosync_steal"
+        path = tmp_path / "_mutant_denovosync_steal.py"
+        path.write_text(
+            "from repro.mem.l1 import INVALID\n"
+            "from repro.protocols.denovosync import DeNovoSyncProtocol\n"
+            "\n"
+            "class Mutant(DeNovoSyncProtocol):\n"
+            "    def on_registration_stolen(self, victim, addr, by_sync_read):\n"
+            "        super().on_registration_stolen(victim, addr, by_sync_read)\n"
+            "        if by_sync_read:\n"
+            "            self.l1s[victim].downgrade(addr, INVALID)\n"
+        )
+        spec = importlib.util.spec_from_file_location(name, path)
+        module = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, name, module)
+        spec.loader.exec_module(module)
+        return module.Mutant
+
+    def test_conformance_catches_a_broken_denovosync_hook(
+        self, denovosync_invalidating_victim
+    ):
+        # DeNovoSync declares DeNovoSync0's model, so its own hook
+        # overrides are checked against it: the sync-read paths now write
+        # I, which no Load or SyncRead rule permits.
+        info = get_info("DeNovoSync")
+        assert check_protocol(info).findings == []
+        mutant = dataclasses.replace(info, cls=denovosync_invalidating_victim)
+        forbidden = {
+            f.details["event"]
+            for f in check_protocol(mutant).findings
+            if f.kind == KIND_FORBIDDEN_TRANSITION and f.details["state"] == "I"
+        }
+        assert forbidden == {"Load", "SyncRead"}
+
     def test_explorer_catches_missing_invalidations(self):
         # MESI minus writer-initiated invalidations: a write from I or S
         # leaves the other copies in place, so the SWMR invariant must
@@ -294,7 +340,7 @@ class TestFormalCells:
         from repro.formal.cells import FormalCell, run_cell
 
         with pytest.raises(ValueError, match="no formal model"):
-            run_cell(FormalCell(protocol="DeNovoSync"))
+            run_cell(FormalCell(protocol="Neat"))
 
 
 class TestCli:

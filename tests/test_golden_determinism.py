@@ -10,9 +10,12 @@ order.  These tests pin that down:
   registry protocol whose failed polls are stateless) elides polls, with
   its lease hook disabled it elides none, and both runs give identical
   summaries, traffic, counters and per-core time — also when a settled
-  lease re-arms inside the same ``WaitLoad``.
+  lease re-arms inside the same ``WaitLoad``, and when the protocol
+  writes the polled word from a helper method rather than an access
+  method.
 """
 
+import dataclasses
 import hashlib
 import json
 
@@ -22,8 +25,9 @@ from repro.config import config_for_cores
 from repro.cpu.isa import Compute, Store, WaitLoad
 from repro.harness.runner import run_workload
 from repro.noc.messages import MessageClass
+from repro.protocols import registry
 from repro.protocols.neat import NeatProtocol
-from repro.protocols.registry import protocol_names
+from repro.protocols.registry import get_info, protocol_names
 from repro.trace.events import write_trace
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import all_kernel_ids, make_kernel
@@ -80,19 +84,23 @@ def _simulated(traffic, counters, per_core_time):
     )
 
 
-@pytest.mark.parametrize("family,name,cores", LEASE_CELLS, ids=LEASE_IDS)
-def test_spin_leases_leave_results_byte_identical(family, name, cores, monkeypatch):
-    """The spin fast-forward must actually engage and still match.
+def _assert_leases_match_polling(family, name, cores, cls, monkeypatch):
+    """Run one Neat cell with leases, then with ``cls``'s lease hook
+    disabled: the spin fast-forward must actually engage and still match.
 
     Tracing wraps the protocol (which disables leasing), so this check
     runs untraced.
     """
     def run():
         workload = make_kernel(family, name, spec=KernelSpec(scale=0.02))
-        return run_workload(workload, "Neat", config_for_cores(cores), seed=1)
+        result = run_workload(
+            workload, "Neat", config_for_cores(cores), seed=1, keep_protocol=True
+        )
+        assert type(result.meta["protocol"]) is cls
+        return result
 
     leased = run()
-    monkeypatch.setattr(NeatProtocol, "spin_poll_lease", _never_lease)
+    monkeypatch.setattr(cls, "spin_poll_lease", _never_lease)
     polled = run()
     assert leased.meta["epoch"]["spin_polls_elided"] > 0
     assert polled.meta["epoch"]["spin_polls_elided"] == 0
@@ -102,6 +110,38 @@ def test_spin_leases_leave_results_byte_identical(family, name, cores, monkeypat
     assert _simulated(
         leased.traffic, leased.counters, leased.per_core_time
     ) == _simulated(polled.traffic, polled.counters, polled.per_core_time)
+
+
+@pytest.mark.parametrize("family,name,cores", LEASE_CELLS, ids=LEASE_IDS)
+def test_spin_leases_leave_results_byte_identical(family, name, cores, monkeypatch):
+    _assert_leases_match_polling(family, name, cores, NeatProtocol, monkeypatch)
+
+
+class _HelperWriteNeat(NeatProtocol):
+    """Neat whose ``rmw`` commits its result through a helper method,
+    not in its own body."""
+
+    def rmw(self, core_id, addr, fn, release=False):
+        flush = self._flush_dirty(core_id) if release else 0
+        latency = self._sync_access(core_id, addr)
+        old = self._mem_get(addr, 0)
+        self._commit(addr, fn(old))
+        self._counts["rmws"] += 1
+        return (old, latency + flush, False, False)
+
+    def _commit(self, addr, new):
+        if new is not None:
+            self._mem_values[addr] = new
+
+
+@pytest.mark.parametrize("family,name", [("tatas", "counter"), ("barrier", "central")])
+def test_a_helper_method_write_leaves_leases_exact(family, name, monkeypatch):
+    """Where a protocol writes the polled word does not matter: the
+    engine watch re-reads ``memory._values`` at the (cycle, seq) of every
+    probe it replaces, so it sees the write wherever the code makes it."""
+    helper_neat = dataclasses.replace(get_info("Neat"), cls=_HelperWriteNeat)
+    monkeypatch.setitem(registry._REGISTRY, "Neat", helper_neat)
+    _assert_leases_match_polling(family, name, 16, _HelperWriteNeat, monkeypatch)
 
 
 def _rearm_run(machine_factory):

@@ -12,7 +12,7 @@ from repro.config import config_for_cores
 from repro.harness.runner import run_workload
 from repro.mem.l1 import DeNovoState, MesiState
 from repro.protocols import make_protocol
-from repro.protocols.invariants import SAMPLE_PERIOD, InvariantAudit, InvariantViolation
+from repro.protocols.invariants import InvariantAudit, InvariantViolation
 from repro.protocols.mesi import MesiProtocol
 from repro.workloads.base import KernelSpec
 from repro.workloads.registry import make_kernel
@@ -89,13 +89,6 @@ class TestMesiInvariants:
         assert isinstance(protocol, InvariantAudit)
         _two_modified_copies(protocol)
         assert _load_other_lines(protocol, 1) == 0
-
-    def test_sampled_level_trips_within_period(self):
-        protocol = _mesi(level="sampled")
-        assert isinstance(protocol, InvariantAudit)
-        _two_modified_copies(protocol)  # the store is call 1 of the period
-        # Calls 2 .. SAMPLE_PERIOD - 1 run unaudited; call SAMPLE_PERIOD trips.
-        assert _load_other_lines(protocol, SAMPLE_PERIOD) == SAMPLE_PERIOD - 2
 
     def test_off_level_never_checks(self):
         protocol = _mesi(level="off")

@@ -12,7 +12,7 @@ from repro.protocols.mesi import MesiProtocol, MesiState
 
 def _broken_handle_victim(self, core_id, vline, vstate):
     """The PR-1 sleeping-waiter bug, re-introduced: eviction bookkeeping
-    without the spin-waiter wake-up (no ``_notify_waiters`` call)."""
+    without the spin-waiter wake-up (no ``_wake`` call)."""
     ventry = self._entry(vline)
     if vstate in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
         ventry.exclusive_owner = None

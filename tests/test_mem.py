@@ -110,22 +110,3 @@ class TestBackingStore:
         store = BackingStore()
         store.write(10, 42)
         assert store.read(10) == 42
-
-    def test_touch_line_cold_then_warm(self):
-        store = BackingStore()
-        assert store.touch_line(5) is True
-        assert store.touch_line(5) is False
-        assert store.is_resident(5)
-
-    def test_evict_line(self):
-        store = BackingStore()
-        store.touch_line(5)
-        store.evict_line(5)
-        assert not store.is_resident(5)
-        assert store.touch_line(5) is True
-
-    def test_resident_line_count(self):
-        store = BackingStore()
-        for line in range(7):
-            store.touch_line(line)
-        assert store.resident_line_count == 7

@@ -290,3 +290,74 @@ class TestOneMessagePath:
             if protocol == "Neat":
                 # The leased polls are settled, not probed: cover them.
                 assert result.meta["epoch"]["spin_polls_elided"] > 0
+
+
+def _fill_placement(proto) -> tuple[int, int, int, int, int]:
+    """(first core, second core, line-aligned address, home bank, the
+    bank's memory controller) with all four tiles distinct, so a fill's
+    two messages cannot be mistaken for the access's own."""
+    wpl = proto.amap.words_per_line
+    for line in range(1, 4 * proto.config.num_cores):
+        bank = proto.amap.home_bank(line)
+        controller = proto.mesh.nearest_controller(bank)
+        cores = [c for c in range(proto.config.num_cores) if c not in (bank, controller)]
+        if bank != controller and len(cores) >= 2:
+            return cores[0], cores[1], line * wpl, bank, controller
+    raise AssertionError("no line with distinct bank and controller tiles")
+
+
+class TestColdMissFill:
+    """A line's first touch, under every protocol, charges one memory
+    fill in the class of the access that missed (inside
+    ``llc_fetch_latency``); a later miss on the line charges none."""
+
+    ACCESSES = {
+        "load": lambda proto, core, addr: proto.load(core, addr),
+        "rmw": lambda proto, core, addr: proto.rmw(core, addr, lambda old: old + 1),
+    }
+
+    @pytest.mark.parametrize("access", sorted(ACCESSES))
+    @pytest.mark.parametrize("protocol", protocol_names())
+    def test_first_touch_charges_one_fill_in_its_own_class(
+        self, protocol, access, monkeypatch
+    ):
+        log: list[tuple[MessageClass, int, int, int]] = []
+        record_control = CoherenceProtocol.record_control
+        record_data = CoherenceProtocol.record_data
+
+        def seen_control(proto, klass, src, dst):
+            log.append((klass, src, dst, 0))
+            record_control(proto, klass, src, dst)
+
+        def seen_data(proto, klass, src, dst, payload_bytes, times=1):
+            log.extend([(klass, src, dst, payload_bytes)] * times)
+            record_data(proto, klass, src, dst, payload_bytes, times)
+
+        monkeypatch.setattr(CoherenceProtocol, "record_control", seen_control)
+        monkeypatch.setattr(CoherenceProtocol, "record_data", seen_data)
+        proto = make_protocol(protocol, config_16())
+        first, second, addr, bank, controller = _fill_placement(proto)
+
+        def fill_messages():
+            legs = ((bank, controller), (controller, bank))
+            return sorted(m for m in log if m[1:3] in legs)
+
+        proto.now = 1_000
+        self.ACCESSES[access](proto, first, addr)
+        requests = {k for k, src, dst, size in log if (src, dst, size) == (first, bank, 0)}
+        assert len(requests) == 1, log
+        (klass,) = requests
+        if access == "load":
+            assert klass is MessageClass.LOAD
+        assert fill_messages() == sorted([
+            (klass, bank, controller, 0),
+            (klass, controller, bank, proto.config.line_bytes),
+        ])
+        assert proto.counters.get("cold_misses") == 1
+
+        log.clear()
+        proto.now = 2_000
+        _, _, hit, retry = self.ACCESSES[access](proto, second, addr + 1)
+        assert not hit and not retry
+        assert fill_messages() == []
+        assert proto.counters.get("cold_misses") == 1

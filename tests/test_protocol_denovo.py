@@ -1,4 +1,5 @@
-"""Unit tests for the DeNovoSync0 / DeNovoSync protocols."""
+"""Unit tests for the DeNovoSync0 / DeNovoSync protocols, and for the
+self-invalidating L1 side they share with SynCron and Neat."""
 
 import pytest
 
@@ -6,9 +7,11 @@ from repro.config import config_16
 from repro.mem.address import AddressMap
 from repro.mem.l1 import DeNovoState
 from repro.mem.regions import RegionAllocator
-from repro.noc.messages import MessageClass
+from repro.noc.messages import MessageClass, data_flits
+from repro.protocols import make_protocol
 from repro.protocols.denovosync import DeNovoSyncProtocol
 from repro.protocols.denovosync0 import DeNovoSync0Protocol
+from repro.protocols.registry import get_info, protocols_with
 
 
 @pytest.fixture
@@ -284,3 +287,44 @@ class TestDeNovoSyncBackoff:
         proto.load(1, ADDR, sync=True)
         proto.now = 2000
         assert proto.sync_read_backoff(0, ADDR) == 0
+
+
+@pytest.mark.parametrize("name", protocols_with(invalidation="self"))
+class TestSelfInvalidatingEviction:
+    """The eviction handler every self-invalidating backend shares: a
+    force-evicted Registered (Neat: dirty) word is written back as one
+    word, and the backend's owner bookkeeping forgets it."""
+
+    def test_registered_word_writes_back_one_word(self, name):
+        proto = make_protocol(name, config_16())
+        core, addr = 0, 5 * proto.amap.words_per_line
+        line = proto.amap.line_of(addr)
+        bank = proto.amap.home_bank(line)
+        dirty_set = get_info(name).tracking == "dirty-set"
+
+        def owned() -> bool:
+            if dirty_set:
+                return addr in proto._dirty[core]
+            return proto.registry.get(addr) == core
+
+        proto.now = 1_000
+        proto.store(core, addr, 7)  # a data store: Registered / dirty
+        assert owned()
+        ledger = proto.traffic
+        before = (
+            ledger.message_count(MessageClass.WRITEBACK),
+            ledger.flit_crossings(MessageClass.WRITEBACK),
+            proto.counters.get("writebacks"),
+        )
+
+        assert proto.force_evict(core, line)
+
+        word_flits = data_flits(proto.config.word_bytes) * proto.mesh.hops(core, bank)
+        assert (
+            ledger.message_count(MessageClass.WRITEBACK),
+            ledger.flit_crossings(MessageClass.WRITEBACK),
+            proto.counters.get("writebacks"),
+        ) == (before[0] + 1, before[1] + word_flits, before[2] + 1)
+        assert not owned()
+        assert proto.memory.read(addr) == 7
+        assert proto.invariant_violations() == []

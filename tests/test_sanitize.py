@@ -38,14 +38,11 @@ from repro.sanitize.findings import (
     KIND_STALE_READ_HAZARD,
     KIND_UNANNOTATED_RACE,
     KIND_UNBALANCED_BUCKETS,
+    KIND_UNORDERED_ITERATION,
     KIND_WAITLOAD_NOT_SYNC,
     SEVERITY_ERROR,
     Finding,
     Report,
-)
-from repro.sanitize.findings import (
-    KIND_UNDECLARED_WAKE_MUTATION,
-    KIND_UNORDERED_ITERATION,
 )
 from repro.sanitize.lint import (
     KIND_WAITLOAD_DISCARDED,
@@ -626,81 +623,6 @@ def test_rebroken_mesi_invalidation_fanout_is_flagged():
     findings = lint_source(rebroken, "mesi.py", rules=SIMULATOR_RULES)
     assert _kinds(findings) == [KIND_UNORDERED_ITERATION]
     assert all(f.details["function"] == "_obtain_modified" for f in findings)
-
-
-# ---------------------------------------------------------------------------
-# The undeclared-wake-mutation rule (epoch-mode quiescence contract).
-# ---------------------------------------------------------------------------
-
-
-def test_undeclared_wake_mutation_flags_helper_mutation():
-    source = (
-        "class FooProtocol:\n"
-        "    def _drain(self, addr):\n"
-        "        self._mem_values[addr] = 1\n"
-    )
-    findings = lint_source(source, "foo.py", rules=SIMULATOR_RULES)
-    assert _kinds(findings) == [KIND_UNDECLARED_WAKE_MUTATION]
-    assert findings[0].details["function"] == "FooProtocol._drain"
-
-
-def test_undeclared_wake_mutation_covers_both_spellings_and_methods():
-    source = (
-        "class FooProtocol:\n"
-        "    def _a(self, addr):\n"
-        "        self.memory._values[addr] = 1\n"
-        "    def _b(self, addr):\n"
-        "        self._mem_values.pop(addr)\n"
-    )
-    findings = lint_source(source, "foo.py", rules=SIMULATOR_RULES)
-    assert _kinds(findings) == [KIND_UNDECLARED_WAKE_MUTATION] * 2
-
-
-def test_undeclared_wake_mutation_sanctions_declared_hooks():
-    clean = (
-        "class FooProtocol:\n"
-        "    wake_hooks = (\"_drain\",)\n"
-        "    def _drain(self, addr):\n"
-        "        self._mem_values[addr] = 1\n"
-        "    def store(self, core_id, addr, value):\n"
-        "        self._mem_values[addr] = value\n"
-        "    def __init__(self):\n"
-        "        self._mem_values = {}\n"
-    )
-    assert lint_source(clean, "foo.py", rules=SIMULATOR_RULES) == []
-
-
-def test_undeclared_wake_mutation_ignores_non_protocol_classes():
-    source = (
-        "class Memory:\n"
-        "    def write(self, addr, value):\n"
-        "        self._mem_values[addr] = value\n"
-    )
-    assert lint_source(source, "mem.py", rules=SIMULATOR_RULES) == []
-
-
-def test_undeclared_wake_mutation_only_runs_on_simulator_rules():
-    source = (
-        "class FooProtocol:\n"
-        "    def _drain(self, addr):\n"
-        "        self._mem_values[addr] = 1\n"
-    )
-    assert lint_source(source) == []  # kernel rules: not in scope
-
-
-def test_rebroken_neat_rmw_out_of_hook_is_flagged():
-    """Renaming Neat's rmw so the value-store write lives in an
-    undeclared helper must re-trigger the rule (regression guard: the
-    shipped protocols keep every mutation inside a wake hook)."""
-    import repro.protocols.neat as neat_mod
-
-    source = open(neat_mod.__file__).read()
-    fixed = "def rmw("
-    assert fixed in source
-    rebroken = source.replace(fixed, "def _apply_rmw(")
-    findings = lint_source(rebroken, "neat.py", rules=SIMULATOR_RULES)
-    assert _kinds(findings) == [KIND_UNDECLARED_WAKE_MUTATION]
-    assert findings[0].details["function"] == "NeatProtocol._apply_rmw"
 
 
 # ---------------------------------------------------------------------------

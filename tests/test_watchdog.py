@@ -85,7 +85,7 @@ def _flag_line(config):
 
 def _broken_handle_victim(self, core_id, vline, vstate):
     """The PR-1 bug, re-introduced: eviction bookkeeping without the
-    spin-waiter wake-up (no ``_notify_waiters`` call)."""
+    spin-waiter wake-up (no ``_wake`` call)."""
     ventry = self._entry(vline)
     if vstate in (MesiState.MODIFIED, MesiState.EXCLUSIVE):
         ventry.exclusive_owner = None
